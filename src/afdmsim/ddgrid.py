@@ -37,12 +37,12 @@ def _check_grid(config: AfdmConfig, g) -> np.ndarray:
 
 
 def vector_to_grid(config: AfdmConfig, v) -> np.ndarray:
-    """Reshape a length-n_c symbol vector onto the (n_p, K) grid."""
+    """Reshape length-n_c symbol vectors, (..., n_c), onto (..., n_p, K) grids."""
     config.require_fmcw("vector_to_grid")
     v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (config.n_c,):
+    if v.shape[-1:] != (config.n_c,):
         raise ValueError(f"expected {config.n_c} symbols, got shape {v.shape}")
-    return v[dd_index_table(config)]
+    return v[..., dd_index_table(config)]
 
 
 def grid_to_vector(config: AfdmConfig, g) -> np.ndarray:

@@ -13,14 +13,15 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import csvio
 from .ambiguity import aaf_psi0_surface, dpaf_surface
-from .channel import PathTap, taps_from_targets
+from .channel import PathTap, apply_channel, taps_from_targets
 from .ddgrid import grid_to_vector, io_predict, vector_to_grid
 from .metrics import (
     CFAR_GUARD,
@@ -28,17 +29,14 @@ from .metrics import (
     CFAR_TRAIN,
     FrameSpec,
     MetricReport,
-    image_snr,
     lmmse_ber_compare,
-    monte_carlo_pd,
-    pslr,
     sensing_maps,
+    trial_metrics,
     trial_rng,
 )
-from .params import AfdmConfig, ScenarioConfig, load_scenario
-from .sensing import ca_cfar_2d, ddmf_batch, detection_near
+from .params import AfdmConfig, ScenarioConfig, load_scenario, proposed_params
+from .sensing import ddmf_batch, dechirp_batch, tfmf_batch
 from .waveform import demodulate, modulate, subcarrier
-from .channel import apply_channel
 
 EXPERIMENT_KINDS = (
     "ddm",
@@ -122,6 +120,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.tfmf_reference not in ("transmit", "pilot"):
             raise ValueError("tfmf_reference must be 'transmit' or 'pilot'")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not all(math.isfinite(snr) for snr in self.snr_db_list):
+            raise ValueError(f"SNR values must be finite, got {list(self.snr_db_list)}")
 
     @property
     def resolved_presets(self) -> tuple[str, ...]:
@@ -251,32 +253,9 @@ def _run_af_surface(spec, out_dir, written, outputs) -> None:
         outputs[name] = ["l", "k", "re", "im", "magnitude_db"]
 
 
-def _metric_trials(spec, preset_name, algorithms, snr_db, po, trials):
-    """Per-trial PSLR/image-SNR/detection samples for one condition."""
-    sc = spec.scenario
-    config = sc.waveform(preset_name)
-    frame = FrameSpec.from_overhead(config.n_c, po)
-    paths = taps_from_targets(sc.targets)
-    target = sc.targets[0]
-    cell = (target[1] % config.n_p, target[2] % config.k_chirps)
-    samples = {alg: {"pslr": [], "isnr": [], "hit": []} for alg in algorithms}
-    for t in range(trials):
-        rng = trial_rng(spec.resolved_seed, t)
-        maps = sensing_maps(
-            config, frame, paths, snr_db, algorithms, rng,
-            tfmf_reference=spec.tfmf_reference,
-        )
-        for alg, ddm in maps.items():
-            rec = samples[alg]
-            rec["pslr"].append(pslr(ddm, cell))
-            rec["isnr"].append(image_snr(ddm, cell))
-            detections = ca_cfar_2d(ddm, CFAR_TRAIN, CFAR_GUARD, CFAR_PFA)
-            rec["hit"].append(
-                detection_near(
-                    detections, target[1], target[2], config.n_p, config.k_chirps
-                )
-            )
-    return samples
+def _metric_row(snr_db, po, algorithm, preset_name, report: MetricReport) -> tuple:
+    """One ``csvio.METRIC_COLUMNS`` row; the report's fields are its last five columns."""
+    return (float(snr_db), float(po), algorithm, preset_name, *astuple(report))
 
 
 def _sweep_rows(spec, preset_name, snr_values, po_values):
@@ -284,70 +263,36 @@ def _sweep_rows(spec, preset_name, snr_values, po_values):
     algorithms = _algorithms_for(preset_name, spec.algorithms)
     for po in po_values:
         for snr in snr_values:
-            samples = _metric_trials(
-                spec, preset_name, algorithms, snr, po, spec.trials
+            samples = trial_metrics(
+                spec.scenario, algorithms, spec.trials, spec.resolved_seed, snr, po,
+                preset_name, spec.tfmf_reference,
             )
             for alg in algorithms:
-                rec = samples[alg]
-                report = MetricReport(
-                    pslr_db=float(np.mean(rec["pslr"])),
-                    image_snr_db=float(np.mean(rec["isnr"])),
-                    pd=float(np.mean(rec["hit"])),
-                    ber=float("nan"),
-                    trials=spec.trials,
-                )
-                rows.append(
-                    (float(snr), float(po), alg, preset_name, report.pslr_db,
-                     report.image_snr_db, report.pd, report.ber, report.trials)
-                )
+                means = (float(np.mean(values)) for values in samples[alg])  # PSLR, image SNR, hit
+                report = MetricReport(*means, ber=float("nan"), trials=spec.trials)
+                rows.append(_metric_row(snr, po, alg, preset_name, report))
     return rows
 
 
-def _run_snr_sweep(spec, out_dir, written, outputs) -> None:
+def _run_sweep(spec, out_dir, written, outputs) -> None:
+    """``snr_sweep`` and ``pd_curve`` over the SNR list, ``po_sweep`` over the PO list.
+
+    ``pd_curve`` lists its rows by algorithm, then SNR, with PSLR and image
+    SNR left blank (NaN).
+    """
+    sc = spec.scenario
     for preset_name in spec.resolved_presets:
-        rows = _sweep_rows(
-            spec, preset_name, spec.snr_db_list, (spec.scenario.pilot_overhead,)
-        )
-        name = f"snr_sweep_{preset_name}_all.csv"
-        written.append(csvio.write_metric_rows(out_dir / name, rows))
-        outputs[name] = list(csvio.METRIC_COLUMNS)
-
-
-def _run_po_sweep(spec, out_dir, written, outputs) -> None:
-    for preset_name in spec.resolved_presets:
-        rows = _sweep_rows(
-            spec, preset_name, (spec.scenario.snr_db,), spec.po_list
-        )
-        name = f"po_sweep_{preset_name}_all.csv"
-        written.append(csvio.write_metric_rows(out_dir / name, rows))
-        outputs[name] = list(csvio.METRIC_COLUMNS)
-
-
-def _run_pd_curve(spec, out_dir, written, outputs) -> None:
-    for preset_name in spec.resolved_presets:
-        rows = []
-        for alg in _algorithms_for(preset_name, spec.algorithms):
-            for snr in spec.snr_db_list:
-                report = MetricReport(
-                    pslr_db=float("nan"),
-                    image_snr_db=float("nan"),
-                    pd=monte_carlo_pd(
-                        spec.scenario,
-                        alg,
-                        spec.trials,
-                        seed=spec.resolved_seed,
-                        snr_db=float(snr),
-                        preset_name=preset_name,
-                    ),
-                    ber=float("nan"),
-                    trials=spec.trials,
-                )
-                rows.append(
-                    (float(snr), float(spec.scenario.pilot_overhead), alg,
-                     preset_name, report.pslr_db, report.image_snr_db,
-                     report.pd, report.ber, report.trials)
-                )
-        name = f"pd_curve_{preset_name}_all.csv"
+        if spec.kind == "po_sweep":
+            rows = _sweep_rows(spec, preset_name, (sc.snr_db,), spec.po_list)
+        else:
+            rows = _sweep_rows(spec, preset_name, spec.snr_db_list, (sc.pilot_overhead,))
+        if spec.kind == "pd_curve":
+            n = len(_algorithms_for(preset_name, spec.algorithms))
+            rows = [
+                (*row[:4], float("nan"), float("nan"), *row[6:])
+                for j in range(n) for row in rows[j::n]
+            ]
+        name = f"{spec.kind}_{preset_name}_all.csv"
         written.append(csvio.write_metric_rows(out_dir / name, rows))
         outputs[name] = list(csvio.METRIC_COLUMNS)
 
@@ -375,10 +320,7 @@ def _run_ber_curve(spec, out_dir, written, outputs) -> None:
                 ber=errors / bits,
                 trials=bits,
             )
-            rows.append(
-                (float(snr), 0.0, "lmmse", preset_name, report.pslr_db,
-                 report.image_snr_db, report.pd, report.ber, report.trials)
-            )
+            rows.append(_metric_row(snr, 0.0, "lmmse", preset_name, report))
         name = f"ber_curve_{preset_name}_lmmse.csv"
         written.append(csvio.write_metric_rows(out_dir / name, rows))
         outputs[name] = list(csvio.METRIC_COLUMNS)
@@ -437,7 +379,7 @@ def _time_batch(fn, reps: int) -> float:
 def benchmark_pipelines(
     sizes, k_chirps: int = 8, seed: int = 0, reps: int = 9,
 ) -> list[tuple[str, int, float]]:
-    """Per-map runtimes (best of ``reps``) for each pipeline at each size.
+    """Per-map runtimes (best of ``reps``) for each pipeline at each size, by size.
 
     Pipelines are timed in batch mode so per-call dispatch overhead does not
     mask the per-map work: O(n_c log n_c) for the transform pipelines and
@@ -445,11 +387,8 @@ def benchmark_pipelines(
     each measurement long enough to time reliably while staying
     cache-resident for the matched filter.
     """
-    from .params import proposed_params
-    from .sensing import dechirp_batch, tfmf_batch
-
     rng = np.random.default_rng(seed)
-    results = []
+    results, ddmf_runs = [], []
     for n_c in sizes:
         config = proposed_params(n_c // k_chirps, k_chirps)
         pilot = subcarrier(config, 0).samples
@@ -459,12 +398,8 @@ def benchmark_pipelines(
         )
         n_p, K = config.n_p, config.k_chirps
 
-        def run_tfmf():
-            tfmf_batch(config, stack, pilot)
-
-        def run_dechirp():
-            dechirp_batch(config, stack, pilot)
-
+        run_tfmf = partial(tfmf_batch, config, stack, pilot)
+        run_dechirp = partial(dechirp_batch, config, stack, pilot)
         batch_mf = int(np.clip(2**24 // (n_c * n_c), 1, 64))
         y = rng.standard_normal((batch_mf, n_p, K)) + 1j * rng.standard_normal(
             (batch_mf, n_p, K)
@@ -474,14 +409,16 @@ def benchmark_pipelines(
             (batch_mf, n_p, K),
         ).copy()
 
-        def run_ddmf():
-            ddmf_batch(config, y, x)
-
+        run_ddmf = partial(ddmf_batch, config, y, x)
         run_tfmf(), run_dechirp(), run_ddmf()  # warm-up
         results.append(("tfmf", n_c, _time_batch(run_tfmf, reps) / batch_fast))
         results.append(("dechirp", n_c, _time_batch(run_dechirp, reps) / batch_fast))
-        results.append(("ddmf", n_c, _time_batch(run_ddmf, reps) / batch_mf))
-    return results
+        ddmf_runs.append((n_c, run_ddmf, batch_mf))
+    # ddmf repetitions go round-robin over the sizes, so that a phase of host
+    # load slows every size alike instead of tilting the O(n_c^2) slope
+    rounds = [[_time_batch(run, 1) / batch for _, run, batch in ddmf_runs] for _ in range(reps)]
+    results += [("ddmf", n_c, min(times)) for (n_c, _, _), times in zip(ddmf_runs, zip(*rounds))]
+    return sorted(results, key=lambda row: sizes.index(row[1]))
 
 
 def loglog_slope(sizes, times) -> float:
@@ -512,9 +449,9 @@ def _run_runtime_scaling(spec, out_dir, written, outputs) -> None:
 _RUNNERS = {
     "ddm": _run_ddm,
     "af_surface": _run_af_surface,
-    "snr_sweep": _run_snr_sweep,
-    "po_sweep": _run_po_sweep,
-    "pd_curve": _run_pd_curve,
+    "snr_sweep": _run_sweep,
+    "po_sweep": _run_sweep,
+    "pd_curve": _run_sweep,
     "ber_curve": _run_ber_curve,
     "io_check": _run_io_check,
     "runtime_scaling": _run_runtime_scaling,

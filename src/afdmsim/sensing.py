@@ -82,13 +82,20 @@ def _fast_slow_batch(config: AfdmConfig, stack: np.ndarray) -> np.ndarray:
 
 
 def tfmf_batch(config: AfdmConfig, r_stack: np.ndarray, s_ref) -> np.ndarray:
-    """Vectorized TFMF over a (B, n_c) stack of received signals."""
+    """Vectorized TFMF over a (B, n_c) stack of received signals.
+
+    ``s_ref`` is one reference for every row (a signal or n_c samples) or a
+    (B, n_c) stack holding each row's own reference.
+    """
     rm = _fast_slow_batch(config, np.asarray(r_stack, dtype=np.complex128))
-    sm = _fast_slow(config, _as_samples(s_ref, config))
+    refs = _as_samples(s_ref, config, stacked=True).reshape(-1, config.n_c)
+    if len(refs) not in (1, len(rm)):
+        raise ValueError(f"{len(refs)} references for {len(rm)} received signals")
+    sm = _fast_slow_batch(config, refs)
     n_p, K = config.n_p, config.k_chirps
     r_fre = np.fft.fft(rm, axis=1) / np.sqrt(n_p)
-    s_fre = np.fft.fft(sm, axis=0) / np.sqrt(n_p)
-    mf = r_fre * np.conj(s_fre)[None, :, :]
+    s_fre = np.fft.fft(sm, axis=1) / np.sqrt(n_p)
+    mf = r_fre * np.conj(s_fre)
     d_range = np.fft.ifft(mf, axis=1) * np.sqrt(n_p)
     return np.fft.ifft(d_range, axis=2) * np.sqrt(K)
 
@@ -203,15 +210,10 @@ def cfar_threshold_factor(n_train: int, pfa: float) -> float:
     return n_train * (pfa ** (-1.0 / n_train) - 1.0)
 
 
-def cfar_mask_batch(
+def _cfar_ring(
     power: np.ndarray, train: int, guard: int, pfa: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized CA-CFAR over a (..., n_p, K) stack of power maps.
-
-    Returns (detected boolean stack, power-threshold stack). The training
-    ring wraps cyclically at the map edges; an exactly zero noise estimate is
-    replaced by the smallest positive float so a lone peak is still detected.
-    """
+) -> list[tuple[int, int]]:
+    """Check the CFAR arguments against a (..., n_p, K) stack; return the ring offsets."""
     if train < 1 or guard < 0:
         raise ValueError("need train >= 1 and guard >= 0")
     if not 0.0 < pfa < 1.0:
@@ -222,7 +224,36 @@ def cfar_mask_batch(
         raise ValueError(
             f"CFAR window {window} exceeds map dimensions ({n_p}, {K})"
         )
-    offsets = _ring_offsets(train, guard)
+    return _ring_offsets(train, guard)
+
+
+def _detections(
+    ddm: DelayDopplerMap, mask_fn, train: int, guard: int, pfa: float
+) -> list[Detection]:
+    """Run a CFAR mask function on one map and list its exceedances."""
+    power = np.abs(ddm.cells) ** 2
+    mask, threshold = mask_fn(power, train, guard, pfa)
+    return [
+        Detection(
+            l=int(l),
+            k=int(k),
+            magnitude=float(np.sqrt(power[l, k])),
+            threshold=float(np.sqrt(threshold[l, k])),
+        )
+        for l, k in np.argwhere(mask)
+    ]
+
+
+def cfar_mask_batch(
+    power: np.ndarray, train: int, guard: int, pfa: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized CA-CFAR over a (..., n_p, K) stack of power maps.
+
+    Returns (detected boolean stack, power-threshold stack). The training
+    ring wraps cyclically at the map edges; an exactly zero noise estimate is
+    replaced by the smallest positive float so a lone peak is still detected.
+    """
+    offsets = _cfar_ring(power, train, guard, pfa)
     ring = np.zeros_like(power)
     for di, dj in offsets:
         ring += np.roll(power, (di, dj), axis=(-2, -1))
@@ -236,19 +267,7 @@ def ca_cfar_2d(
     ddm: DelayDopplerMap, train: int, guard: int, pfa: float
 ) -> list[Detection]:
     """2D cell-averaging CFAR on a delay-Doppler map."""
-    power = np.abs(ddm.cells) ** 2
-    mask, threshold = cfar_mask_batch(power, train, guard, pfa)
-    detections = []
-    for l, k in np.argwhere(mask):
-        detections.append(
-            Detection(
-                l=int(l),
-                k=int(k),
-                magnitude=float(np.sqrt(power[l, k])),
-                threshold=float(np.sqrt(threshold[l, k])),
-            )
-        )
-    return detections
+    return _detections(ddm, cfar_mask_batch, train, guard, pfa)
 
 
 def os_cfar_rank(n_train: int) -> int:
@@ -286,21 +305,11 @@ def os_cfar_mask_batch(
     target inside the ring does not raise the threshold of its neighbour
     (CA-CFAR target masking). Memory is N_t times that of ``power``.
     """
-    if train < 1 or guard < 0:
-        raise ValueError("need train >= 1 and guard >= 0")
-    if not 0.0 < pfa < 1.0:
-        raise ValueError("pfa must lie in (0, 1)")
-    n_p, K = power.shape[-2:]
-    w = train + guard
-    window = 2 * w + 1
-    if window > n_p or window > K:
-        raise ValueError(
-            f"CFAR window {window} exceeds map dimensions ({n_p}, {K})"
-        )
-    offsets = _ring_offsets(train, guard)
+    offsets = _cfar_ring(power, train, guard, pfa)
     rank = os_cfar_rank(len(offsets))
+    w = train + guard
     padded = np.pad(power, [(0, 0)] * (power.ndim - 2) + [(w, w), (w, w)], mode="wrap")
-    windows = sliding_window_view(padded, (window, window), axis=(-2, -1))
+    windows = sliding_window_view(padded, (2 * w + 1, 2 * w + 1), axis=(-2, -1))
     rows, cols = (np.array(offsets) + w).T
     ring = windows[..., rows, cols]  # (..., n_p, K, N_t) cyclic training cells
     noise = np.partition(ring, rank - 1, axis=-1)[..., rank - 1]
@@ -313,17 +322,7 @@ def os_cfar_2d(
     ddm: DelayDopplerMap, train: int, guard: int, pfa: float
 ) -> list[Detection]:
     """2D ordered-statistic CFAR on a delay-Doppler map (detections as ``ca_cfar_2d``)."""
-    power = np.abs(ddm.cells) ** 2
-    mask, threshold = os_cfar_mask_batch(power, train, guard, pfa)
-    return [
-        Detection(
-            l=int(l),
-            k=int(k),
-            magnitude=float(np.sqrt(power[l, k])),
-            threshold=float(np.sqrt(threshold[l, k])),
-        )
-        for l, k in np.argwhere(mask)
-    ]
+    return _detections(ddm, os_cfar_mask_batch, train, guard, pfa)
 
 
 def peak(ddm: DelayDopplerMap) -> tuple[int, int, float]:
@@ -351,3 +350,12 @@ def detection_near(
         and cyclic_distance(d.k, k_bin, k_chirps) <= radius
         for d in detections
     )
+
+
+def mask_near(mask: np.ndarray, l_true: int, k_true: int, radius: int = 1) -> np.ndarray:
+    """Per-map ``detection_near`` on a (..., n_p, K) detection-mask stack."""
+    n_p, K = mask.shape[-2:]
+    box = np.arange(-radius, radius + 1)
+    rows = np.mod(l_true + box, n_p)[:, None]
+    cols = np.mod(k_true + box, K)[None, :]
+    return mask[..., rows, cols].any(axis=(-2, -1))

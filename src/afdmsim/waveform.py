@@ -47,14 +47,16 @@ class TimeSignal:
         return len(self.samples)
 
 
-def _as_samples(signal, config: AfdmConfig, *, allow_cpp: bool = False) -> np.ndarray:
-    """Accept a TimeSignal or bare array of n_c samples."""
+def _as_samples(
+    signal, config: AfdmConfig, *, allow_cpp: bool = False, stacked: bool = False
+) -> np.ndarray:
+    """Accept a TimeSignal or bare array of n_c samples (``stacked``: (..., n_c))."""
     if isinstance(signal, TimeSignal):
         if signal.has_cpp and not allow_cpp:
             raise ValueError("signal still carries a CPP; remove it first")
         return signal.samples
     arr = np.asarray(signal, dtype=np.complex128)
-    if arr.shape != (config.n_c,):
+    if arr.shape[-1:] != (config.n_c,) or (arr.ndim != 1 and not stacked):
         raise ValueError(f"expected {config.n_c} samples, got shape {arr.shape}")
     return arr
 
@@ -97,8 +99,8 @@ def modulate(config: AfdmConfig, x) -> TimeSignal:
 
 
 def demodulate(config: AfdmConfig, r) -> np.ndarray:
-    """Project a CPP-free received signal back onto the subcarrier basis."""
-    samples = _as_samples(r, config)
+    """Project a CPP-free received signal (or a (..., n_c) stack) onto the subcarrier basis."""
+    samples = _as_samples(r, config, stacked=True)
     n = np.arange(config.n_c, dtype=np.int64)
     mid = np.fft.fft(samples * np.conj(_c1_phasor(config, n))) / np.sqrt(config.n_c)
     m = np.arange(config.n_c, dtype=np.int64)

@@ -30,21 +30,19 @@ from afdmsim.experiments import (
 from afdmsim.metrics import (
     FrameSpec,
     build_frame,
-    image_snr,
     lmmse_ber_compare,
     pilot_reference,
-    pslr,
-    sensing_maps,
+    sensing_trials,
+    trial_metrics,
     trial_rng,
 )
 from afdmsim.params import classic_params, preset, proposed_params
 from afdmsim.sensing import (
-    ca_cfar_2d,
     cfar_mask_batch,
     ddmf,
     dechirp,
-    detection_near,
-    os_cfar_2d,
+    mask_near,
+    os_cfar_mask_batch,
     peak,
     tfmf,
 )
@@ -264,21 +262,17 @@ def _three_target_counts(po: float, snr_db: float, trials: int, seed: int):
     """
     paths = [PathTap(g, l, k) for g, l, k in THREE_TARGETS]
     frame = FrameSpec.from_overhead(512, po)
-    detectors = {"ca": ca_cfar_2d, "os": os_cfar_2d}
+    detectors = {"ca": cfar_mask_batch, "os": os_cfar_mask_batch}
     all3 = {d: {"tfmf": 0, "ddmf": 0} for d in detectors}
     weak = {d: {"tfmf": 0, "ddmf": 0} for d in detectors}
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        maps = sensing_maps(TABLE_CFG, frame, paths, snr_db, ("tfmf", "ddmf"), rng)
-        for alg, m in maps.items():
-            for name, detect in detectors.items():
-                dets = detect(m, 2, 1, 1e-4)
-                hits = [
-                    detection_near(dets, l, k, TABLE_N_P, TABLE_K)
-                    for _, l, k in THREE_TARGETS
-                ]
-                all3[name][alg] += all(hits)
-                weak[name][alg] += hits[2]
+    for maps in sensing_trials(TABLE_CFG, frame, paths, snr_db, ("tfmf", "ddmf"), trials, seed):
+        for alg, cells in maps.items():
+            power = np.abs(cells) ** 2
+            for name, mask_fn in detectors.items():
+                mask, _ = mask_fn(power, 2, 1, 1e-4)
+                hits = np.stack([mask_near(mask, l, k) for _, l, k in THREE_TARGETS])
+                all3[name][alg] += int(hits.all(axis=0).sum())
+                weak[name][alg] += int(hits[2].sum())
     return all3, weak
 
 
@@ -342,22 +336,15 @@ def test_c08b_weak_target_no_pilot():
     )
 
 
-def _ordering_cell(config, algorithms, snr_db, po, trials, seed):
-    frame = FrameSpec.from_overhead(config.n_c, po)
-    paths = [PathTap(1.0, 10, 3)]
-    cell = (10 % config.n_p, 3 % config.k_chirps)
-    rec = {a: {"pslr": [], "isnr": [], "hits": 0} for a in algorithms}
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        maps = sensing_maps(config, frame, paths, snr_db, algorithms, rng)
-        for alg, m in maps.items():
-            rec[alg]["pslr"].append(pslr(m, cell))
-            rec[alg]["isnr"].append(image_snr(m, cell))
-            dets = ca_cfar_2d(m, 2, 1, 1e-4)
-            rec[alg]["hits"] += detection_near(
-                dets, 10, 3, config.n_p, config.k_chirps
-            )
-    return rec
+def _ordering_cell(preset_name, algorithms, snr_db, po, trials, seed):
+    """Per-trial PSLR/image SNR and hit count at table1's unit target (10, 3)."""
+    samples = trial_metrics(
+        builtin_scenarios()["table1"], algorithms, trials, seed, snr_db, po, preset_name
+    )
+    return {
+        alg: {"pslr": p, "isnr": isnr, "hits": int(hit.sum())}
+        for alg, (p, isnr, hit) in samples.items()
+    }
 
 
 def test_c09_ordering_properties():
@@ -369,11 +356,11 @@ def test_c09_ordering_properties():
     for snr in snrs:
         for po in pos:
             proposed[(snr, po)] = _ordering_cell(
-                TABLE_CFG, ("tfmf", "dechirp", "ddmf"), snr, po, trials, seed=909
+                "proposed", ("tfmf", "dechirp", "ddmf"), snr, po, trials, seed=909
             )
             if po > 0.0:
                 classic[(snr, po)] = _ordering_cell(
-                    CLASSIC_CFG, ("tfmf", "dechirp"), snr, po, trials, seed=909
+                    "classic", ("tfmf", "dechirp"), snr, po, trials, seed=909
                 )
 
     for (snr, po), rec in proposed.items():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -170,6 +171,19 @@ class TestCli:
         code = main(["ddm", "--scenario", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
         assert code == 1
 
+    def test_zero_trials_rejected(self, tmp_path, capsys):
+        code = main(["io-check", "--scenario", "desk", "--trials", "0", "--out", str(tmp_path)])
+        assert code == 1
+        assert "trials must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_non_finite_snr_rejected(self, tmp_path, capsys):
+        code = main(["ber-curve", "--scenario", "desk", "--snr", "5", "nan",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "SNR values must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestExitCodes:
     def test_numerical_check_failure_is_exit_2(self, tmp_path, monkeypatch, capsys):
@@ -220,6 +234,18 @@ class TestSweepKinds:
         lines = (tmp_path / "pd_curve_proposed_all.csv").read_text().splitlines()
         pd_values = [float(ln.split(",")[6]) for ln in lines[1:]]
         assert all(0.0 <= v <= 1.0 for v in pd_values)
+
+    def test_pd_curve_matches_snr_sweep_pd(self, tmp_path):
+        # pd_curve follows the pilot-only tfmf reference like the sweeps do
+        scenario = replace(builtin_scenarios()["table1"], pilot_overhead=0.1)
+        pd = {}
+        for kind in ("snr_sweep", "pd_curve"):
+            run(self._spec(kind, tmp_path / kind, scenario=scenario, algorithms=("tfmf",),
+                           seed=4, trials=40, snr_db_list=(-20.0, 0.0),
+                           tfmf_reference="pilot"))
+            lines = (tmp_path / kind / f"{kind}_proposed_all.csv").read_text().splitlines()
+            pd[kind] = {tuple(ln.split(",")[:3]): ln.split(",")[6] for ln in lines[1:]}
+        assert pd["pd_curve"] == pd["snr_sweep"]
 
     def test_ber_curve_rows(self, tmp_path):
         spec = self._spec(

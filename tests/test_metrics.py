@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from afdmsim.channel import PathTap
+import afdmsim.metrics as metrics
+from afdmsim.channel import PathTap, add_awgn, apply_channel, taps_from_targets
 from afdmsim.ddgrid import io_predict, vector_to_grid
 from afdmsim.metrics import (
+    ALGORITHMS,
     FrameSpec,
     ber,
     build_effective_channel,
@@ -13,12 +16,19 @@ from afdmsim.metrics import (
     image_snr,
     lmmse_detect,
     monte_carlo_pd,
+    pilot_reference,
     pslr,
     qam4_demodulate,
     qam4_modulate,
     rayleigh_gains,
+    sensing_maps,
+    sensing_trials,
+    trial_metrics,
+    trial_rng,
 )
 from afdmsim.params import ScenarioConfig, classic_params, proposed_params
+from afdmsim.sensing import DelayDopplerMap, ca_cfar_2d, ddmf, dechirp, detection_near, tfmf
+from afdmsim.waveform import demodulate, modulate
 
 CFG = proposed_params(8, 4)
 
@@ -138,6 +148,99 @@ class TestMonteCarloPd:
         a = monte_carlo_pd(DESK, "dechirp", trials=25, snr_db=-5.0, seed=3)
         b = monte_carlo_pd(DESK, "dechirp", trials=25, snr_db=-5.0, seed=3)
         assert a == b
+
+
+# n_p = K = 8: the 7-cell CFAR window fits both axes; the targets sit on the
+# map edges (rows 0 and 7, column 7), and the zero-gain one only sees noise
+EDGE = ScenarioConfig(
+    name="edge", n_c=64, k_chirps=8, n_p=8, l_max=7, k_max=3,
+    targets=((1.0, 7, -1), (0.6, 0, 3), (0.4, 4, -3), (0.0, 0, 0)),
+    snr_db=5.0, pilot_overhead=0.0, rng_seed=8,
+)
+GRID8 = EDGE.waveform()
+EDGE_PATHS = taps_from_targets(EDGE.targets)
+
+
+def one_trial_maps(config, frame, paths, snr_db, rng, tfmf_reference):
+    """One trial through the single-map estimators: the engine's oracle."""
+    x = build_frame(config, frame, rng)
+    s = modulate(config, x)
+    r = add_awgn(apply_channel(config, s, paths), snr_db, rng)
+    pilot = pilot_reference(config)
+    y_grid = vector_to_grid(config, demodulate(config, r))
+    return {
+        "tfmf": tfmf(config, r, s if tfmf_reference == "transmit" else pilot).cells,
+        "dechirp": dechirp(config, r, pilot).cells,
+        "ddmf": ddmf(config, y_grid, vector_to_grid(config, x)).cells,
+    }
+
+
+class TestTrialEngine:
+    @pytest.mark.parametrize("reference", ["transmit", "pilot"])
+    @pytest.mark.parametrize("po", [0.0, 0.5, 1.0])
+    def test_stacks_equal_one_trial_maps(self, po, reference):
+        frame = FrameSpec.from_overhead(GRID8.n_c, po)
+        blocks = list(
+            sensing_trials(GRID8, frame, EDGE_PATHS, 0.0, ALGORITHMS, 7, 5, reference)
+        )
+        assert [len(b["tfmf"]) for b in blocks] == [4, 3]
+        for alg in ALGORITHMS:
+            stack = np.concatenate([b[alg] for b in blocks])
+            for t in range(7):
+                want = one_trial_maps(GRID8, frame, EDGE_PATHS, 0.0, trial_rng(5, t), reference)
+                single = sensing_maps(
+                    GRID8, frame, EDGE_PATHS, 0.0, (alg,), trial_rng(5, t), reference
+                )
+                assert np.array_equal(single[alg].cells, want[alg])
+                if alg == "ddmf":  # its contraction order depends on the batch
+                    assert np.abs(stack[t] - want[alg]).max() <= 1e-12 * np.abs(want[alg]).max()
+                else:
+                    assert np.array_equal(stack[t], want[alg])
+
+    def test_metrics_equal_single_map_reductions(self):
+        frame = FrameSpec.from_overhead(GRID8.n_c, 0.0)
+        hits = []
+        for first in range(len(EDGE.targets)):
+            targets = EDGE.targets[first:] + EDGE.targets[:first]
+            _, l, k = targets[0]
+            cell = (l % 8, k % 8)
+            got = trial_metrics(replace(EDGE, targets=targets), ALGORITHMS, 9)
+            paths = taps_from_targets(targets)
+            for t in range(9):
+                maps = one_trial_maps(GRID8, frame, paths, 5.0, trial_rng(8, t), "transmit")
+                for alg, cells in maps.items():
+                    p, isnr, hit = (column[t] for column in got[alg])
+                    dets = ca_cfar_2d(DelayDopplerMap(cells, GRID8, alg), 2, 1, 1e-4)
+                    assert hit == detection_near(dets, l, k, 8, 8)
+                    hits.append(hit)
+                    for value, want in ((p, pslr(cells, cell)), (isnr, image_snr(cells, cell))):
+                        if alg == "ddmf":
+                            assert value == pytest.approx(want, rel=1e-12)
+                        else:
+                            assert value == want
+        assert 0 < sum(hits) < len(hits)  # both outcomes are compared
+
+    def test_partial_block_equals_one_trial_at_a_time(self, monkeypatch):
+        blocked = trial_metrics(EDGE, ALGORITHMS, 7, seed=3, pilot_overhead=0.5)
+        monkeypatch.setattr(metrics, "TRIAL_BLOCK", 1)
+        single = trial_metrics(EDGE, ALGORITHMS, 7, seed=3, pilot_overhead=0.5)
+        for alg in ALGORITHMS:
+            for got, want in zip(blocked[alg], single[alg]):
+                assert got.shape == (7,)
+                if alg == "ddmf" and got.dtype == float:
+                    np.testing.assert_allclose(got, want, rtol=1e-12)
+                else:
+                    assert np.array_equal(got, want)
+
+    def test_stack_metrics_match_single_maps(self):
+        rng = np.random.default_rng(14)
+        cells = rng.standard_normal((5, 16, 8)) + 1j * rng.standard_normal((5, 16, 8))
+        cells[1] = 0.0
+        cells[2, 3, 2] = 0.0
+        for fn in (pslr, image_snr):
+            got = fn(cells, (3, 2))
+            assert got.shape == (5,)
+            assert list(got) == [fn(c, (3, 2)) for c in cells]
 
 
 class TestEffectiveChannel:
