@@ -70,18 +70,23 @@ def taps_from_targets(targets) -> list[PathTap]:
     return [PathTap(complex(g), int(l), int(k)) for g, l, k in targets]
 
 
-def apply_channel(config: AfdmConfig, s, paths) -> TimeSignal:
-    """Cyclic delay-Doppler channel on a CPP-free symbol (noise-free)."""
-    samples = _as_samples(s, config)
-    n = np.arange(config.n_c, dtype=np.int64)
-    out = np.zeros(config.n_c, dtype=np.complex128)
+def _delay_doppler(samples: np.ndarray, paths) -> np.ndarray:
+    """The cyclic delay-Doppler channel on the last axis of a (..., n_c) stack."""
+    n_c = samples.shape[-1]
+    n = np.arange(n_c, dtype=np.int64)
+    out = np.zeros(samples.shape, dtype=np.complex128)
     for p in paths:
         out += (
             complex(p.gain)
-            * np.roll(samples, p.delay_tap % config.n_c)
-            * unit_phasor(-p.doppler_tap * n, config.n_c)
+            * np.roll(samples, p.delay_tap % n_c, axis=-1)
+            * unit_phasor(-p.doppler_tap * n, n_c)
         )
-    return TimeSignal(out, config)
+    return out
+
+
+def apply_channel(config: AfdmConfig, s, paths) -> TimeSignal:
+    """Cyclic delay-Doppler channel on a CPP-free symbol (noise-free)."""
+    return TimeSignal(_delay_doppler(_as_samples(s, config), paths), config)
 
 
 def apply_channel_linear(config: AfdmConfig, s: TimeSignal, paths) -> TimeSignal:

@@ -124,6 +124,11 @@ class ExperimentSpec:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not all(math.isfinite(snr) for snr in self.snr_db_list):
             raise ValueError(f"SNR values must be finite, got {list(self.snr_db_list)}")
+        for n_c in self.sizes:
+            if n_c <= 0 or n_c % 16:
+                raise ValueError(
+                    f"size {n_c} must be a positive multiple of 16 (8 chirps of even length)"
+                )
 
     @property
     def resolved_presets(self) -> tuple[str, ...]:
@@ -383,9 +388,10 @@ def benchmark_pipelines(
 
     Pipelines are timed in batch mode so per-call dispatch overhead does not
     mask the per-map work: O(n_c log n_c) for the transform pipelines and
-    O(n_c^2) for the grid matched filter. Batches are sized per n_c to keep
-    each measurement long enough to time reliably while staying
-    cache-resident for the matched filter.
+    O(n_c^2) for the grid matched filter. The matched-filter batch holds
+    2**24 / n_c^2 maps (at most 256), so its contraction works on the same
+    4 MB at every size from 256 to 2048: no size gets a cache advantage
+    that would tilt the measured slope.
     """
     rng = np.random.default_rng(seed)
     results, ddmf_runs = [], []
@@ -400,7 +406,7 @@ def benchmark_pipelines(
 
         run_tfmf = partial(tfmf_batch, config, stack, pilot)
         run_dechirp = partial(dechirp_batch, config, stack, pilot)
-        batch_mf = int(np.clip(2**24 // (n_c * n_c), 1, 64))
+        batch_mf = int(np.clip(2**24 // (n_c * n_c), 1, 256))
         y = rng.standard_normal((batch_mf, n_p, K)) + 1j * rng.standard_normal(
             (batch_mf, n_p, K)
         )

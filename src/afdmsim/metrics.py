@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._phase import chirp_phasor, rational_phasor, unit_phasor
-from .channel import PathTap, add_awgn, apply_channel, noise_variance, taps_from_targets
+from .channel import (
+    PathTap, _delay_doppler, add_awgn, apply_channel, noise_variance, taps_from_targets,
+)
 from .params import AfdmConfig, ScenarioConfig
 from .ddgrid import vector_to_grid
 from .sensing import (  # noqa: F401 -- ddmf is re-exported
@@ -31,7 +32,7 @@ from .sensing import (  # noqa: F401 -- ddmf is re-exported
     mask_near,
     tfmf_batch,
 )
-from .waveform import demodulate, modulate, subcarrier
+from .waveform import _modulate, demodulate, modulate, subcarrier
 
 ALGORITHMS = ("tfmf", "dechirp", "ddmf")
 
@@ -351,32 +352,15 @@ def monte_carlo_pd(
 # Effective channel, LMMSE detection, BER
 # ---------------------------------------------------------------------------
 
-def _idaft_matrix(config: AfdmConfig) -> np.ndarray:
-    """Modulation matrix A with A[n, m] = psi_m[n]/sqrt(n_c)."""
-    n = np.arange(config.n_c, dtype=np.int64)
-    m = np.arange(config.n_c, dtype=np.int64)
-    col = rational_phasor(config.c1, n * n)[:, None]
-    row = chirp_phasor(config.c2, m * m)[None, :]
-    core = unit_phasor(np.outer(n, m), config.n_c)
-    return col * core * row / math.sqrt(config.n_c)
-
-
 def build_effective_channel(config: AfdmConfig, paths) -> np.ndarray:
-    """Dense n_c x n_c DAFT-domain channel matrix.
+    """Dense n_c x n_c DAFT-domain channel matrix H = A^H H_t A.
 
-    Column m equals demodulate(apply_channel(modulate(e_m))), evaluated in a
-    single batch: the modulation matrix is pushed through the cyclic channel
-    and demodulated column-wise with FFTs.
+    Column m equals demodulate(apply_channel(modulate(e_m))); A is the
+    unitary DAFT and H_t the waveform-independent time-domain channel.
     """
-    A = _idaft_matrix(config)
-    n = np.arange(config.n_c, dtype=np.int64)
-    R = np.zeros_like(A)
-    for p in paths:
-        phase = unit_phasor(-p.doppler_tap * n, config.n_c)[:, None]
-        R += complex(p.gain) * np.roll(A, p.delay_tap % config.n_c, axis=0) * phase
-    c1_col = np.conj(rational_phasor(config.c1, n * n))[:, None]
-    c2_col = np.conj(chirp_phasor(config.c2, n * n))[:, None]
-    return c2_col * np.fft.fft(c1_col * R, axis=0) / math.sqrt(config.n_c)
+    eye = np.eye(config.n_c, dtype=np.complex128)
+    # row m of each stack is the image of the basis vector e_m
+    return demodulate(config, _delay_doppler(_modulate(config, eye), paths)).T
 
 
 def lmmse_detect(
@@ -419,41 +403,45 @@ def lmmse_ber_compare(
 ) -> dict[tuple[str, float], tuple[int, int]]:
     """Paired BER counts for several waveform configs over a fading channel.
 
-    Per realization the Rayleigh path gains, data bits, and noise draws are
-    shared across configs (the time-domain channel is waveform-independent),
-    which pairs the BER estimates tightly. Returns
+    Per realization the Rayleigh path gains, data bits, and DAFT-domain noise
+    draws are shared across configs, which pairs the BER estimates tightly.
+    Detection runs in the time domain, where the channel is
+    waveform-independent: one Gram per realization and one LMMSE solve per
+    (realization, SNR) serve every config. Returns
     {(config_name, snr_db): (bit_errors, bits)}.
     """
     if realizations < 1 or n_symbols < 1:
         raise ValueError("realizations and n_symbols must be >= 1")
-    names = list(configs)
     n_c = next(iter(configs.values())).n_c
     if any(c.n_c != n_c for c in configs.values()):
         raise ValueError("all configs must share n_c")
     per_real = max(1, n_symbols // realizations)
     taps = [(int(l), int(k)) for l, k in target_taps]
-    counts = {(nm, float(snr)): [0, 0] for nm in names for snr in snr_db_list}
+    errors = {(name, float(snr)): 0 for name in configs for snr in snr_db_list}
     for real in range(realizations):
         rng = trial_rng(seed, real)
         gains = rayleigh_gains(target_powers, rng)
         paths = [PathTap(complex(g), l, k) for g, (l, k) in zip(gains, taps)]
         bits = rng.integers(0, 2, size=(per_real, n_c, 2))
-        x = qam4_modulate(bits).T.astype(np.complex128)  # (n_c, per_real)
         w = (
             rng.standard_normal((n_c, per_real))
             + 1j * rng.standard_normal((n_c, per_real))
         ) / math.sqrt(2.0)
-        for name in names:
-            H = build_effective_channel(configs[name], paths)
-            gram = H @ H.conj().T
-            y0 = H @ x
-            for snr in snr_db_list:
-                sigma2 = noise_variance(float(snr))
-                y = y0 + math.sqrt(sigma2) * w
-                x_hat = lmmse_detect(H, y, sigma2, gram=gram)
-                entry = counts[(name, float(snr))]
-                entry[0] += int(
-                    np.sum(qam4_demodulate(x_hat.T) != qam4_demodulate(x.T))
-                )
-                entry[1] += x.size * 2
-    return {key: (v[0], v[1]) for key, v in counts.items()}
+        # H = A^H H_t A with A unitary: detect in the time domain, where the
+        # channel and its Gram are the same for every config
+        H_t = _delay_doppler(np.eye(n_c, dtype=np.complex128), paths).T
+        gram = H_t @ H_t.conj().T
+        # time-domain symbols A x and noise A w, each (configs, per_real, n_c);
+        # A w is white like w because A is unitary
+        s, noise = np.stack(
+            [_modulate(c, np.stack([qam4_modulate(bits), w.T])) for c in configs.values()]
+        ).swapaxes(0, 1)
+        r0 = _delay_doppler(s, paths)
+        for snr in snr_db_list:
+            sigma2 = noise_variance(float(snr))
+            r = (r0 + math.sqrt(sigma2) * noise).reshape(-1, n_c).T
+            s_hat = lmmse_detect(H_t, r, sigma2, gram=gram).T.reshape(s.shape)
+            for (name, config), est in zip(configs.items(), s_hat):
+                detected = qam4_demodulate(demodulate(config, est))
+                errors[(name, float(snr))] += int(np.sum(detected != bits))
+    return {key: (e, realizations * bits.size) for key, e in errors.items()}

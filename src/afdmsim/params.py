@@ -252,6 +252,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown preset {self.preset!r}")
         if not 0.0 <= self.pilot_overhead <= 1.0:
             raise ValueError("pilot_overhead must lie in [0, 1]")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"snr_db must be finite or +inf (noise-free), got {self.snr_db}")
         if self.l_max < 0 or self.k_max < 0:
             raise ValueError("l_max and k_max must be non-negative")
         if self.preset == "proposed":

@@ -82,20 +82,25 @@ def subcarrier(config: AfdmConfig, m: int) -> TimeSignal:
     return TimeSignal(samples, config)
 
 
-def modulate(config: AfdmConfig, x) -> TimeSignal:
-    """Synthesize the time-domain symbol from DAFT-domain symbols ``x``.
+def _modulate(config: AfdmConfig, x: np.ndarray) -> np.ndarray:
+    """(..., n_c) DAFT-domain symbol stack -> (..., n_c) time samples.
 
     Three-step fast path: chirp-filter the symbols by exp(j2pi c2 m^2),
     inverse FFT, then chirp-window by exp(j2pi c1 n^2).
     """
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (config.n_c,):
-        raise ValueError(f"expected {config.n_c} symbols, got shape {x.shape}")
     m = np.arange(config.n_c, dtype=np.int64)
     pre = x * _c2_phasor(config, m)
     mid = np.fft.ifft(pre) * np.sqrt(config.n_c)
     n = np.arange(config.n_c, dtype=np.int64)
-    return TimeSignal(mid * _c1_phasor(config, n), config)
+    return mid * _c1_phasor(config, n)
+
+
+def modulate(config: AfdmConfig, x) -> TimeSignal:
+    """Synthesize the time-domain symbol from DAFT-domain symbols ``x``."""
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape != (config.n_c,):
+        raise ValueError(f"expected {config.n_c} symbols, got shape {x.shape}")
+    return TimeSignal(_modulate(config, x), config)
 
 
 def demodulate(config: AfdmConfig, r) -> np.ndarray:

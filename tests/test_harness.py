@@ -185,6 +185,34 @@ class TestCli:
         assert not list(tmp_path.iterdir())
 
 
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_scenario_snr_rejected(self, tmp_path, capsys, value):
+        scen = tmp_path / "scen.txt"
+        scen.write_text(
+            f"n_c = 32\nk_chirps = 4\nk_max = 1\nl_max = 2\nsnr_db = {value}\n"
+            "[path]\ngain_re = 1.0\nl = 1\nk = 0\n"
+        )
+        out = tmp_path / "o"
+        out.mkdir()
+        code = main(["ddm", "--scenario", str(scen), "--out", str(out)])
+        assert code == 1
+        assert "snr_db" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("size", ["1010", "1032", "0", "-16"])
+    def test_invalid_size_rejected_before_timing(self, tmp_path, capsys, monkeypatch, size):
+        import afdmsim.experiments as experiments
+
+        def no_timing(*args, **kwargs):
+            pytest.fail("runtime scaling started timing")
+
+        monkeypatch.setattr(experiments, "benchmark_pipelines", no_timing)
+        code = main(["runtime-scaling", "--sizes", "256", size, "--out", str(tmp_path)])
+        assert code == 1
+        assert f"size {size} " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
 class TestExitCodes:
     def test_numerical_check_failure_is_exit_2(self, tmp_path, monkeypatch, capsys):
         import afdmsim.experiments as experiments

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import afdmsim.metrics as metrics
-from afdmsim.channel import PathTap, add_awgn, apply_channel, taps_from_targets
+from afdmsim.channel import PathTap, add_awgn, apply_channel, noise_variance, taps_from_targets
 from afdmsim.ddgrid import io_predict, vector_to_grid
+from afdmsim.experiments import builtin_scenarios
 from afdmsim.metrics import (
     ALGORITHMS,
     FrameSpec,
@@ -305,6 +306,68 @@ class TestLmmse:
         y = H @ x
         x_hat = lmmse_detect(H, y, 1e-12)
         assert ber(x_hat, x) == 0.0
+
+
+def _dense_ber_counts(configs, powers, taps, snr_db_list, n_symbols, realizations, seed):
+    """The link in the DAFT domain: one dense H and one solve per (config, realization, SNR)."""
+    n_c = next(iter(configs.values())).n_c
+    per_real = max(1, n_symbols // realizations)
+    counts = {(nm, float(snr)): [0, 0] for nm in configs for snr in snr_db_list}
+    for real in range(realizations):
+        rng = trial_rng(seed, real)
+        gains = rayleigh_gains(powers, rng)
+        paths = [PathTap(complex(g), l, k) for g, (l, k) in zip(gains, taps)]
+        bits = rng.integers(0, 2, size=(per_real, n_c, 2))
+        x = qam4_modulate(bits).T
+        w = (
+            rng.standard_normal((n_c, per_real)) + 1j * rng.standard_normal((n_c, per_real))
+        ) / math.sqrt(2.0)
+        for name, config in configs.items():
+            H = build_effective_channel(config, paths)
+            for snr in snr_db_list:
+                sigma2 = noise_variance(snr)
+                x_hat = lmmse_detect(H, H @ x + math.sqrt(sigma2) * w, sigma2)
+                counts[(name, float(snr))][0] += int(np.sum(qam4_demodulate(x_hat.T) != bits))
+                counts[(name, float(snr))][1] += bits.size
+    return {key: tuple(v) for key, v in counts.items()}
+
+
+class TestTimeDomainLink:
+    """``lmmse_ber_compare`` detects in the time domain; the DAFT-domain link is its oracle."""
+
+    #: the built-in desk grid with three paths, one of negative Doppler
+    DESK = replace(
+        builtin_scenarios()["desk"],
+        targets=((0.8 + 0.0j, 1, 1), (0.5j, 2, -1), (0.3 + 0.0j, 0, 0)),
+    )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("presets", [("proposed", "classic"), ("proposed",), ("classic",)])
+    @pytest.mark.parametrize("n_symbols, realizations", [(24, 4), (23, 5)])
+    def test_counts_equal_dense_daft_domain_link(self, seed, presets, n_symbols, realizations):
+        # classic has the irrational c2 = sqrt(2), held as a float
+        configs = {name: self.DESK.waveform(name) for name in presets}
+        powers = [abs(g) ** 2 for g, _, _ in self.DESK.targets]
+        taps = [(l, k) for _, l, k in self.DESK.targets]
+        args = (configs, powers, taps, (0.0, 12.0), n_symbols, realizations, seed)
+        counts = metrics.lmmse_ber_compare(*args)
+        assert counts == _dense_ber_counts(*args)
+        assert all(errors > 0 for (_, snr), (errors, _) in counts.items() if snr == 0.0)
+
+    @pytest.mark.parametrize("name", ["proposed", "classic", "ofdm", "ocdm"])
+    def test_stacked_kernels_equal_row_wise_calls(self, name):
+        from afdmsim.channel import _delay_doppler
+        from afdmsim.waveform import _modulate
+
+        config = self.DESK.waveform(name)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2, 3, 32)) + 1j * rng.standard_normal((2, 3, 32))
+        paths = taps_from_targets(self.DESK.targets)
+        s = _modulate(config, x)
+        r = _delay_doppler(s, paths)
+        for i in np.ndindex(2, 3):
+            assert np.array_equal(s[i], modulate(config, x[i]).samples)
+            assert np.array_equal(r[i], apply_channel(config, s[i], paths).samples)
 
 
 class TestRayleighGains:

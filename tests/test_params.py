@@ -98,6 +98,15 @@ class TestScenarioConfig:
                 targets=((1.0, 1, 3),),
             )
 
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")])
+    def test_non_finite_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            ScenarioConfig(name="bad", n_c=32, k_chirps=4, n_p=8, snr_db=snr_db)
+
+    def test_infinite_snr_is_noise_free(self):
+        sc = ScenarioConfig(name="clean", n_c=32, k_chirps=4, n_p=8, snr_db=float("inf"))
+        assert sc.snr_db == float("inf")
+
     def test_bandwidth_derived(self):
         sc = ScenarioConfig(name="x", n_c=512, k_chirps=8, n_p=64, k_max=3, l_max=10)
         assert sc.bandwidth_hz == pytest.approx(7.68e6)

@@ -1,0 +1,60 @@
+"""Property tests of the paper's channel identities over random valid geometries."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from afdmsim.channel import PathTap, apply_channel
+from afdmsim.ddgrid import io_predict, vector_to_grid
+from afdmsim.metrics import build_effective_channel
+from afdmsim.params import PRESET_NAMES, classic_params, preset
+from afdmsim.waveform import demodulate, modulate
+
+
+@st.composite
+def geometries(draw, presets=PRESET_NAMES):
+    """A waveform config: even n_p in [2, 16], K in [1, 6], any preset in ``presets``."""
+    n_p = 2 * draw(st.integers(1, 8))
+    k_chirps = draw(st.integers(1, 6))
+    name = draw(st.sampled_from(presets))
+    if name == "classic":
+        return classic_params(n_p * k_chirps, draw(st.integers(0, 3)), k_chirps=k_chirps)
+    if name == "proposed":
+        return preset(name, n_p * k_chirps, k_chirps)
+    return preset(name, n_p * k_chirps, k_chirps=k_chirps)
+
+
+@st.composite
+def channels(draw, config):
+    """1-3 paths with any delay tap and signed Doppler taps across [-n_c, n_c]."""
+    n_c = config.n_c
+    gain = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False)
+    return [
+        PathTap(draw(gain), draw(st.integers(0, n_c - 1)), draw(st.integers(-n_c, n_c)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
+def _symbols(config, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(config.n_c) + 1j * rng.standard_normal(config.n_c)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), config=geometries(), seed=st.integers(0, 2**32 - 1))
+def test_effective_channel_equals_simulated_chain(data, config, seed):
+    paths = data.draw(channels(config))
+    x = _symbols(config, seed)
+    H = build_effective_channel(config, paths)
+    simulated = demodulate(config, apply_channel(config, modulate(config, x), paths))
+    assert np.abs(H @ x - simulated).max() <= 1e-10
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), config=geometries(("proposed",)), seed=st.integers(0, 2**32 - 1))
+def test_effective_channel_equals_grid_io_relation(data, config, seed):
+    paths = data.draw(channels(config))
+    x = _symbols(config, seed)
+    H = build_effective_channel(config, paths)
+    predicted = io_predict(config, vector_to_grid(config, x), paths)
+    assert np.abs(vector_to_grid(config, H @ x) - predicted).max() <= 1e-10
