@@ -1,6 +1,7 @@
 """Command-line interface.
 
-One subcommand per experiment kind; flags override scenario-file values.
+One subcommand per experiment kind; flags override scenario-file values,
+and a flag that the kind does not read is a configuration error.
 Exit codes: 0 success, 1 configuration error, 2 numerical-check failure.
 """
 
@@ -9,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .experiments import (
@@ -21,6 +21,32 @@ from .experiments import (
     run,
 )
 from .params import ScenarioError
+
+_SWEEP_FLAGS = ("--preset", "--algorithm", "--seed", "--trials", "--pilot-only-reference")
+
+#: The flags each kind reads; giving it any other flag is a configuration error.
+_KIND_FLAGS = {
+    "ddm": ("--preset", "--algorithm", "--seed", "--pilot-only-reference"),
+    "af_surface": ("--preset",),
+    "snr_sweep": (*_SWEEP_FLAGS, "--snr"),
+    "po_sweep": (*_SWEEP_FLAGS, "--po"),
+    "pd_curve": (*_SWEEP_FLAGS, "--snr"),
+    "ber_curve": ("--preset", "--seed", "--trials", "--snr"),
+    "io_check": ("--seed", "--trials"),
+    "runtime_scaling": ("--seed", "--sizes"),
+}
+
+#: The ``ExperimentSpec`` field that each optional flag sets.
+_FLAG_FIELDS = {
+    "--preset": "presets",
+    "--algorithm": "algorithms",
+    "--seed": "seed",
+    "--trials": "trials",
+    "--snr": "snr_db_list",
+    "--po": "po_list",
+    "--sizes": "sizes",
+    "--pilot-only-reference": "tfmf_reference",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,7 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="kind", required=True)
     builtin_names = ", ".join(sorted(builtin_scenarios()))
     for kind in EXPERIMENT_KINDS:
-        p = sub.add_parser(kind.replace("_", "-"), help=f"run the {kind} experiment")
+        p = sub.add_parser(
+            kind.replace("_", "-"), help=f"run the {kind} experiment",
+            description=f"Reads --scenario, --out and {', '.join(_KIND_FLAGS[kind])}.",
+        )
         p.add_argument(
             "--scenario",
             default="table1",
@@ -63,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--pilot-only-reference",
-            action="store_true",
+            action="store_const",
+            const="pilot",
             help="match tfmf against the pilot only instead of the full transmit signal",
         )
         p.add_argument(
@@ -75,28 +105,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    scenario = resolve_scenario(args.scenario)
+    kind = args.kind.replace("-", "_")
+    given = {
+        flag: value for flag in _FLAG_FIELDS
+        if (value := getattr(args, flag[2:].replace("-", "_"))) is not None
+    }
+    ignored = [flag for flag in given if flag not in _KIND_FLAGS[kind]]
+    if ignored:
+        raise ValueError(f"{args.kind} does not use {', '.join(ignored)}")
     out = args.out or os.environ.get("AFDMSIM_OUT") or "afdmsim_out"
-    spec = ExperimentSpec(
-        kind=args.kind.replace("-", "_"),
-        scenario=scenario,
+    return ExperimentSpec(
+        kind=kind,
+        scenario=resolve_scenario(args.scenario),
         out_dir=Path(out),
-        presets=tuple(args.preset) if args.preset else (),
-        tfmf_reference="pilot" if args.pilot_only_reference else "transmit",
+        **{
+            _FLAG_FIELDS[flag]: tuple(value) if isinstance(value, list) else value
+            for flag, value in given.items()
+        },
     )
-    if args.algorithm:
-        spec = replace(spec, algorithms=tuple(args.algorithm))
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    if args.trials is not None:
-        spec = replace(spec, trials=args.trials)
-    if args.snr is not None:
-        spec = replace(spec, snr_db_list=tuple(args.snr))
-    if args.po is not None:
-        spec = replace(spec, po_list=tuple(args.po))
-    if args.sizes is not None:
-        spec = replace(spec, sizes=tuple(args.sizes))
-    return spec
 
 
 def main(argv=None) -> int:

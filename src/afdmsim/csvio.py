@@ -1,4 +1,4 @@
-"""Deterministic CSV emission for signals, grids, maps, and metric sweeps.
+"""Deterministic CSV emission.
 
 Floats are written with ``repr`` (shortest round-trip form) and files use
 LF newlines, so identical data always produces byte-identical output.
@@ -6,75 +6,13 @@ LF newlines, so identical data always produces byte-identical output.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
 
-
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def write_csv(path: str | Path, header, rows) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return path
-
-
-def write_complex_series(path, values) -> Path:
-    """index, re, im rows for a 1-D complex sequence."""
-    values = np.asarray(values)
-    rows = ((i, float(v.real), float(v.imag)) for i, v in enumerate(values))
-    return write_csv(path, ["index", "re", "im"], rows)
-
-
-def write_grid(path, cells) -> Path:
-    """l, k, re, im rows for a 2-D complex grid."""
-    cells = np.asarray(cells)
-    rows = (
-        (l, k, float(cells[l, k].real), float(cells[l, k].imag))
-        for l in range(cells.shape[0])
-        for k in range(cells.shape[1])
-    )
-    return write_csv(path, ["l", "k", "re", "im"], rows)
-
-
-def write_ddm(path, ddm) -> Path:
-    """l, k, magnitude_db rows (peak-normalized) for a delay-Doppler map."""
-    db = ddm.magnitude_db()
-    rows = (
-        (l, k, float(db[l, k]))
-        for l in range(db.shape[0])
-        for k in range(db.shape[1])
-    )
-    return write_csv(path, ["l", "k", "magnitude_db"], rows)
-
-
-def write_af_surface(path, cells, floor_db: float = -300.0) -> Path:
-    """l, k, re, im, magnitude_db rows for an ambiguity surface."""
-    cells = np.asarray(cells)
-    mag = np.abs(cells)
-    peak = mag.max() if mag.size else 0.0
-    with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(mag / peak) if peak > 0 else np.full(mag.shape, floor_db)
-    db = np.maximum(db, floor_db)
-    rows = (
-        (l, k, float(cells[l, k].real), float(cells[l, k].imag), float(db[l, k]))
-        for l in range(cells.shape[0])
-        for k in range(cells.shape[1])
-    )
-    return write_csv(path, ["l", "k", "re", "im", "magnitude_db"], rows)
-
+#: Level written for cells that are zero or more than 300 dB below the peak.
+_FLOOR_DB = -300.0
 
 METRIC_COLUMNS = [
     "snr_db",
@@ -89,5 +27,46 @@ METRIC_COLUMNS = [
 ]
 
 
-def write_metric_rows(path, rows) -> Path:
-    return write_csv(path, METRIC_COLUMNS, rows)
+def _fmt(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path: str | Path, header, rows) -> Path:
+    """Write ``header`` and ``rows`` to ``path``; returns ``path``.
+
+    The file is written under a temporary name in the same directory and
+    renamed into place, so a failure never leaves a truncated file under
+    ``path``.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def peak_db(cells) -> np.ndarray:
+    """Magnitude in dB relative to the peak magnitude, floored at -300 dB.
+
+    An all-zero array is at the floor everywhere.
+    """
+    mag = np.abs(cells)
+    peak = mag.max(initial=0.0)
+    if peak == 0.0:
+        return np.full(mag.shape, _FLOOR_DB)
+    with np.errstate(divide="ignore"):
+        return np.maximum(20.0 * np.log10(mag / peak), _FLOOR_DB)

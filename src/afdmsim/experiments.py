@@ -1,9 +1,10 @@
 """Experiment orchestration: scenarios, runs, and CSV artifacts.
 
-Every run resolves a scenario (built-in name or file), executes one
-experiment kind for each requested (preset, algorithm) combination, writes
-``<kind>_<preset>_<algorithm>.csv`` artifacts plus ``manifest.json``
-recording the fully resolved configuration, and cleans up partial outputs on
+Every run resolves a scenario (built-in name or file) and executes one
+experiment kind for each requested (preset, algorithm) combination. A kind's
+runner yields ``(file name, header, rows)`` tables; :func:`run` alone writes
+them as ``<kind>_<preset>_<algorithm>.csv`` plus ``manifest.json`` recording
+the fully resolved configuration, and removes its outputs and any manifest on
 failure. Fixed seeds give byte-identical CSVs, except for ``runtime_scaling``
 whose rows contain wall-clock measurements.
 """
@@ -12,9 +13,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -147,19 +150,7 @@ def _algorithms_for(preset_name: str, algorithms) -> tuple[str, ...]:
 
 
 def _scenario_manifest(sc: ScenarioConfig) -> dict:
-    return {
-        "name": sc.name,
-        "n_c": sc.n_c,
-        "k_chirps": sc.k_chirps,
-        "n_p": sc.n_p,
-        "preset": sc.preset,
-        "l_max": sc.l_max,
-        "k_max": sc.k_max,
-        "snr_db": sc.snr_db,
-        "pilot_overhead": sc.pilot_overhead,
-        "rng_seed": sc.rng_seed,
-        "carrier_hz": sc.carrier_hz,
-        "subcarrier_spacing_hz": sc.subcarrier_spacing_hz,
+    return asdict(sc) | {
         "bandwidth_hz": sc.bandwidth_hz,
         "targets": [
             {"gain_re": g.real, "gain_im": g.imag, "l": l, "k": k}
@@ -169,26 +160,26 @@ def _scenario_manifest(sc: ScenarioConfig) -> dict:
 
 
 def _config_manifest(config: AfdmConfig) -> dict:
-    return {
-        "n_c": config.n_c,
-        "k_chirps": config.k_chirps,
-        "n_p": config.n_p,
-        "c1": str(config.c1),
-        "c2": str(config.c2),
-        "l_cpp": config.l_cpp,
-        "z_a": config.z_a,
-    }
+    return asdict(config) | {"c1": str(config.c1), "c2": str(config.c2)}
 
 
 def run(spec: ExperimentSpec) -> list[Path]:
-    """Execute one experiment; returns the paths written (manifest last)."""
+    """Execute one experiment; returns the paths written (manifest last).
+
+    On failure every file this run wrote is removed, and so is any
+    ``manifest.json`` already in ``out_dir``, so a failed run never leaves
+    a manifest that lists files it has deleted.
+    """
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / "manifest.json"
+    manifest_tmp = out_dir / ".manifest.json.tmp"
     written: list[Path] = []
     outputs: dict[str, list[str]] = {}
     try:
-        runner = _RUNNERS[spec.kind]
-        runner(spec, out_dir, written, outputs)
+        for name, header, rows in _RUNNERS[spec.kind](spec):
+            written.append(csvio.write_csv(out_dir / name, header, rows))
+            outputs[name] = list(header)
         manifest = {
             "kind": spec.kind,
             "scenario": _scenario_manifest(spec.scenario),
@@ -207,24 +198,32 @@ def run(spec: ExperimentSpec) -> list[Path]:
             "cfar": {"train": CFAR_TRAIN, "guard": CFAR_GUARD, "pfa": CFAR_PFA},
             "outputs": outputs,
         }
-        manifest_path = out_dir / "manifest.json"
-        manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        manifest_tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        os.replace(manifest_tmp, manifest_path)
         written.append(manifest_path)
         return written
     except Exception:
-        for path in written:
+        for path in (*written, manifest_path, manifest_tmp):
             try:
-                path.unlink()
+                path.unlink(missing_ok=True)
             except OSError:
                 pass
         raise
 
 
 # ---------------------------------------------------------------------------
-# Individual experiment kinds
+# Individual experiment kinds: each yields (file name, header, rows) tables
 # ---------------------------------------------------------------------------
 
-def _run_ddm(spec, out_dir, written, outputs) -> None:
+def _grid_rows(*planes):
+    """Lazy row-major ``(l, k, value, ...)`` rows of equal-shape 2-D arrays."""
+    n_l, n_k = planes[0].shape
+    ls = chain.from_iterable(repeat(l, n_k) for l in range(n_l))
+    ks = chain.from_iterable(repeat(range(n_k), n_l))
+    return zip(ls, ks, *(map(float, plane.flat) for plane in planes))
+
+
+def _run_ddm(spec):
     sc = spec.scenario
     paths = taps_from_targets(sc.targets)
     spec_frame = FrameSpec.from_overhead(sc.n_c, sc.pilot_overhead)
@@ -237,12 +236,11 @@ def _run_ddm(spec, out_dir, written, outputs) -> None:
             tfmf_reference=spec.tfmf_reference,
         )
         for alg, ddm in maps.items():
-            name = f"ddm_{preset_name}_{alg}.csv"
-            written.append(csvio.write_ddm(out_dir / name, ddm))
-            outputs[name] = ["l", "k", "magnitude_db"]
+            yield (f"ddm_{preset_name}_{alg}.csv", ["l", "k", "magnitude_db"],
+                   _grid_rows(csvio.peak_db(ddm.cells)))
 
 
-def _run_af_surface(spec, out_dir, written, outputs) -> None:
+def _run_af_surface(spec):
     sc = spec.scenario
     for preset_name in spec.resolved_presets:
         config = sc.waveform(preset_name)
@@ -251,11 +249,9 @@ def _run_af_surface(spec, out_dir, written, outputs) -> None:
         else:
             base = subcarrier(config, 0)
             surface = dpaf_surface(base, base)
-        name = f"af_surface_{preset_name}_psi0.csv"
-        written.append(
-            csvio.write_af_surface(out_dir / name, surface[: config.n_p, :])
-        )
-        outputs[name] = ["l", "k", "re", "im", "magnitude_db"]
+        cells = surface[: config.n_p, :]
+        yield (f"af_surface_{preset_name}_psi0.csv", ["l", "k", "re", "im", "magnitude_db"],
+               _grid_rows(cells.real, cells.imag, csvio.peak_db(cells)))
 
 
 def _metric_row(snr_db, po, algorithm, preset_name, report: MetricReport) -> tuple:
@@ -279,7 +275,7 @@ def _sweep_rows(spec, preset_name, snr_values, po_values):
     return rows
 
 
-def _run_sweep(spec, out_dir, written, outputs) -> None:
+def _run_sweep(spec):
     """``snr_sweep`` and ``pd_curve`` over the SNR list, ``po_sweep`` over the PO list.
 
     ``pd_curve`` lists its rows by algorithm, then SNR, with PSLR and image
@@ -297,12 +293,10 @@ def _run_sweep(spec, out_dir, written, outputs) -> None:
                 (*row[:4], float("nan"), float("nan"), *row[6:])
                 for j in range(n) for row in rows[j::n]
             ]
-        name = f"{spec.kind}_{preset_name}_all.csv"
-        written.append(csvio.write_metric_rows(out_dir / name, rows))
-        outputs[name] = list(csvio.METRIC_COLUMNS)
+        yield f"{spec.kind}_{preset_name}_all.csv", csvio.METRIC_COLUMNS, rows
 
 
-def _run_ber_curve(spec, out_dir, written, outputs) -> None:
+def _run_ber_curve(spec):
     sc = spec.scenario
     if not sc.targets:
         raise ValueError("ber_curve needs at least one scenario target")
@@ -326,12 +320,10 @@ def _run_ber_curve(spec, out_dir, written, outputs) -> None:
                 trials=bits,
             )
             rows.append(_metric_row(snr, 0.0, "lmmse", preset_name, report))
-        name = f"ber_curve_{preset_name}_lmmse.csv"
-        written.append(csvio.write_metric_rows(out_dir / name, rows))
-        outputs[name] = list(csvio.METRIC_COLUMNS)
+        yield f"ber_curve_{preset_name}_lmmse.csv", csvio.METRIC_COLUMNS, rows
 
 
-def _run_io_check(spec, out_dir, written, outputs) -> None:
+def _run_io_check(spec):
     sc = spec.scenario
     config = sc.waveform("proposed") if sc.preset != "proposed" else sc.waveform()
     if config.n_c > 64:
@@ -357,15 +349,11 @@ def _run_io_check(spec, out_dir, written, outputs) -> None:
             config, demodulate(config, apply_channel(config, s, paths))
         )
         worst = max(worst, float(np.abs(predicted - observed).max()))
-    name = "io_check_proposed_all.csv"
-    written.append(
-        csvio.write_csv(
-            out_dir / name,
-            ["n_c", "trials", "max_abs_error", "tolerance", "passed"],
-            [(config.n_c, spec.trials, worst, IO_CHECK_TOLERANCE, worst < IO_CHECK_TOLERANCE)],
-        )
+    yield (
+        "io_check_proposed_all.csv",
+        ["n_c", "trials", "max_abs_error", "tolerance", "passed"],
+        [(config.n_c, spec.trials, worst, IO_CHECK_TOLERANCE, worst < IO_CHECK_TOLERANCE)],
     )
-    outputs[name] = ["n_c", "trials", "max_abs_error", "tolerance", "passed"]
     if worst >= IO_CHECK_TOLERANCE:
         raise NumericalCheckError(
             f"grid I/O relation error {worst:.3e} exceeds {IO_CHECK_TOLERANCE:.1e}"
@@ -432,24 +420,16 @@ def loglog_slope(sizes, times) -> float:
     return float(np.polyfit(np.log(np.asarray(sizes, float)), np.log(times), 1)[0])
 
 
-def _run_runtime_scaling(spec, out_dir, written, outputs) -> None:
+def _run_runtime_scaling(spec):
     rows = benchmark_pipelines(spec.sizes, seed=spec.resolved_seed)
     by_alg: dict[str, list[tuple[int, float]]] = {}
     for alg, n_c, seconds in rows:
         by_alg.setdefault(alg, []).append((n_c, seconds))
-    out_rows = [(alg, n_c, secs) for alg, n_c, secs in rows]
-    name = "runtime_scaling_proposed_all.csv"
-    written.append(
-        csvio.write_csv(out_dir / name, ["algorithm", "n_c", "seconds_per_map"], out_rows)
-    )
-    outputs[name] = ["algorithm", "n_c", "seconds_per_map"]
-    slope_rows = [
+    yield "runtime_scaling_proposed_all.csv", ["algorithm", "n_c", "seconds_per_map"], rows
+    yield "runtime_slopes_proposed_all.csv", ["algorithm", "slope"], [
         (alg, loglog_slope([n for n, _ in pts], [s for _, s in pts]))
         for alg, pts in by_alg.items()
     ]
-    name2 = "runtime_slopes_proposed_all.csv"
-    written.append(csvio.write_csv(out_dir / name2, ["algorithm", "slope"], slope_rows))
-    outputs[name2] = ["algorithm", "slope"]
 
 
 _RUNNERS = {

@@ -49,16 +49,6 @@ class DelayDopplerMap:
     def magnitude(self) -> np.ndarray:
         return np.abs(self.cells)
 
-    def magnitude_db(self, floor_db: float = -300.0) -> np.ndarray:
-        """Peak-normalized magnitude in dB, floored for zero cells."""
-        mag = self.magnitude()
-        peak = mag.max()
-        if peak == 0.0:
-            return np.full(mag.shape, floor_db)
-        with np.errstate(divide="ignore"):
-            db = 20.0 * np.log10(mag / peak)
-        return np.maximum(db, floor_db)
-
 
 @dataclass(frozen=True)
 class Detection:

@@ -132,6 +132,39 @@ class TestPartialCleanup:
         assert list(tmp_path.glob("*.csv")) == []
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_failed_rerun_leaves_no_stale_manifest(self, tmp_path, monkeypatch):
+        import afdmsim.experiments as experiments
+
+        spec = ExperimentSpec(kind="io_check", scenario=builtin_scenarios()["desk"],
+                              out_dir=tmp_path, trials=3)
+        run(spec)
+        assert (tmp_path / "manifest.json").exists()
+        monkeypatch.setattr(experiments, "IO_CHECK_TOLERANCE", 0.0)
+        with pytest.raises(experiments.NumericalCheckError):
+            run(spec)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestManifestOutputs:
+    @pytest.mark.parametrize("kind, scenario, extra", [
+        ("ddm", "desk", {}),
+        ("af_surface", "desk", {"presets": ("proposed", "ofdm")}),
+        ("snr_sweep", "table1", {"algorithms": ("tfmf",)}),
+        ("po_sweep", "table1", {"algorithms": ("tfmf",), "po_list": (0.5,)}),
+        ("pd_curve", "table1", {"algorithms": ("tfmf",)}),
+        ("ber_curve", "desk", {"presets": ("proposed", "classic")}),
+        ("io_check", "desk", {}),
+        ("runtime_scaling", "desk", {"sizes": (16, 32)}),
+    ])
+    def test_outputs_equal_file_headers(self, tmp_path, kind, scenario, extra):
+        spec = ExperimentSpec(kind=kind, scenario=builtin_scenarios()[scenario],
+                              out_dir=tmp_path, trials=2, snr_db_list=(10.0,), **extra)
+        written = run(spec)
+        outputs = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
+        assert sorted(outputs) == sorted(p.name for p in written[:-1])
+        for name, header in outputs.items():
+            assert (tmp_path / name).read_text().splitlines()[0] == ",".join(header)
+
 
 class TestCli:
     def test_ddm_subcommand(self, tmp_path, capsys):
@@ -198,6 +231,27 @@ class TestCli:
         assert code == 1
         assert "snr_db" in capsys.readouterr().err
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("argv, ignored", [
+        (["ddm", "--snr", "5", "--po", "0", "--trials", "3", "--sizes", "16"],
+         "ddm does not use --trials, --snr, --po, --sizes"),
+        (["af-surface", "--seed", "1"], "af-surface does not use --seed"),
+        (["af-surface", "--algorithm", "tfmf"], "af-surface does not use --algorithm"),
+        (["snr-sweep", "--po", "0.5"], "snr-sweep does not use --po"),
+        (["po-sweep", "--snr", "10"], "po-sweep does not use --snr"),
+        (["pd-curve", "--sizes", "16"], "pd-curve does not use --sizes"),
+        (["ber-curve", "--algorithm", "tfmf"], "ber-curve does not use --algorithm"),
+        (["ber-curve", "--pilot-only-reference"],
+         "ber-curve does not use --pilot-only-reference"),
+        (["io-check", "--preset", "classic"], "io-check does not use --preset"),
+        (["io-check", "--snr", "5"], "io-check does not use --snr"),
+        (["runtime-scaling", "--trials", "3"], "runtime-scaling does not use --trials"),
+    ])
+    def test_flag_the_kind_ignores_rejected(self, tmp_path, capsys, argv, ignored):
+        code = main([*argv, "--scenario", "desk", "--out", str(tmp_path)])
+        assert code == 1
+        assert ignored in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("size", ["1010", "1032", "0", "-16"])
     def test_invalid_size_rejected_before_timing(self, tmp_path, capsys, monkeypatch, size):

@@ -4,10 +4,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afdmsim.ambiguity import dpaf_surface
 from afdmsim.channel import PathTap, apply_channel
-from afdmsim.ddgrid import io_predict, vector_to_grid
+from afdmsim.ddgrid import grid_to_vector, io_predict, vector_to_grid
 from afdmsim.metrics import build_effective_channel
 from afdmsim.params import PRESET_NAMES, classic_params, preset
+from afdmsim.sensing import ddmf, signed_doppler
 from afdmsim.waveform import demodulate, modulate
 
 
@@ -58,3 +60,18 @@ def test_effective_channel_equals_grid_io_relation(data, config, seed):
     H = build_effective_channel(config, paths)
     predicted = io_predict(config, vector_to_grid(config, x), paths)
     assert np.abs(vector_to_grid(config, H @ x) - predicted).max() <= 1e-10
+
+
+@settings(deadline=None, max_examples=60)
+@given(config=geometries(("proposed",)), seed=st.integers(0, 2**32 - 1))
+def test_ddmf_is_the_time_domain_cross_ambiguity(config, seed):
+    # each map cell is the conjugate periodic cross-ambiguity of the two time
+    # signals at the cell's delay and signed Doppler hypothesis
+    y, x = (vector_to_grid(config, _symbols(config, s)) for s in (seed, seed + 1))
+    r = modulate(config, grid_to_vector(config, y))
+    s = modulate(config, grid_to_vector(config, x))
+    surface = np.conj(dpaf_surface(r, s))
+    K = config.k_chirps
+    doppler = [signed_doppler(col, K) % config.n_c for col in range(K)]
+    cells = ddmf(config, y, x).cells
+    assert np.abs(cells - surface[: config.n_p][:, doppler]).max() <= 1e-12 * np.abs(cells).max()
