@@ -38,7 +38,7 @@ from .metrics import (
     trial_rng,
 )
 from .params import AfdmConfig, ScenarioConfig, load_scenario, proposed_params
-from .sensing import ddmf_batch, dechirp_batch, tfmf_batch
+from .sensing import _ddmf_direct, dechirp_batch, tfmf_batch
 from .waveform import demodulate, modulate, subcarrier
 
 EXPERIMENT_KINDS = (
@@ -266,7 +266,7 @@ def _sweep_rows(spec, preset_name, snr_values, po_values):
         for snr in snr_values:
             samples = trial_metrics(
                 spec.scenario, algorithms, spec.trials, spec.resolved_seed, snr, po,
-                preset_name, spec.tfmf_reference,
+                preset_name, spec.tfmf_reference, quality=spec.kind != "pd_curve",
             )
             for alg in algorithms:
                 means = (float(np.mean(values)) for values in samples[alg])  # PSLR, image SNR, hit
@@ -278,8 +278,8 @@ def _sweep_rows(spec, preset_name, snr_values, po_values):
 def _run_sweep(spec):
     """``snr_sweep`` and ``pd_curve`` over the SNR list, ``po_sweep`` over the PO list.
 
-    ``pd_curve`` lists its rows by algorithm, then SNR, with PSLR and image
-    SNR left blank (NaN).
+    ``pd_curve`` lists its rows by algorithm, then SNR, and measures no PSLR
+    or image SNR (NaN).
     """
     sc = spec.scenario
     for preset_name in spec.resolved_presets:
@@ -289,10 +289,7 @@ def _run_sweep(spec):
             rows = _sweep_rows(spec, preset_name, spec.snr_db_list, (sc.pilot_overhead,))
         if spec.kind == "pd_curve":
             n = len(_algorithms_for(preset_name, spec.algorithms))
-            rows = [
-                (*row[:4], float("nan"), float("nan"), *row[6:])
-                for j in range(n) for row in rows[j::n]
-            ]
+            rows = [row for j in range(n) for row in rows[j::n]]
         yield f"{spec.kind}_{preset_name}_all.csv", csvio.METRIC_COLUMNS, rows
 
 
@@ -376,7 +373,9 @@ def benchmark_pipelines(
 
     Pipelines are timed in batch mode so per-call dispatch overhead does not
     mask the per-map work: O(n_c log n_c) for the transform pipelines and
-    O(n_c^2) for the grid matched filter. The matched-filter batch holds
+    O(n_c^2) for the grid matched filter as the paper states it (the direct
+    form, ``_ddmf_direct``; ``ddmf_batch`` computes the same maps in
+    O(K n_c log n_p)). The matched-filter batch holds
     2**24 / n_c^2 maps (at most 256), so its contraction works on the same
     4 MB at every size from 256 to 2048: no size gets a cache advantage
     that would tilt the measured slope.
@@ -403,7 +402,7 @@ def benchmark_pipelines(
             (batch_mf, n_p, K),
         ).copy()
 
-        run_ddmf = partial(ddmf_batch, config, y, x)
+        run_ddmf = partial(_ddmf_direct, config, y, x)
         run_tfmf(), run_dechirp(), run_ddmf()  # warm-up
         results.append(("tfmf", n_c, _time_batch(run_tfmf, reps) / batch_fast))
         results.append(("dechirp", n_c, _time_batch(run_dechirp, reps) / batch_fast))

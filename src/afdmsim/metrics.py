@@ -284,8 +284,7 @@ def sensing_trials(
 ):
     """Yield {algorithm: (B, n_p, K) maps} for trials 0..trials-1, B <= TRIAL_BLOCK.
 
-    Trial t is ``sensing_maps`` on ``trial_rng(seed, t)`` (``ddmf`` to
-    rounding: its contraction order depends on B).
+    Trial t is ``sensing_maps`` on ``trial_rng(seed, t)``.
     """
     for start in range(0, trials, TRIAL_BLOCK):
         rngs = [trial_rng(seed, t) for t in range(start, min(start + TRIAL_BLOCK, trials))]
@@ -301,6 +300,7 @@ def trial_metrics(
     pilot_overhead: float | None = None,
     preset_name: str | None = None,
     tfmf_reference: str = "transmit",
+    quality: bool = True,
 ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per-trial (PSLR dB, image SNR dB, hit) arrays of each algorithm.
 
@@ -308,6 +308,8 @@ def trial_metrics(
     detection (2 train, 1 guard, Pfa 1e-4) within one cyclic cell of its
     tap. Noise and data symbols are redrawn every trial; path gains stay
     fixed at the scenario values. ``None`` arguments take the scenario's.
+    With ``quality=False`` only the hits are computed, and PSLR and image
+    SNR are NaN.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -325,7 +327,11 @@ def trial_metrics(
     ):
         for alg, cells in maps.items():
             mask, _ = cfar_mask_batch(np.abs(cells) ** 2, CFAR_TRAIN, CFAR_GUARD, CFAR_PFA)
-            blocks[alg].append((pslr(cells, cell), image_snr(cells, cell), mask_near(mask, l, k)))
+            if quality:
+                ratios = pslr(cells, cell), image_snr(cells, cell)
+            else:
+                ratios = (np.full(len(cells), np.nan),) * 2
+            blocks[alg].append((*ratios, mask_near(mask, l, k)))
     return {
         alg: tuple(np.concatenate(column) for column in zip(*per_block))
         for alg, per_block in blocks.items()
@@ -343,7 +349,8 @@ def monte_carlo_pd(
 ) -> float:
     """Detection probability of the scenario's first target (hits of ``trial_metrics``)."""
     samples = trial_metrics(
-        scenario, (algorithm,), trials, seed, snr_db, pilot_overhead, preset_name
+        scenario, (algorithm,), trials, seed, snr_db, pilot_overhead, preset_name,
+        quality=False,
     )
     return float(np.mean(samples[algorithm][2]))
 

@@ -10,8 +10,9 @@ Three estimators produce an (n_p, K) delay-Doppler map from one symbol:
   the classic low-complexity FMCW receiver. Identical map magnitudes to
   ``tfmf`` whenever the reference is the pilot itself.
 * ``ddmf``    -- exhaustive hypothesis correlation on the delay-Doppler grid
-  with the coupling offset and a phase-matching factor, O(n_c^2). Exactly
-  decouples delay and Doppler for the FMCW-equivalent parameter set.
+  with the coupling offset and a phase-matching factor, O(n_c^2) as written
+  (``_ddmf_direct``) and O(K n_c log n_p) FFT-factored (``ddmf_batch``).
+  Exactly decouples delay and Doppler for the FMCW-equivalent parameter set.
 
 Doppler columns of every map are mod-K bins; ``ddmf`` evaluates each column
 at its signed representative in [-K//2, K-1-K//2] so that targets with
@@ -128,19 +129,25 @@ def signed_doppler(column: int, k_chirps: int) -> int:
     return column - k_chirps if column >= half else column
 
 
-def ddmf_batch(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -> np.ndarray:
-    """Delay-Doppler matched filter over a batch of received grids.
-
-    ``y_grids`` and ``x_grids`` are (B, n_p, K); returns (B, n_p, K) maps.
-    Per map the work is one length-n_c correlation per hypothesis cell,
-    i.e. O(n_c^2) in total.
-    """
+def _ddmf_inputs(config: AfdmConfig, y_grids, x_grids) -> tuple[np.ndarray, np.ndarray]:
+    """Check a ddmf call (FMCW-equivalent config, two (B, n_p, K) stacks); return both stacks."""
     config.require_fmcw("ddmf")
-    n_p, K, n_c = config.n_p, config.k_chirps, config.n_c
     Y = np.asarray(y_grids, dtype=np.complex128)
     X = np.asarray(x_grids, dtype=np.complex128)
-    if Y.shape != X.shape or Y.shape[1:] != (n_p, K):
+    if Y.shape != X.shape or Y.shape[1:] != (config.n_p, config.k_chirps):
         raise ValueError("y_grids and x_grids must both be (B, n_p, K)")
+    return Y, X
+
+
+def _ddmf_direct(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -> np.ndarray:
+    """The delay-Doppler matched filter as written: one correlation per hypothesis cell.
+
+    Same maps as ``ddmf_batch`` to rounding. Per map the work is one
+    length-n_c correlation per hypothesis cell, i.e. O(n_c^2) in total: the
+    complexity the paper states, and what ``benchmark_pipelines`` times.
+    """
+    Y, X = _ddmf_inputs(config, y_grids, x_grids)
+    n_p, K, n_c = config.n_p, config.k_chirps, config.n_c
 
     L = np.arange(n_p, dtype=np.int64)
     n_idx = np.arange(n_p, dtype=np.int64)
@@ -164,6 +171,39 @@ def ddmf_batch(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -> 
             corr = np.einsum("bln,ln,bn->bl", shifted, W, Yc[:, :, m], optimize=True)
             Z[:, :, col] += corr * phase[None, :, m]
     return Z
+
+
+def ddmf_batch(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -> np.ndarray:
+    """Delay-Doppler matched filter over a batch of received grids.
+
+    ``y_grids`` and ``x_grids`` are (B, n_p, K); returns (B, n_p, K) maps,
+    each independent of the rest of the batch. Computes ``_ddmf_direct``'s
+    sum in O(K n_c log n_p) per map: with c(u) = exp(j pi u^2 / n_p), which
+    is n_p-periodic because n_p is even, Bluestein's identity
+    nl = (n^2 + l^2 - (n-l)^2) / 2 turns each (hypothesis column, m)
+    correlation sum_n a[n-l] exp(j2pi nl/n_p) conj(y[n]) into
+    c(l) * sum_n (conj(y) c)[n] (a conj(c))[n-l], a length-n_p circular
+    correlation. The c(l) cancels the l^2 term of the hypothesis phase.
+    """
+    Y, X = _ddmf_inputs(config, y_grids, x_grids)
+    n_p, K, n_c = config.n_p, config.k_chirps, config.n_c
+    n = np.arange(n_p, dtype=np.int64)
+    chirp = unit_phasor(n * n, 2 * n_p)  # c(n)
+    # U[b, m, f]: spectrum of conj(y_m) c per received column m
+    U = np.fft.fft(np.conj(Y).transpose(0, 2, 1) * chirp, axis=-1)
+    # V[b, dl + 1, q, f]: n_p * inverse spectrum of a conj(c) for the transmit
+    # column q rolled by the coupling offset dl; floor((m - k)/K) takes all
+    # three values -1, 0, 1 over the signed hypotheses k
+    rolled = np.stack([np.roll(X, -dl, axis=1) for dl in (-1, 0, 1)], axis=1)
+    V = np.fft.ifft(rolled.transpose(0, 1, 3, 2) * np.conj(chirp), axis=-1) * n_p
+    k_hyp = np.array([signed_doppler(col, K) for col in range(K)])
+    mk = np.arange(K) - k_hyp[:, None]  # [col, m] -> m - k
+    # h[b, col, m, l] = sum_n u_m[n] v[n - l]: one circular correlation per (col, m)
+    h = V[:, np.floor_divide(mk, K) + 1, np.mod(mk, K)]
+    h *= U[:, None, :, :]
+    h = np.fft.ifft(h, axis=-1)
+    ramp = unit_phasor(mk[:, :, None] * n[None, None, :], n_c)  # exp(j2pi l(m-k)/n_c)
+    return np.einsum("bcml,cml->blc", h, ramp)
 
 
 def ddmf(config: AfdmConfig, y_grid, x_grid) -> DelayDopplerMap:
@@ -217,6 +257,11 @@ def _cfar_ring(
     return _ring_offsets(train, guard)
 
 
+def _wrap_pad(power: np.ndarray, w: int) -> np.ndarray:
+    """Pad the last two axes of a map stack by ``w`` cells on each side, cyclically."""
+    return np.pad(power, [(0, 0)] * (power.ndim - 2) + [(w, w), (w, w)], mode="wrap")
+
+
 def _detections(
     ddm: DelayDopplerMap, mask_fn, train: int, guard: int, pfa: float
 ) -> list[Detection]:
@@ -244,9 +289,12 @@ def cfar_mask_batch(
     replaced by the smallest positive float so a lone peak is still detected.
     """
     offsets = _cfar_ring(power, train, guard, pfa)
+    w = train + guard
+    padded = _wrap_pad(power, w)
+    n_p, K = power.shape[-2:]
     ring = np.zeros_like(power)
-    for di, dj in offsets:
-        ring += np.roll(power, (di, dj), axis=(-2, -1))
+    for di, dj in offsets:  # padded slice [w - di, w - dj] is power rolled by (di, dj)
+        ring += padded[..., w - di : w - di + n_p, w - dj : w - dj + K]
     noise = ring / len(offsets)
     noise = np.where(noise > 0.0, noise, np.finfo(np.float64).tiny)
     threshold = cfar_threshold_factor(len(offsets), pfa) * noise
@@ -298,8 +346,7 @@ def os_cfar_mask_batch(
     offsets = _cfar_ring(power, train, guard, pfa)
     rank = os_cfar_rank(len(offsets))
     w = train + guard
-    padded = np.pad(power, [(0, 0)] * (power.ndim - 2) + [(w, w), (w, w)], mode="wrap")
-    windows = sliding_window_view(padded, (2 * w + 1, 2 * w + 1), axis=(-2, -1))
+    windows = sliding_window_view(_wrap_pad(power, w), (2 * w + 1, 2 * w + 1), axis=(-2, -1))
     rows, cols = (np.array(offsets) + w).T
     ring = windows[..., rows, cols]  # (..., n_p, K, N_t) cyclic training cells
     noise = np.partition(ring, rank - 1, axis=-1)[..., rank - 1]

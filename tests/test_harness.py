@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import afdmsim.metrics as metrics
 from afdmsim.cli import main
 from afdmsim.experiments import ExperimentSpec, builtin_scenarios, run
 
@@ -316,6 +317,16 @@ class TestSweepKinds:
         lines = (tmp_path / "pd_curve_proposed_all.csv").read_text().splitlines()
         pd_values = [float(ln.split(",")[6]) for ln in lines[1:]]
         assert all(0.0 <= v <= 1.0 for v in pd_values)
+
+    def test_pd_curve_measures_no_map_quality(self, tmp_path, monkeypatch):
+        def unused(*args):
+            raise AssertionError("pd_curve reports no PSLR or image SNR")
+
+        monkeypatch.setattr(metrics, "pslr", unused)
+        monkeypatch.setattr(metrics, "image_snr", unused)
+        run(self._spec("pd_curve", tmp_path))
+        lines = (tmp_path / "pd_curve_proposed_all.csv").read_text().splitlines()
+        assert [ln.split(",")[4:6] for ln in lines[1:]] == [["nan", "nan"]] * 2
 
     def test_pd_curve_matches_snr_sweep_pd(self, tmp_path):
         # pd_curve follows the pilot-only tfmf reference like the sweeps do

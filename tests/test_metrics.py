@@ -193,10 +193,7 @@ class TestTrialEngine:
                     GRID8, frame, EDGE_PATHS, 0.0, (alg,), trial_rng(5, t), reference
                 )
                 assert np.array_equal(single[alg].cells, want[alg])
-                if alg == "ddmf":  # its contraction order depends on the batch
-                    assert np.abs(stack[t] - want[alg]).max() <= 1e-12 * np.abs(want[alg]).max()
-                else:
-                    assert np.array_equal(stack[t], want[alg])
+                assert np.array_equal(stack[t], want[alg])
 
     def test_metrics_equal_single_map_reductions(self):
         frame = FrameSpec.from_overhead(GRID8.n_c, 0.0)
@@ -214,11 +211,7 @@ class TestTrialEngine:
                     dets = ca_cfar_2d(DelayDopplerMap(cells, GRID8, alg), 2, 1, 1e-4)
                     assert hit == detection_near(dets, l, k, 8, 8)
                     hits.append(hit)
-                    for value, want in ((p, pslr(cells, cell)), (isnr, image_snr(cells, cell))):
-                        if alg == "ddmf":
-                            assert value == pytest.approx(want, rel=1e-12)
-                        else:
-                            assert value == want
+                    assert (p, isnr) == (pslr(cells, cell), image_snr(cells, cell))
         assert 0 < sum(hits) < len(hits)  # both outcomes are compared
 
     def test_partial_block_equals_one_trial_at_a_time(self, monkeypatch):
@@ -228,10 +221,7 @@ class TestTrialEngine:
         for alg in ALGORITHMS:
             for got, want in zip(blocked[alg], single[alg]):
                 assert got.shape == (7,)
-                if alg == "ddmf" and got.dtype == float:
-                    np.testing.assert_allclose(got, want, rtol=1e-12)
-                else:
-                    assert np.array_equal(got, want)
+                assert np.array_equal(got, want)
 
     def test_stack_metrics_match_single_maps(self):
         rng = np.random.default_rng(14)

@@ -1,15 +1,16 @@
 """Property tests of the paper's channel identities over random valid geometries."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afdmsim.ambiguity import dpaf_surface
 from afdmsim.channel import PathTap, apply_channel
 from afdmsim.ddgrid import grid_to_vector, io_predict, vector_to_grid
 from afdmsim.metrics import build_effective_channel
-from afdmsim.params import PRESET_NAMES, classic_params, preset
-from afdmsim.sensing import ddmf, signed_doppler
+from afdmsim.params import PRESET_NAMES, classic_params, preset, proposed_params
+from afdmsim.sensing import _ddmf_direct, ddmf, ddmf_batch, signed_doppler
 from afdmsim.waveform import demodulate, modulate
 
 
@@ -75,3 +76,42 @@ def test_ddmf_is_the_time_domain_cross_ambiguity(config, seed):
     doppler = [signed_doppler(col, K) % config.n_c for col in range(K)]
     cells = ddmf(config, y, x).cells
     assert np.abs(cells - surface[: config.n_p][:, doppler]).max() <= 1e-12 * np.abs(cells).max()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n_p=st.integers(1, 16).map(lambda half: 2 * half),
+    k_chirps=st.integers(1, 9),
+    batch=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    zero_y=st.booleans(),
+)
+@example(n_p=8, k_chirps=4, batch=2, seed=0, zero_y=True)
+def test_fft_ddmf_equals_the_direct_form(n_p, k_chirps, batch, seed, zero_y):
+    # Bluestein's factorisation, with all three coupling offsets, computes the
+    # direct form's maps; an all-zero received grid gives all-zero maps
+    config = proposed_params(n_p, k_chirps)
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((2, batch, n_p, k_chirps, 2))
+    Y, X = parts[..., 0] + 1j * parts[..., 1]
+    if zero_y:
+        Y[:] = 0.0
+    want = _ddmf_direct(config, Y, X)
+    got = ddmf_batch(config, Y, X)
+    peaks = np.abs(want).max(axis=(1, 2))
+    assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * peaks)
+
+
+@pytest.mark.parametrize(
+    "config, y_shape, x_shape, match",
+    [
+        (classic_params(32, 1, k_chirps=4), (1, 8, 4), (1, 8, 4), "FMCW-equivalent"),
+        (proposed_params(8, 4), (1, 8, 4), (2, 8, 4), "must both be"),
+        (proposed_params(8, 4), (1, 4, 8), (1, 4, 8), "must both be"),
+        (proposed_params(8, 4), (8, 4), (8, 4), "must both be"),
+    ],
+)
+@pytest.mark.parametrize("form", [ddmf_batch, _ddmf_direct])
+def test_ddmf_forms_reject_the_same_inputs(form, config, y_shape, x_shape, match):
+    with pytest.raises(ValueError, match=match):
+        form(config, np.zeros(y_shape, complex), np.zeros(x_shape, complex))

@@ -196,6 +196,32 @@ class TestCfar:
         assert [(d.l, d.k) for d in dets] == [(5, 2)]
         assert dets[0].magnitude >= dets[0].threshold
 
+    @pytest.mark.parametrize("train, guard", [(2, 1), (1, 0), (1, 2)])
+    @pytest.mark.parametrize(
+        "shape", [(64, 8), (1, 64, 8), (4, 64, 8), (256, 8), (4, 256, 8), (8, 8), (3, 7, 9)]
+    )
+    def test_ring_equals_rolled_copies(self, shape, train, guard):
+        # the ring is summed from slices of one wrapped pad in the order of
+        # the offsets, so it equals the sum of rolled copies bit for bit
+        rng = np.random.default_rng(sum(shape) + 10 * train + guard)
+        power = np.exp(rng.uniform(np.log(1e-300), np.log(1e300), size=shape))
+        power[..., 0, 0] = 0.0
+        offsets = [
+            (di, dj)
+            for di in range(-train - guard, train + guard + 1)
+            for dj in range(-train - guard, train + guard + 1)
+            if max(abs(di), abs(dj)) > guard
+        ]
+        ring = np.zeros_like(power)
+        for di, dj in offsets:
+            ring += np.roll(power, (di, dj), axis=(-2, -1))
+        noise = ring / len(offsets)
+        noise = np.where(noise > 0.0, noise, np.finfo(np.float64).tiny)
+        threshold = cfar_threshold_factor(len(offsets), 1e-4) * noise
+        mask, got = cfar_mask_batch(power, train, guard, 1e-4)
+        assert np.array_equal(got, threshold)
+        assert np.array_equal(mask, power > threshold)
+
     def test_false_alarm_rate_on_noise(self):
         rng = np.random.default_rng(12)
         power = rng.exponential(1.0, size=(400, 16, 16))
