@@ -118,6 +118,17 @@ def noise_variance(snr_db: float, reference_power: float = 1.0) -> float:
     return reference_power / (10.0 ** (snr_db / 10.0))
 
 
+def _awgn(n: int, snr_db: float, rng: np.random.Generator) -> np.ndarray | None:
+    """``n`` samples of complex Gaussian noise at ``snr_db``, real parts drawn first.
+
+    Draws nothing and returns None at +inf SNR.
+    """
+    if math.isinf(snr_db) and snr_db > 0:
+        return None
+    sigma2 = noise_variance(snr_db)
+    return np.sqrt(sigma2 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
 def add_awgn(r: TimeSignal, snr_db: float, rng: np.random.Generator) -> TimeSignal:
     """Add circularly-symmetric complex Gaussian noise.
 
@@ -125,10 +136,7 @@ def add_awgn(r: TimeSignal, snr_db: float, rng: np.random.Generator) -> TimeSign
     (frames are built with total energy n_c, so E|s[n]|^2 = 1); an infinite
     ``snr_db`` returns the signal unchanged.
     """
-    if math.isinf(snr_db) and snr_db > 0:
+    noise = _awgn(len(r.samples), snr_db, rng)
+    if noise is None:
         return r
-    sigma2 = noise_variance(snr_db)
-    noise = np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal(len(r.samples)) + 1j * rng.standard_normal(len(r.samples))
-    )
     return TimeSignal(r.samples + noise, r.config, has_cpp=r.has_cpp)

@@ -32,6 +32,7 @@ from .metrics import (
     CFAR_TRAIN,
     FrameSpec,
     MetricReport,
+    _first_repeat,
     lmmse_ber_compare,
     sensing_maps,
     trial_metrics,
@@ -39,7 +40,7 @@ from .metrics import (
 )
 from .params import AfdmConfig, ScenarioConfig, load_scenario, proposed_params
 from .sensing import _ddmf_direct, dechirp_batch, tfmf_batch
-from .waveform import demodulate, modulate, subcarrier
+from .waveform import _chirps, demodulate, modulate, subcarrier
 
 EXPERIMENT_KINDS = (
     "ddm",
@@ -127,6 +128,10 @@ class ExperimentSpec:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not all(math.isfinite(snr) for snr in self.snr_db_list):
             raise ValueError(f"SNR values must be finite, got {list(self.snr_db_list)}")
+        for name in ("presets", "algorithms", "snr_db_list", "po_list", "sizes"):
+            repeated = _first_repeat(getattr(self, name))
+            if repeated is not None:
+                raise ValueError(f"{name} repeats the value {repeated!r}")
         for n_c in self.sizes:
             if n_c <= 0 or n_c % 16:
                 raise ValueError(
@@ -170,6 +175,9 @@ def run(spec: ExperimentSpec) -> list[Path]:
     ``manifest.json`` already in ``out_dir``, so a failed run never leaves
     a manifest that lists files it has deleted.
     """
+    # each run builds the chirp phasors it uses, so repeated runs do the same
+    # work (traced reruns count the same calls) and no run inherits the cache
+    _chirps.cache_clear()
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"

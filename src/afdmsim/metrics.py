@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    PathTap, _delay_doppler, add_awgn, apply_channel, noise_variance, taps_from_targets,
-)
+from .channel import PathTap, _awgn, _delay_doppler, noise_variance, taps_from_targets
 from .params import AfdmConfig, ScenarioConfig
 from .ddgrid import vector_to_grid
 from .sensing import (  # noqa: F401 -- ddmf is re-exported
@@ -32,7 +30,7 @@ from .sensing import (  # noqa: F401 -- ddmf is re-exported
     mask_near,
     tfmf_batch,
 )
-from .waveform import _modulate, demodulate, modulate, subcarrier
+from .waveform import _modulate, demodulate, subcarrier
 
 ALGORITHMS = ("tfmf", "dechirp", "ddmf")
 
@@ -225,28 +223,34 @@ def image_snr(ddm, target: tuple[int, int]):
 # Monte-Carlo sensing trials
 # ---------------------------------------------------------------------------
 
-def _matched_maps(config: AfdmConfig, algorithm: str, x, s, r, tfmf_reference: str):
+def _matched_maps(config: AfdmConfig, algorithm: str, x, s, r, tfmf_reference: str, pilot):
     """(B, n_p, K) maps of one algorithm from (B, n_c) symbol, transmit and received stacks."""
     if algorithm == "tfmf":
-        ref = s if tfmf_reference == "transmit" else pilot_reference(config)
-        return tfmf_batch(config, r, ref)
+        return tfmf_batch(config, r, s if tfmf_reference == "transmit" else pilot)
     if algorithm == "dechirp":
-        return dechirp_batch(config, r, pilot_reference(config))
+        return dechirp_batch(config, r, pilot)
     if algorithm == "ddmf":
         y_grids = vector_to_grid(config, demodulate(config, r))
         return ddmf_batch(config, y_grids, vector_to_grid(config, x))
     raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
 
-def _trial_block(config, frame, paths, snr_db, algorithms, rngs, tfmf_reference):
-    """{algorithm: (B, n_p, K) maps}, one trial per generator; each draws frame bits, then noise."""
-    draws = []
-    for rng in rngs:
-        x = build_frame(config, frame, rng)
-        s = modulate(config, x).samples
-        draws.append((x, s, add_awgn(apply_channel(config, s, paths), snr_db, rng).samples))
-    x, s, r = (np.stack(stack) for stack in zip(*draws))
-    return {alg: _matched_maps(config, alg, x, s, r, tfmf_reference) for alg in algorithms}
+def _trial_block(config, frame, paths, snr_db, algorithms, rngs, tfmf_reference, pilot):
+    """{algorithm: (B, n_p, K) maps}, one trial per generator; each draws frame bits, then noise.
+
+    The draws stay per trial; modulation, channel and noise act once on the (B, n_c) stacks.
+    """
+    x, noise = zip(
+        *[(build_frame(config, frame, rng), _awgn(config.n_c, snr_db, rng)) for rng in rngs]
+    )
+    x = np.stack(x)
+    s = _modulate(config, x)
+    r = _delay_doppler(s, paths)
+    if noise[0] is not None:  # None: no noise drawn at +inf SNR
+        r += np.stack(noise)
+    return {
+        alg: _matched_maps(config, alg, x, s, r, tfmf_reference, pilot) for alg in algorithms
+    }
 
 
 def sensing_maps(
@@ -263,7 +267,9 @@ def sensing_maps(
     ``tfmf_reference`` selects the matched-filter copy: the full known
     transmit signal (default) or the deterministic pilot only.
     """
-    maps = _trial_block(config, spec, paths, snr_db, algorithms, [rng], tfmf_reference)
+    maps = _trial_block(
+        config, spec, paths, snr_db, algorithms, [rng], tfmf_reference, pilot_reference(config)
+    )
     return {alg: DelayDopplerMap(cells[0], config, alg) for alg, cells in maps.items()}
 
 
@@ -286,9 +292,10 @@ def sensing_trials(
 
     Trial t is ``sensing_maps`` on ``trial_rng(seed, t)``.
     """
+    pilot = pilot_reference(config)
     for start in range(0, trials, TRIAL_BLOCK):
         rngs = [trial_rng(seed, t) for t in range(start, min(start + TRIAL_BLOCK, trials))]
-        yield _trial_block(config, frame, paths, snr_db, algorithms, rngs, tfmf_reference)
+        yield _trial_block(config, frame, paths, snr_db, algorithms, rngs, tfmf_reference, pilot)
 
 
 def trial_metrics(
@@ -325,13 +332,17 @@ def trial_metrics(
         scenario.snr_db if snr_db is None else snr_db, algorithms, trials,
         scenario.rng_seed if seed is None else seed, tfmf_reference,
     ):
-        for alg, cells in maps.items():
-            mask, _ = cfar_mask_batch(np.abs(cells) ** 2, CFAR_TRAIN, CFAR_GUARD, CFAR_PFA)
+        if not maps:
+            continue
+        # one CFAR call on the (algorithms, B, n_p, K) stack of the block's maps
+        stack = np.stack(list(maps.values()))
+        mask, _ = cfar_mask_batch(np.abs(stack) ** 2, CFAR_TRAIN, CFAR_GUARD, CFAR_PFA)
+        for alg, cells, hits in zip(maps, stack, mask_near(mask, l, k)):
             if quality:
                 ratios = pslr(cells, cell), image_snr(cells, cell)
             else:
                 ratios = (np.full(len(cells), np.nan),) * 2
-            blocks[alg].append((*ratios, mask_near(mask, l, k)))
+            blocks[alg].append((*ratios, hits))
     return {
         alg: tuple(np.concatenate(column) for column in zip(*per_block))
         for alg, per_block in blocks.items()
@@ -399,6 +410,11 @@ def rayleigh_gains(powers, rng: np.random.Generator) -> np.ndarray:
     return np.sqrt(p / 2.0) * g
 
 
+def _first_repeat(values):
+    """The first value equal to an earlier one (so 5 repeats 5.0), or None."""
+    return next((v for i, v in enumerate(values) if v in values[:i]), None)
+
+
 def lmmse_ber_compare(
     configs: dict[str, AfdmConfig],
     target_powers,
@@ -422,6 +438,9 @@ def lmmse_ber_compare(
     n_c = next(iter(configs.values())).n_c
     if any(c.n_c != n_c for c in configs.values()):
         raise ValueError("all configs must share n_c")
+    repeated = _first_repeat([float(snr) for snr in snr_db_list])
+    if repeated is not None:
+        raise ValueError(f"snr_db_list repeats the value {repeated!r}")
     per_real = max(1, n_symbols // realizations)
     taps = [(int(l), int(k)) for l, k in target_taps]
     errors = {(name, float(snr)): 0 for name in configs for snr in snr_db_list}

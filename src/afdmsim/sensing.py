@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -224,15 +225,16 @@ def ddmf(config: AfdmConfig, y_grid, x_grid) -> DelayDopplerMap:
 # CFAR detection: cell-averaging (CA) and ordered-statistic (OS)
 # ---------------------------------------------------------------------------
 
-def _ring_offsets(train: int, guard: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _ring_offsets(train: int, guard: int) -> tuple[tuple[int, int], ...]:
     """Offsets of the square training ring (Chebyshev radius in (g, g+t])."""
     w = train + guard
-    return [
+    return tuple(
         (di, dj)
         for di in range(-w, w + 1)
         for dj in range(-w, w + 1)
         if max(abs(di), abs(dj)) > guard
-    ]
+    )
 
 
 def cfar_threshold_factor(n_train: int, pfa: float) -> float:
@@ -242,7 +244,7 @@ def cfar_threshold_factor(n_train: int, pfa: float) -> float:
 
 def _cfar_ring(
     power: np.ndarray, train: int, guard: int, pfa: float
-) -> list[tuple[int, int]]:
+) -> tuple[tuple[int, int], ...]:
     """Check the CFAR arguments against a (..., n_p, K) stack; return the ring offsets."""
     if train < 1 or guard < 0:
         raise ValueError("need train >= 1 and guard >= 0")
@@ -259,7 +261,8 @@ def _cfar_ring(
 
 def _wrap_pad(power: np.ndarray, w: int) -> np.ndarray:
     """Pad the last two axes of a map stack by ``w`` cells on each side, cyclically."""
-    return np.pad(power, [(0, 0)] * (power.ndim - 2) + [(w, w), (w, w)], mode="wrap")
+    rows, cols = (np.arange(-w, size + w) for size in power.shape[-2:])
+    return np.take(np.take(power, rows, axis=-2, mode="wrap"), cols, axis=-1, mode="wrap")
 
 
 def _detections(
@@ -290,12 +293,14 @@ def cfar_mask_batch(
     """
     offsets = _cfar_ring(power, train, guard, pfa)
     w = train + guard
-    padded = _wrap_pad(power, w)
+    # summed delay-last, so each add runs along n_p contiguous cells; the
+    # padded slice [w - dj, w - di] is the map rolled by (di, dj)
+    padded = _wrap_pad(power.swapaxes(-1, -2), w)
     n_p, K = power.shape[-2:]
-    ring = np.zeros_like(power)
-    for di, dj in offsets:  # padded slice [w - di, w - dj] is power rolled by (di, dj)
-        ring += padded[..., w - di : w - di + n_p, w - dj : w - dj + K]
-    noise = ring / len(offsets)
+    ring = np.zeros(padded.shape[:-2] + (K, n_p), dtype=padded.dtype)
+    for di, dj in offsets:
+        ring += padded[..., w - dj : w - dj + K, w - di : w - di + n_p]
+    noise = ring.swapaxes(-1, -2) / len(offsets)
     noise = np.where(noise > 0.0, noise, np.finfo(np.float64).tiny)
     threshold = cfar_threshold_factor(len(offsets), pfa) * noise
     return power > threshold, threshold

@@ -21,6 +21,7 @@ constant delay-dependent phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,13 +70,23 @@ def _c1_phasor(config: AfdmConfig, n: np.ndarray) -> np.ndarray:
     return rational_phasor(config.c1, np.asarray(n, dtype=np.int64) ** 2)
 
 
+@lru_cache(maxsize=128)
+def _chirps(config: AfdmConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only exp(j2pi c2 m^2) over m and exp(j2pi c1 n^2) over n, built once per config."""
+    index = np.arange(config.n_c, dtype=np.int64)
+    pair = _c2_phasor(config, index), _c1_phasor(config, index)
+    for phasor in pair:
+        phasor.flags.writeable = False
+    return pair
+
+
 def subcarrier(config: AfdmConfig, m: int) -> TimeSignal:
     """The m-th unit-modulus basis chirp, n = 0..n_c-1."""
     if not 0 <= m < config.n_c:
         raise ValueError(f"subcarrier index {m} outside [0, {config.n_c})")
     n = np.arange(config.n_c, dtype=np.int64)
     samples = (
-        _c1_phasor(config, n)
+        _chirps(config)[1]
         * unit_phasor(m * n, config.n_c)
         * _c2_phasor(config, np.int64(m))
     )
@@ -88,11 +99,8 @@ def _modulate(config: AfdmConfig, x: np.ndarray) -> np.ndarray:
     Three-step fast path: chirp-filter the symbols by exp(j2pi c2 m^2),
     inverse FFT, then chirp-window by exp(j2pi c1 n^2).
     """
-    m = np.arange(config.n_c, dtype=np.int64)
-    pre = x * _c2_phasor(config, m)
-    mid = np.fft.ifft(pre) * np.sqrt(config.n_c)
-    n = np.arange(config.n_c, dtype=np.int64)
-    return mid * _c1_phasor(config, n)
+    c2_chirp, c1_chirp = _chirps(config)
+    return np.fft.ifft(x * c2_chirp) * np.sqrt(config.n_c) * c1_chirp
 
 
 def modulate(config: AfdmConfig, x) -> TimeSignal:
@@ -106,10 +114,8 @@ def modulate(config: AfdmConfig, x) -> TimeSignal:
 def demodulate(config: AfdmConfig, r) -> np.ndarray:
     """Project a CPP-free received signal (or a (..., n_c) stack) onto the subcarrier basis."""
     samples = _as_samples(r, config, stacked=True)
-    n = np.arange(config.n_c, dtype=np.int64)
-    mid = np.fft.fft(samples * np.conj(_c1_phasor(config, n))) / np.sqrt(config.n_c)
-    m = np.arange(config.n_c, dtype=np.int64)
-    return mid * np.conj(_c2_phasor(config, m))
+    c2_chirp, c1_chirp = _chirps(config)
+    return np.fft.fft(samples * np.conj(c1_chirp)) / np.sqrt(config.n_c) * np.conj(c2_chirp)
 
 
 def cpp_phase(config: AfdmConfig, n) -> np.ndarray:

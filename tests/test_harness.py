@@ -115,6 +115,25 @@ class TestDeterminism:
         for pa, pb in zip(outs[0], outs[1]):
             assert pa.read_bytes() == pb.read_bytes()
 
+    def test_reruns_build_the_same_chirp_phasors(self, tmp_path, monkeypatch):
+        # the per-config chirp cache lives for one run, so a rerun in the same
+        # process does the same phasor work as the first run
+        import afdmsim.waveform as waveform
+
+        built = []
+        original = waveform._c2_phasor
+        monkeypatch.setattr(
+            waveform, "_c2_phasor", lambda *args: built.append(args[0]) or original(*args)
+        )
+        spec = ExperimentSpec(
+            kind="ddm", scenario=builtin_scenarios()["desk"], out_dir=tmp_path,
+            presets=("proposed", "classic"),
+        )
+        run(spec)
+        first = len(built)
+        run(spec)
+        assert first > 0 and len(built) == 2 * first
+
 
 class TestPartialCleanup:
     def test_failed_run_removes_outputs(self, tmp_path):
@@ -252,6 +271,24 @@ class TestCli:
         code = main([*argv, "--scenario", "desk", "--out", str(tmp_path)])
         assert code == 1
         assert ignored in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ber-curve", "--snr", "5", "5"], "snr_db_list repeats the value 5.0"),
+        (["ber-curve", "--snr", "5", "10", "5.0"], "snr_db_list repeats the value 5.0"),
+        (["snr-sweep", "--preset", "proposed", "--preset", "proposed"],
+         "presets repeats the value 'proposed'"),
+        (["pd-curve", "--algorithm", "tfmf", "--algorithm", "dechirp", "--algorithm", "tfmf"],
+         "algorithms repeats the value 'tfmf'"),
+        (["po-sweep", "--po", "0.5", "0", "0.5"], "po_list repeats the value 0.5"),
+        (["runtime-scaling", "--sizes", "256", "256"], "sizes repeats the value 256"),
+    ])
+    def test_repeated_value_rejected(self, tmp_path, capsys, argv, message):
+        # a repeat would redo the work and write duplicate rows (or, for a
+        # BER SNR, count its bit errors twice against the bits of one)
+        code = main([*argv, "--scenario", "desk", "--out", str(tmp_path)])
+        assert code == 1
+        assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("size", ["1010", "1032", "0", "-16"])

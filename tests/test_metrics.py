@@ -168,32 +168,61 @@ def one_trial_maps(config, frame, paths, snr_db, rng, tfmf_reference):
     s = modulate(config, x)
     r = add_awgn(apply_channel(config, s, paths), snr_db, rng)
     pilot = pilot_reference(config)
-    y_grid = vector_to_grid(config, demodulate(config, r))
-    return {
+    maps = {
         "tfmf": tfmf(config, r, s if tfmf_reference == "transmit" else pilot).cells,
         "dechirp": dechirp(config, r, pilot).cells,
-        "ddmf": ddmf(config, y_grid, vector_to_grid(config, x)).cells,
     }
+    if config.fmcw_equivalent:
+        y_grid = vector_to_grid(config, demodulate(config, r))
+        maps["ddmf"] = ddmf(config, y_grid, vector_to_grid(config, x)).cells
+    return maps
 
 
 class TestTrialEngine:
     @pytest.mark.parametrize("reference", ["transmit", "pilot"])
     @pytest.mark.parametrize("po", [0.0, 0.5, 1.0])
     def test_stacks_equal_one_trial_maps(self, po, reference):
-        frame = FrameSpec.from_overhead(GRID8.n_c, po)
+        self.assert_stacks_equal_one_trial_maps("proposed", 0.0, po, reference)
+
+    @pytest.mark.parametrize("reference", ["transmit", "pilot"])
+    @pytest.mark.parametrize("po", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("preset_name, snr_db", [
+        ("proposed", math.inf), ("classic", 0.0), ("ofdm", 0.0), ("ocdm", 0.0),
+    ])
+    def test_noise_free_and_non_fmcw_stacks_equal_one_trial_maps(
+        self, preset_name, snr_db, po, reference
+    ):
+        # at +inf SNR neither side draws noise; ddmf needs the FMCW-equivalent set
+        self.assert_stacks_equal_one_trial_maps(preset_name, snr_db, po, reference)
+
+    @staticmethod
+    def assert_stacks_equal_one_trial_maps(preset_name, snr_db, po, reference):
+        config = EDGE.waveform(preset_name)
+        algorithms = ALGORITHMS if preset_name == "proposed" else ("tfmf", "dechirp")
+        frame = FrameSpec.from_overhead(config.n_c, po)
         blocks = list(
-            sensing_trials(GRID8, frame, EDGE_PATHS, 0.0, ALGORITHMS, 7, 5, reference)
+            sensing_trials(config, frame, EDGE_PATHS, snr_db, algorithms, 7, 5, reference)
         )
         assert [len(b["tfmf"]) for b in blocks] == [4, 3]
-        for alg in ALGORITHMS:
+        for alg in algorithms:
             stack = np.concatenate([b[alg] for b in blocks])
             for t in range(7):
-                want = one_trial_maps(GRID8, frame, EDGE_PATHS, 0.0, trial_rng(5, t), reference)
+                want = one_trial_maps(config, frame, EDGE_PATHS, snr_db, trial_rng(5, t), reference)
                 single = sensing_maps(
-                    GRID8, frame, EDGE_PATHS, 0.0, (alg,), trial_rng(5, t), reference
+                    config, frame, EDGE_PATHS, snr_db, (alg,), trial_rng(5, t), reference
                 )
                 assert np.array_equal(single[alg].cells, want[alg])
                 assert np.array_equal(stack[t], want[alg])
+
+    def test_infinite_snr_draws_no_noise(self):
+        frame = FrameSpec.from_overhead(GRID8.n_c, 0.5)
+        rng, oracle = trial_rng(5, 0), trial_rng(5, 0)
+        metrics._trial_block(
+            GRID8, frame, EDGE_PATHS, math.inf, ("tfmf",), [rng], "transmit",
+            pilot_reference(GRID8),
+        )
+        build_frame(GRID8, frame, oracle)
+        assert rng.bit_generator.state == oracle.bit_generator.state
 
     def test_metrics_equal_single_map_reductions(self):
         frame = FrameSpec.from_overhead(GRID8.n_c, 0.0)
@@ -222,6 +251,10 @@ class TestTrialEngine:
             for got, want in zip(blocked[alg], single[alg]):
                 assert got.shape == (7,)
                 assert np.array_equal(got, want)
+
+    def test_no_algorithm_gives_no_metrics(self):
+        # ddmf alone on a non-FMCW preset leaves a sweep no algorithm to run
+        assert trial_metrics(EDGE, (), 5) == {}
 
     def test_stack_metrics_match_single_maps(self):
         rng = np.random.default_rng(14)
@@ -343,6 +376,13 @@ class TestTimeDomainLink:
         counts = metrics.lmmse_ber_compare(*args)
         assert counts == _dense_ber_counts(*args)
         assert all(errors > 0 for (_, snr), (errors, _) in counts.items() if snr == 0.0)
+
+    @pytest.mark.parametrize("snrs", [(5.0, 5.0), (5, 5.0), (0.0, 12.0, 0)])
+    def test_repeated_snr_rejected(self, snrs):
+        # a repeated SNR would add its errors twice into one (name, SNR) count
+        configs = {"proposed": self.DESK.waveform("proposed")}
+        with pytest.raises(ValueError, match="snr_db_list repeats the value"):
+            metrics.lmmse_ber_compare(configs, [1.0], [(1, 1)], snrs, 4, 2, 1)
 
     @pytest.mark.parametrize("name", ["proposed", "classic", "ofdm", "ocdm"])
     def test_stacked_kernels_equal_row_wise_calls(self, name):

@@ -10,8 +10,10 @@ from afdmsim.channel import PathTap, apply_channel
 from afdmsim.ddgrid import grid_to_vector, io_predict, vector_to_grid
 from afdmsim.metrics import build_effective_channel
 from afdmsim.params import PRESET_NAMES, classic_params, preset, proposed_params
-from afdmsim.sensing import _ddmf_direct, ddmf, ddmf_batch, signed_doppler
-from afdmsim.waveform import demodulate, modulate
+from afdmsim.sensing import (
+    _ddmf_direct, cfar_mask_batch, ddmf, ddmf_batch, os_cfar_mask_batch, signed_doppler,
+)
+from afdmsim.waveform import _modulate, demodulate, modulate
 
 
 @st.composite
@@ -115,3 +117,37 @@ def test_fft_ddmf_equals_the_direct_form(n_p, k_chirps, batch, seed, zero_y):
 def test_ddmf_forms_reject_the_same_inputs(form, config, y_shape, x_shape, match):
     with pytest.raises(ValueError, match=match):
         form(config, np.zeros(y_shape, complex), np.zeros(x_shape, complex))
+
+
+@settings(deadline=None, max_examples=60)
+@given(config=geometries(), batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_daft_is_unitary(config, batch, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch, config.n_c)) + 1j * rng.standard_normal((batch, config.n_c))
+    s = _modulate(config, x)
+    norm = np.linalg.norm(x, axis=-1)
+    assert np.abs(demodulate(config, s) - x).max() <= 1e-12 * np.abs(x).max()
+    assert np.all(np.abs(np.linalg.norm(s, axis=-1) - norm) <= 1e-12 * norm)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    shape=st.tuples(st.integers(1, 3), st.integers(7, 20), st.integers(7, 12)),
+    zeros=st.integers(0, 8),
+    exponent=st.integers(-60, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cfar_is_invariant_to_power_of_two_scaling(shape, zeros, exponent, seed):
+    # scaling by 2^e is exact, and so is every sum and product of scaled
+    # cells; at most 8 zero cells per map never empty a 40-cell ring, so the
+    # zero-noise floor (which does not scale) is never used
+    rng = np.random.default_rng(seed)
+    power = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=shape))
+    for block in power:
+        block.flat[rng.choice(block.size, zeros, replace=False)] = 0.0
+    scaled = np.ldexp(power, exponent)
+    for mask_fn in (cfar_mask_batch, os_cfar_mask_batch):
+        mask, threshold = mask_fn(power, 2, 1, 1e-4)
+        scaled_mask, scaled_threshold = mask_fn(scaled, 2, 1, 1e-4)
+        assert np.array_equal(scaled_mask, mask)
+        assert np.array_equal(scaled_threshold, np.ldexp(threshold, exponent))

@@ -198,7 +198,11 @@ class TestCfar:
 
     @pytest.mark.parametrize("train, guard", [(2, 1), (1, 0), (1, 2)])
     @pytest.mark.parametrize(
-        "shape", [(64, 8), (1, 64, 8), (4, 64, 8), (256, 8), (4, 256, 8), (8, 8), (3, 7, 9)]
+        "shape",
+        [
+            (64, 8), (1, 64, 8), (4, 64, 8), (256, 8), (4, 256, 8), (8, 8), (3, 7, 9),
+            (2, 4, 64, 8), (3, 2, 7, 9),
+        ],
     )
     def test_ring_equals_rolled_copies(self, shape, train, guard):
         # the ring is summed from slices of one wrapped pad in the order of
@@ -221,6 +225,20 @@ class TestCfar:
         mask, got = cfar_mask_batch(power, train, guard, 1e-4)
         assert np.array_equal(got, threshold)
         assert np.array_equal(mask, power > threshold)
+
+    @pytest.mark.parametrize("mask_fn", [cfar_mask_batch, os_cfar_mask_batch])
+    @pytest.mark.parametrize("shape", [(3, 4, 64, 8), (2, 1, 7, 9)])
+    def test_stack_of_blocks_equals_one_call_per_block(self, mask_fn, shape):
+        # trial_metrics runs one CFAR call on every algorithm's block of maps
+        rng = np.random.default_rng(sum(shape))
+        power = rng.exponential(1.0, size=shape)
+        power[1, 0, 3, 2] = 50.0
+        mask, threshold = mask_fn(power, 2, 1, 1e-4)
+        assert mask.any()
+        for a, block in enumerate(power):
+            want_mask, want_threshold = mask_fn(block, 2, 1, 1e-4)
+            assert np.array_equal(mask[a], want_mask)
+            assert np.array_equal(threshold[a], want_threshold)
 
     def test_false_alarm_rate_on_noise(self):
         rng = np.random.default_rng(12)

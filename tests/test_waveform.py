@@ -4,9 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from afdmsim._phase import unit_phasor
 from afdmsim.params import classic_params, preset, proposed_params
 from afdmsim.waveform import (
     TimeSignal,
+    _c1_phasor,
+    _c2_phasor,
+    _chirps,
+    _modulate,
     add_cpp,
     cpp_phase,
     daft_index_to_dd,
@@ -138,6 +143,33 @@ class TestModulateDemodulate:
         n = np.arange(16)
         phase = np.exp(2j * np.pi * float(cfg.c1) * (16**2 + 2 * 16 * n))
         assert np.abs(ext[16:] - phase * ext[:16]).max() < 1e-9
+
+
+class TestChirps:
+    """The per-config chirp pair must not change what the kernels compute."""
+
+    @pytest.mark.parametrize("cfg", ALL_PRESETS, ids=lambda c: str(c.c1))
+    def test_arrays_are_shared_and_read_only(self, cfg):
+        c2_chirp, c1_chirp = _chirps(cfg)
+        assert _chirps(cfg)[0] is c2_chirp and _chirps(cfg)[1] is c1_chirp
+        for chirp in (c2_chirp, c1_chirp):
+            assert not chirp.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                chirp[0] = 0.0
+
+    @pytest.mark.parametrize("cfg", ALL_PRESETS, ids=lambda c: str(c.c1))
+    def test_kernels_equal_per_call_phasors(self, cfg):
+        index = np.arange(cfg.n_c)
+        c2_chirp, c1_chirp = _c2_phasor(cfg, index), _c1_phasor(cfg, index)
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((2, 3, cfg.n_c)) + 1j * rng.standard_normal((2, 3, cfg.n_c))
+        s = np.fft.ifft(x * c2_chirp) * np.sqrt(cfg.n_c) * c1_chirp
+        assert np.array_equal(_modulate(cfg, x), s)
+        y = np.fft.fft(x * np.conj(c1_chirp)) / np.sqrt(cfg.n_c) * np.conj(c2_chirp)
+        assert np.array_equal(demodulate(cfg, x), y)
+        for m in (0, 5, cfg.n_c - 1):
+            psi = c1_chirp * unit_phasor(m * index, cfg.n_c) * _c2_phasor(cfg, np.int64(m))
+            assert np.array_equal(subcarrier(cfg, m).samples, psi)
 
 
 class TestCpp:
