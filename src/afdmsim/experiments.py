@@ -40,7 +40,7 @@ from .metrics import (
 )
 from .params import AfdmConfig, ScenarioConfig, load_scenario, proposed_params
 from .sensing import _ddmf_direct, dechirp_batch, tfmf_batch
-from .waveform import _chirps, demodulate, modulate, subcarrier
+from .waveform import demodulate, modulate, subcarrier
 
 EXPERIMENT_KINDS = (
     "ddm",
@@ -175,9 +175,6 @@ def run(spec: ExperimentSpec) -> list[Path]:
     ``manifest.json`` already in ``out_dir``, so a failed run never leaves
     a manifest that lists files it has deleted.
     """
-    # each run builds the chirp phasors it uses, so repeated runs do the same
-    # work (traced reruns count the same calls) and no run inherits the cache
-    _chirps.cache_clear()
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"

@@ -30,7 +30,7 @@ from .sensing import (  # noqa: F401 -- ddmf is re-exported
     mask_near,
     tfmf_batch,
 )
-from .waveform import _modulate, demodulate, subcarrier
+from .waveform import _chirps, _modulate, demodulate, subcarrier
 
 ALGORITHMS = ("tfmf", "dechirp", "ddmf")
 
@@ -235,16 +235,17 @@ def _matched_maps(config: AfdmConfig, algorithm: str, x, s, r, tfmf_reference: s
     raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
 
-def _trial_block(config, frame, paths, snr_db, algorithms, rngs, tfmf_reference, pilot):
+def _trial_block(config, frame, paths, snr_db, algorithms, rngs, tfmf_reference, pilot, chirps):
     """{algorithm: (B, n_p, K) maps}, one trial per generator; each draws frame bits, then noise.
 
     The draws stay per trial; modulation, channel and noise act once on the (B, n_c) stacks.
+    The caller builds ``pilot`` (``pilot_reference``) and ``chirps`` (``_chirps``) once.
     """
     x, noise = zip(
         *[(build_frame(config, frame, rng), _awgn(config.n_c, snr_db, rng)) for rng in rngs]
     )
     x = np.stack(x)
-    s = _modulate(config, x)
+    s = _modulate(config, x, chirps)
     r = _delay_doppler(s, paths)
     if noise[0] is not None:  # None: no noise drawn at +inf SNR
         r += np.stack(noise)
@@ -268,7 +269,8 @@ def sensing_maps(
     transmit signal (default) or the deterministic pilot only.
     """
     maps = _trial_block(
-        config, spec, paths, snr_db, algorithms, [rng], tfmf_reference, pilot_reference(config)
+        config, spec, paths, snr_db, algorithms, [rng], tfmf_reference,
+        pilot_reference(config), _chirps(config),
     )
     return {alg: DelayDopplerMap(cells[0], config, alg) for alg, cells in maps.items()}
 
@@ -290,12 +292,15 @@ def sensing_trials(
 ):
     """Yield {algorithm: (B, n_p, K) maps} for trials 0..trials-1, B <= TRIAL_BLOCK.
 
-    Trial t is ``sensing_maps`` on ``trial_rng(seed, t)``.
+    Trial t is ``sensing_maps`` on ``trial_rng(seed, t)``. The pilot and the
+    chirps are built once per call and shared by every block.
     """
-    pilot = pilot_reference(config)
+    pilot, chirps = pilot_reference(config), _chirps(config)
     for start in range(0, trials, TRIAL_BLOCK):
         rngs = [trial_rng(seed, t) for t in range(start, min(start + TRIAL_BLOCK, trials))]
-        yield _trial_block(config, frame, paths, snr_db, algorithms, rngs, tfmf_reference, pilot)
+        yield _trial_block(
+            config, frame, paths, snr_db, algorithms, rngs, tfmf_reference, pilot, chirps
+        )
 
 
 def trial_metrics(
@@ -326,14 +331,14 @@ def trial_metrics(
     po = scenario.pilot_overhead if pilot_overhead is None else pilot_overhead
     _, l, k = scenario.targets[0]
     cell = (l % config.n_p, k % config.k_chirps)
+    if not algorithms:
+        return {}
     blocks = {alg: [] for alg in algorithms}
     for maps in sensing_trials(
         config, FrameSpec.from_overhead(config.n_c, po), taps_from_targets(scenario.targets),
         scenario.snr_db if snr_db is None else snr_db, algorithms, trials,
         scenario.rng_seed if seed is None else seed, tfmf_reference,
     ):
-        if not maps:
-            continue
         # one CFAR call on the (algorithms, B, n_p, K) stack of the block's maps
         stack = np.stack(list(maps.values()))
         mask, _ = cfar_mask_batch(np.abs(stack) ** 2, CFAR_TRAIN, CFAR_GUARD, CFAR_PFA)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -225,16 +224,15 @@ def ddmf(config: AfdmConfig, y_grid, x_grid) -> DelayDopplerMap:
 # CFAR detection: cell-averaging (CA) and ordered-statistic (OS)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _ring_offsets(train: int, guard: int) -> tuple[tuple[int, int], ...]:
+def _ring_offsets(train: int, guard: int) -> list[tuple[int, int]]:
     """Offsets of the square training ring (Chebyshev radius in (g, g+t])."""
     w = train + guard
-    return tuple(
+    return [
         (di, dj)
         for di in range(-w, w + 1)
         for dj in range(-w, w + 1)
         if max(abs(di), abs(dj)) > guard
-    )
+    ]
 
 
 def cfar_threshold_factor(n_train: int, pfa: float) -> float:
@@ -244,7 +242,7 @@ def cfar_threshold_factor(n_train: int, pfa: float) -> float:
 
 def _cfar_ring(
     power: np.ndarray, train: int, guard: int, pfa: float
-) -> tuple[tuple[int, int], ...]:
+) -> list[tuple[int, int]]:
     """Check the CFAR arguments against a (..., n_p, K) stack; return the ring offsets."""
     if train < 1 or guard < 0:
         raise ValueError("need train >= 1 and guard >= 0")

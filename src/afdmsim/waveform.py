@@ -21,7 +21,6 @@ constant delay-dependent phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -70,9 +69,8 @@ def _c1_phasor(config: AfdmConfig, n: np.ndarray) -> np.ndarray:
     return rational_phasor(config.c1, np.asarray(n, dtype=np.int64) ** 2)
 
 
-@lru_cache(maxsize=128)
 def _chirps(config: AfdmConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only exp(j2pi c2 m^2) over m and exp(j2pi c1 n^2) over n, built once per config."""
+    """Read-only exp(j2pi c2 m^2) over m and exp(j2pi c1 n^2) over n, for reuse across calls."""
     index = np.arange(config.n_c, dtype=np.int64)
     pair = _c2_phasor(config, index), _c1_phasor(config, index)
     for phasor in pair:
@@ -86,20 +84,21 @@ def subcarrier(config: AfdmConfig, m: int) -> TimeSignal:
         raise ValueError(f"subcarrier index {m} outside [0, {config.n_c})")
     n = np.arange(config.n_c, dtype=np.int64)
     samples = (
-        _chirps(config)[1]
+        _c1_phasor(config, n)
         * unit_phasor(m * n, config.n_c)
         * _c2_phasor(config, np.int64(m))
     )
     return TimeSignal(samples, config)
 
 
-def _modulate(config: AfdmConfig, x: np.ndarray) -> np.ndarray:
+def _modulate(config: AfdmConfig, x: np.ndarray, chirps=None) -> np.ndarray:
     """(..., n_c) DAFT-domain symbol stack -> (..., n_c) time samples.
 
     Three-step fast path: chirp-filter the symbols by exp(j2pi c2 m^2),
-    inverse FFT, then chirp-window by exp(j2pi c1 n^2).
+    inverse FFT, then chirp-window by exp(j2pi c1 n^2). ``chirps`` is
+    ``_chirps(config)`` built by the caller, or None to build it here.
     """
-    c2_chirp, c1_chirp = _chirps(config)
+    c2_chirp, c1_chirp = _chirps(config) if chirps is None else chirps
     return np.fft.ifft(x * c2_chirp) * np.sqrt(config.n_c) * c1_chirp
 
 

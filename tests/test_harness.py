@@ -115,25 +115,6 @@ class TestDeterminism:
         for pa, pb in zip(outs[0], outs[1]):
             assert pa.read_bytes() == pb.read_bytes()
 
-    def test_reruns_build_the_same_chirp_phasors(self, tmp_path, monkeypatch):
-        # the per-config chirp cache lives for one run, so a rerun in the same
-        # process does the same phasor work as the first run
-        import afdmsim.waveform as waveform
-
-        built = []
-        original = waveform._c2_phasor
-        monkeypatch.setattr(
-            waveform, "_c2_phasor", lambda *args: built.append(args[0]) or original(*args)
-        )
-        spec = ExperimentSpec(
-            kind="ddm", scenario=builtin_scenarios()["desk"], out_dir=tmp_path,
-            presets=("proposed", "classic"),
-        )
-        run(spec)
-        first = len(built)
-        run(spec)
-        assert first > 0 and len(built) == 2 * first
-
 
 class TestPartialCleanup:
     def test_failed_run_removes_outputs(self, tmp_path):

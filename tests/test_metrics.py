@@ -217,10 +217,7 @@ class TestTrialEngine:
     def test_infinite_snr_draws_no_noise(self):
         frame = FrameSpec.from_overhead(GRID8.n_c, 0.5)
         rng, oracle = trial_rng(5, 0), trial_rng(5, 0)
-        metrics._trial_block(
-            GRID8, frame, EDGE_PATHS, math.inf, ("tfmf",), [rng], "transmit",
-            pilot_reference(GRID8),
-        )
+        sensing_maps(GRID8, frame, EDGE_PATHS, math.inf, ("tfmf",), rng)
         build_frame(GRID8, frame, oracle)
         assert rng.bit_generator.state == oracle.bit_generator.state
 
