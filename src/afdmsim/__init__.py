@@ -39,7 +39,6 @@ from .metrics import (
     build_frame,
     image_snr,
     lmmse_detect,
-    monte_carlo_pd,
     pslr,
     qam4_demodulate,
     qam4_modulate,

@@ -113,9 +113,9 @@ def apply_channel_linear(config: AfdmConfig, s: TimeSignal, paths) -> TimeSignal
     return TimeSignal(out, config, has_cpp=True)
 
 
-def noise_variance(snr_db: float, reference_power: float = 1.0) -> float:
-    """Per-sample complex noise variance for a given symbol SNR in dB."""
-    return reference_power / (10.0 ** (snr_db / 10.0))
+def noise_variance(snr_db: float) -> float:
+    """Per-sample complex noise variance for a given symbol SNR in dB (unit signal power)."""
+    return 1.0 / (10.0 ** (snr_db / 10.0))
 
 
 def _awgn(n: int, snr_db: float, rng: np.random.Generator) -> np.ndarray | None:

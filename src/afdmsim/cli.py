@@ -20,7 +20,8 @@ from .experiments import (
     resolve_scenario,
     run,
 )
-from .params import ScenarioError
+from .metrics import ALGORITHMS
+from .params import PRESET_NAMES, ScenarioError
 
 _SWEEP_FLAGS = ("--preset", "--algorithm", "--seed", "--trials", "--pilot-only-reference")
 
@@ -74,13 +75,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--preset",
             action="append",
-            choices=("proposed", "classic", "ofdm", "ocdm"),
+            choices=PRESET_NAMES,
             help="waveform preset (repeatable; default: scenario preset)",
         )
         p.add_argument(
             "--algorithm",
             action="append",
-            choices=("tfmf", "dechirp", "ddmf"),
+            choices=ALGORITHMS,
             help="sensing algorithm (repeatable; default: all applicable)",
         )
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")

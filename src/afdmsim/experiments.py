@@ -27,6 +27,7 @@ from .ambiguity import aaf_psi0_surface, dpaf_surface
 from .channel import PathTap, apply_channel, taps_from_targets
 from .ddgrid import grid_to_vector, io_predict, vector_to_grid
 from .metrics import (
+    ALGORITHMS,
     CFAR_GUARD,
     CFAR_PFA,
     CFAR_TRAIN,
@@ -54,6 +55,10 @@ EXPERIMENT_KINDS = (
 )
 
 IO_CHECK_TOLERANCE = 1e-9
+
+#: Chirp periods per symbol and timed repetitions (the best is kept) of
+#: ``benchmark_pipelines``.
+BENCHMARK_K_CHIRPS, BENCHMARK_REPS = 8, 9
 
 
 class NumericalCheckError(RuntimeError):
@@ -111,7 +116,7 @@ class ExperimentSpec:
     scenario: ScenarioConfig
     out_dir: Path
     presets: tuple[str, ...] = ()
-    algorithms: tuple[str, ...] = ("tfmf", "dechirp", "ddmf")
+    algorithms: tuple[str, ...] = ALGORITHMS
     seed: int | None = None
     trials: int = 100
     snr_db_list: tuple[float, ...] = (0.0, 10.0, 20.0)
@@ -327,7 +332,7 @@ def _run_ber_curve(spec):
 
 def _run_io_check(spec):
     sc = spec.scenario
-    config = sc.waveform("proposed") if sc.preset != "proposed" else sc.waveform()
+    config = sc.waveform("proposed")
     if config.n_c > 64:
         config = builtin_scenarios()["desk"].waveform("proposed")
     rng = trial_rng(spec.resolved_seed, 0)
@@ -371,10 +376,8 @@ def _time_batch(fn, reps: int) -> float:
     return best
 
 
-def benchmark_pipelines(
-    sizes, k_chirps: int = 8, seed: int = 0, reps: int = 9,
-) -> list[tuple[str, int, float]]:
-    """Per-map runtimes (best of ``reps``) for each pipeline at each size, by size.
+def benchmark_pipelines(sizes, seed: int = 0) -> list[tuple[str, int, float]]:
+    """Per-map runtimes (best of ``BENCHMARK_REPS``) for each pipeline at each size, by size.
 
     Pipelines are timed in batch mode so per-call dispatch overhead does not
     mask the per-map work: O(n_c log n_c) for the transform pipelines and
@@ -388,7 +391,7 @@ def benchmark_pipelines(
     rng = np.random.default_rng(seed)
     results, ddmf_runs = [], []
     for n_c in sizes:
-        config = proposed_params(n_c // k_chirps, k_chirps)
+        config = proposed_params(n_c // BENCHMARK_K_CHIRPS, BENCHMARK_K_CHIRPS)
         pilot = subcarrier(config, 0).samples
         batch_fast = int(np.clip(2**21 // n_c, 64, 8192))
         stack = rng.standard_normal((batch_fast, n_c)) + 1j * rng.standard_normal(
@@ -409,12 +412,14 @@ def benchmark_pipelines(
 
         run_ddmf = partial(_ddmf_direct, config, y, x)
         run_tfmf(), run_dechirp(), run_ddmf()  # warm-up
-        results.append(("tfmf", n_c, _time_batch(run_tfmf, reps) / batch_fast))
-        results.append(("dechirp", n_c, _time_batch(run_dechirp, reps) / batch_fast))
+        results.append(("tfmf", n_c, _time_batch(run_tfmf, BENCHMARK_REPS) / batch_fast))
+        results.append(("dechirp", n_c, _time_batch(run_dechirp, BENCHMARK_REPS) / batch_fast))
         ddmf_runs.append((n_c, run_ddmf, batch_mf))
     # ddmf repetitions go round-robin over the sizes, so that a phase of host
     # load slows every size alike instead of tilting the O(n_c^2) slope
-    rounds = [[_time_batch(run, 1) / batch for _, run, batch in ddmf_runs] for _ in range(reps)]
+    rounds = [
+        [_time_batch(run, 1) / batch for _, run, batch in ddmf_runs] for _ in range(BENCHMARK_REPS)
+    ]
     results += [("ddmf", n_c, min(times)) for (n_c, _, _), times in zip(ddmf_runs, zip(*rounds))]
     return sorted(results, key=lambda row: sizes.index(row[1]))
 

@@ -101,22 +101,16 @@ class FrameSpec:
     """Pilot/guard layout of one symbol.
 
     ``q_guard`` is the single-sided zero-guard count; ``None`` means a pure
-    data frame with no pilot at all. ``pilot_power`` overrides the default
-    energy-conserving boost (the number of distinct pilot+guard slots).
+    data frame with no pilot at all. The pilot sits on subcarrier 0, the data
+    are 4QAM, and the pilot power is the number of distinct pilot+guard slots
+    (the energy-conserving boost).
     """
 
     q_guard: int | None
-    pilot_power: float | None = None
-    pilot_index: int = 0
-    constellation: str = "4qam"
 
     def __post_init__(self) -> None:
         if self.q_guard is not None and self.q_guard < 0:
             raise ValueError("q_guard must be non-negative")
-        if self.pilot_index != 0:
-            raise ValueError("the pilot is fixed at subcarrier 0")
-        if self.constellation != "4qam":
-            raise ValueError(f"unsupported constellation {self.constellation!r}")
 
     @classmethod
     def from_overhead(cls, n_c: int, po: float) -> "FrameSpec":
@@ -150,9 +144,8 @@ def build_frame(config: AfdmConfig, spec: FrameSpec, rng: np.random.Generator) -
 
     occupied = spec.occupied_slots(n_c)
     n_data = n_c - occupied
-    pilot_power = spec.pilot_power if spec.pilot_power is not None else float(occupied)
     x = np.zeros(n_c, dtype=np.complex128)
-    x[0] = math.sqrt(pilot_power)
+    x[0] = math.sqrt(occupied)
     if n_data:
         offsets = np.arange(-spec.q_guard, spec.q_guard + 1)
         mask = np.ones(n_c, dtype=bool)
@@ -352,23 +345,6 @@ def trial_metrics(
         alg: tuple(np.concatenate(column) for column in zip(*per_block))
         for alg, per_block in blocks.items()
     }
-
-
-def monte_carlo_pd(
-    scenario: ScenarioConfig,
-    algorithm: str,
-    trials: int,
-    seed: int | None = None,
-    snr_db: float | None = None,
-    pilot_overhead: float | None = None,
-    preset_name: str | None = None,
-) -> float:
-    """Detection probability of the scenario's first target (hits of ``trial_metrics``)."""
-    samples = trial_metrics(
-        scenario, (algorithm,), trials, seed, snr_db, pilot_overhead, preset_name,
-        quality=False,
-    )
-    return float(np.mean(samples[algorithm][2]))
 
 
 # ---------------------------------------------------------------------------

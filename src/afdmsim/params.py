@@ -156,49 +156,25 @@ def classic_params(
 
 
 def preset(
-    name: str,
-    n_c: int,
-    k_chirps_or_kmax: int = 1,
-    k_chirps: int = 1,
-    l_cpp: int = 0,
+    name: str, n_c: int, k_chirps: int = 1, k_max: int = 0, l_cpp: int = 0
 ) -> AfdmConfig:
-    """Build a configuration from a named preset.
+    """Build a named preset on a symbol of ``n_c`` samples in ``k_chirps`` periods.
 
-    For ``proposed`` the second argument is ``k_chirps`` (and ``n_p`` follows
-    from n_c); for ``classic`` it is ``k_max``. ``ofdm`` and ``ocdm`` ignore
-    it. ``k_chirps`` fixes the sensing-grid geometry for the non-proposed
-    presets.
+    ``k_max`` enters only the ``classic`` c1; ``l_cpp`` is the chirp-cyclic
+    prefix length of every preset.
     """
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    if k_chirps < 1 or n_c % k_chirps != 0:
+        raise ValueError("k_chirps must divide n_c")
     if name == "proposed":
-        kc = k_chirps_or_kmax
-        if n_c % kc != 0:
-            raise ValueError("k_chirps must divide n_c")
-        return proposed_params(n_c // kc, kc, l_cpp=l_cpp)
+        return proposed_params(n_c // k_chirps, k_chirps, l_cpp=l_cpp)
     if name == "classic":
-        return classic_params(n_c, k_chirps_or_kmax, k_chirps=k_chirps, l_cpp=l_cpp)
-    if name == "ofdm":
-        if n_c % k_chirps != 0:
-            raise ValueError("k_chirps must divide n_c")
-        return AfdmConfig(
-            n_c=n_c,
-            k_chirps=k_chirps,
-            n_p=n_c // k_chirps,
-            c1=Fraction(0),
-            c2=Fraction(0),
-            l_cpp=l_cpp,
-        )
-    if name == "ocdm":
-        if n_c % k_chirps != 0:
-            raise ValueError("k_chirps must divide n_c")
-        return AfdmConfig(
-            n_c=n_c,
-            k_chirps=k_chirps,
-            n_p=n_c // k_chirps,
-            c1=Fraction(1, 2 * n_c),
-            c2=Fraction(1, 2 * n_c),
-            l_cpp=l_cpp,
-        )
-    raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+        return classic_params(n_c, k_max, k_chirps=k_chirps, l_cpp=l_cpp)
+    c = Fraction(0) if name == "ofdm" else Fraction(1, 2 * n_c)
+    return AfdmConfig(
+        n_c=n_c, k_chirps=k_chirps, n_p=n_c // k_chirps, c1=c, c2=c, l_cpp=l_cpp
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +252,14 @@ class ScenarioConfig:
     def bandwidth_hz(self) -> float:
         return self.n_c * self.subcarrier_spacing_hz
 
-    def waveform(self, preset_name: str | None = None, l_cpp: int | None = None) -> AfdmConfig:
-        """Instantiate the AfdmConfig for this scenario's grid."""
-        name = preset_name or self.preset
-        cpp = self.l_max + 1 if l_cpp is None else l_cpp
-        if name == "proposed":
-            return proposed_params(self.n_p, self.k_chirps, l_cpp=cpp)
-        if name == "classic":
-            return classic_params(self.n_c, self.k_max, k_chirps=self.k_chirps, l_cpp=cpp)
-        return preset(name, self.n_c, k_chirps=self.k_chirps, l_cpp=cpp)
+    def waveform(self, preset_name: str | None = None) -> AfdmConfig:
+        """The AfdmConfig of a preset (default: the scenario's) on this grid.
+
+        The chirp-cyclic prefix covers the largest delay: l_cpp = l_max + 1.
+        """
+        return preset(
+            preset_name or self.preset, self.n_c, self.k_chirps, self.k_max, self.l_max + 1
+        )
 
 
 class ScenarioError(ValueError):
@@ -301,12 +276,12 @@ def _parse_value(key: str, raw: str):
     return float(raw)
 
 
-def load_scenario(path: str | Path, name: str | None = None) -> ScenarioConfig:
+def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse a scenario file (``key = value`` lines plus [path] blocks).
 
-    Unknown keys are rejected. Each ``[path]`` block declares one target via
-    either ``gain_re``/``gain_im`` or ``power``/``phase``, plus taps ``l``
-    and ``k``.
+    The scenario is named after the file stem. Unknown keys are rejected.
+    Each ``[path]`` block declares one target via either
+    ``gain_re``/``gain_im`` or ``power``/``phase``, plus taps ``l`` and ``k``.
     """
     path = Path(path)
     top: dict[str, object] = {}
@@ -337,6 +312,9 @@ def load_scenario(path: str | Path, name: str | None = None) -> ScenarioConfig:
 
     if "n_c" not in top:
         raise ScenarioError(f"{path}: missing key n_c")
+    for key in ("k_chirps", "n_p"):
+        if key in top and top[key] < 1:
+            raise ScenarioError(f"{path}: {key} must be >= 1, got {top[key]}")
     n_c = int(top["n_c"])
     if "k_chirps" in top:
         k_chirps = int(top["k_chirps"])
@@ -363,7 +341,7 @@ def load_scenario(path: str | Path, name: str | None = None) -> ScenarioConfig:
         targets.append((gain, int(block["l"]), int(block["k"])))
 
     return ScenarioConfig(
-        name=name or path.stem,
+        name=path.stem,
         n_c=n_c,
         k_chirps=k_chirps,
         n_p=n_p,

@@ -62,14 +62,8 @@ class Detection:
 
 
 def _fast_slow(config: AfdmConfig, samples: np.ndarray) -> np.ndarray:
-    """(n_p, K) fast/slow-time matrix: entry [n, q] = x[n + q*n_p]."""
-    return samples.reshape(config.k_chirps, config.n_p).T
-
-
-def _fast_slow_batch(config: AfdmConfig, stack: np.ndarray) -> np.ndarray:
-    """(B, n_c) stack -> (B, n_p, K) fast/slow-time matrices."""
-    b = stack.shape[0]
-    return stack.reshape(b, config.k_chirps, config.n_p).transpose(0, 2, 1)
+    """(..., n_c) -> (..., n_p, K) fast/slow-time matrices: entry [n, q] = x[n + q*n_p]."""
+    return samples.reshape(*samples.shape[:-1], config.k_chirps, config.n_p).swapaxes(-1, -2)
 
 
 def tfmf_batch(config: AfdmConfig, r_stack: np.ndarray, s_ref) -> np.ndarray:
@@ -78,11 +72,11 @@ def tfmf_batch(config: AfdmConfig, r_stack: np.ndarray, s_ref) -> np.ndarray:
     ``s_ref`` is one reference for every row (a signal or n_c samples) or a
     (B, n_c) stack holding each row's own reference.
     """
-    rm = _fast_slow_batch(config, np.asarray(r_stack, dtype=np.complex128))
+    rm = _fast_slow(config, np.asarray(r_stack, dtype=np.complex128))
     refs = _as_samples(s_ref, config, stacked=True).reshape(-1, config.n_c)
     if len(refs) not in (1, len(rm)):
         raise ValueError(f"{len(refs)} references for {len(rm)} received signals")
-    sm = _fast_slow_batch(config, refs)
+    sm = _fast_slow(config, refs)
     n_p, K = config.n_p, config.k_chirps
     r_fre = np.fft.fft(rm, axis=1) / np.sqrt(n_p)
     s_fre = np.fft.fft(sm, axis=1) / np.sqrt(n_p)
@@ -105,10 +99,10 @@ def tfmf(config: AfdmConfig, r, s_ref) -> DelayDopplerMap:
 
 def dechirp_batch(config: AfdmConfig, r_stack: np.ndarray, pilot) -> np.ndarray:
     """Vectorized dechirp over a (B, n_c) stack of received signals."""
-    rm = _fast_slow_batch(config, np.asarray(r_stack, dtype=np.complex128))
+    rm = _fast_slow(config, np.asarray(r_stack, dtype=np.complex128))
     pm = _fast_slow(config, _as_samples(pilot, config))
     n_p, K = config.n_p, config.k_chirps
-    d = rm * np.conj(pm)[None, :, :]
+    d = rm * np.conj(pm)
     d_range = np.fft.ifft(d, axis=1) * np.sqrt(n_p)
     return np.fft.ifft(d_range, axis=2) * np.sqrt(K)
 
@@ -380,22 +374,20 @@ def cyclic_distance(a: int, b: int, modulus: int) -> int:
     return min(d, modulus - d)
 
 
-def detection_near(
-    detections, l_true: int, k_true: int, n_p: int, k_chirps: int, radius: int = 1
-) -> bool:
-    """True if any detection lies within a cyclic +-radius cell box of the tap."""
+def detection_near(detections, l_true: int, k_true: int, n_p: int, k_chirps: int) -> bool:
+    """True if any detection lies within one cyclic cell of the tap on both axes."""
     k_bin = k_true % k_chirps
     return any(
-        cyclic_distance(d.l, l_true % n_p, n_p) <= radius
-        and cyclic_distance(d.k, k_bin, k_chirps) <= radius
+        cyclic_distance(d.l, l_true % n_p, n_p) <= 1
+        and cyclic_distance(d.k, k_bin, k_chirps) <= 1
         for d in detections
     )
 
 
-def mask_near(mask: np.ndarray, l_true: int, k_true: int, radius: int = 1) -> np.ndarray:
+def mask_near(mask: np.ndarray, l_true: int, k_true: int) -> np.ndarray:
     """Per-map ``detection_near`` on a (..., n_p, K) detection-mask stack."""
     n_p, K = mask.shape[-2:]
-    box = np.arange(-radius, radius + 1)
+    box = np.arange(-1, 2)
     rows = np.mod(l_true + box, n_p)[:, None]
     cols = np.mod(k_true + box, K)[None, :]
     return mask[..., rows, cols].any(axis=(-2, -1))

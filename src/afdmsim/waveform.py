@@ -47,12 +47,10 @@ class TimeSignal:
         return len(self.samples)
 
 
-def _as_samples(
-    signal, config: AfdmConfig, *, allow_cpp: bool = False, stacked: bool = False
-) -> np.ndarray:
-    """Accept a TimeSignal or bare array of n_c samples (``stacked``: (..., n_c))."""
+def _as_samples(signal, config: AfdmConfig, *, stacked: bool = False) -> np.ndarray:
+    """Accept a CPP-free TimeSignal or bare array of n_c samples (``stacked``: (..., n_c))."""
     if isinstance(signal, TimeSignal):
-        if signal.has_cpp and not allow_cpp:
+        if signal.has_cpp:
             raise ValueError("signal still carries a CPP; remove it first")
         return signal.samples
     arr = np.asarray(signal, dtype=np.complex128)

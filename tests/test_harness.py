@@ -233,6 +233,22 @@ class TestCli:
         assert "snr_db" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("lines, message", [
+        ("k_chirps = 0\n", "k_chirps must be >= 1, got 0"),
+        ("k_chirps = 0\nn_p = 8\n", "k_chirps must be >= 1, got 0"),
+        ("n_p = 0\n", "n_p must be >= 1, got 0"),
+        ("k_chirps = 4\nn_p = 0\n", "n_p must be >= 1, got 0"),
+    ], ids=["k_chirps", "k_chirps-and-n_p", "n_p", "n_p-and-k_chirps"])
+    def test_zero_chirp_geometry_rejected(self, tmp_path, capsys, lines, message):
+        scen = tmp_path / "scen.txt"
+        scen.write_text(f"n_c = 32\n{lines}[path]\ngain_re = 1.0\nl = 0\nk = 0\n")
+        out = tmp_path / "o"
+        out.mkdir()
+        code = main(["ddm", "--scenario", str(scen), "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("argv, ignored", [
         (["ddm", "--snr", "5", "--po", "0", "--trials", "3", "--sizes", "16"],
          "ddm does not use --trials, --snr, --po, --sizes"),

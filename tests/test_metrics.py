@@ -16,7 +16,6 @@ from afdmsim.metrics import (
     build_frame,
     image_snr,
     lmmse_detect,
-    monte_carlo_pd,
     pilot_reference,
     pslr,
     qam4_demodulate,
@@ -78,15 +77,6 @@ class TestFrames:
         for idx in (1, 2, 30, 31):
             assert x[idx] == 0
 
-    def test_pilot_power_knob(self):
-        spec = FrameSpec(q_guard=1, pilot_power=9.0)
-        x = build_frame(CFG, spec, np.random.default_rng(3))
-        assert x[0] == pytest.approx(3.0)
-
-    def test_pilot_index_fixed(self):
-        with pytest.raises(ValueError, match="subcarrier 0"):
-            FrameSpec(q_guard=1, pilot_index=3)
-
 
 class TestMapMetrics:
     def test_pslr_hand_value(self):
@@ -132,23 +122,29 @@ DESK = ScenarioConfig(
 
 
 class TestMonteCarloPd:
+    """Detection probability: the mean of ``trial_metrics``' per-trial hits."""
+
     def test_noiseless_ddmf_always_detects(self):
-        pd = monte_carlo_pd(DESK, "ddmf", trials=20, snr_db=math.inf)
-        assert pd == 1.0
+        hits = trial_metrics(DESK, ("ddmf",), 20, snr_db=math.inf, quality=False)["ddmf"][2]
+        assert hits.all()
 
     def test_deep_noise_rarely_detects(self):
-        pd = monte_carlo_pd(DESK, "ddmf", trials=40, snr_db=-60.0)
-        assert pd <= 0.1
+        hits = trial_metrics(DESK, ("ddmf",), 40, snr_db=-60.0, quality=False)["ddmf"][2]
+        assert hits.mean() <= 0.1
 
     def test_monotone_in_snr(self):
-        lo = monte_carlo_pd(DESK, "tfmf", trials=60, snr_db=-25.0)
-        hi = monte_carlo_pd(DESK, "tfmf", trials=60, snr_db=10.0)
+        lo, hi = (
+            trial_metrics(DESK, ("tfmf",), 60, snr_db=snr, quality=False)["tfmf"][2].mean()
+            for snr in (-25.0, 10.0)
+        )
         assert hi >= lo
 
     def test_deterministic_given_seed(self):
-        a = monte_carlo_pd(DESK, "dechirp", trials=25, snr_db=-5.0, seed=3)
-        b = monte_carlo_pd(DESK, "dechirp", trials=25, snr_db=-5.0, seed=3)
-        assert a == b
+        a, b = (
+            trial_metrics(DESK, ("dechirp",), 25, seed=3, snr_db=-5.0, quality=False)
+            for _ in range(2)
+        )
+        assert np.array_equal(a["dechirp"][2], b["dechirp"][2])
 
 
 # n_p = K = 8: the 7-cell CFAR window fits both axes; the targets sit on the

@@ -1,15 +1,28 @@
 """Property tests of the paper's channel identities over random valid geometries."""
 
+import math
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from afdmsim.ambiguity import dpaf_surface
 from afdmsim.channel import PathTap, apply_channel
 from afdmsim.ddgrid import grid_to_vector, io_predict, vector_to_grid
 from afdmsim.metrics import build_effective_channel
-from afdmsim.params import PRESET_NAMES, classic_params, preset, proposed_params
+from afdmsim.params import (
+    PRESET_NAMES,
+    AfdmConfig,
+    ScenarioConfig,
+    classic_params,
+    load_scenario,
+    preset,
+    proposed_params,
+)
 from afdmsim.sensing import (
     _ddmf_direct, cfar_mask_batch, ddmf, ddmf_batch, os_cfar_mask_batch, signed_doppler,
 )
@@ -21,12 +34,9 @@ def geometries(draw, presets=PRESET_NAMES):
     """A waveform config: even n_p in [2, 16], K in [1, 6], any preset in ``presets``."""
     n_p = 2 * draw(st.integers(1, 8))
     k_chirps = draw(st.integers(1, 6))
-    name = draw(st.sampled_from(presets))
-    if name == "classic":
-        return classic_params(n_p * k_chirps, draw(st.integers(0, 3)), k_chirps=k_chirps)
-    if name == "proposed":
-        return preset(name, n_p * k_chirps, k_chirps)
-    return preset(name, n_p * k_chirps, k_chirps=k_chirps)
+    return preset(
+        draw(st.sampled_from(presets)), n_p * k_chirps, k_chirps, draw(st.integers(0, 3))
+    )
 
 
 @st.composite
@@ -151,3 +161,62 @@ def test_cfar_is_invariant_to_power_of_two_scaling(shape, zeros, exponent, seed)
         scaled_mask, scaled_threshold = mask_fn(scaled, 2, 1, 1e-4)
         assert np.array_equal(scaled_mask, mask)
         assert np.array_equal(scaled_threshold, np.ldexp(threshold, exponent))
+
+
+@st.composite
+def scenarios(draw):
+    """A valid ScenarioConfig of any preset with 0-3 targets and a finite or +inf SNR.
+
+    n_p is in [1, 16] (even for ``proposed``) and K in [1, 8]; k_max and l_max
+    stay within the preset's separability limits.
+    """
+    name = draw(st.sampled_from(PRESET_NAMES))
+    proposed = name == "proposed"
+    n_p = 2 * draw(st.integers(1, 8)) if proposed else draw(st.integers(1, 16))
+    k_chirps = draw(st.integers(1, 8))
+    k_max = draw(st.integers(0, (k_chirps - 1) // 2 if proposed else 4))
+    l_max = draw(st.integers(0, n_p - 1 if proposed else 20))
+    gain = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    target = st.tuples(gain, st.integers(0, l_max), st.integers(-k_max, k_max))
+    return ScenarioConfig(
+        name="scenario", n_c=n_p * k_chirps, k_chirps=k_chirps, n_p=n_p, preset=name,
+        l_max=l_max, k_max=k_max,
+        snr_db=draw(st.floats(-100.0, 100.0) | st.just(math.inf)),
+        pilot_overhead=draw(st.floats(0.0, 1.0)),
+        rng_seed=draw(st.integers(0, 2**31)),
+        targets=tuple(draw(st.lists(target, max_size=3))),
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(sc=scenarios(), name=st.sampled_from(PRESET_NAMES))
+def test_scenario_waveform_is_the_preset_formula(sc, name):
+    assume(name != "proposed" or sc.n_p % 2 == 0)
+    cpp = sc.l_max + 1
+    if name == "proposed":
+        want = proposed_params(sc.n_p, sc.k_chirps, l_cpp=cpp)
+    elif name == "classic":
+        want = classic_params(sc.n_c, sc.k_max, k_chirps=sc.k_chirps, l_cpp=cpp)
+    else:
+        c = Fraction(0) if name == "ofdm" else Fraction(1, 2 * sc.n_c)
+        want = AfdmConfig(sc.n_c, sc.k_chirps, sc.n_p, c1=c, c2=c, l_cpp=cpp)
+    assert sc.waveform(name) == want
+    assert sc.waveform() == sc.waveform(sc.preset)
+
+
+@settings(deadline=None, max_examples=100)
+@given(sc=scenarios(), geometry_key=st.sampled_from(("k_chirps", "n_p")))
+def test_scenario_file_round_trip(sc, geometry_key):
+    lines = [
+        f"n_c = {sc.n_c}", f"{geometry_key} = {getattr(sc, geometry_key)}",
+        f"preset = {sc.preset}", f"k_max = {sc.k_max}", f"l_max = {sc.l_max}",
+        f"snr_db = {sc.snr_db!r}", f"pilot_overhead = {sc.pilot_overhead!r}",
+        f"seed = {sc.rng_seed}",
+    ]
+    for gain, l, k in sc.targets:
+        lines += ["[path]", f"gain_re = {gain.real!r}", f"gain_im = {gain.imag!r}",
+                  f"l = {l}", f"k = {k}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert load_scenario(path) == sc
