@@ -37,18 +37,23 @@ def dpaf_brute(a, b, l: int, k: int) -> complex:
     return complex(np.sum(av * np.conj(np.roll(bv, l)) * unit_phasor(k * n, n_c)))
 
 
-def dpaf_surface(a, b) -> np.ndarray:
-    """Full (n_c, n_c) cross-ambiguity plane, rows indexed by delay l.
+def dpaf_surface(a, b, n_delays: int | None = None) -> np.ndarray:
+    """Cross-ambiguity rows at delays l = 0..n_delays-1 (default: the full plane).
 
-    Row l is the length-n_c inverse DFT of a * conj(roll(b, l)) scaled by
-    n_c, which equals :func:`dpaf_brute` at every Doppler k.
+    Returns an (n_delays, n_c) array. Row l is the length-n_c inverse DFT of
+    a * conj(roll(b, l)) scaled by n_c, which equals :func:`dpaf_brute` at
+    every Doppler k; each row is computed alone, so the first rows are the
+    same bits whatever ``n_delays`` is.
     """
     av, bv = _samples(a), _samples(b)
     if av.shape != bv.shape or av.ndim != 1:
         raise ValueError("signals must be 1-D and of equal length")
     n_c = len(av)
-    rows = np.empty((n_c, n_c), dtype=np.complex128)
-    for l in range(n_c):
+    n_delays = n_c if n_delays is None else n_delays
+    if not 0 <= n_delays <= n_c:
+        raise ValueError(f"n_delays must lie in [0, {n_c}], got {n_delays}")
+    rows = np.empty((n_delays, n_c), dtype=np.complex128)
+    for l in range(n_delays):
         rows[l] = np.fft.ifft(av * np.conj(np.roll(bv, l))) * n_c
     return rows
 

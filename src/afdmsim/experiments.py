@@ -2,7 +2,7 @@
 
 Every run resolves a scenario (built-in name or file) and executes one
 experiment kind for each requested (preset, algorithm) combination. A kind's
-runner yields ``(file name, header, rows)`` tables; :func:`run` alone writes
+runner yields ``(file name, header, columns)`` tables; :func:`run` alone writes
 them as ``<kind>_<preset>_<algorithm>.csv`` plus ``manifest.json`` recording
 the fully resolved configuration, and removes its outputs and any manifest on
 failure. Fixed seeds give byte-identical CSVs, except for ``runtime_scaling``
@@ -17,13 +17,12 @@ import os
 import time
 from dataclasses import asdict, astuple, dataclass
 from functools import partial
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import csvio
-from .ambiguity import aaf_psi0_surface, dpaf_surface
+from .ambiguity import aaf_psi0_closed, dpaf_surface
 from .channel import PathTap, apply_channel, taps_from_targets
 from .ddgrid import grid_to_vector, io_predict, vector_to_grid
 from .metrics import (
@@ -187,8 +186,8 @@ def run(spec: ExperimentSpec) -> list[Path]:
     written: list[Path] = []
     outputs: dict[str, list[str]] = {}
     try:
-        for name, header, rows in _RUNNERS[spec.kind](spec):
-            written.append(csvio.write_csv(out_dir / name, header, rows))
+        for name, header, columns in _RUNNERS[spec.kind](spec):
+            written.append(csvio.write_csv(out_dir / name, header, columns))
             outputs[name] = list(header)
         manifest = {
             "kind": spec.kind,
@@ -222,15 +221,13 @@ def run(spec: ExperimentSpec) -> list[Path]:
 
 
 # ---------------------------------------------------------------------------
-# Individual experiment kinds: each yields (file name, header, rows) tables
+# Individual experiment kinds: each yields (file name, header, columns) tables
 # ---------------------------------------------------------------------------
 
-def _grid_rows(*planes):
-    """Lazy row-major ``(l, k, value, ...)`` rows of equal-shape 2-D arrays."""
+def _grid_columns(*planes) -> list[np.ndarray]:
+    """Row-major ``l, k, value, ...`` columns of equal-shape 2-D arrays."""
     n_l, n_k = planes[0].shape
-    ls = chain.from_iterable(repeat(l, n_k) for l in range(n_l))
-    ks = chain.from_iterable(repeat(range(n_k), n_l))
-    return zip(ls, ks, *(map(float, plane.flat) for plane in planes))
+    return [*np.divmod(np.arange(n_l * n_k), n_k), *(plane.ravel() for plane in planes)]
 
 
 def _run_ddm(spec):
@@ -247,21 +244,23 @@ def _run_ddm(spec):
         )
         for alg, ddm in maps.items():
             yield (f"ddm_{preset_name}_{alg}.csv", ["l", "k", "magnitude_db"],
-                   _grid_rows(csvio.peak_db(ddm.cells)))
+                   _grid_columns(csvio.peak_db(ddm.cells)))
 
 
 def _run_af_surface(spec):
+    """The base subcarrier's auto-ambiguity at delays 0..n_p-1 (one chirp period)."""
     sc = spec.scenario
     for preset_name in spec.resolved_presets:
         config = sc.waveform(preset_name)
         if config.fmcw_equivalent:
-            surface = aaf_psi0_surface(config)
+            l = np.arange(config.n_p)[:, None]
+            k = np.arange(config.n_c)[None, :]
+            cells = aaf_psi0_closed(config, l, k)
         else:
             base = subcarrier(config, 0)
-            surface = dpaf_surface(base, base)
-        cells = surface[: config.n_p, :]
+            cells = dpaf_surface(base, base, n_delays=config.n_p)
         yield (f"af_surface_{preset_name}_psi0.csv", ["l", "k", "re", "im", "magnitude_db"],
-               _grid_rows(cells.real, cells.imag, csvio.peak_db(cells)))
+               _grid_columns(cells.real, cells.imag, csvio.peak_db(cells)))
 
 
 def _metric_row(snr_db, po, algorithm, preset_name, report: MetricReport) -> tuple:
@@ -300,7 +299,7 @@ def _run_sweep(spec):
         if spec.kind == "pd_curve":
             n = len(_algorithms_for(preset_name, spec.algorithms))
             rows = [row for j in range(n) for row in rows[j::n]]
-        yield f"{spec.kind}_{preset_name}_all.csv", csvio.METRIC_COLUMNS, rows
+        yield f"{spec.kind}_{preset_name}_all.csv", csvio.METRIC_COLUMNS, list(zip(*rows))
 
 
 def _run_ber_curve(spec):
@@ -327,7 +326,7 @@ def _run_ber_curve(spec):
                 trials=bits,
             )
             rows.append(_metric_row(snr, 0.0, "lmmse", preset_name, report))
-        yield f"ber_curve_{preset_name}_lmmse.csv", csvio.METRIC_COLUMNS, rows
+        yield f"ber_curve_{preset_name}_lmmse.csv", csvio.METRIC_COLUMNS, list(zip(*rows))
 
 
 def _run_io_check(spec):
@@ -359,7 +358,8 @@ def _run_io_check(spec):
     yield (
         "io_check_proposed_all.csv",
         ["n_c", "trials", "max_abs_error", "tolerance", "passed"],
-        [(config.n_c, spec.trials, worst, IO_CHECK_TOLERANCE, worst < IO_CHECK_TOLERANCE)],
+        [(config.n_c,), (spec.trials,), (worst,), (IO_CHECK_TOLERANCE,),
+         (worst < IO_CHECK_TOLERANCE,)],
     )
     if worst >= IO_CHECK_TOLERANCE:
         raise NumericalCheckError(
@@ -434,10 +434,11 @@ def _run_runtime_scaling(spec):
     by_alg: dict[str, list[tuple[int, float]]] = {}
     for alg, n_c, seconds in rows:
         by_alg.setdefault(alg, []).append((n_c, seconds))
-    yield "runtime_scaling_proposed_all.csv", ["algorithm", "n_c", "seconds_per_map"], rows
+    yield ("runtime_scaling_proposed_all.csv", ["algorithm", "n_c", "seconds_per_map"],
+           list(zip(*rows)))
     yield "runtime_slopes_proposed_all.csv", ["algorithm", "slope"], [
-        (alg, loglog_slope([n for n, _ in pts], [s for _, s in pts]))
-        for alg, pts in by_alg.items()
+        list(by_alg),
+        [loglog_slope([n for n, _ in pts], [s for _, s in pts]) for pts in by_alg.values()],
     ]
 
 

@@ -18,6 +18,7 @@ drift (see :mod:`afdmsim._phase`).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -243,6 +244,8 @@ class ScenarioConfig:
                     f"path separability needs n_p > l_max ({self.n_p} <= {self.l_max})"
                 )
         for gain, l, k in self.targets:
+            if not cmath.isfinite(gain):
+                raise ValueError(f"target gain {gain} must be finite")
             if not 0 <= l <= self.l_max:
                 raise ValueError(f"target delay tap {l} outside [0, l_max]")
             if abs(k) > self.k_max:
@@ -267,13 +270,25 @@ class ScenarioError(ValueError):
 
 
 def _parse_value(key: str, raw: str):
+    """The value of one ``key = raw`` line; a ValueError says what is wrong with it."""
     if key in ("n_c", "k_chirps", "n_p", "k_max", "l_max", "seed", "l", "k"):
-        return int(raw)
+        try:
+            return int(raw)
+        except ValueError:
+            raise ValueError(f"{key} must be an integer, got {raw!r}") from None
     if key == "preset":
         if raw not in PRESET_NAMES:
-            raise ScenarioError(f"unknown preset {raw!r}")
+            raise ValueError(f"unknown preset {raw!r}")
         return raw
-    return float(raw)
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"{key} must be a number, got {raw!r}") from None
+    if key in PATH_KEYS and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {raw!r}")
+    if key == "power" and value < 0.0:
+        raise ValueError(f"power must be >= 0, got {raw!r}")
+    return value
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -304,11 +319,15 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         if block is None:
             if key not in SCENARIO_KEYS:
                 raise ScenarioError(f"{path}:{lineno}: unknown key {key!r}")
-            top[key] = _parse_value(key, raw)
+            target = top
         else:
             if key not in PATH_KEYS:
                 raise ScenarioError(f"{path}:{lineno}: unknown path key {key!r}")
-            block[key] = _parse_value(key, raw)
+            target = block
+        try:
+            target[key] = _parse_value(key, raw)
+        except ValueError as exc:
+            raise ScenarioError(f"{path}:{lineno}: {exc}") from None
 
     if "n_c" not in top:
         raise ScenarioError(f"{path}: missing key n_c")

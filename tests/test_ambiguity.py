@@ -12,7 +12,8 @@ from afdmsim.ambiguity import (
     dpaf_brute,
     dpaf_surface,
 )
-from afdmsim.params import classic_params, proposed_params
+from afdmsim.experiments import ExperimentSpec, builtin_scenarios, run
+from afdmsim.params import PRESET_NAMES, classic_params, proposed_params
 from afdmsim.waveform import echo_form_subcarrier, subcarrier
 
 CFG = proposed_params(8, 4)  # n_c = 32
@@ -34,6 +35,11 @@ class TestBrute:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             dpaf_brute(PSI0.samples, PSI0.samples[:-1], 0, 0)
+
+    @pytest.mark.parametrize("n_delays", [-1, 33])
+    def test_delay_count_outside_the_symbol(self, n_delays):
+        with pytest.raises(ValueError, match="n_delays"):
+            dpaf_surface(PSI0, PSI0, n_delays=n_delays)
 
     def test_surface_matches_pointwise(self):
         surf = dpaf_surface(PSI0, PSI0)
@@ -125,3 +131,24 @@ class TestCafClosedForm:
         k = np.arange(32)[None, :]
         closed = caf_closed(CFG, sub_a, sub_b, l, k)
         assert np.abs(surf - closed).max() < 1e-9
+
+
+@pytest.mark.parametrize("scenario", ["desk", "table1"])
+def test_af_surface_rows_are_the_full_planes_first_rows(tmp_path, scenario):
+    # the artifact evaluates delays 0..n_p-1 only; its cells are the same bits
+    # as the first n_p rows of the full-plane surfaces
+    sc = builtin_scenarios()[scenario]
+    run(ExperimentSpec(kind="af_surface", scenario=sc, out_dir=tmp_path, presets=PRESET_NAMES))
+    for preset_name in PRESET_NAMES:
+        config = sc.waveform(preset_name)
+        if config.fmcw_equivalent:
+            full = aaf_psi0_surface(config)
+        else:
+            base = subcarrier(config, 0)
+            full = dpaf_surface(base, base)
+        expected = full[: config.n_p].ravel()
+        table = np.loadtxt(tmp_path / f"af_surface_{preset_name}_psi0.csv", delimiter=",",
+                           skiprows=1, usecols=(2, 3))
+        assert table.shape == (config.n_p * config.n_c, 2)
+        for column, part in zip(table.T, (expected.real, expected.imag)):
+            assert column.view(np.uint64).tolist() == part.view(np.uint64).tolist()

@@ -249,6 +249,29 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("top, path_line, message", [
+        ("n_c = 32.5", "gain_re = 1.0", "scen.txt:1: n_c must be an integer, got '32.5'"),
+        ("snr_db = loud", "gain_re = 1.0", "scen.txt:1: snr_db must be a number, got 'loud'"),
+        ("", "gain_re = nan", "scen.txt:6: gain_re must be finite, got 'nan'"),
+        ("", "gain_im = -inf", "scen.txt:6: gain_im must be finite, got '-inf'"),
+        ("", "power = -1", "scen.txt:6: power must be >= 0, got '-1'"),
+        ("", "phase = inf", "scen.txt:6: phase must be finite, got 'inf'"),
+        ("", "l = 0.5", "scen.txt:6: l must be an integer, got '0.5'"),
+    ], ids=["n_c", "snr_db", "gain_re", "gain_im", "power", "phase", "l"])
+    def test_bad_scenario_value_names_file_line_and_key(
+        self, tmp_path, capsys, top, path_line, message
+    ):
+        scen = tmp_path / "scen.txt"
+        scen.write_text(
+            f"{top}\nn_c = 32\nk_chirps = 4\nk_max = 1\n[path]\n{path_line}\nl = 0\nk = 0\n"
+        )
+        out = tmp_path / "o"
+        out.mkdir()
+        code = main(["ddm", "--scenario", str(scen), "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("argv, ignored", [
         (["ddm", "--snr", "5", "--po", "0", "--trials", "3", "--sizes", "16"],
          "ddm does not use --trials, --snr, --po, --sizes"),

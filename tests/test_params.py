@@ -103,6 +103,11 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="snr_db"):
             ScenarioConfig(name="bad", n_c=32, k_chirps=4, n_p=8, snr_db=snr_db)
 
+    @pytest.mark.parametrize("gain", [complex(math.nan, 0.0), complex(0.0, math.inf), math.nan])
+    def test_non_finite_target_gain_rejected(self, gain):
+        with pytest.raises(ValueError, match="target gain"):
+            ScenarioConfig(name="bad", n_c=32, k_chirps=4, n_p=8, targets=((gain, 0, 0),))
+
     def test_infinite_snr_is_noise_free(self):
         sc = ScenarioConfig(name="clean", n_c=32, k_chirps=4, n_p=8, snr_db=float("inf"))
         assert sc.snr_db == float("inf")
