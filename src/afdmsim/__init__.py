@@ -50,7 +50,6 @@ from .params import (
     load_scenario,
     preset,
     proposed_params,
-    sweep_family_params,
 )
 from .sensing import (
     DelayDopplerMap,

@@ -70,23 +70,31 @@ def taps_from_targets(targets) -> list[PathTap]:
     return [PathTap(complex(g), int(l), int(k)) for g, l, k in targets]
 
 
-def _delay_doppler(samples: np.ndarray, paths) -> np.ndarray:
-    """The cyclic delay-Doppler channel on the last axis of a (..., n_c) stack."""
-    n_c = samples.shape[-1]
+def _doppler_taps(paths, n_c: int) -> list[tuple[complex, int, np.ndarray]]:
+    """(gain, cyclic shift, Doppler phasor exp(-j2pi k n/n_c)) of each path on n_c samples."""
     n = np.arange(n_c, dtype=np.int64)
+    return [
+        (complex(p.gain), p.delay_tap % n_c, unit_phasor(-p.doppler_tap * n, n_c))
+        for p in paths
+    ]
+
+
+def _delay_doppler(samples: np.ndarray, taps) -> np.ndarray:
+    """The cyclic delay-Doppler channel on the last axis of a (..., n_c) stack.
+
+    ``taps`` is ``_doppler_taps(paths, n_c)``, built once by the caller for
+    every stack that passes through the same paths.
+    """
     out = np.zeros(samples.shape, dtype=np.complex128)
-    for p in paths:
-        out += (
-            complex(p.gain)
-            * np.roll(samples, p.delay_tap % n_c, axis=-1)
-            * unit_phasor(-p.doppler_tap * n, n_c)
-        )
+    for gain, shift, phasor in taps:
+        out += gain * np.roll(samples, shift, axis=-1) * phasor
     return out
 
 
 def apply_channel(config: AfdmConfig, s, paths) -> TimeSignal:
     """Cyclic delay-Doppler channel on a CPP-free symbol (noise-free)."""
-    return TimeSignal(_delay_doppler(_as_samples(s, config), paths), config)
+    taps = _doppler_taps(paths, config.n_c)
+    return TimeSignal(_delay_doppler(_as_samples(s, config), taps), config)
 
 
 def apply_channel_linear(config: AfdmConfig, s: TimeSignal, paths) -> TimeSignal:

@@ -367,13 +367,21 @@ def _run_io_check(spec):
         )
 
 
-def _time_batch(fn, reps: int) -> float:
-    best = math.inf
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _best_round_robin(runs) -> list[float]:
+    """Best per-map seconds of each (run, maps) over ``BENCHMARK_REPS`` rounds.
+
+    Each round times every run once, so a phase of host load slows every
+    run of the round alike instead of tilting one size's timing.
+    """
+    rounds = []
+    for _ in range(BENCHMARK_REPS):
+        times = []
+        for run, maps in runs:
+            t0 = time.perf_counter()
+            run()
+            times.append((time.perf_counter() - t0) / maps)
+        rounds.append(times)
+    return [min(times) for times in zip(*rounds)]
 
 
 def benchmark_pipelines(sizes, seed: int = 0) -> list[tuple[str, int, float]]:
@@ -386,17 +394,20 @@ def benchmark_pipelines(sizes, seed: int = 0) -> list[tuple[str, int, float]]:
     O(K n_c log n_p)). The matched-filter batch holds
     2**24 / n_c^2 maps (at most 256), so its contraction works on the same
     4 MB at every size from 256 to 2048: no size gets a cache advantage
-    that would tilt the measured slope.
+    that would tilt the measured slope. The transform pipelines' repetitions
+    go round-robin over the sizes, then the matched filter's.
     """
     rng = np.random.default_rng(seed)
-    results, ddmf_runs = [], []
-    for n_c in sizes:
+    batches_fast = [int(np.clip(2**21 // n_c, 64, 8192)) for n_c in sizes]
+    # every size's transform batch is a view of one draw, so that holding
+    # all of them for the round-robin costs no more memory than one
+    total = max(b * n_c for b, n_c in zip(batches_fast, sizes))
+    samples = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+    fast_runs, ddmf_runs = [], []
+    for n_c, batch_fast in zip(sizes, batches_fast):
         config = proposed_params(n_c // BENCHMARK_K_CHIRPS, BENCHMARK_K_CHIRPS)
         pilot = subcarrier(config, 0).samples
-        batch_fast = int(np.clip(2**21 // n_c, 64, 8192))
-        stack = rng.standard_normal((batch_fast, n_c)) + 1j * rng.standard_normal(
-            (batch_fast, n_c)
-        )
+        stack = samples[: batch_fast * n_c].reshape(batch_fast, n_c)
         n_p, K = config.n_p, config.k_chirps
 
         run_tfmf = partial(tfmf_batch, config, stack, pilot)
@@ -412,15 +423,11 @@ def benchmark_pipelines(sizes, seed: int = 0) -> list[tuple[str, int, float]]:
 
         run_ddmf = partial(_ddmf_direct, config, y, x)
         run_tfmf(), run_dechirp(), run_ddmf()  # warm-up
-        results.append(("tfmf", n_c, _time_batch(run_tfmf, BENCHMARK_REPS) / batch_fast))
-        results.append(("dechirp", n_c, _time_batch(run_dechirp, BENCHMARK_REPS) / batch_fast))
-        ddmf_runs.append((n_c, run_ddmf, batch_mf))
-    # ddmf repetitions go round-robin over the sizes, so that a phase of host
-    # load slows every size alike instead of tilting the O(n_c^2) slope
-    rounds = [
-        [_time_batch(run, 1) / batch for _, run, batch in ddmf_runs] for _ in range(BENCHMARK_REPS)
-    ]
-    results += [("ddmf", n_c, min(times)) for (n_c, _, _), times in zip(ddmf_runs, zip(*rounds))]
+        fast_runs += [(run_tfmf, batch_fast), (run_dechirp, batch_fast)]
+        ddmf_runs.append((run_ddmf, batch_mf))
+    fast = iter(_best_round_robin(fast_runs))
+    results = [(alg, n_c, next(fast)) for n_c in sizes for alg in ("tfmf", "dechirp")]
+    results += [("ddmf", n_c, t) for n_c, t in zip(sizes, _best_round_robin(ddmf_runs))]
     return sorted(results, key=lambda row: sizes.index(row[1]))
 
 

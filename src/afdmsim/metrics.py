@@ -15,14 +15,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import PathTap, _awgn, _delay_doppler, noise_variance, taps_from_targets
+from .channel import (
+    PathTap,
+    _awgn,
+    _delay_doppler,
+    _doppler_taps,
+    noise_variance,
+    taps_from_targets,
+)
 from .params import AfdmConfig, ScenarioConfig
 from .ddgrid import vector_to_grid
 from .sensing import (  # noqa: F401 -- ddmf is re-exported
     DelayDopplerMap,
+    _DdmfPlan,
+    _ddmf_plan,
     cfar_mask_batch,
     ddmf,
     ddmf_batch,
@@ -30,7 +40,7 @@ from .sensing import (  # noqa: F401 -- ddmf is re-exported
     mask_near,
     tfmf_batch,
 )
-from .waveform import _chirps, _modulate, demodulate, subcarrier
+from .waveform import TimeSignal, _chirps, _modulate, demodulate, subcarrier
 
 ALGORITHMS = ("tfmf", "dechirp", "ddmf")
 
@@ -216,34 +226,51 @@ def image_snr(ddm, target: tuple[int, int]):
 # Monte-Carlo sensing trials
 # ---------------------------------------------------------------------------
 
-def _matched_maps(config: AfdmConfig, algorithm: str, x, s, r, tfmf_reference: str, pilot):
+class _TrialPlan(NamedTuple):
+    """What every trial block of one ``sensing_trials`` call shares, built once per call."""
+
+    pilot: TimeSignal        # pilot_reference(config)
+    chirps: tuple            # _chirps(config), for modulate and demodulate
+    taps: list               # _doppler_taps(paths, n_c), for the channel
+    ddmf: _DdmfPlan | None   # _ddmf_plan(config) when ddmf is among the algorithms
+
+
+def _trial_plan(config: AfdmConfig, paths, algorithms) -> _TrialPlan:
+    return _TrialPlan(
+        pilot=pilot_reference(config),
+        chirps=_chirps(config),
+        taps=_doppler_taps(paths, config.n_c),
+        ddmf=_ddmf_plan(config) if "ddmf" in algorithms else None,
+    )
+
+
+def _matched_maps(config: AfdmConfig, algorithm: str, x, s, r, tfmf_reference: str, plan):
     """(B, n_p, K) maps of one algorithm from (B, n_c) symbol, transmit and received stacks."""
     if algorithm == "tfmf":
-        return tfmf_batch(config, r, s if tfmf_reference == "transmit" else pilot)
+        return tfmf_batch(config, r, s if tfmf_reference == "transmit" else plan.pilot)
     if algorithm == "dechirp":
-        return dechirp_batch(config, r, pilot)
+        return dechirp_batch(config, r, plan.pilot)
     if algorithm == "ddmf":
-        y_grids = vector_to_grid(config, demodulate(config, r))
-        return ddmf_batch(config, y_grids, vector_to_grid(config, x))
+        y_grids = vector_to_grid(config, demodulate(config, r, plan.chirps))
+        return ddmf_batch(config, y_grids, vector_to_grid(config, x), plan.ddmf)
     raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
 
-def _trial_block(config, frame, paths, snr_db, algorithms, rngs, tfmf_reference, pilot, chirps):
+def _trial_block(config, frame, snr_db, algorithms, rngs, tfmf_reference, plan: _TrialPlan):
     """{algorithm: (B, n_p, K) maps}, one trial per generator; each draws frame bits, then noise.
 
     The draws stay per trial; modulation, channel and noise act once on the (B, n_c) stacks.
-    The caller builds ``pilot`` (``pilot_reference``) and ``chirps`` (``_chirps``) once.
     """
     x, noise = zip(
         *[(build_frame(config, frame, rng), _awgn(config.n_c, snr_db, rng)) for rng in rngs]
     )
     x = np.stack(x)
-    s = _modulate(config, x, chirps)
-    r = _delay_doppler(s, paths)
+    s = _modulate(config, x, plan.chirps)
+    r = _delay_doppler(s, plan.taps)
     if noise[0] is not None:  # None: no noise drawn at +inf SNR
         r += np.stack(noise)
     return {
-        alg: _matched_maps(config, alg, x, s, r, tfmf_reference, pilot) for alg in algorithms
+        alg: _matched_maps(config, alg, x, s, r, tfmf_reference, plan) for alg in algorithms
     }
 
 
@@ -262,8 +289,8 @@ def sensing_maps(
     transmit signal (default) or the deterministic pilot only.
     """
     maps = _trial_block(
-        config, spec, paths, snr_db, algorithms, [rng], tfmf_reference,
-        pilot_reference(config), _chirps(config),
+        config, spec, snr_db, algorithms, [rng], tfmf_reference,
+        _trial_plan(config, paths, algorithms),
     )
     return {alg: DelayDopplerMap(cells[0], config, alg) for alg, cells in maps.items()}
 
@@ -285,15 +312,15 @@ def sensing_trials(
 ):
     """Yield {algorithm: (B, n_p, K) maps} for trials 0..trials-1, B <= TRIAL_BLOCK.
 
-    Trial t is ``sensing_maps`` on ``trial_rng(seed, t)``. The pilot and the
-    chirps are built once per call and shared by every block.
+    Trial t is ``sensing_maps`` on ``trial_rng(seed, t)``. Whatever depends
+    only on the config and the paths -- the pilot, the chirp pair, the
+    channel's Doppler taps and the ddmf phasors (``_trial_plan``) -- is built
+    once per call and shared by every block; nothing outlives the call.
     """
-    pilot, chirps = pilot_reference(config), _chirps(config)
+    plan = _trial_plan(config, paths, algorithms)
     for start in range(0, trials, TRIAL_BLOCK):
         rngs = [trial_rng(seed, t) for t in range(start, min(start + TRIAL_BLOCK, trials))]
-        yield _trial_block(
-            config, frame, paths, snr_db, algorithms, rngs, tfmf_reference, pilot, chirps
-        )
+        yield _trial_block(config, frame, snr_db, algorithms, rngs, tfmf_reference, plan)
 
 
 def trial_metrics(
@@ -332,15 +359,17 @@ def trial_metrics(
         scenario.snr_db if snr_db is None else snr_db, algorithms, trials,
         scenario.rng_seed if seed is None else seed, tfmf_reference,
     ):
-        # one CFAR call on the (algorithms, B, n_p, K) stack of the block's maps
-        stack = np.stack(list(maps.values()))
-        mask, _ = cfar_mask_batch(np.abs(stack) ** 2, CFAR_TRAIN, CFAR_GUARD, CFAR_PFA)
-        for alg, cells, hits in zip(maps, stack, mask_near(mask, l, k)):
-            if quality:
-                ratios = pslr(cells, cell), image_snr(cells, cell)
-            else:
-                ratios = (np.full(len(cells), np.nan),) * 2
-            blocks[alg].append((*ratios, hits))
+        # one magnitude, one CFAR call and one quality pass on the
+        # (algorithms, B, n_p, K) stack of the block's maps
+        mag = np.abs(np.stack(list(maps.values())))
+        mask, _ = cfar_mask_batch(mag**2, CFAR_TRAIN, CFAR_GUARD, CFAR_PFA)
+        hits = mask_near(mask, l, k)
+        if quality:
+            ratios = pslr(mag, cell), image_snr(mag, cell)
+        else:
+            ratios = (np.full(hits.shape, np.nan),) * 2
+        for alg, *per_alg in zip(maps, *ratios, hits):
+            blocks[alg].append(per_alg)
     return {
         alg: tuple(np.concatenate(column) for column in zip(*per_block))
         for alg, per_block in blocks.items()
@@ -359,7 +388,8 @@ def build_effective_channel(config: AfdmConfig, paths) -> np.ndarray:
     """
     eye = np.eye(config.n_c, dtype=np.complex128)
     # row m of each stack is the image of the basis vector e_m
-    return demodulate(config, _delay_doppler(_modulate(config, eye), paths)).T
+    taps = _doppler_taps(paths, config.n_c)
+    return demodulate(config, _delay_doppler(_modulate(config, eye), taps)).T
 
 
 def lmmse_detect(
@@ -429,6 +459,7 @@ def lmmse_ber_compare(
         rng = trial_rng(seed, real)
         gains = rayleigh_gains(target_powers, rng)
         paths = [PathTap(complex(g), l, k) for g, (l, k) in zip(gains, taps)]
+        doppler_taps = _doppler_taps(paths, n_c)
         bits = rng.integers(0, 2, size=(per_real, n_c, 2))
         w = (
             rng.standard_normal((n_c, per_real))
@@ -436,14 +467,14 @@ def lmmse_ber_compare(
         ) / math.sqrt(2.0)
         # H = A^H H_t A with A unitary: detect in the time domain, where the
         # channel and its Gram are the same for every config
-        H_t = _delay_doppler(np.eye(n_c, dtype=np.complex128), paths).T
+        H_t = _delay_doppler(np.eye(n_c, dtype=np.complex128), doppler_taps).T
         gram = H_t @ H_t.conj().T
         # time-domain symbols A x and noise A w, each (configs, per_real, n_c);
         # A w is white like w because A is unitary
         s, noise = np.stack(
             [_modulate(c, np.stack([qam4_modulate(bits), w.T])) for c in configs.values()]
         ).swapaxes(0, 1)
-        r0 = _delay_doppler(s, paths)
+        r0 = _delay_doppler(s, doppler_taps)
         for snr in snr_db_list:
             sigma2 = noise_variance(float(snr))
             r = (r0 + math.sqrt(sigma2) * noise).reshape(-1, n_c).T

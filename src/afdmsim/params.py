@@ -114,23 +114,6 @@ def proposed_params(n_p: int, k_chirps: int, l_cpp: int = 0) -> AfdmConfig:
     )
 
 
-def sweep_family_params(n_p: int, k_chirps: int, z_a: int, l_cpp: int = 0) -> AfdmConfig:
-    """Generalized periodic-chirp set with ``z_a`` full sweeps per period.
-
-    ``z_a * n_p`` must be even (for odd periods only even sweep counts keep
-    the quadratic phase periodic).
-    """
-    return AfdmConfig(
-        n_c=k_chirps * n_p,
-        k_chirps=k_chirps,
-        n_p=n_p,
-        c1=Fraction(z_a, 2 * n_p),
-        c2=Fraction(0),
-        l_cpp=l_cpp,
-        z_a=z_a,
-    )
-
-
 def classic_params(
     n_c: int, k_max: int, k_chirps: int = 1, l_cpp: int = 0
 ) -> AfdmConfig:
@@ -227,12 +210,8 @@ class ScenarioConfig:
             raise ValueError("n_c must equal k_chirps * n_p")
         if self.preset not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.preset!r}")
-        if not 0.0 <= self.pilot_overhead <= 1.0:
-            raise ValueError("pilot_overhead must lie in [0, 1]")
-        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
-            raise ValueError(f"snr_db must be finite or +inf (noise-free), got {self.snr_db}")
-        if self.l_max < 0 or self.k_max < 0:
-            raise ValueError("l_max and k_max must be non-negative")
+        for key in ("pilot_overhead", "snr_db", "l_max", "k_max"):
+            _check_field(key, getattr(self, key))
         if self.preset == "proposed":
             if self.k_chirps <= 2 * self.k_max:
                 raise ValueError(
@@ -243,13 +222,8 @@ class ScenarioConfig:
                 raise ValueError(
                     f"path separability needs n_p > l_max ({self.n_p} <= {self.l_max})"
                 )
-        for gain, l, k in self.targets:
-            if not cmath.isfinite(gain):
-                raise ValueError(f"target gain {gain} must be finite")
-            if not 0 <= l <= self.l_max:
-                raise ValueError(f"target delay tap {l} outside [0, l_max]")
-            if abs(k) > self.k_max:
-                raise ValueError(f"target Doppler tap {k} outside [-k_max, k_max]")
+        for target in self.targets:
+            _check_target(target, self.l_max, self.k_max)
 
     @property
     def bandwidth_hz(self) -> float:
@@ -265,29 +239,52 @@ class ScenarioConfig:
         )
 
 
+def _check_field(key: str, value) -> None:
+    """Raise ValueError if the value of one ``ScenarioConfig`` field is invalid on its own."""
+    if key == "pilot_overhead" and not 0.0 <= value <= 1.0:
+        raise ValueError("pilot_overhead must lie in [0, 1]")
+    if key == "snr_db" and (math.isnan(value) or value == -math.inf):
+        raise ValueError(f"snr_db must be finite or +inf (noise-free), got {value}")
+    if key in ("l_max", "k_max") and value < 0:
+        raise ValueError(f"{key} must be non-negative")
+
+
+def _check_target(target, l_max: int, k_max: int) -> None:
+    """Raise ValueError if a (gain, l, k) target is invalid under the channel bounds."""
+    gain, l, k = target
+    if not cmath.isfinite(gain):
+        raise ValueError(f"target gain {gain} must be finite")
+    if not 0 <= l <= l_max:
+        raise ValueError(f"target delay tap {l} outside [0, l_max]")
+    if abs(k) > k_max:
+        raise ValueError(f"target Doppler tap {k} outside [-k_max, k_max]")
+
+
 class ScenarioError(ValueError):
     """Raised for malformed or incomplete scenario files."""
 
 
 def _parse_value(key: str, raw: str):
     """The value of one ``key = raw`` line; a ValueError says what is wrong with it."""
-    if key in ("n_c", "k_chirps", "n_p", "k_max", "l_max", "seed", "l", "k"):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"{key} must be an integer, got {raw!r}") from None
     if key == "preset":
         if raw not in PRESET_NAMES:
             raise ValueError(f"unknown preset {raw!r}")
         return raw
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"{key} must be a number, got {raw!r}") from None
-    if key in PATH_KEYS and not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {raw!r}")
-    if key == "power" and value < 0.0:
-        raise ValueError(f"power must be >= 0, got {raw!r}")
+    if key in ("n_c", "k_chirps", "n_p", "k_max", "l_max", "seed", "l", "k"):
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(f"{key} must be an integer, got {raw!r}") from None
+    else:
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"{key} must be a number, got {raw!r}") from None
+        if key in PATH_KEYS and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {raw!r}")
+        if key == "power" and value < 0.0:
+            raise ValueError(f"power must be >= 0, got {raw!r}")
+    _check_field(key, value)
     return value
 
 
@@ -297,6 +294,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     The scenario is named after the file stem. Unknown keys are rejected.
     Each ``[path]`` block declares one target via either
     ``gain_re``/``gain_im`` or ``power``/``phase``, plus taps ``l`` and ``k``.
+    Every error names the file: a bad value also its line, a bad target its
+    path block (counted from 0).
     """
     path = Path(path)
     top: dict[str, object] = {}
@@ -324,6 +323,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             if key not in PATH_KEYS:
                 raise ScenarioError(f"{path}:{lineno}: unknown path key {key!r}")
             target = block
+        if key in target:
+            raise ScenarioError(f"{path}:{lineno}: {key} given twice")
         try:
             target[key] = _parse_value(key, raw)
         except ValueError as exc:
@@ -345,6 +346,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ScenarioError(f"{path}: missing key k_chirps")
     n_p = int(top.get("n_p", n_c // k_chirps))
 
+    l_max, k_max = int(top.get("l_max", 0)), int(top.get("k_max", 0))
     targets = []
     for i, block in enumerate(paths):
         if "l" not in block or "k" not in block:
@@ -358,17 +360,24 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         else:
             raise ScenarioError(f"{path}: path block {i} needs gain_re/gain_im or power")
         targets.append((gain, int(block["l"]), int(block["k"])))
+        try:
+            _check_target(targets[-1], l_max, k_max)
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: path block {i}: {exc}") from None
 
-    return ScenarioConfig(
-        name=path.stem,
-        n_c=n_c,
-        k_chirps=k_chirps,
-        n_p=n_p,
-        preset=str(top.get("preset", "proposed")),
-        l_max=int(top.get("l_max", 0)),
-        k_max=int(top.get("k_max", 0)),
-        snr_db=float(top.get("snr_db", 20.0)),
-        pilot_overhead=float(top.get("pilot_overhead", 1.0)),
-        rng_seed=int(top.get("seed", 1)),
-        targets=tuple(targets),
-    )
+    try:
+        return ScenarioConfig(
+            name=path.stem,
+            n_c=n_c,
+            k_chirps=k_chirps,
+            n_p=n_p,
+            preset=str(top.get("preset", "proposed")),
+            l_max=l_max,
+            k_max=k_max,
+            snr_db=float(top.get("snr_db", 20.0)),
+            pilot_overhead=float(top.get("pilot_overhead", 1.0)),
+            rng_seed=int(top.get("seed", 1)),
+            targets=tuple(targets),
+        )
+    except ValueError as exc:  # a fault of several keys together, e.g. path separability
+        raise ScenarioError(f"{path}: {exc}") from None

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -167,7 +168,38 @@ def _ddmf_direct(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -
     return Z
 
 
-def ddmf_batch(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -> np.ndarray:
+class _DdmfPlan(NamedTuple):
+    """The per-config constants of ``ddmf_batch``, built once for all batches of a config."""
+
+    chirp: np.ndarray        # c(n) = exp(j pi n^2 / n_p), n < n_p
+    chirp_conj: np.ndarray   # conj c(n)
+    rolls: np.ndarray        # (3, n_p) delay rows (n + dl) mod n_p for dl = -1, 0, 1
+    offset: np.ndarray       # [col, m] -> floor((m - k) / K) + 1, the row of ``rolls``
+    column: np.ndarray       # [col, m] -> (m - k) mod K, the transmit column
+    ramp: np.ndarray         # [col, m, l] -> exp(j2pi l (m - k) / n_c)
+
+
+def _ddmf_plan(config: AfdmConfig) -> _DdmfPlan:
+    """Build ``ddmf_batch``'s phasors and gather indices for one FMCW-equivalent config."""
+    config.require_fmcw("ddmf")
+    n_p, K, n_c = config.n_p, config.k_chirps, config.n_c
+    n = np.arange(n_p, dtype=np.int64)
+    chirp = unit_phasor(n * n, 2 * n_p)
+    k_hyp = np.array([signed_doppler(col, K) for col in range(K)])
+    mk = np.arange(K) - k_hyp[:, None]  # [col, m] -> m - k
+    return _DdmfPlan(
+        chirp=chirp,
+        chirp_conj=np.conj(chirp),
+        rolls=np.mod(n + np.arange(-1, 2)[:, None], n_p),
+        offset=np.floor_divide(mk, K) + 1,
+        column=np.mod(mk, K),
+        ramp=unit_phasor(mk[:, :, None] * n[None, None, :], n_c),
+    )
+
+
+def ddmf_batch(
+    config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray, plan: _DdmfPlan | None = None
+) -> np.ndarray:
     """Delay-Doppler matched filter over a batch of received grids.
 
     ``y_grids`` and ``x_grids`` are (B, n_p, K); returns (B, n_p, K) maps,
@@ -178,26 +210,23 @@ def ddmf_batch(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -> 
     correlation sum_n a[n-l] exp(j2pi nl/n_p) conj(y[n]) into
     c(l) * sum_n (conj(y) c)[n] (a conj(c))[n-l], a length-n_p circular
     correlation. The c(l) cancels the l^2 term of the hypothesis phase.
+    ``plan`` is ``_ddmf_plan(config)`` built by the caller, or None to build
+    it here; the maps are the same either way.
     """
     Y, X = _ddmf_inputs(config, y_grids, x_grids)
-    n_p, K, n_c = config.n_p, config.k_chirps, config.n_c
-    n = np.arange(n_p, dtype=np.int64)
-    chirp = unit_phasor(n * n, 2 * n_p)  # c(n)
+    p = _ddmf_plan(config) if plan is None else plan
     # U[b, m, f]: spectrum of conj(y_m) c per received column m
-    U = np.fft.fft(np.conj(Y).transpose(0, 2, 1) * chirp, axis=-1)
-    # V[b, dl + 1, q, f]: n_p * inverse spectrum of a conj(c) for the transmit
+    U = np.fft.fft(np.conj(Y).transpose(0, 2, 1) * p.chirp, axis=-1)
+    # V[b, q, dl + 1, f]: n_p * inverse spectrum of a conj(c) for the transmit
     # column q rolled by the coupling offset dl; floor((m - k)/K) takes all
     # three values -1, 0, 1 over the signed hypotheses k
-    rolled = np.stack([np.roll(X, -dl, axis=1) for dl in (-1, 0, 1)], axis=1)
-    V = np.fft.ifft(rolled.transpose(0, 1, 3, 2) * np.conj(chirp), axis=-1) * n_p
-    k_hyp = np.array([signed_doppler(col, K) for col in range(K)])
-    mk = np.arange(K) - k_hyp[:, None]  # [col, m] -> m - k
+    rolled = X.transpose(0, 2, 1)[:, :, p.rolls]
+    V = np.fft.ifft(rolled * p.chirp_conj, axis=-1) * config.n_p
     # h[b, col, m, l] = sum_n u_m[n] v[n - l]: one circular correlation per (col, m)
-    h = V[:, np.floor_divide(mk, K) + 1, np.mod(mk, K)]
+    h = V[:, p.column, p.offset]
     h *= U[:, None, :, :]
     h = np.fft.ifft(h, axis=-1)
-    ramp = unit_phasor(mk[:, :, None] * n[None, None, :], n_c)  # exp(j2pi l(m-k)/n_c)
-    return np.einsum("bcml,cml->blc", h, ramp)
+    return np.einsum("bcml,cml->blc", h, p.ramp)
 
 
 def ddmf(config: AfdmConfig, y_grid, x_grid) -> DelayDopplerMap:
@@ -274,6 +303,24 @@ def _detections(
     ]
 
 
+def _flat_wrap_pad(maps: np.ndarray, w: int) -> np.ndarray:
+    """Each (r, c) map of a stack, cyclically padded by ``w`` and flattened, plus 2w zeros.
+
+    Returns (..., (r + 2w)(c + 2w) + 2w) for ``w`` >= 1: padded row i starts at
+    i (c + 2w), and the zero tail keeps every slice that ``cfar_mask_batch``
+    takes in bounds.
+    """
+    r, c = maps.shape[-2:]
+    flat = np.zeros(maps.shape[:-2] + ((r + 2 * w) * (c + 2 * w) + 2 * w,), dtype=maps.dtype)
+    pad = flat[..., : -2 * w].reshape(maps.shape[:-2] + (r + 2 * w, c + 2 * w))
+    pad[..., w : w + r, w : w + c] = maps
+    pad[..., w : w + r, :w] = pad[..., w : w + r, c : c + w]
+    pad[..., w : w + r, w + c :] = pad[..., w : w + r, w : 2 * w]
+    pad[..., :w, :] = pad[..., r : r + w, :]
+    pad[..., w + r :, :] = pad[..., w : 2 * w, :]
+    return flat
+
+
 def cfar_mask_batch(
     power: np.ndarray, train: int, guard: int, pfa: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -282,16 +329,22 @@ def cfar_mask_batch(
     Returns (detected boolean stack, power-threshold stack). The training
     ring wraps cyclically at the map edges; an exactly zero noise estimate is
     replaced by the smallest positive float so a lone peak is still detected.
+    The ring is summed delay-last on each map's flattened wrapped pad: the
+    map rolled by (di, dj) is then one contiguous slice at offset
+    (w - dj)(n_p + 2w) + (w - di), so each of the ring's adds runs along
+    K (n_p + 2w) cells, in the order of the offsets. The columns past n_p
+    of each padded row are summed too and dropped at the end.
     """
     offsets = _cfar_ring(power, train, guard, pfa)
     w = train + guard
-    # summed delay-last, so each add runs along n_p contiguous cells; the
-    # padded slice [w - dj, w - di] is the map rolled by (di, dj)
-    padded = _wrap_pad(power.swapaxes(-1, -2), w)
     n_p, K = power.shape[-2:]
-    ring = np.zeros(padded.shape[:-2] + (K, n_p), dtype=padded.dtype)
+    row = n_p + 2 * w
+    flat = _flat_wrap_pad(power.swapaxes(-1, -2), w)
+    ring = np.zeros(power.shape[:-2] + (K * row,), dtype=flat.dtype)
     for di, dj in offsets:
-        ring += padded[..., w - dj : w - dj + K, w - di : w - di + n_p]
+        start = (w - dj) * row + (w - di)
+        ring += flat[..., start : start + K * row]
+    ring = ring.reshape(power.shape[:-2] + (K, row))[..., :n_p]
     noise = ring.swapaxes(-1, -2) / len(offsets)
     noise = np.where(noise > 0.0, noise, np.finfo(np.float64).tiny)
     threshold = cfar_threshold_factor(len(offsets), pfa) * noise

@@ -108,10 +108,13 @@ def modulate(config: AfdmConfig, x) -> TimeSignal:
     return TimeSignal(_modulate(config, x), config)
 
 
-def demodulate(config: AfdmConfig, r) -> np.ndarray:
-    """Project a CPP-free received signal (or a (..., n_c) stack) onto the subcarrier basis."""
+def demodulate(config: AfdmConfig, r, chirps=None) -> np.ndarray:
+    """Project a CPP-free received signal (or a (..., n_c) stack) onto the subcarrier basis.
+
+    ``chirps`` is ``_chirps(config)`` built by the caller, or None to build it here.
+    """
     samples = _as_samples(r, config, stacked=True)
-    c2_chirp, c1_chirp = _chirps(config)
+    c2_chirp, c1_chirp = _chirps(config) if chirps is None else chirps
     return np.fft.fft(samples * np.conj(c1_chirp)) / np.sqrt(config.n_c) * np.conj(c2_chirp)
 
 

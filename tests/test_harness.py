@@ -272,6 +272,33 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("top, paths, message", [
+        ("pilot_overhead = 2", "l = 0\nk = 0", "scen.txt:1: pilot_overhead must lie in [0, 1]"),
+        ("l_max = -1", "l = 0\nk = 0", "scen.txt:1: l_max must be non-negative"),
+        ("snr_db = -inf", "l = 0\nk = 0",
+         "scen.txt:1: snr_db must be finite or +inf (noise-free), got -inf"),
+        ("l_max = 1", "l = 3\nk = 0",
+         "scen.txt: path block 0: target delay tap 3 outside [0, l_max]"),
+        ("k_max = 1", "l = 0\nk = 0\n[path]\ngain_re = 1.0\nl = 0\nk = -2",
+         "scen.txt: path block 1: target Doppler tap -2 outside [-k_max, k_max]"),
+        ("k_max = 2", "l = 0\nk = 0",
+         "scen.txt: path separability needs k_chirps > 2*k_max (4 <= 4)"),
+        ("n_p = 16", "l = 0\nk = 0", "scen.txt: n_c must equal k_chirps * n_p"),
+        ("k_chirps = 2", "l = 0\nk = 0", "scen.txt:3: k_chirps given twice"),
+        ("", "l = 0\nk = 0\nl = 1", "scen.txt:8: l given twice"),
+    ], ids=["pilot_overhead", "l_max", "snr_db", "delay-tap", "doppler-tap", "separability",
+            "geometry", "repeated-key", "repeated-path-key"])
+    def test_invalid_scenario_names_file(self, tmp_path, capsys, top, paths, message):
+        # faults found only when the ScenarioConfig is built still name the file
+        scen = tmp_path / "scen.txt"
+        scen.write_text(f"{top}\nn_c = 32\nk_chirps = 4\n[path]\ngain_re = 1.0\n{paths}\n")
+        out = tmp_path / "o"
+        out.mkdir()
+        code = main(["ddm", "--scenario", str(scen), "--out", str(out)])
+        assert code == 1
+        assert f"error: {scen.parent}/{message}" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("argv, ignored", [
         (["ddm", "--snr", "5", "--po", "0", "--trials", "3", "--sizes", "16"],
          "ddm does not use --trials, --snr, --po, --sizes"),

@@ -217,23 +217,34 @@ class TestTrialEngine:
         build_frame(GRID8, frame, oracle)
         assert rng.bit_generator.state == oracle.bit_generator.state
 
-    def test_metrics_equal_single_map_reductions(self):
+    @pytest.mark.parametrize("quality", [True, False])
+    @pytest.mark.parametrize("algorithms", [
+        ("tfmf",), ("ddmf",), ("dechirp", "ddmf"), ("ddmf", "tfmf"), ALGORITHMS,
+    ])
+    def test_metrics_equal_single_map_reductions(self, algorithms, quality):
+        # the block's one CFAR call and one quality pass over all algorithms'
+        # maps give each map what the single-map reductions give it
         frame = FrameSpec.from_overhead(GRID8.n_c, 0.0)
         hits = []
         for first in range(len(EDGE.targets)):
             targets = EDGE.targets[first:] + EDGE.targets[:first]
             _, l, k = targets[0]
             cell = (l % 8, k % 8)
-            got = trial_metrics(replace(EDGE, targets=targets), ALGORITHMS, 9)
+            got = trial_metrics(replace(EDGE, targets=targets), algorithms, 9, quality=quality)
+            assert list(got) == list(algorithms)
             paths = taps_from_targets(targets)
             for t in range(9):
                 maps = one_trial_maps(GRID8, frame, paths, 5.0, trial_rng(8, t), "transmit")
-                for alg, cells in maps.items():
+                for alg in algorithms:
+                    cells = maps[alg]
                     p, isnr, hit = (column[t] for column in got[alg])
                     dets = ca_cfar_2d(DelayDopplerMap(cells, GRID8, alg), 2, 1, 1e-4)
                     assert hit == detection_near(dets, l, k, 8, 8)
                     hits.append(hit)
-                    assert (p, isnr) == (pslr(cells, cell), image_snr(cells, cell))
+                    if quality:
+                        assert (p, isnr) == (pslr(cells, cell), image_snr(cells, cell))
+                    else:
+                        assert math.isnan(p) and math.isnan(isnr)
         assert 0 < sum(hits) < len(hits)  # both outcomes are compared
 
     def test_partial_block_equals_one_trial_at_a_time(self, monkeypatch):
@@ -379,7 +390,7 @@ class TestTimeDomainLink:
 
     @pytest.mark.parametrize("name", ["proposed", "classic", "ofdm", "ocdm"])
     def test_stacked_kernels_equal_row_wise_calls(self, name):
-        from afdmsim.channel import _delay_doppler
+        from afdmsim.channel import _delay_doppler, _doppler_taps
         from afdmsim.waveform import _modulate
 
         config = self.DESK.waveform(name)
@@ -387,7 +398,7 @@ class TestTimeDomainLink:
         x = rng.standard_normal((2, 3, 32)) + 1j * rng.standard_normal((2, 3, 32))
         paths = taps_from_targets(self.DESK.targets)
         s = _modulate(config, x)
-        r = _delay_doppler(s, paths)
+        r = _delay_doppler(s, _doppler_taps(paths, config.n_c))
         for i in np.ndindex(2, 3):
             assert np.array_equal(s[i], modulate(config, x[i]).samples)
             assert np.array_equal(r[i], apply_channel(config, s[i], paths).samples)

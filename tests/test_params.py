@@ -11,7 +11,6 @@ from afdmsim.params import (
     load_scenario,
     preset,
     proposed_params,
-    sweep_family_params,
 )
 
 
@@ -65,15 +64,9 @@ class TestPreset:
 
 
 class TestPeriodicityInvariants:
-    @pytest.mark.parametrize("n_p,z_a", [(8, 1), (8, 2), (7, 2), (6, 3), (5, 4)])
-    def test_sweep_family_integrality(self, n_p, z_a):
-        cfg = sweep_family_params(n_p, 3, z_a)
-        assert (2 * cfg.c1 * cfg.n_p).denominator == 1
-        assert (cfg.c1 * cfg.n_p * cfg.n_p).denominator == 1
-
     def test_parity_rule_enforced(self):
         with pytest.raises(ValueError, match="even"):
-            sweep_family_params(7, 3, 1)
+            AfdmConfig(n_c=21, k_chirps=3, n_p=7, c1=Fraction(1, 14), c2=Fraction(0), z_a=1)
 
     def test_cpp_phase_unity_for_proposed(self):
         cfg = proposed_params(8, 4)

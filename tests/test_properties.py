@@ -11,7 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from afdmsim.ambiguity import dpaf_surface
-from afdmsim.channel import PathTap, apply_channel
+from afdmsim._phase import unit_phasor
+from afdmsim.channel import PathTap, _delay_doppler, _doppler_taps, apply_channel
 from afdmsim.ddgrid import grid_to_vector, io_predict, vector_to_grid
 from afdmsim.metrics import build_effective_channel
 from afdmsim.params import (
@@ -24,9 +25,16 @@ from afdmsim.params import (
     proposed_params,
 )
 from afdmsim.sensing import (
-    _ddmf_direct, cfar_mask_batch, ddmf, ddmf_batch, os_cfar_mask_batch, signed_doppler,
+    _ddmf_direct,
+    _ddmf_plan,
+    cfar_mask_batch,
+    cfar_threshold_factor,
+    ddmf,
+    ddmf_batch,
+    os_cfar_mask_batch,
+    signed_doppler,
 )
-from afdmsim.waveform import _modulate, demodulate, modulate
+from afdmsim.waveform import _chirps, _modulate, demodulate, modulate
 
 
 @st.composite
@@ -161,6 +169,123 @@ def test_cfar_is_invariant_to_power_of_two_scaling(shape, zeros, exponent, seed)
         scaled_mask, scaled_threshold = mask_fn(scaled, 2, 1, 1e-4)
         assert np.array_equal(scaled_mask, mask)
         assert np.array_equal(scaled_threshold, np.ldexp(threshold, exponent))
+
+
+# ---------------------------------------------------------------------------
+# Fast paths pinned bit for bit to the forms they replaced
+# ---------------------------------------------------------------------------
+
+def _rolled_ring_cfar(power, train, guard, pfa):
+    """CA-CFAR with the ring summed from rolled copies of each map, in offset order."""
+    w = train + guard
+    offsets = [
+        (di, dj)
+        for di in range(-w, w + 1)
+        for dj in range(-w, w + 1)
+        if max(abs(di), abs(dj)) > guard
+    ]
+    ring = np.zeros_like(power)
+    for di, dj in offsets:
+        ring += np.roll(power, (di, dj), axis=(-2, -1))
+    noise = ring / len(offsets)
+    noise = np.where(noise > 0.0, noise, np.finfo(np.float64).tiny)
+    threshold = cfar_threshold_factor(len(offsets), pfa) * noise
+    return power > threshold, threshold
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    data=st.data(),
+    lead=st.lists(st.integers(1, 3), max_size=2),
+    train=st.integers(1, 3),
+    guard=st.integers(0, 2),
+    zero_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_slice_cfar_equals_rolled_copies(data, lead, train, guard, zero_fraction, seed):
+    # each cell's ring is added in the same offset order, so the thresholds
+    # agree bit for bit over 600 decades of power, zero cells included
+    window = 2 * (train + guard) + 1
+    n_p, k_chirps = (data.draw(st.integers(window, 70)) for _ in range(2))
+    rng = np.random.default_rng(seed)
+    power = np.exp(rng.uniform(np.log(1e-300), np.log(1e300), size=(*lead, n_p, k_chirps)))
+    power[rng.random(power.shape) < zero_fraction] = 0.0
+    mask, threshold = cfar_mask_batch(power, train, guard, 1e-4)
+    want_mask, want_threshold = _rolled_ring_cfar(power, train, guard, 1e-4)
+    assert np.array_equal(threshold, want_threshold)
+    assert np.array_equal(mask, want_mask)
+
+
+def _ddmf_rolled(config, Y, X):
+    """``ddmf_batch`` with its phasors rebuilt per call and the transmit grid rolled per offset."""
+    n_p, K, n_c = config.n_p, config.k_chirps, config.n_c
+    n = np.arange(n_p, dtype=np.int64)
+    chirp = unit_phasor(n * n, 2 * n_p)
+    U = np.fft.fft(np.conj(Y).transpose(0, 2, 1) * chirp, axis=-1)
+    rolled = np.stack([np.roll(X, -dl, axis=1) for dl in (-1, 0, 1)], axis=1)
+    V = np.fft.ifft(rolled.transpose(0, 1, 3, 2) * np.conj(chirp), axis=-1) * n_p
+    k_hyp = np.array([signed_doppler(col, K) for col in range(K)])
+    mk = np.arange(K) - k_hyp[:, None]
+    h = V[:, np.floor_divide(mk, K) + 1, np.mod(mk, K)]
+    h *= U[:, None, :, :]
+    h = np.fft.ifft(h, axis=-1)
+    ramp = unit_phasor(mk[:, :, None] * n[None, None, :], n_c)
+    return np.einsum("bcml,cml->blc", h, ramp)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n_p=st.integers(1, 16).map(lambda half: 2 * half),
+    k_chirps=st.integers(1, 9),
+    batch=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_planned_ddmf_equals_the_rolled_form(n_p, k_chirps, batch, seed):
+    # one plan serves every batch of a config: two batches through it give
+    # the maps of the per-call, per-offset-roll form bit for bit
+    config = proposed_params(n_p, k_chirps)
+    plan = _ddmf_plan(config)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        parts = rng.standard_normal((2, batch, n_p, k_chirps, 2))
+        Y, X = parts[..., 0] + 1j * parts[..., 1]
+        want = _ddmf_rolled(config, Y, X)
+        assert np.array_equal(ddmf_batch(config, Y, X, plan), want)
+        assert np.array_equal(ddmf_batch(config, Y, X), want)
+
+
+@settings(deadline=None, max_examples=60)
+@given(config=geometries(), batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_demodulate_with_built_chirps_equals_building_them(config, batch, seed):
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((batch, config.n_c)) + 1j * rng.standard_normal((batch, config.n_c))
+    assert np.array_equal(demodulate(config, r, _chirps(config)), demodulate(config, r))
+
+
+def _delay_doppler_per_path(samples, paths):
+    """The channel with each path's shift and Doppler phasor built inside the loop."""
+    n_c = samples.shape[-1]
+    n = np.arange(n_c, dtype=np.int64)
+    out = np.zeros(samples.shape, dtype=np.complex128)
+    for p in paths:
+        out += (
+            complex(p.gain)
+            * np.roll(samples, p.delay_tap % n_c, axis=-1)
+            * unit_phasor(-p.doppler_tap * n, n_c)
+        )
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), config=geometries(), batch=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_doppler_taps_channel_equals_per_path_loop(data, config, batch, seed):
+    # delay taps beyond n_c wrap; Doppler taps of either sign
+    paths = data.draw(channels(config)) + [PathTap(0.5, config.n_c + 1, -config.n_c - 2)]
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal((batch, config.n_c)) + 1j * rng.standard_normal((batch, config.n_c))
+    got = _delay_doppler(s, _doppler_taps(paths, config.n_c))
+    assert np.array_equal(got, _delay_doppler_per_path(s, paths))
 
 
 @st.composite
