@@ -141,6 +141,15 @@ class ExperimentSpec:
                 raise ValueError(
                     f"size {n_c} must be a positive multiple of 16 (8 chirps of even length)"
                 )
+        if self.kind == "runtime_scaling" and len(self.sizes) < 2:
+            raise ValueError(
+                f"runtime_scaling fits slopes and needs two or more sizes, got {list(self.sizes)}"
+            )
+        if self.kind == "ber_curve" and self.trials % self.ber_realizations:
+            raise ValueError(
+                f"ber_curve trials {self.trials} must be a multiple of its "
+                f"{self.ber_realizations} channel realizations (trials // 10)"
+            )
 
     @property
     def resolved_presets(self) -> tuple[str, ...]:
@@ -149,6 +158,11 @@ class ExperimentSpec:
     @property
     def resolved_seed(self) -> int:
         return self.scenario.rng_seed if self.seed is None else self.seed
+
+    @property
+    def ber_realizations(self) -> int:
+        """``ber_curve``'s channel realizations: one per 10 trials (symbols), at least one."""
+        return max(1, self.trials // 10)
 
 
 def _algorithms_for(preset_name: str, algorithms) -> tuple[str, ...]:
@@ -169,7 +183,12 @@ def _scenario_manifest(sc: ScenarioConfig) -> dict:
 
 
 def _config_manifest(config: AfdmConfig) -> dict:
-    return asdict(config) | {"c1": str(config.c1), "c2": str(config.c2)}
+    """Fields of ``config``, exact rates as text, and the sweep count ``z_a`` (1 or None)."""
+    return asdict(config) | {
+        "c1": str(config.c1),
+        "c2": str(config.c2),
+        "z_a": 1 if config.fmcw_equivalent else None,
+    }
 
 
 def run(spec: ExperimentSpec) -> list[Path]:
@@ -309,10 +328,9 @@ def _run_ber_curve(spec):
     powers = [abs(g) ** 2 for g, _, _ in sc.targets]
     taps = [(l, k) for _, l, k in sc.targets]
     configs = {name: sc.waveform(name) for name in spec.resolved_presets}
-    realizations = max(1, spec.trials // 10)
     counts = lmmse_ber_compare(
         configs, powers, taps, spec.snr_db_list, spec.trials,
-        realizations, spec.resolved_seed,
+        spec.ber_realizations, spec.resolved_seed,
     )
     for preset_name in spec.resolved_presets:
         rows = []

@@ -41,8 +41,6 @@ class AfdmConfig:
         c1: time-domain chirp rate, exact rational.
         c2: symbol-index chirp rate; Fraction when exact, float otherwise.
         l_cpp: chirp-cyclic-prefix length in samples.
-        z_a: sweep-count integer for the periodic-chirp family, or None for
-            parameter sets that are not built from that family.
     """
 
     n_c: int
@@ -51,7 +49,6 @@ class AfdmConfig:
     c1: Fraction
     c2: ChirpRate
     l_cpp: int = 0
-    z_a: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_c <= 0 or self.k_chirps <= 0 or self.n_p <= 0:
@@ -65,15 +62,6 @@ class AfdmConfig:
             raise ValueError("l_cpp must be non-negative")
         if not isinstance(self.c1, Fraction):
             raise TypeError("c1 must be an exact Fraction")
-        if self.z_a is not None:
-            if self.z_a <= 0:
-                raise ValueError("z_a must be a positive integer")
-            if (self.z_a * self.n_p) % 2 != 0:
-                raise ValueError(
-                    f"z_a * n_p must be even, got {self.z_a} * {self.n_p}"
-                )
-            if self.c1 != Fraction(self.z_a, 2 * self.n_p):
-                raise ValueError("c1 inconsistent with z_a/(2*n_p)")
 
     @property
     def fmcw_equivalent(self) -> bool:
@@ -110,7 +98,6 @@ def proposed_params(n_p: int, k_chirps: int, l_cpp: int = 0) -> AfdmConfig:
         c1=Fraction(1, 2 * n_p),
         c2=Fraction(0),
         l_cpp=l_cpp,
-        z_a=1,
     )
 
 
@@ -135,7 +122,6 @@ def classic_params(
         c1=Fraction(2 * k_max + 1, 2 * n_c),
         c2=math.sqrt(2.0),
         l_cpp=l_cpp,
-        z_a=None,
     )
 
 

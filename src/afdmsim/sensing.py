@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._phase import unit_phasor
 from .params import AfdmConfig
@@ -247,43 +246,9 @@ def ddmf(config: AfdmConfig, y_grid, x_grid) -> DelayDopplerMap:
 # CFAR detection: cell-averaging (CA) and ordered-statistic (OS)
 # ---------------------------------------------------------------------------
 
-def _ring_offsets(train: int, guard: int) -> list[tuple[int, int]]:
-    """Offsets of the square training ring (Chebyshev radius in (g, g+t])."""
-    w = train + guard
-    return [
-        (di, dj)
-        for di in range(-w, w + 1)
-        for dj in range(-w, w + 1)
-        if max(abs(di), abs(dj)) > guard
-    ]
-
-
 def cfar_threshold_factor(n_train: int, pfa: float) -> float:
     """alpha = N_t * (pfa^(-1/N_t) - 1), the CA-CFAR scaling for exponential cells."""
     return n_train * (pfa ** (-1.0 / n_train) - 1.0)
-
-
-def _cfar_ring(
-    power: np.ndarray, train: int, guard: int, pfa: float
-) -> list[tuple[int, int]]:
-    """Check the CFAR arguments against a (..., n_p, K) stack; return the ring offsets."""
-    if train < 1 or guard < 0:
-        raise ValueError("need train >= 1 and guard >= 0")
-    if not 0.0 < pfa < 1.0:
-        raise ValueError("pfa must lie in (0, 1)")
-    n_p, K = power.shape[-2:]
-    window = 2 * (train + guard) + 1
-    if window > n_p or window > K:
-        raise ValueError(
-            f"CFAR window {window} exceeds map dimensions ({n_p}, {K})"
-        )
-    return _ring_offsets(train, guard)
-
-
-def _wrap_pad(power: np.ndarray, w: int) -> np.ndarray:
-    """Pad the last two axes of a map stack by ``w`` cells on each side, cyclically."""
-    rows, cols = (np.arange(-w, size + w) for size in power.shape[-2:])
-    return np.take(np.take(power, rows, axis=-2, mode="wrap"), cols, axis=-1, mode="wrap")
 
 
 def _detections(
@@ -307,7 +272,7 @@ def _flat_wrap_pad(maps: np.ndarray, w: int) -> np.ndarray:
     """Each (r, c) map of a stack, cyclically padded by ``w`` and flattened, plus 2w zeros.
 
     Returns (..., (r + 2w)(c + 2w) + 2w) for ``w`` >= 1: padded row i starts at
-    i (c + 2w), and the zero tail keeps every slice that ``cfar_mask_batch``
+    i (c + 2w), and the zero tail keeps every slice that ``_training_cells``
     takes in bounds.
     """
     r, c = maps.shape[-2:]
@@ -321,34 +286,63 @@ def _flat_wrap_pad(maps: np.ndarray, w: int) -> np.ndarray:
     return flat
 
 
+def _training_cells(power: np.ndarray, train: int, guard: int, pfa: float) -> list[np.ndarray]:
+    """Check the CFAR arguments; return the cyclic training ring of a (..., n_p, K) stack.
+
+    The ring holds the offsets (di, dj) of Chebyshev radius in (guard, w],
+    w = train + guard, di outer. On each map's flattened wrapped pad, delay
+    axis last, the map rolled by (di, dj) is the contiguous slice at
+    (w - dj)(n_p + 2w) + (w - di), one view per offset: cell (l, k) sits at
+    k (n_p + 2w) + l, and the columns past n_p of each row are padding.
+    """
+    if train < 1 or guard < 0:
+        raise ValueError("need train >= 1 and guard >= 0")
+    if not 0.0 < pfa < 1.0:
+        raise ValueError("pfa must lie in (0, 1)")
+    n_p, K = power.shape[-2:]
+    w = train + guard
+    if 2 * w + 1 > n_p or 2 * w + 1 > K:
+        raise ValueError(f"CFAR window {2 * w + 1} exceeds map dimensions ({n_p}, {K})")
+    row = n_p + 2 * w
+    flat = _flat_wrap_pad(power.swapaxes(-1, -2), w)
+    span = range(-w, w + 1)
+    starts = (
+        (w - dj) * row + (w - di) for di in span for dj in span if max(abs(di), abs(dj)) > guard
+    )
+    return [flat[..., start : start + K * row] for start in starts]
+
+
+def _cfar_decide(
+    power: np.ndarray, noise: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(power > threshold, threshold) for noise levels laid out as ``_training_cells``.
+
+    threshold = alpha * noise, where an exactly zero noise level is replaced
+    by the smallest positive float so that a lone peak is still detected.
+    """
+    n_p, K = power.shape[-2:]
+    noise = noise.reshape(power.shape[:-2] + (K, noise.shape[-1] // K))[..., :n_p]
+    noise = noise.swapaxes(-1, -2)
+    noise = np.where(noise > 0.0, noise, np.finfo(np.float64).tiny)
+    threshold = alpha * noise
+    return power > threshold, threshold
+
+
 def cfar_mask_batch(
     power: np.ndarray, train: int, guard: int, pfa: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized CA-CFAR over a (..., n_p, K) stack of power maps.
 
-    Returns (detected boolean stack, power-threshold stack). The training
-    ring wraps cyclically at the map edges; an exactly zero noise estimate is
-    replaced by the smallest positive float so a lone peak is still detected.
-    The ring is summed delay-last on each map's flattened wrapped pad: the
-    map rolled by (di, dj) is then one contiguous slice at offset
-    (w - dj)(n_p + 2w) + (w - di), so each of the ring's adds runs along
-    K (n_p + 2w) cells, in the order of the offsets. The columns past n_p
-    of each padded row are summed too and dropped at the end.
+    Returns (detected boolean stack, power-threshold stack). The noise level
+    is the mean of the ``_training_cells`` ring, summed in offset order, so
+    it equals the sum of rolled copies of each map bit for bit; each add runs
+    along K (n_p + 2w) contiguous cells.
     """
-    offsets = _cfar_ring(power, train, guard, pfa)
-    w = train + guard
-    n_p, K = power.shape[-2:]
-    row = n_p + 2 * w
-    flat = _flat_wrap_pad(power.swapaxes(-1, -2), w)
-    ring = np.zeros(power.shape[:-2] + (K * row,), dtype=flat.dtype)
-    for di, dj in offsets:
-        start = (w - dj) * row + (w - di)
-        ring += flat[..., start : start + K * row]
-    ring = ring.reshape(power.shape[:-2] + (K, row))[..., :n_p]
-    noise = ring.swapaxes(-1, -2) / len(offsets)
-    noise = np.where(noise > 0.0, noise, np.finfo(np.float64).tiny)
-    threshold = cfar_threshold_factor(len(offsets), pfa) * noise
-    return power > threshold, threshold
+    cells = _training_cells(power, train, guard, pfa)
+    ring = np.zeros_like(cells[0])
+    for cell in cells:
+        ring += cell
+    return _cfar_decide(power, ring / len(cells), cfar_threshold_factor(len(cells), pfa))
 
 
 def ca_cfar_2d(
@@ -391,18 +385,14 @@ def os_cfar_mask_batch(
     ``cfar_mask_batch``, but the noise level is the ``os_cfar_rank``-th
     smallest of the N_t training cells instead of their mean, so a strong
     target inside the ring does not raise the threshold of its neighbour
-    (CA-CFAR target masking). Memory is N_t times that of ``power``.
+    (CA-CFAR target masking). The ring is stacked once and partitioned in
+    place, so memory is about N_t times that of ``power``.
     """
-    offsets = _cfar_ring(power, train, guard, pfa)
-    rank = os_cfar_rank(len(offsets))
-    w = train + guard
-    windows = sliding_window_view(_wrap_pad(power, w), (2 * w + 1, 2 * w + 1), axis=(-2, -1))
-    rows, cols = (np.array(offsets) + w).T
-    ring = windows[..., rows, cols]  # (..., n_p, K, N_t) cyclic training cells
-    noise = np.partition(ring, rank - 1, axis=-1)[..., rank - 1]
-    noise = np.where(noise > 0.0, noise, np.finfo(np.float64).tiny)
-    threshold = os_cfar_threshold_factor(len(offsets), pfa) * noise
-    return power > threshold, threshold
+    cells = _training_cells(power, train, guard, pfa)
+    rank = os_cfar_rank(len(cells))
+    ring = np.stack(cells, axis=-1)
+    ring.partition(rank - 1, axis=-1)
+    return _cfar_decide(power, ring[..., rank - 1], os_cfar_threshold_factor(len(cells), pfa))
 
 
 def os_cfar_2d(

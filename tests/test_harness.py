@@ -338,6 +338,34 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, message", [
+        (["runtime-scaling", "--sizes", "16"],
+         "runtime_scaling fits slopes and needs two or more sizes, got [16]"),
+        (["ber-curve", "--trials", "25"],
+         "ber_curve trials 25 must be a multiple of its 2 channel realizations"),
+        (["ber-curve", "--trials", "101"],
+         "ber_curve trials 101 must be a multiple of its 10 channel realizations"),
+    ], ids=["one-size", "ber-trials-25", "ber-trials-101"])
+    def test_request_that_cannot_be_met_rejected(self, tmp_path, capsys, monkeypatch, argv,
+                                                 message):
+        # a slope through one point, or a BER that silently drops symbols,
+        # would read like a real result
+        import afdmsim.experiments as experiments
+
+        def no_timing(*args, **kwargs):
+            pytest.fail("runtime scaling started timing")
+
+        monkeypatch.setattr(experiments, "benchmark_pipelines", no_timing)
+        code = main([*argv, "--scenario", "desk", "--out", str(tmp_path)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("trials", [1, 2, 15, 20, 100])
+    def test_ber_trials_that_fill_every_realization_accepted(self, tmp_path, trials):
+        ExperimentSpec(kind="ber_curve", scenario=builtin_scenarios()["desk"],
+                       out_dir=tmp_path, trials=trials)
+
     @pytest.mark.parametrize("size", ["1010", "1032", "0", "-16"])
     def test_invalid_size_rejected_before_timing(self, tmp_path, capsys, monkeypatch, size):
         import afdmsim.experiments as experiments

@@ -20,7 +20,7 @@ class TestProposedParams:
         assert cfg.c1 == Fraction(1, 128)
         assert cfg.c2 == 0
         assert cfg.n_c == 512
-        assert cfg.z_a == 1
+        assert cfg.fmcw_equivalent
 
     def test_smallest_even_period(self):
         cfg = proposed_params(2, 1)
@@ -38,7 +38,7 @@ class TestClassicParams:
         cfg = classic_params(512, 3)
         assert cfg.c1 == Fraction(7, 1024)
         assert cfg.c2 == pytest.approx(math.sqrt(2))
-        assert cfg.z_a is None
+        assert not cfg.fmcw_equivalent
 
     def test_zero_doppler_bound(self):
         assert classic_params(512, 0).c1 == Fraction(1, 1024)
@@ -65,8 +65,10 @@ class TestPreset:
 
 class TestPeriodicityInvariants:
     def test_parity_rule_enforced(self):
+        # an odd period breaks the chirp's n_p-periodicity, so the set is not FMCW-equivalent
+        cfg = AfdmConfig(n_c=21, k_chirps=3, n_p=7, c1=Fraction(1, 14), c2=Fraction(0))
         with pytest.raises(ValueError, match="even"):
-            AfdmConfig(n_c=21, k_chirps=3, n_p=7, c1=Fraction(1, 14), c2=Fraction(0), z_a=1)
+            cfg.require_fmcw("ddmf")
 
     def test_cpp_phase_unity_for_proposed(self):
         cfg = proposed_params(8, 4)

@@ -32,6 +32,8 @@ from afdmsim.sensing import (
     ddmf,
     ddmf_batch,
     os_cfar_mask_batch,
+    os_cfar_rank,
+    os_cfar_threshold_factor,
     signed_doppler,
 )
 from afdmsim.waveform import _chirps, _modulate, demodulate, modulate
@@ -175,22 +177,39 @@ def test_cfar_is_invariant_to_power_of_two_scaling(shape, zeros, exponent, seed)
 # Fast paths pinned bit for bit to the forms they replaced
 # ---------------------------------------------------------------------------
 
-def _rolled_ring_cfar(power, train, guard, pfa):
-    """CA-CFAR with the ring summed from rolled copies of each map, in offset order."""
+def _rolled_ring(power, train, guard):
+    """The training ring as rolled copies of each map, in offset order."""
     w = train + guard
-    offsets = [
-        (di, dj)
+    return [
+        np.roll(power, (di, dj), axis=(-2, -1))
         for di in range(-w, w + 1)
         for dj in range(-w, w + 1)
         if max(abs(di), abs(dj)) > guard
     ]
-    ring = np.zeros_like(power)
-    for di, dj in offsets:
-        ring += np.roll(power, (di, dj), axis=(-2, -1))
-    noise = ring / len(offsets)
+
+
+def _rolled_decide(power, noise, alpha):
+    """Floor an exactly zero noise level at the smallest positive float; test alpha * noise."""
     noise = np.where(noise > 0.0, noise, np.finfo(np.float64).tiny)
-    threshold = cfar_threshold_factor(len(offsets), pfa) * noise
+    threshold = alpha * noise
     return power > threshold, threshold
+
+
+def _rolled_ring_cfar(power, train, guard, pfa):
+    """CA-CFAR with the ring summed from rolled copies of each map, in offset order."""
+    copies = _rolled_ring(power, train, guard)
+    ring = np.zeros_like(power)
+    for copy in copies:
+        ring += copy
+    return _rolled_decide(power, ring / len(copies), cfar_threshold_factor(len(copies), pfa))
+
+
+def _rolled_ring_os_cfar(power, train, guard, pfa):
+    """OS-CFAR with the ``os_cfar_rank``-th smallest of the stacked rolled copies as noise."""
+    copies = _rolled_ring(power, train, guard)
+    rank = os_cfar_rank(len(copies))
+    noise = np.partition(np.stack(copies, axis=-1), rank - 1, axis=-1)[..., rank - 1]
+    return _rolled_decide(power, noise, os_cfar_threshold_factor(len(copies), pfa))
 
 
 @settings(deadline=None, max_examples=60)
@@ -203,17 +222,22 @@ def _rolled_ring_cfar(power, train, guard, pfa):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_flat_slice_cfar_equals_rolled_copies(data, lead, train, guard, zero_fraction, seed):
-    # each cell's ring is added in the same offset order, so the thresholds
-    # agree bit for bit over 600 decades of power, zero cells included
+    # each cell's ring holds the same values (added in the same offset order
+    # for CA), so the thresholds of both detectors agree bit for bit over
+    # 600 decades of power, zero cells included
     window = 2 * (train + guard) + 1
     n_p, k_chirps = (data.draw(st.integers(window, 70)) for _ in range(2))
     rng = np.random.default_rng(seed)
     power = np.exp(rng.uniform(np.log(1e-300), np.log(1e300), size=(*lead, n_p, k_chirps)))
     power[rng.random(power.shape) < zero_fraction] = 0.0
-    mask, threshold = cfar_mask_batch(power, train, guard, 1e-4)
-    want_mask, want_threshold = _rolled_ring_cfar(power, train, guard, 1e-4)
-    assert np.array_equal(threshold, want_threshold)
-    assert np.array_equal(mask, want_mask)
+    for mask_fn, oracle in (
+        (cfar_mask_batch, _rolled_ring_cfar),
+        (os_cfar_mask_batch, _rolled_ring_os_cfar),
+    ):
+        mask, threshold = mask_fn(power, train, guard, 1e-4)
+        want_mask, want_threshold = oracle(power, train, guard, 1e-4)
+        assert np.array_equal(threshold, want_threshold)
+        assert np.array_equal(mask, want_mask)
 
 
 def _ddmf_rolled(config, Y, X):

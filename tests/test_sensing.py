@@ -227,6 +227,11 @@ class TestCfar:
         assert np.array_equal(mask, power > threshold)
 
     @pytest.mark.parametrize("mask_fn", [cfar_mask_batch, os_cfar_mask_batch])
+    def test_empty_stack(self, mask_fn):
+        mask, threshold = mask_fn(np.zeros((0, 64, 8)), 2, 1, 1e-4)
+        assert mask.shape == threshold.shape == (0, 64, 8)
+
+    @pytest.mark.parametrize("mask_fn", [cfar_mask_batch, os_cfar_mask_batch])
     @pytest.mark.parametrize("shape", [(3, 4, 64, 8), (2, 1, 7, 9)])
     def test_stack_of_blocks_equals_one_call_per_block(self, mask_fn, shape):
         # trial_metrics runs one CFAR call on every algorithm's block of maps
