@@ -23,20 +23,6 @@ from .experiments import (
 from .metrics import ALGORITHMS
 from .params import PRESET_NAMES, ScenarioError
 
-_SWEEP_FLAGS = ("--preset", "--algorithm", "--seed", "--trials", "--pilot-only-reference")
-
-#: The flags each kind reads; giving it any other flag is a configuration error.
-_KIND_FLAGS = {
-    "ddm": ("--preset", "--algorithm", "--seed", "--pilot-only-reference"),
-    "af_surface": ("--preset",),
-    "snr_sweep": (*_SWEEP_FLAGS, "--snr"),
-    "po_sweep": (*_SWEEP_FLAGS, "--po"),
-    "pd_curve": (*_SWEEP_FLAGS, "--snr"),
-    "ber_curve": ("--preset", "--seed", "--trials", "--snr"),
-    "io_check": ("--seed", "--trials"),
-    "runtime_scaling": ("--seed", "--sizes"),
-}
-
 #: The ``ExperimentSpec`` field that each optional flag sets.
 _FLAG_FIELDS = {
     "--preset": "presets",
@@ -48,6 +34,12 @@ _FLAG_FIELDS = {
     "--sizes": "sizes",
     "--pilot-only-reference": "tfmf_reference",
 }
+
+
+def _kind_flags(kind: str) -> list[str]:
+    """The optional flags that ``kind`` reads, in ``_FLAG_FIELDS`` order; any other is an error."""
+    reads = EXPERIMENT_KINDS[kind].reads
+    return [flag for flag, field in _FLAG_FIELDS.items() if field in reads]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for kind in EXPERIMENT_KINDS:
         p = sub.add_parser(
             kind.replace("_", "-"), help=f"run the {kind} experiment",
-            description=f"Reads --scenario, --out and {', '.join(_KIND_FLAGS[kind])}.",
+            description=f"Reads --scenario, --out and {', '.join(_kind_flags(kind))}.",
         )
         p.add_argument(
             "--scenario",
@@ -111,7 +103,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         flag: value for flag in _FLAG_FIELDS
         if (value := getattr(args, flag[2:].replace("-", "_"))) is not None
     }
-    ignored = [flag for flag in given if flag not in _KIND_FLAGS[kind]]
+    ignored = [flag for flag in given if flag not in _kind_flags(kind)]
     if ignored:
         raise ValueError(f"{args.kind} does not use {', '.join(ignored)}")
     out = args.out or os.environ.get("AFDMSIM_OUT") or "afdmsim_out"

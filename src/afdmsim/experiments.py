@@ -1,12 +1,13 @@
 """Experiment orchestration: scenarios, runs, and CSV artifacts.
 
 Every run resolves a scenario (built-in name or file) and executes one
-experiment kind for each requested (preset, algorithm) combination. A kind's
-runner yields ``(file name, header, columns)`` tables; :func:`run` alone writes
-them as ``<kind>_<preset>_<algorithm>.csv`` plus ``manifest.json`` recording
-the fully resolved configuration, and removes its outputs and any manifest on
-failure. Fixed seeds give byte-identical CSVs, except for ``runtime_scaling``
-whose rows contain wall-clock measurements.
+experiment kind for each requested (preset, algorithm) combination.
+``EXPERIMENT_KINDS`` maps each kind to its runner and to the spec fields it
+reads. A runner yields ``(file name, header, columns)`` tables; :func:`run`
+alone writes them as ``<kind>_<preset>_<algorithm>.csv`` plus
+``manifest.json`` recording the fully resolved configuration, and removes its
+outputs and any manifest on failure. Fixed seeds give byte-identical CSVs,
+except for ``runtime_scaling`` whose rows contain wall-clock measurements.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import time
 from dataclasses import asdict, astuple, dataclass
 from functools import partial
 from pathlib import Path
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -41,17 +43,6 @@ from .metrics import (
 from .params import AfdmConfig, ScenarioConfig, load_scenario, proposed_params
 from .sensing import _ddmf_direct, dechirp_batch, tfmf_batch
 from .waveform import demodulate, modulate, subcarrier
-
-EXPERIMENT_KINDS = (
-    "ddm",
-    "af_surface",
-    "snr_sweep",
-    "po_sweep",
-    "pd_curve",
-    "ber_curve",
-    "io_check",
-    "runtime_scaling",
-)
 
 IO_CHECK_TOLERANCE = 1e-9
 
@@ -126,12 +117,27 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        reads = EXPERIMENT_KINDS[self.kind].reads
         if self.tfmf_reference not in ("transmit", "pilot"):
             raise ValueError("tfmf_reference must be 'transmit' or 'pilot'")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not all(math.isfinite(snr) for snr in self.snr_db_list):
             raise ValueError(f"SNR values must be finite, got {list(self.snr_db_list)}")
+        if not all(0.0 <= po <= 1.0 for po in self.po_list):  # False for NaN too
+            raise ValueError(f"po_list values must lie in [0, 1], got {list(self.po_list)}")
+        for name in ("snr_db_list", "po_list"):
+            if name in reads and not getattr(self, name):
+                raise ValueError(f"{self.kind} needs at least one value in {name}")
+        if "algorithms" in reads:
+            for preset_name in self.resolved_presets:
+                if not _algorithms_for(preset_name, self.algorithms):
+                    raise ValueError(
+                        f"preset {preset_name!r} runs none of the algorithms "
+                        f"{list(self.algorithms)} (ddmf needs the 'proposed' preset)"
+                    )
         for name in ("presets", "algorithms", "snr_db_list", "po_list", "sizes"):
             repeated = _first_repeat(getattr(self, name))
             if repeated is not None:
@@ -205,7 +211,7 @@ def run(spec: ExperimentSpec) -> list[Path]:
     written: list[Path] = []
     outputs: dict[str, list[str]] = {}
     try:
-        for name, header, columns in _RUNNERS[spec.kind](spec):
+        for name, header, columns in EXPERIMENT_KINDS[spec.kind].runner(spec):
             written.append(csvio.write_csv(out_dir / name, header, columns))
             outputs[name] = list(header)
         manifest = {
@@ -348,10 +354,7 @@ def _run_ber_curve(spec):
 
 
 def _run_io_check(spec):
-    sc = spec.scenario
-    config = sc.waveform("proposed")
-    if config.n_c > 64:
-        config = builtin_scenarios()["desk"].waveform("proposed")
+    config = spec.scenario.waveform("proposed")
     rng = trial_rng(spec.resolved_seed, 0)
     worst = 0.0
     for _ in range(spec.trials):
@@ -467,13 +470,24 @@ def _run_runtime_scaling(spec):
     ]
 
 
-_RUNNERS = {
-    "ddm": _run_ddm,
-    "af_surface": _run_af_surface,
-    "snr_sweep": _run_sweep,
-    "po_sweep": _run_sweep,
-    "pd_curve": _run_sweep,
-    "ber_curve": _run_ber_curve,
-    "io_check": _run_io_check,
-    "runtime_scaling": _run_runtime_scaling,
+class ExperimentKind(NamedTuple):
+    """An experiment kind's runner and the ``ExperimentSpec`` fields it reads
+    (``scenario`` and ``out_dir`` not counted)."""
+
+    runner: Callable[[ExperimentSpec], Iterator[tuple]]
+    reads: tuple[str, ...]
+
+
+_SWEEP_READS = ("presets", "algorithms", "seed", "trials", "tfmf_reference")
+
+#: Every experiment kind, in the CLI's order.
+EXPERIMENT_KINDS = {
+    "ddm": ExperimentKind(_run_ddm, ("presets", "algorithms", "seed", "tfmf_reference")),
+    "af_surface": ExperimentKind(_run_af_surface, ("presets",)),
+    "snr_sweep": ExperimentKind(_run_sweep, (*_SWEEP_READS, "snr_db_list")),
+    "po_sweep": ExperimentKind(_run_sweep, (*_SWEEP_READS, "po_list")),
+    "pd_curve": ExperimentKind(_run_sweep, (*_SWEEP_READS, "snr_db_list")),
+    "ber_curve": ExperimentKind(_run_ber_curve, ("presets", "seed", "trials", "snr_db_list")),
+    "io_check": ExperimentKind(_run_io_check, ("seed", "trials")),
+    "runtime_scaling": ExperimentKind(_run_runtime_scaling, ("seed", "sizes")),
 }

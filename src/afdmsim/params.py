@@ -196,7 +196,7 @@ class ScenarioConfig:
             raise ValueError("n_c must equal k_chirps * n_p")
         if self.preset not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.preset!r}")
-        for key in ("pilot_overhead", "snr_db", "l_max", "k_max"):
+        for key in ("pilot_overhead", "snr_db", "l_max", "k_max", "rng_seed"):
             _check_field(key, getattr(self, key))
         if self.preset == "proposed":
             if self.k_chirps <= 2 * self.k_max:
@@ -231,8 +231,8 @@ def _check_field(key: str, value) -> None:
         raise ValueError("pilot_overhead must lie in [0, 1]")
     if key == "snr_db" and (math.isnan(value) or value == -math.inf):
         raise ValueError(f"snr_db must be finite or +inf (noise-free), got {value}")
-    if key in ("l_max", "k_max") and value < 0:
-        raise ValueError(f"{key} must be non-negative")
+    if key in ("l_max", "k_max", "seed", "rng_seed") and value < 0:
+        raise ValueError(f"{key} must be non-negative, got {value}")
 
 
 def _check_target(target, l_max: int, k_max: int) -> None:

@@ -1,11 +1,23 @@
+import itertools
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import afdmsim.metrics as metrics
-from afdmsim.cli import main
-from afdmsim.experiments import ExperimentSpec, builtin_scenarios, run
+from afdmsim.cli import _kind_flags, main
+from afdmsim.experiments import (
+    EXPERIMENT_KINDS,
+    ExperimentSpec,
+    NumericalCheckError,
+    builtin_scenarios,
+    run,
+)
+from afdmsim.params import PRESET_NAMES
 
 
 def read_ddm_csv(path):
@@ -91,6 +103,15 @@ class TestIoCheck:
         assert text[0] == "n_c,trials,max_abs_error,tolerance,passed"
         fields = text[1].split(",")
         assert float(fields[2]) < 1e-9
+        assert fields[4] == "true"
+
+    def test_runs_on_the_scenario_grid(self, tmp_path):
+        spec = ExperimentSpec(kind="io_check", scenario=builtin_scenarios()["fig4"],
+                              out_dir=tmp_path, trials=5)
+        run(spec)
+        fields = (tmp_path / "io_check_proposed_all.csv").read_text().splitlines()[1].split(",")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert int(fields[0]) == manifest["waveforms"]["proposed"]["n_c"] == 512
         assert fields[4] == "true"
 
 
@@ -379,6 +400,80 @@ class TestCli:
         assert f"size {size} " in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, preset_name", [
+        (["pd-curve", "--scenario", "fig4", "--preset", "ofdm", "--algorithm", "ddmf"], "ofdm"),
+        (["ddm", "--scenario", "desk", "--preset", "classic", "--algorithm", "ddmf"], "classic"),
+        (["snr-sweep", "--scenario", "fig4", "--preset", "proposed", "--preset", "ocdm",
+          "--algorithm", "ddmf"], "ocdm"),
+    ], ids=["pd-curve-ofdm", "ddm-classic", "snr-sweep-ocdm"])
+    def test_preset_with_no_algorithm_to_run_rejected(self, tmp_path, capsys, argv,
+                                                      preset_name):
+        # ddmf needs the FMCW-equivalent set: such a preset would write a
+        # header-only CSV (sweeps) or no CSV at all (ddm)
+        code = main([*argv, "--out", str(tmp_path)])
+        assert code == 1
+        assert f"preset {preset_name!r} runs none of the algorithms ['ddmf']" in (
+            capsys.readouterr().err
+        )
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("kind", ["af_surface", "ber_curve", "io_check"])
+    def test_kind_that_reads_no_algorithm_accepts_any(self, tmp_path, kind):
+        ExperimentSpec(kind=kind, scenario=builtin_scenarios()["desk"], out_dir=tmp_path,
+                       presets=("classic", "ofdm"), algorithms=("ddmf",), trials=10)
+
+    @pytest.mark.parametrize("kind, field", [
+        ("snr_sweep", "snr_db_list"), ("pd_curve", "snr_db_list"),
+        ("ber_curve", "snr_db_list"), ("po_sweep", "po_list"),
+    ])
+    def test_empty_list_the_kind_reads_rejected(self, tmp_path, kind, field):
+        with pytest.raises(ValueError, match=f"{kind} needs at least one value in {field}"):
+            ExperimentSpec(kind=kind, scenario=builtin_scenarios()["desk"], out_dir=tmp_path,
+                           **{field: ()})
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        code = main(["io-check", "--scenario", "desk", "--seed", "-1", "--out", str(tmp_path)])
+        assert code == 1
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_negative_scenario_seed_names_file_and_line(self, tmp_path, capsys):
+        scen = tmp_path / "scen.txt"
+        scen.write_text("n_c = 32\nk_chirps = 4\nseed = -3\n[path]\ngain_re = 1.0\nl = 0\nk = 0\n")
+        out = tmp_path / "o"
+        out.mkdir()
+        code = main(["io-check", "--scenario", str(scen), "--out", str(out)])
+        assert code == 1
+        assert f"error: {scen}:3: seed must be non-negative, got -3" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("po", [["0.5", "1.5"], ["-0.1"], ["nan"]])
+    def test_pilot_overhead_outside_unit_interval_rejected(self, tmp_path, capsys,
+                                                           monkeypatch, po):
+        import afdmsim.experiments as experiments
+
+        def no_trials(*args, **kwargs):
+            pytest.fail("po_sweep started its trials")
+
+        monkeypatch.setattr(experiments, "trial_metrics", no_trials)
+        code = main(["po-sweep", "--scenario", "fig5", "--po", *po, "--out", str(tmp_path)])
+        assert code == 1
+        assert "po_list values must lie in [0, 1]" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_kind_flags_table_in_readme(self):
+        # the README's "Kind | Flags it reads" table, one row per kind or kinds
+        lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        rows = lines[lines.index("| Kind | Flags it reads |") + 2:]
+        documented = {}
+        for row in itertools.takewhile(lambda line: line.startswith("|"), rows):
+            kinds, flags = (cell.strip() for cell in row.strip("|").split("|"))
+            for kind in kinds.split(", "):
+                documented[kind.strip("`")] = [flag.strip("`") for flag in flags.split(", ")]
+        assert documented == {
+            kind.replace("_", "-"): _kind_flags(kind) for kind in EXPERIMENT_KINDS
+        }
+
 
 class TestExitCodes:
     def test_numerical_check_failure_is_exit_2(self, tmp_path, monkeypatch, capsys):
@@ -476,3 +571,43 @@ class TestSweepKinds:
         for preset_name in ("proposed", "classic"):
             lines = (tmp_path / f"af_surface_{preset_name}_psi0.csv").read_text().splitlines()
             assert len(lines) == 1 + 64 * 512  # delay axis one chirp period
+
+
+class TestAcceptedSpecsRun:
+    """Every spec ``ExperimentSpec`` accepts writes rows, or fails cleanly with a named error."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        kind=st.sampled_from(list(EXPERIMENT_KINDS)),
+        presets=st.lists(st.sampled_from(PRESET_NAMES), unique=True, max_size=4),
+        algorithms=st.lists(st.sampled_from(metrics.ALGORITHMS), unique=True, max_size=3),
+        trials=st.integers(1, 12),
+        # edges of the accepted ranges; values outside them have their own tests
+        snr_db_list=st.lists(st.sampled_from((-300.0, -30.0, 0.0, 30.0, 300.0)),
+                             unique=True, max_size=3),
+        po_list=st.lists(st.sampled_from((0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0)),
+                         unique=True, max_size=3),
+        sizes=st.lists(st.sampled_from((16, 32, 48)), unique=True, min_size=2, max_size=2),
+    )
+    def test_writes_rows_or_raises_and_leaves_nothing(self, kind, presets, algorithms, trials,
+                                                      snr_db_list, po_list, sizes):
+        fields = dict(presets=tuple(presets), algorithms=tuple(algorithms), trials=trials,
+                      snr_db_list=tuple(snr_db_list), po_list=tuple(po_list),
+                      sizes=tuple(sizes))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            try:
+                spec = ExperimentSpec(kind=kind, scenario=builtin_scenarios()["desk"],
+                                      out_dir=out, **fields)
+            except ValueError:
+                return
+            try:
+                written = run(spec)
+            except (ValueError, NumericalCheckError):
+                assert list(out.iterdir()) == []
+                return
+            assert written[-1] == out / "manifest.json"
+            csvs = written[:-1]
+            assert csvs and all(path.suffix == ".csv" for path in csvs)
+            for path in csvs:
+                assert len(path.read_text().splitlines()) >= 2, path.name

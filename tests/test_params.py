@@ -103,6 +103,10 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="target gain"):
             ScenarioConfig(name="bad", n_c=32, k_chirps=4, n_p=8, targets=((gain, 0, 0),))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="rng_seed must be non-negative, got -1"):
+            ScenarioConfig(name="bad", n_c=32, k_chirps=4, n_p=8, rng_seed=-1)
+
     def test_infinite_snr_is_noise_free(self):
         sc = ScenarioConfig(name="clean", n_c=32, k_chirps=4, n_p=8, snr_db=float("inf"))
         assert sc.snr_db == float("inf")
