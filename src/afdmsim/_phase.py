@@ -26,25 +26,16 @@ def unit_phasor(numer, denom: int) -> np.ndarray:
     return np.exp(2j * np.pi * frac)
 
 
-def rational_phasor(coeff: Fraction, index_sq) -> np.ndarray:
-    """exp(2j*pi*coeff*index_sq) for exact rational ``coeff``."""
-    p, q = coeff.numerator, coeff.denominator
-    return unit_phasor(p * np.asarray(index_sq, dtype=np.int64), q)
+def chirp_phasor(coeff, index) -> np.ndarray:
+    """exp(2j*pi*coeff*index**2), the chirp phase of rate ``coeff`` at integer ``index``.
 
-
-def real_phasor(coeff: float, index_sq) -> np.ndarray:
-    """exp(2j*pi*coeff*index_sq) for an irrational coefficient.
-
-    The argument is reduced mod 1 in extended precision before the complex
-    exponential; good to ~1e-12 of a revolution for indices up to a few
-    thousand, which is ample for the tolerances used in this package.
+    An exact ``Fraction`` rate is reduced mod one revolution in integer
+    arithmetic. Any other rate is reduced mod 1 in extended precision before
+    the complex exponential; good to ~1e-12 of a revolution for indices up to
+    a few thousand, which is ample for the tolerances used in this package.
     """
-    arg = np.mod(np.longdouble(coeff) * np.asarray(index_sq, dtype=np.int64), 1.0)
-    return np.exp(2j * np.pi * arg.astype(np.float64))
-
-
-def chirp_phasor(coeff, index_sq) -> np.ndarray:
-    """Dispatch on exact (Fraction) vs floating chirp-rate coefficients."""
+    index_sq = np.asarray(index, dtype=np.int64) ** 2
     if isinstance(coeff, Fraction):
-        return rational_phasor(coeff, index_sq)
-    return real_phasor(float(coeff), index_sq)
+        return unit_phasor(coeff.numerator * index_sq, coeff.denominator)
+    arg = np.mod(np.longdouble(coeff) * index_sq, 1.0)
+    return np.exp(2j * np.pi * arg.astype(np.float64))

@@ -41,9 +41,10 @@ def dpaf_surface(a, b, n_delays: int | None = None) -> np.ndarray:
     """Cross-ambiguity rows at delays l = 0..n_delays-1 (default: the full plane).
 
     Returns an (n_delays, n_c) array. Row l is the length-n_c inverse DFT of
-    a * conj(roll(b, l)) scaled by n_c, which equals :func:`dpaf_brute` at
-    every Doppler k; each row is computed alone, so the first rows are the
-    same bits whatever ``n_delays`` is.
+    a[n] * conj(b[(n - l) mod n_c]) scaled by n_c, which equals
+    :func:`dpaf_brute` at every Doppler k. All rows come from one index
+    gather and one batched inverse FFT; each row's transform is computed
+    alone, so the first rows are the same bits whatever ``n_delays`` is.
     """
     av, bv = _samples(a), _samples(b)
     if av.shape != bv.shape or av.ndim != 1:
@@ -52,10 +53,9 @@ def dpaf_surface(a, b, n_delays: int | None = None) -> np.ndarray:
     n_delays = n_c if n_delays is None else n_delays
     if not 0 <= n_delays <= n_c:
         raise ValueError(f"n_delays must lie in [0, {n_c}], got {n_delays}")
-    rows = np.empty((n_delays, n_c), dtype=np.complex128)
-    for l in range(n_delays):
-        rows[l] = np.fft.ifft(av * np.conj(np.roll(bv, l))) * n_c
-    return rows
+    n = np.arange(n_c)
+    shifted = bv[(n - np.arange(n_delays)[:, None]) % n_c]
+    return np.fft.ifft(av * np.conj(shifted), axis=-1) * n_c
 
 
 def aaf_psi0_closed(config: AfdmConfig, l, k) -> complex | np.ndarray:

@@ -40,7 +40,15 @@ from .metrics import (
     trial_metrics,
     trial_rng,
 )
-from .params import AfdmConfig, ScenarioConfig, load_scenario, proposed_params
+from .params import (
+    CARRIER_HZ,
+    PRESET_NAMES,
+    SUBCARRIER_SPACING_HZ,
+    AfdmConfig,
+    ScenarioConfig,
+    load_scenario,
+    preset,
+)
 from .sensing import _ddmf_direct, dechirp_batch, tfmf_batch
 from .waveform import demodulate, modulate, subcarrier
 
@@ -118,6 +126,15 @@ class ExperimentSpec:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         reads = EXPERIMENT_KINDS[self.kind].reads
+        for name, known in (("presets", PRESET_NAMES), ("algorithms", ALGORITHMS)):
+            unknown = [value for value in getattr(self, name) if value not in known]
+            if unknown:
+                raise ValueError(f"unknown {name} {unknown}; expected some of {list(known)}")
+        seeds = () if self.seed is None else (self.seed,)
+        for name, values in (("trials", (self.trials,)), ("seed", seeds), ("sizes", self.sizes)):
+            for value in values:
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ValueError(f"{name} must be int, got {type(value).__name__} {value!r}")
         if self.tfmf_reference not in ("transmit", "pilot"):
             raise ValueError("tfmf_reference must be 'transmit' or 'pilot'")
         if self.trials < 1:
@@ -142,11 +159,13 @@ class ExperimentSpec:
             repeated = _first_repeat(getattr(self, name))
             if repeated is not None:
                 raise ValueError(f"{name} repeats the value {repeated!r}")
-        for n_c in self.sizes:
-            if n_c <= 0 or n_c % 16:
+        for n_c in self.sizes:  # each is timed on the proposed preset's grid
+            try:
+                preset("proposed", n_c, BENCHMARK_K_CHIRPS)
+            except ValueError as exc:
                 raise ValueError(
-                    f"size {n_c} must be a positive multiple of 16 (8 chirps of even length)"
-                )
+                    f"size {n_c} is no proposed symbol of {BENCHMARK_K_CHIRPS} chirps: {exc}"
+                ) from None
         if self.kind == "runtime_scaling" and len(self.sizes) < 2:
             raise ValueError(
                 f"runtime_scaling fits slopes and needs two or more sizes, got {list(self.sizes)}"
@@ -181,6 +200,8 @@ def _algorithms_for(preset_name: str, algorithms) -> tuple[str, ...]:
 def _scenario_manifest(sc: ScenarioConfig) -> dict:
     return asdict(sc) | {
         "bandwidth_hz": sc.bandwidth_hz,
+        "carrier_hz": CARRIER_HZ,
+        "subcarrier_spacing_hz": SUBCARRIER_SPACING_HZ,
         "targets": [
             {"gain_re": g.real, "gain_im": g.imag, "l": l, "k": k}
             for g, l, k in sc.targets
@@ -426,7 +447,7 @@ def benchmark_pipelines(sizes, seed: int = 0) -> list[tuple[str, int, float]]:
     samples = rng.standard_normal(total) + 1j * rng.standard_normal(total)
     fast_runs, ddmf_runs = [], []
     for n_c, batch_fast in zip(sizes, batches_fast):
-        config = proposed_params(n_c // BENCHMARK_K_CHIRPS, BENCHMARK_K_CHIRPS)
+        config = preset("proposed", n_c, BENCHMARK_K_CHIRPS)
         pilot = subcarrier(config, 0).samples
         stack = samples[: batch_fast * n_c].reshape(batch_fast, n_c)
         n_p, K = config.n_p, config.k_chirps

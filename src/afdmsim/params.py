@@ -20,14 +20,35 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
-PRESET_NAMES = ("proposed", "classic", "ofdm", "ocdm")
-
 ChirpRate = Union[Fraction, float]
+
+#: Each preset's chirp rates (c1, c2) from the symbol geometry and Doppler bound.
+_RATES = {
+    "proposed": lambda n_c, n_p, k_max: (Fraction(1, 2 * n_p), Fraction(0)),
+    "classic": lambda n_c, n_p, k_max: (Fraction(2 * k_max + 1, 2 * n_c), math.sqrt(2.0)),
+    "ofdm": lambda n_c, n_p, k_max: (Fraction(0), Fraction(0)),
+    "ocdm": lambda n_c, n_p, k_max: (Fraction(1, 2 * n_c), Fraction(1, 2 * n_c)),
+}
+
+PRESET_NAMES = tuple(_RATES)
+
+
+def _check_geometry(n_c: int, k_chirps: int, n_p: int) -> None:
+    """Raise ValueError unless n_c = k_chirps * n_p with all three positive integers."""
+    if not all(isinstance(v, numbers.Integral) and v > 0 for v in (n_c, k_chirps, n_p)):
+        raise ValueError(
+            f"n_c, k_chirps and n_p must be positive integers, got {n_c}, {k_chirps}, {n_p}"
+        )
+    if n_c != k_chirps * n_p:
+        raise ValueError(
+            f"n_c must equal k_chirps * n_p, got {n_c} != {k_chirps} * {n_p}"
+        )
 
 
 @dataclass(frozen=True)
@@ -51,13 +72,7 @@ class AfdmConfig:
     l_cpp: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_c <= 0 or self.k_chirps <= 0 or self.n_p <= 0:
-            raise ValueError("n_c, k_chirps and n_p must be positive")
-        if self.n_c != self.k_chirps * self.n_p:
-            raise ValueError(
-                f"n_c must equal k_chirps * n_p, got {self.n_c} != "
-                f"{self.k_chirps} * {self.n_p}"
-            )
+        _check_geometry(self.n_c, self.k_chirps, self.n_p)
         if self.l_cpp < 0:
             raise ValueError("l_cpp must be non-negative")
         if not isinstance(self.c1, Fraction):
@@ -80,71 +95,40 @@ class AfdmConfig:
             )
 
 
-def proposed_params(n_p: int, k_chirps: int, l_cpp: int = 0) -> AfdmConfig:
-    """FMCW-equivalent parameter set: c1 = 1/(2*n_p), c2 = 0.
-
-    ``n_p`` must be even; an odd chirp period breaks the exact periodicity of
-    the quadratic phase and the 0-th subcarrier would no longer equal the
-    sampled FMCW sweep.
-    """
-    if n_p < 2 or n_p % 2 != 0:
-        raise ValueError(f"n_p must be even and >= 2, got {n_p}")
-    if k_chirps < 1:
-        raise ValueError("k_chirps must be >= 1")
-    return AfdmConfig(
-        n_c=k_chirps * n_p,
-        k_chirps=k_chirps,
-        n_p=n_p,
-        c1=Fraction(1, 2 * n_p),
-        c2=Fraction(0),
-        l_cpp=l_cpp,
-    )
-
-
-def classic_params(
-    n_c: int, k_max: int, k_chirps: int = 1, l_cpp: int = 0
-) -> AfdmConfig:
-    """Conventional parameter set: c1 = (2*k_max+1)/(2*n_c), c2 = sqrt(2).
-
-    ``k_chirps`` only fixes the delay-Doppler grid geometry used by the
-    sensing pipelines; it does not enter c1 or c2.
-    """
-    if n_c < 1:
-        raise ValueError("n_c must be >= 1")
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    if n_c % k_chirps != 0:
-        raise ValueError("k_chirps must divide n_c")
-    return AfdmConfig(
-        n_c=n_c,
-        k_chirps=k_chirps,
-        n_p=n_c // k_chirps,
-        c1=Fraction(2 * k_max + 1, 2 * n_c),
-        c2=math.sqrt(2.0),
-        l_cpp=l_cpp,
-    )
-
-
 def preset(
     name: str, n_c: int, k_chirps: int = 1, k_max: int = 0, l_cpp: int = 0
 ) -> AfdmConfig:
     """Build a named preset on a symbol of ``n_c`` samples in ``k_chirps`` periods.
 
     ``k_max`` enters only the ``classic`` c1; ``l_cpp`` is the chirp-cyclic
-    prefix length of every preset.
+    prefix length of every preset. ``proposed`` needs an even chirp period
+    n_p: an odd one breaks the exact periodicity of the quadratic phase, and
+    subcarrier 0 would no longer equal the sampled FMCW sweep.
     """
-    if name not in PRESET_NAMES:
+    if name not in _RATES:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
     if k_chirps < 1 or n_c % k_chirps != 0:
         raise ValueError("k_chirps must divide n_c")
-    if name == "proposed":
-        return proposed_params(n_c // k_chirps, k_chirps, l_cpp=l_cpp)
-    if name == "classic":
-        return classic_params(n_c, k_max, k_chirps=k_chirps, l_cpp=l_cpp)
-    c = Fraction(0) if name == "ofdm" else Fraction(1, 2 * n_c)
-    return AfdmConfig(
-        n_c=n_c, k_chirps=k_chirps, n_p=n_c // k_chirps, c1=c, c2=c, l_cpp=l_cpp
-    )
+    n_p = n_c // k_chirps
+    _check_geometry(n_c, k_chirps, n_p)  # before a rate divides by n_c or n_p
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    if name == "proposed" and n_p % 2 != 0:
+        raise ValueError(f"n_p must be even, got {n_p}")
+    c1, c2 = _RATES[name](n_c, n_p, k_max)
+    return AfdmConfig(n_c=n_c, k_chirps=k_chirps, n_p=n_p, c1=c1, c2=c2, l_cpp=l_cpp)
+
+
+def proposed_params(n_p: int, k_chirps: int, l_cpp: int = 0) -> AfdmConfig:
+    """The FMCW-equivalent set c1 = 1/(2*n_p), c2 = 0 on K periods of even ``n_p``."""
+    return preset("proposed", n_p * k_chirps, k_chirps, l_cpp=l_cpp)
+
+
+def classic_params(
+    n_c: int, k_max: int, k_chirps: int = 1, l_cpp: int = 0
+) -> AfdmConfig:
+    """The conventional set c1 = (2*k_max+1)/(2*n_c), c2 = sqrt(2); K fixes only the grid."""
+    return preset("classic", n_c, k_chirps, k_max, l_cpp)
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +151,17 @@ SCENARIO_KEYS = (
 #: Keys accepted inside a [path] block.
 PATH_KEYS = ("gain_re", "gain_im", "power", "phase", "l", "k")
 
+#: The reference deployment: 79 GHz carrier, 15 kHz subcarrier spacing.
+CARRIER_HZ, SUBCARRIER_SPACING_HZ = 79e9, 15e3
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A named simulation scenario: geometry, channel bounds, and targets.
 
     ``targets`` holds (complex gain, delay tap, Doppler tap) triples; Doppler
-    taps are signed integers. Physical constants default to the reference
-    deployment (79 GHz carrier, 15 kHz subcarrier spacing).
+    taps are signed integers. Every scenario shares the reference deployment's
+    ``CARRIER_HZ`` and ``SUBCARRIER_SPACING_HZ``.
     """
 
     name: str
@@ -188,12 +175,9 @@ class ScenarioConfig:
     pilot_overhead: float = 1.0
     rng_seed: int = 1
     targets: tuple[tuple[complex, int, int], ...] = ()
-    carrier_hz: float = 79e9
-    subcarrier_spacing_hz: float = 15e3
 
     def __post_init__(self) -> None:
-        if self.n_c != self.k_chirps * self.n_p:
-            raise ValueError("n_c must equal k_chirps * n_p")
+        _check_geometry(self.n_c, self.k_chirps, self.n_p)
         if self.preset not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.preset!r}")
         for key in ("pilot_overhead", "snr_db", "l_max", "k_max", "rng_seed"):
@@ -213,7 +197,7 @@ class ScenarioConfig:
 
     @property
     def bandwidth_hz(self) -> float:
-        return self.n_c * self.subcarrier_spacing_hz
+        return self.n_c * SUBCARRIER_SPACING_HZ
 
     def waveform(self, preset_name: str | None = None) -> AfdmConfig:
         """The AfdmConfig of a preset (default: the scenario's) on this grid.
@@ -318,19 +302,14 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
     if "n_c" not in top:
         raise ScenarioError(f"{path}: missing key n_c")
-    for key in ("k_chirps", "n_p"):
+    if "k_chirps" not in top and "n_p" not in top:
+        raise ScenarioError(f"{path}: missing key k_chirps")
+    for key in ("k_chirps", "n_p"):  # either may divide n_c to give the other
         if key in top and top[key] < 1:
             raise ScenarioError(f"{path}: {key} must be >= 1, got {top[key]}")
-    n_c = int(top["n_c"])
-    if "k_chirps" in top:
-        k_chirps = int(top["k_chirps"])
-    elif "n_p" in top:
-        if n_c % int(top["n_p"]) != 0:
-            raise ScenarioError(f"{path}: n_p must divide n_c")
-        k_chirps = n_c // int(top["n_p"])
-    else:
-        raise ScenarioError(f"{path}: missing key k_chirps")
-    n_p = int(top.get("n_p", n_c // k_chirps))
+    n_c = top["n_c"]
+    k_chirps = top["k_chirps"] if "k_chirps" in top else n_c // top["n_p"]
+    n_p = top["n_p"] if "n_p" in top else n_c // k_chirps
 
     l_max, k_max = int(top.get("l_max", 0)), int(top.get("k_max", 0))
     targets = []
@@ -365,5 +344,5 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             rng_seed=int(top.get("seed", 1)),
             targets=tuple(targets),
         )
-    except ValueError as exc:  # a fault of several keys together, e.g. path separability
+    except ValueError as exc:  # a fault of several keys together: geometry, path separability
         raise ScenarioError(f"{path}: {exc}") from None

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._phase import chirp_phasor, rational_phasor, unit_phasor
+from ._phase import chirp_phasor, unit_phasor
 from .params import AfdmConfig, proposed_params
 
 
@@ -59,18 +59,10 @@ def _as_samples(signal, config: AfdmConfig, *, stacked: bool = False) -> np.ndar
     return arr
 
 
-def _c2_phasor(config: AfdmConfig, m: np.ndarray) -> np.ndarray:
-    return chirp_phasor(config.c2, np.asarray(m, dtype=np.int64) ** 2)
-
-
-def _c1_phasor(config: AfdmConfig, n: np.ndarray) -> np.ndarray:
-    return rational_phasor(config.c1, np.asarray(n, dtype=np.int64) ** 2)
-
-
 def _chirps(config: AfdmConfig) -> tuple[np.ndarray, np.ndarray]:
     """Read-only exp(j2pi c2 m^2) over m and exp(j2pi c1 n^2) over n, for reuse across calls."""
     index = np.arange(config.n_c, dtype=np.int64)
-    pair = _c2_phasor(config, index), _c1_phasor(config, index)
+    pair = chirp_phasor(config.c2, index), chirp_phasor(config.c1, index)
     for phasor in pair:
         phasor.flags.writeable = False
     return pair
@@ -82,9 +74,7 @@ def subcarrier(config: AfdmConfig, m: int) -> TimeSignal:
         raise ValueError(f"subcarrier index {m} outside [0, {config.n_c})")
     n = np.arange(config.n_c, dtype=np.int64)
     samples = (
-        _c1_phasor(config, n)
-        * unit_phasor(m * n, config.n_c)
-        * _c2_phasor(config, np.int64(m))
+        chirp_phasor(config.c1, n) * unit_phasor(m * n, config.n_c) * chirp_phasor(config.c2, m)
     )
     return TimeSignal(samples, config)
 
@@ -152,11 +142,9 @@ def remove_cpp(config: AfdmConfig, r: TimeSignal) -> TimeSignal:
 def fmcw_signal(n_p: int, k_chirps: int) -> TimeSignal:
     """K concatenated Nyquist-sampled up-chirps exp(j*pi*n^2/n_p).
 
-    Requires even ``n_p`` so the concatenation is phase-continuous and equals
-    subcarrier 0 of the matching proposed-parameter configuration.
+    ``n_p`` must be even, as ``proposed_params`` requires: only then is the
+    concatenation phase-continuous and equal to subcarrier 0 of that config.
     """
-    if n_p < 2 or n_p % 2 != 0:
-        raise ValueError(f"n_p must be even and >= 2, got {n_p}")
     config = proposed_params(n_p, k_chirps)
     n = np.arange(n_p, dtype=np.int64)
     base = unit_phasor(n * n, 2 * n_p)

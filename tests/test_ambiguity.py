@@ -133,6 +133,20 @@ class TestCafClosedForm:
         assert np.abs(surf - closed).max() < 1e-9
 
 
+@pytest.mark.parametrize("preset_name", PRESET_NAMES)
+def test_n_delays_gives_the_full_planes_first_rows(preset_name):
+    config = builtin_scenarios()["desk"].waveform(preset_name)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(config.n_c) + 1j * rng.standard_normal(config.n_c)
+    for b in (subcarrier(config, 0), subcarrier(config, 5).samples):
+        full = dpaf_surface(a, b)
+        assert full.shape == (config.n_c, config.n_c)
+        for n_delays in (0, 1, config.n_p, config.n_c - 1, config.n_c):
+            rows = dpaf_surface(a, b, n_delays=n_delays)
+            assert rows.shape == (n_delays, config.n_c)
+            assert rows.tobytes() == full[:n_delays].tobytes()
+
+
 @pytest.mark.parametrize("scenario", ["desk", "table1"])
 def test_af_surface_rows_are_the_full_planes_first_rows(tmp_path, scenario):
     # the artifact evaluates delays 0..n_p-1 only; its cells are the same bits

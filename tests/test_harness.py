@@ -447,6 +447,39 @@ class TestCli:
         assert f"error: {scen}:3: seed must be non-negative, got -3" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("n_c", [0, -8])
+    @pytest.mark.parametrize("preset_name", PRESET_NAMES)
+    def test_non_positive_geometry_names_file(self, tmp_path, capsys, preset_name, n_c):
+        # one message for every preset: the geometry is checked before any chirp rate
+        scen = tmp_path / "scen.txt"
+        scen.write_text(f"n_c = {n_c}\nk_chirps = 4\npreset = {preset_name}\n")
+        out = tmp_path / "o"
+        out.mkdir()
+        code = main(["af-surface", "--scenario", str(scen), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {scen}: n_c, k_chirps and n_p must be positive integers, got "
+            f"{n_c}, 4, {n_c // 4}\n"
+        )
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("presets", ("proposed", "bogus"), "unknown presets ['bogus']"),
+        ("algorithms", ("foo",), "unknown algorithms ['foo']"),
+        ("seed", 1.5, "seed must be int, got float 1.5"),
+        ("trials", 2.5, "trials must be int, got float 2.5"),
+        ("trials", True, "trials must be int, got bool True"),
+        ("sizes", (32.0, 64.0), "sizes must be int, got float 32.0"),
+        ("sizes", (32, "64"), "sizes must be int, got str '64'"),
+    ], ids=["preset", "algorithm", "float-seed", "float-trials", "bool-trials", "float-sizes",
+            "str-size"])
+    def test_unknown_name_or_non_integer_rejected_by_spec(self, tmp_path, field, value, message):
+        with pytest.raises(ValueError) as info:
+            ExperimentSpec(kind="io_check", scenario=builtin_scenarios()["desk"],
+                           out_dir=tmp_path, **{field: value})
+        assert str(info.value).startswith(message)
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("po", [["0.5", "1.5"], ["-0.1"], ["nan"]])
     def test_pilot_overhead_outside_unit_interval_rejected(self, tmp_path, capsys,
                                                            monkeypatch, po):

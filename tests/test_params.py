@@ -76,6 +76,16 @@ class TestPeriodicityInvariants:
             arg = cfg.c1 * (cfg.n_c**2 + 2 * cfg.n_c * n)
             assert arg.denominator == 1
 
+    @pytest.mark.parametrize("build", [
+        lambda: preset("proposed", 32.0, 4),
+        lambda: ScenarioConfig(name="bad", n_c=32.0, k_chirps=4, n_p=8.0),
+        lambda: AfdmConfig(n_c=32, k_chirps=4.0, n_p=8, c1=Fraction(1, 16), c2=Fraction(0)),
+    ], ids=["preset", "scenario", "config"])
+    def test_non_integer_geometry_rejected(self, build):
+        # a float n_p would otherwise reach a Fraction rate as a raw TypeError
+        with pytest.raises(ValueError, match="must be positive integers"):
+            build()
+
     def test_geometry_consistency_enforced(self):
         with pytest.raises(ValueError, match="k_chirps"):
             AfdmConfig(n_c=30, k_chirps=4, n_p=8, c1=Fraction(1, 16), c2=Fraction(0))

@@ -337,18 +337,46 @@ def scenarios(draw):
     )
 
 
+def preset_rates(name, n_c, n_p, k_max):
+    """Each preset's (c1, c2) as the paper states it, written out apart from ``params``."""
+    return {
+        "proposed": (Fraction(1, 2 * n_p), Fraction(0)),
+        "classic": (Fraction(2 * k_max + 1, 2 * n_c), math.sqrt(2.0)),
+        "ofdm": (Fraction(0), Fraction(0)),
+        "ocdm": (Fraction(1, 2 * n_c), Fraction(1, 2 * n_c)),
+    }[name]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    name=st.sampled_from(PRESET_NAMES), n_c=st.integers(-4, 64), k_chirps=st.integers(0, 9),
+    k_max=st.integers(-1, 4), l_cpp=st.integers(-1, 4),
+)
+@example(name="ocdm", n_c=0, k_chirps=1, k_max=0, l_cpp=0)
+@example(name="proposed", n_c=0, k_chirps=1, k_max=0, l_cpp=0)
+@example(name="classic", n_c=8, k_chirps=0, k_max=0, l_cpp=0)
+def test_preset_builds_its_rates_or_raises_value_error(name, n_c, k_chirps, k_max, l_cpp):
+    valid = (
+        n_c >= 1 and k_chirps >= 1 and n_c % k_chirps == 0 and k_max >= 0 and l_cpp >= 0
+        and (name != "proposed" or (n_c // k_chirps) % 2 == 0)
+    )
+    if not valid:
+        with pytest.raises(ValueError):
+            preset(name, n_c, k_chirps, k_max, l_cpp)
+        return
+    config = preset(name, n_c, k_chirps, k_max, l_cpp)
+    n_p = n_c // k_chirps
+    c1, c2 = preset_rates(name, n_c, n_p, k_max)
+    assert config == AfdmConfig(n_c, k_chirps, n_p, c1=c1, c2=c2, l_cpp=l_cpp)
+    assert config.fmcw_equivalent == (name == "proposed")
+
+
 @settings(deadline=None, max_examples=100)
 @given(sc=scenarios(), name=st.sampled_from(PRESET_NAMES))
 def test_scenario_waveform_is_the_preset_formula(sc, name):
     assume(name != "proposed" or sc.n_p % 2 == 0)
-    cpp = sc.l_max + 1
-    if name == "proposed":
-        want = proposed_params(sc.n_p, sc.k_chirps, l_cpp=cpp)
-    elif name == "classic":
-        want = classic_params(sc.n_c, sc.k_max, k_chirps=sc.k_chirps, l_cpp=cpp)
-    else:
-        c = Fraction(0) if name == "ofdm" else Fraction(1, 2 * sc.n_c)
-        want = AfdmConfig(sc.n_c, sc.k_chirps, sc.n_p, c1=c, c2=c, l_cpp=cpp)
+    c1, c2 = preset_rates(name, sc.n_c, sc.n_p, sc.k_max)
+    want = AfdmConfig(sc.n_c, sc.k_chirps, sc.n_p, c1=c1, c2=c2, l_cpp=sc.l_max + 1)
     assert sc.waveform(name) == want
     assert sc.waveform() == sc.waveform(sc.preset)
 

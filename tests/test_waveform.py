@@ -4,12 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from afdmsim._phase import unit_phasor
+from afdmsim._phase import chirp_phasor, unit_phasor
 from afdmsim.params import classic_params, preset, proposed_params
 from afdmsim.waveform import (
     TimeSignal,
-    _c1_phasor,
-    _c2_phasor,
     _chirps,
     _modulate,
     add_cpp,
@@ -158,7 +156,7 @@ class TestChirps:
     @pytest.mark.parametrize("cfg", ALL_PRESETS, ids=lambda c: str(c.c1))
     def test_kernels_equal_per_call_phasors(self, cfg):
         index = np.arange(cfg.n_c)
-        c2_chirp, c1_chirp = _c2_phasor(cfg, index), _c1_phasor(cfg, index)
+        c2_chirp, c1_chirp = chirp_phasor(cfg.c2, index), chirp_phasor(cfg.c1, index)
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 3, cfg.n_c)) + 1j * rng.standard_normal((2, 3, cfg.n_c))
         s = np.fft.ifft(x * c2_chirp) * np.sqrt(cfg.n_c) * c1_chirp
@@ -167,7 +165,7 @@ class TestChirps:
         y = np.fft.fft(x * np.conj(c1_chirp)) / np.sqrt(cfg.n_c) * np.conj(c2_chirp)
         assert np.array_equal(demodulate(cfg, x), y)
         for m in (0, 5, cfg.n_c - 1):
-            psi = c1_chirp * unit_phasor(m * index, cfg.n_c) * _c2_phasor(cfg, np.int64(m))
+            psi = c1_chirp * unit_phasor(m * index, cfg.n_c) * chirp_phasor(cfg.c2, m)
             assert np.array_equal(subcarrier(cfg, m).samples, psi)
 
 
