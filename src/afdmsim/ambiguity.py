@@ -6,8 +6,9 @@ The cyclic delay/Doppler correlation of length-n_c signals,
 
 has a sparse closed form for the FMCW-equivalent basis chirps: the base
 auto-surface is a thumbtack supported on k = 0 mod K with the delay support
-line tilted by the Doppler-induced offset floor(k/K). Support tests below use
-exact integer modular arithmetic; phases use exact rational reduction.
+line tilted by the Doppler-induced offset floor(k/K). :func:`caf_closed`
+evaluates it for any two basis chirps (an auto-surface is a chirp with
+itself) with exact integer support tests and exact rational phase reduction.
 """
 
 from __future__ import annotations
@@ -16,22 +17,20 @@ import numpy as np
 
 from ._phase import unit_phasor
 from .params import AfdmConfig
-from .waveform import TimeSignal
+from .waveform import _unwrap
 
 
-def _samples(x) -> np.ndarray:
-    if isinstance(x, TimeSignal):
-        if x.has_cpp:
-            raise ValueError("ambiguity functions are defined on CPP-free signals")
-        return x.samples
-    return np.asarray(x, dtype=np.complex128)
+def _signal_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of two CPP-free signals, which must be 1-D and of equal length."""
+    av, bv = _unwrap(a), _unwrap(b)
+    if av.shape != bv.shape or av.ndim != 1:
+        raise ValueError("signals must be 1-D and of equal length")
+    return av, bv
 
 
 def dpaf_brute(a, b, l: int, k: int) -> complex:
     """Direct-sum cyclic cross-ambiguity at a single (l, k) point."""
-    av, bv = _samples(a), _samples(b)
-    if av.shape != bv.shape or av.ndim != 1:
-        raise ValueError("signals must be 1-D and of equal length")
+    av, bv = _signal_pair(a, b)
     n_c = len(av)
     n = np.arange(n_c, dtype=np.int64)
     return complex(np.sum(av * np.conj(np.roll(bv, l)) * unit_phasor(k * n, n_c)))
@@ -46,9 +45,7 @@ def dpaf_surface(a, b, n_delays: int | None = None) -> np.ndarray:
     gather and one batched inverse FFT; each row's transform is computed
     alone, so the first rows are the same bits whatever ``n_delays`` is.
     """
-    av, bv = _samples(a), _samples(b)
-    if av.shape != bv.shape or av.ndim != 1:
-        raise ValueError("signals must be 1-D and of equal length")
+    av, bv = _signal_pair(a, b)
     n_c = len(av)
     n_delays = n_c if n_delays is None else n_delays
     if not 0 <= n_delays <= n_c:
@@ -63,26 +60,14 @@ def aaf_psi0_closed(config: AfdmConfig, l, k) -> complex | np.ndarray:
 
     n_c * exp(-j*pi*l^2/n_p) on the support k = 0 (mod K) and
     l = -floor(k/K) (mod n_p); zero elsewhere. Accepts integer arrays.
+    This is :func:`caf_closed` of the (0, 0) chirp with itself.
     """
-    config.require_fmcw("aaf_psi0_closed")
-    l = np.asarray(l, dtype=np.int64)
-    k = np.asarray(k, dtype=np.int64)
-    K, n_p, n_c = config.k_chirps, config.n_p, config.n_c
-    on_support = (np.mod(k, K) == 0) & (np.mod(l + np.floor_divide(k, K), n_p) == 0)
-    value = n_c * unit_phasor(-K * l * l, 2 * n_c)
-    out = np.where(on_support, value, 0.0 + 0.0j)
-    return complex(out) if out.ndim == 0 else out
+    return caf_closed(config, (0, 0), (0, 0), l, k)
 
 
 def aaf_shifted_closed(config: AfdmConfig, sub: tuple[int, int], l, k):
-    """Auto-ambiguity of the (l_p, k_p) basis chirp: a phase-rotated base AAF."""
-    config.require_fmcw("aaf_shifted_closed")
-    l_p, k_p = sub
-    l = np.asarray(l, dtype=np.int64)
-    k = np.asarray(k, dtype=np.int64)
-    rot = unit_phasor(2 * (k * l_p - l * k_p), 2 * config.n_c)
-    out = rot * aaf_psi0_closed(config, l, k)
-    return complex(out) if out.ndim == 0 else out
+    """Auto-ambiguity of the (l_p, k_p) basis chirp: :func:`caf_closed` of it with itself."""
+    return caf_closed(config, sub, sub, l, k)
 
 
 def caf_closed(

@@ -18,6 +18,7 @@ import os
 import time
 from dataclasses import asdict, astuple, dataclass
 from functools import partial
+from numbers import Real
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -131,10 +132,16 @@ class ExperimentSpec:
             if unknown:
                 raise ValueError(f"unknown {name} {unknown}; expected some of {list(known)}")
         seeds = () if self.seed is None else (self.seed,)
-        for name, values in (("trials", (self.trials,)), ("seed", seeds), ("sizes", self.sizes)):
+        for name, values, kind in (
+            ("trials", (self.trials,), int), ("seed", seeds, int), ("sizes", self.sizes, int),
+            ("snr_db_list", self.snr_db_list, Real), ("po_list", self.po_list, Real),
+        ):
             for value in values:
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ValueError(f"{name} must be int, got {type(value).__name__} {value!r}")
+                if not isinstance(value, kind) or isinstance(value, bool):
+                    raise ValueError(
+                        f"{name} must be {kind.__name__.lower()}, "
+                        f"got {type(value).__name__} {value!r}"
+                    )
         if self.tfmf_reference not in ("transmit", "pilot"):
             raise ValueError("tfmf_reference must be 'transmit' or 'pilot'")
         if self.trials < 1:
@@ -178,6 +185,9 @@ class ExperimentSpec:
 
     @property
     def resolved_presets(self) -> tuple[str, ...]:
+        """The presets the run covers; a kind that reads no presets runs ``proposed``."""
+        if "presets" not in EXPERIMENT_KINDS[self.kind].reads:
+            return ("proposed",)
         return self.presets or (self.scenario.preset,)
 
     @property
@@ -375,7 +385,8 @@ def _run_ber_curve(spec):
 
 
 def _run_io_check(spec):
-    config = spec.scenario.waveform("proposed")
+    (preset_name,) = spec.resolved_presets
+    config = spec.scenario.waveform(preset_name)
     rng = trial_rng(spec.resolved_seed, 0)
     worst = 0.0
     for _ in range(spec.trials):
@@ -398,7 +409,7 @@ def _run_io_check(spec):
         )
         worst = max(worst, float(np.abs(predicted - observed).max()))
     yield (
-        "io_check_proposed_all.csv",
+        f"io_check_{preset_name}_all.csv",
         ["n_c", "trials", "max_abs_error", "tolerance", "passed"],
         [(config.n_c,), (spec.trials,), (worst,), (IO_CHECK_TOLERANCE,),
          (worst < IO_CHECK_TOLERANCE,)],

@@ -141,9 +141,6 @@ class FrameSpec:
             return 0
         return min(2 * self.q_guard + 1, n_c)
 
-    def overhead(self, n_c: int) -> float:
-        return self.occupied_slots(n_c) / n_c
-
 
 def build_frame(config: AfdmConfig, spec: FrameSpec, rng: np.random.Generator) -> np.ndarray:
     """One DAFT-domain symbol vector with total energy exactly n_c."""

@@ -67,22 +67,22 @@ def _fast_slow(config: AfdmConfig, samples: np.ndarray) -> np.ndarray:
 
 
 def tfmf_batch(config: AfdmConfig, r_stack: np.ndarray, s_ref) -> np.ndarray:
-    """Vectorized TFMF over a (B, n_c) stack of received signals.
+    """Vectorized TFMF over a (..., n_c) stack of received signals.
 
-    ``s_ref`` is one reference for every row (a signal or n_c samples) or a
-    (B, n_c) stack holding each row's own reference.
+    ``s_ref`` is one reference for every signal (a signal or n_c samples) or,
+    for a (B, n_c) stack, a (B, n_c) stack holding each row's own reference.
     """
-    rm = _fast_slow(config, np.asarray(r_stack, dtype=np.complex128))
+    rm = _fast_slow(config, _as_samples(r_stack, config, stacked=True))
     refs = _as_samples(s_ref, config, stacked=True).reshape(-1, config.n_c)
     if len(refs) not in (1, len(rm)):
         raise ValueError(f"{len(refs)} references for {len(rm)} received signals")
     sm = _fast_slow(config, refs)
     n_p, K = config.n_p, config.k_chirps
-    r_fre = np.fft.fft(rm, axis=1) / np.sqrt(n_p)
-    s_fre = np.fft.fft(sm, axis=1) / np.sqrt(n_p)
+    r_fre = np.fft.fft(rm, axis=-2) / np.sqrt(n_p)
+    s_fre = np.fft.fft(sm, axis=-2) / np.sqrt(n_p)
     mf = r_fre * np.conj(s_fre)
-    d_range = np.fft.ifft(mf, axis=1) * np.sqrt(n_p)
-    return np.fft.ifft(d_range, axis=2) * np.sqrt(K)
+    d_range = np.fft.ifft(mf, axis=-2) * np.sqrt(n_p)
+    return np.fft.ifft(d_range, axis=-1) * np.sqrt(K)
 
 
 def tfmf(config: AfdmConfig, r, s_ref) -> DelayDopplerMap:
@@ -98,13 +98,13 @@ def tfmf(config: AfdmConfig, r, s_ref) -> DelayDopplerMap:
 
 
 def dechirp_batch(config: AfdmConfig, r_stack: np.ndarray, pilot) -> np.ndarray:
-    """Vectorized dechirp over a (B, n_c) stack of received signals."""
-    rm = _fast_slow(config, np.asarray(r_stack, dtype=np.complex128))
+    """Vectorized dechirp over a (..., n_c) stack of received signals."""
+    rm = _fast_slow(config, _as_samples(r_stack, config, stacked=True))
     pm = _fast_slow(config, _as_samples(pilot, config))
     n_p, K = config.n_p, config.k_chirps
     d = rm * np.conj(pm)
-    d_range = np.fft.ifft(d, axis=1) * np.sqrt(n_p)
-    return np.fft.ifft(d_range, axis=2) * np.sqrt(K)
+    d_range = np.fft.ifft(d, axis=-2) * np.sqrt(n_p)
+    return np.fft.ifft(d_range, axis=-1) * np.sqrt(K)
 
 
 def dechirp(config: AfdmConfig, r, pilot) -> DelayDopplerMap:

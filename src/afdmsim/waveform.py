@@ -47,13 +47,18 @@ class TimeSignal:
         return len(self.samples)
 
 
-def _as_samples(signal, config: AfdmConfig, *, stacked: bool = False) -> np.ndarray:
-    """Accept a CPP-free TimeSignal or bare array of n_c samples (``stacked``: (..., n_c))."""
+def _unwrap(signal) -> np.ndarray:
+    """The samples of a CPP-free TimeSignal, or ``signal`` as a complex array."""
     if isinstance(signal, TimeSignal):
         if signal.has_cpp:
             raise ValueError("signal still carries a CPP; remove it first")
         return signal.samples
-    arr = np.asarray(signal, dtype=np.complex128)
+    return np.asarray(signal, dtype=np.complex128)
+
+
+def _as_samples(signal, config: AfdmConfig, *, stacked: bool = False) -> np.ndarray:
+    """Accept a CPP-free TimeSignal or bare array of n_c samples (``stacked``: (..., n_c))."""
+    arr = _unwrap(signal)
     if arr.shape[-1:] != (config.n_c,) or (arr.ndim != 1 and not stacked):
         raise ValueError(f"expected {config.n_c} samples, got shape {arr.shape}")
     return arr

@@ -12,6 +12,7 @@ from afdmsim.ambiguity import (
     dpaf_brute,
     dpaf_surface,
 )
+from afdmsim._phase import unit_phasor
 from afdmsim.experiments import ExperimentSpec, builtin_scenarios, run
 from afdmsim.params import PRESET_NAMES, classic_params, proposed_params
 from afdmsim.waveform import echo_form_subcarrier, subcarrier
@@ -58,6 +59,16 @@ class TestBaseClosedForm:
     def test_doppler_coupled_support(self):
         expected = 32 * cmath.exp(-1j * math.pi * 49 / 8)
         assert aaf_psi0_closed(CFG, 7, 4) == pytest.approx(expected, abs=1e-12)
+
+    def test_af_surface_grid_is_the_base_formula_bit_for_bit(self):
+        # the formula the af_surface CSV of the proposed preset is written from
+        cfg = proposed_params(64, 8)
+        K, n_p, n_c = cfg.k_chirps, cfg.n_p, cfg.n_c
+        l = np.arange(n_p)[:, None]
+        k = np.arange(n_c)[None, :]
+        support = (k % K == 0) & ((l + k // K) % n_p == 0)
+        expected = np.where(support, n_c * unit_phasor(-K * l * l, 2 * n_c), 0)
+        assert np.array_equal(aaf_psi0_closed(cfg, l, k), expected)
 
     def test_full_plane_against_brute(self):
         surf = dpaf_surface(PSI0, PSI0)

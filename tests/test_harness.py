@@ -114,6 +114,17 @@ class TestIoCheck:
         assert int(fields[0]) == manifest["waveforms"]["proposed"]["n_c"] == 512
         assert fields[4] == "true"
 
+    @pytest.mark.parametrize("kind", ["io_check", "runtime_scaling"])
+    def test_kind_without_presets_runs_and_records_proposed(self, tmp_path, kind):
+        scenario = replace(builtin_scenarios()["desk"], preset="classic")
+        spec = ExperimentSpec(kind=kind, scenario=scenario, out_dir=tmp_path, trials=3)
+        assert spec.resolved_presets == ("proposed",)
+        if kind == "io_check":
+            run(spec)
+            manifest = json.loads((tmp_path / "manifest.json").read_text())
+            assert manifest["presets"] == ["proposed"]
+            assert list(manifest["waveforms"]) == ["proposed"]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("kind", ["ddm", "io_check", "af_surface"])
@@ -471,8 +482,12 @@ class TestCli:
         ("trials", True, "trials must be int, got bool True"),
         ("sizes", (32.0, 64.0), "sizes must be int, got float 32.0"),
         ("sizes", (32, "64"), "sizes must be int, got str '64'"),
+        ("snr_db_list", ("10",), "snr_db_list must be real, got str '10'"),
+        ("snr_db_list", (None,), "snr_db_list must be real, got NoneType None"),
+        ("snr_db_list", (10.0, True), "snr_db_list must be real, got bool True"),
+        ("po_list", ("0.5",), "po_list must be real, got str '0.5'"),
     ], ids=["preset", "algorithm", "float-seed", "float-trials", "bool-trials", "float-sizes",
-            "str-size"])
+            "str-size", "str-snr", "none-snr", "bool-snr", "str-po"])
     def test_unknown_name_or_non_integer_rejected_by_spec(self, tmp_path, field, value, message):
         with pytest.raises(ValueError) as info:
             ExperimentSpec(kind="io_check", scenario=builtin_scenarios()["desk"],

@@ -12,6 +12,7 @@ from afdmsim.sensing import (
     cfar_threshold_factor,
     ddmf,
     dechirp,
+    dechirp_batch,
     detection_near,
     os_cfar_2d,
     os_cfar_mask_batch,
@@ -20,6 +21,7 @@ from afdmsim.sensing import (
     peak,
     signed_doppler,
     tfmf,
+    tfmf_batch,
 )
 from afdmsim.waveform import demodulate, modulate, subcarrier
 
@@ -85,6 +87,20 @@ class TestDechirp:
     def test_zero_input(self):
         z = dechirp(CFG, np.zeros(32, dtype=complex), pilot_reference(CFG))
         assert np.all(z.cells == 0)
+
+
+@pytest.mark.parametrize("kernel, algorithm", [(tfmf_batch, tfmf), (dechirp_batch, dechirp)])
+def test_batch_kernel_maps_every_signal_of_any_stack(kernel, algorithm):
+    # the transforms run along the trailing (n_p, K) axes, whatever the leading shape
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((2, 3, 32)) + 1j * rng.standard_normal((2, 3, 32))
+    ref = subcarrier(CFG, 0)
+    maps = kernel(CFG, stack, ref)
+    assert maps.shape[-2:] == (8, 4)
+    for index in np.ndindex(2, 3):
+        expected = algorithm(CFG, stack[index], ref).cells
+        assert np.array_equal(maps[index], expected)
+        assert np.array_equal(kernel(CFG, stack[index], ref).reshape(8, 4), expected)
 
 
 class TestDdmf:

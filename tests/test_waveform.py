@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from afdmsim._phase import chirp_phasor, unit_phasor
+from afdmsim.ambiguity import dpaf_brute, dpaf_surface
+from afdmsim.channel import PathTap, apply_channel
 from afdmsim.params import classic_params, preset, proposed_params
+from afdmsim.sensing import dechirp, dechirp_batch, tfmf, tfmf_batch
 from afdmsim.waveform import (
     TimeSignal,
     _chirps,
@@ -297,3 +300,26 @@ class TestTimeSignal:
             TimeSignal(np.zeros(31, dtype=complex), cfg)
         with pytest.raises(ValueError):
             modulate(cfg, np.zeros(31))
+
+
+CFG32 = proposed_params(8, 4)
+REF32 = subcarrier(CFG32, 0)
+SIG64 = subcarrier(proposed_params(16, 4), 0)
+
+
+@pytest.mark.parametrize("call, r, message", [
+    (lambda r: demodulate(CFG32, r), SIG64, "expected 32 samples"),
+    (lambda r: apply_channel(CFG32, r, [PathTap(1.0, 0, 0)]), SIG64, "expected 32 samples"),
+    (lambda r: tfmf(CFG32, r, REF32), SIG64, "expected 32 samples"),
+    (lambda r: dechirp(CFG32, r, REF32), SIG64, "expected 32 samples"),
+    (lambda r: tfmf_batch(CFG32, r, REF32), SIG64, "expected 32 samples"),
+    (lambda r: dechirp_batch(CFG32, r, REF32), SIG64, "expected 32 samples"),
+    (lambda r: tfmf_batch(CFG32, r, REF32), np.zeros((2, 64)), "expected 32 samples"),
+    (lambda r: dechirp_batch(CFG32, r, REF32), np.zeros((2, 64)), "expected 32 samples"),
+    (lambda r: dpaf_brute(r, REF32, 0, 0), SIG64, "equal length"),
+    (lambda r: dpaf_surface(r, REF32), SIG64, "equal length"),
+], ids=["demodulate", "apply_channel", "tfmf", "dechirp", "tfmf_batch", "dechirp_batch",
+        "tfmf_batch-array", "dechirp_batch-array", "dpaf_brute", "dpaf_surface"])
+def test_signal_of_the_wrong_length_is_a_named_error(call, r, message):
+    with pytest.raises(ValueError, match=message):
+        call(r)
