@@ -91,6 +91,39 @@ def _delay_doppler(samples: np.ndarray, taps) -> np.ndarray:
     return out
 
 
+def _delay_doppler_matrix(taps, n_c: int) -> np.ndarray:
+    """The n_c x n_c matrix H_t of ``_delay_doppler``, built on its <= len(taps) diagonals.
+
+    Row n holds gain_i * phasor_i[n] at column (n - shift_i) % n_c for each tap;
+    the result equals ``_delay_doppler(np.eye(n_c), taps).T`` bit for bit. It
+    is filled in transposed layout and returned as a view, so products with
+    ``H_t.conj().T`` see C-contiguous strides.
+    """
+    n = np.arange(n_c, dtype=np.int64)
+    H_tT = np.zeros((n_c, n_c), dtype=np.complex128)
+    for gain, shift, phasor in taps:
+        # ``* 1.0`` repeats the identity sample's product in ``_delay_doppler``
+        H_tT[(n - shift) % n_c, n] += gain * 1.0 * phasor
+    return H_tT.T
+
+
+def _delay_doppler_gram(taps, n_c: int) -> np.ndarray:
+    """The Gram H_t H_t^H of ``_delay_doppler``, built on its <= len(taps)**2 diagonals.
+
+    With v_i = gain_i * phasor_i, the ordered tap pair (i, j) adds
+    v_i[n] * conj(v_j[m]) at [n, m], m = (n - shift_i + shift_j) % n_c.
+    Equal to the dense product up to rounding, not bit for bit.
+    """
+    n = np.arange(n_c, dtype=np.int64)
+    gram = np.zeros((n_c, n_c), dtype=np.complex128)
+    scaled = [(gain * phasor, shift) for gain, shift, phasor in taps]
+    for v_i, shift_i in scaled:
+        for v_j, shift_j in scaled:
+            m = (n - shift_i + shift_j) % n_c
+            gram[n, m] += v_i * np.conj(v_j[m])
+    return gram
+
+
 def apply_channel(config: AfdmConfig, s, paths) -> TimeSignal:
     """Cyclic delay-Doppler channel on a CPP-free symbol (noise-free)."""
     taps = _doppler_taps(paths, config.n_c)

@@ -23,6 +23,8 @@ from .channel import (
     PathTap,
     _awgn,
     _delay_doppler,
+    _delay_doppler_gram,
+    _delay_doppler_matrix,
     _doppler_taps,
     noise_variance,
     taps_from_targets,
@@ -402,7 +404,7 @@ def lmmse_detect(
     noise levels. Raises ``numpy.linalg.LinAlgError`` when the regularized
     system is singular (rank-deficient H at noise_var = 0).
     """
-    if noise_var < 0:
+    if not noise_var >= 0:  # NaN included
         raise ValueError("noise_var must be non-negative")
     n = H.shape[0]
     if gram is None:
@@ -437,8 +439,11 @@ def lmmse_ber_compare(
     Per realization the Rayleigh path gains, data bits, and DAFT-domain noise
     draws are shared across configs, which pairs the BER estimates tightly.
     Detection runs in the time domain, where the channel is
-    waveform-independent: one Gram per realization and one LMMSE solve per
-    (realization, SNR) serve every config. Returns
+    waveform-independent: one H_t and one Gram H_t H_t^H per realization and
+    one LMMSE solve per (realization, SNR) serve every config. With P paths
+    (at most 3 in the built-in scenarios), H_t is built exactly on its <= P
+    cyclic diagonals and its Gram, to rounding, on its <= P**2; the solve
+    stays a dense LU. Returns
     {(config_name, snr_db): (bit_errors, bits)}.
     """
     if realizations < 1 or n_symbols < 1:
@@ -464,8 +469,8 @@ def lmmse_ber_compare(
         ) / math.sqrt(2.0)
         # H = A^H H_t A with A unitary: detect in the time domain, where the
         # channel and its Gram are the same for every config
-        H_t = _delay_doppler(np.eye(n_c, dtype=np.complex128), doppler_taps).T
-        gram = H_t @ H_t.conj().T
+        H_t = _delay_doppler_matrix(doppler_taps, n_c)
+        gram = _delay_doppler_gram(doppler_taps, n_c)
         # time-domain symbols A x and noise A w, each (configs, per_real, n_c);
         # A w is white like w because A is unitary
         s, noise = np.stack(

@@ -72,11 +72,11 @@ def tfmf_batch(config: AfdmConfig, r_stack: np.ndarray, s_ref) -> np.ndarray:
     ``s_ref`` is one reference for every signal (a signal or n_c samples) or,
     for a (B, n_c) stack, a (B, n_c) stack holding each row's own reference.
     """
-    rm = _fast_slow(config, _as_samples(r_stack, config, stacked=True))
+    r = _as_samples(r_stack, config, stacked=True)
     refs = _as_samples(s_ref, config, stacked=True).reshape(-1, config.n_c)
-    if len(refs) not in (1, len(rm)):
-        raise ValueError(f"{len(refs)} references for {len(rm)} received signals")
-    sm = _fast_slow(config, refs)
+    if len(refs) != 1 and r.shape != refs.shape:
+        raise ValueError(f"{len(refs)} references for {r.size // config.n_c} received signals")
+    rm, sm = _fast_slow(config, r), _fast_slow(config, refs)
     n_p, K = config.n_p, config.k_chirps
     r_fre = np.fft.fft(rm, axis=-2) / np.sqrt(n_p)
     s_fre = np.fft.fft(sm, axis=-2) / np.sqrt(n_p)

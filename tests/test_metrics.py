@@ -334,6 +334,12 @@ class TestLmmse:
         x_hat = lmmse_detect(H, y, 1e-12)
         assert ber(x_hat, x) == 0.0
 
+    @pytest.mark.parametrize("noise_var", [float("nan"), -1.0])
+    def test_noise_var_not_non_negative_rejected(self, noise_var):
+        H = np.eye(4, dtype=complex)
+        with pytest.raises(ValueError, match="noise_var must be non-negative"):
+            lmmse_detect(H, np.ones(4, dtype=complex), noise_var)
+
 
 def _dense_ber_counts(configs, powers, taps, snr_db_list, n_symbols, realizations, seed):
     """The link in the DAFT domain: one dense H and one solve per (config, realization, SNR)."""
@@ -402,6 +408,32 @@ class TestTimeDomainLink:
         for i in np.ndindex(2, 3):
             assert np.array_equal(s[i], modulate(config, x[i]).samples)
             assert np.array_equal(r[i], apply_channel(config, s[i], paths).samples)
+
+
+class TestFig4LinkCounts:
+    """The benchmark's link cycle: fig4 (n_c = 512), 100 symbols over 10 realizations."""
+
+    #: (errors, bits) at SNR 5 and 15 dB, recorded before H_t and its Gram
+    #: were built from the taps instead of a dense identity and matmul
+    COUNTS = {
+        ("proposed", 1): ((13619, 102400), (686, 102400)),
+        ("proposed", 2): ((7725, 102400), (181, 102400)),
+        ("proposed", 3): ((8836, 102400), (192, 102400)),
+        ("classic", 1): ((13639, 102400), (691, 102400)),
+        ("classic", 2): ((7834, 102400), (158, 102400)),
+        ("classic", 3): ((8956, 102400), (217, 102400)),
+    }
+
+    @pytest.mark.parametrize("name, seed", sorted(COUNTS))
+    def test_counts_are_pinned(self, name, seed):
+        sc = builtin_scenarios()["fig4"]
+        powers = [abs(g) ** 2 for g, _, _ in sc.targets]
+        taps = [(l, k) for _, l, k in sc.targets]
+        counts = metrics.lmmse_ber_compare(
+            {name: sc.waveform(name)}, powers, taps, (5.0, 15.0), 100, 10, seed
+        )
+        at_5, at_15 = self.COUNTS[(name, seed)]
+        assert counts == {(name, 5.0): at_5, (name, 15.0): at_15}
 
 
 class TestRayleighGains:

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from afdmsim.ambiguity import dpaf_surface
 from afdmsim._phase import unit_phasor
-from afdmsim.channel import PathTap, _delay_doppler, _doppler_taps, apply_channel
+from afdmsim.channel import (
+    PathTap,
+    _delay_doppler,
+    _delay_doppler_gram,
+    _delay_doppler_matrix,
+    _doppler_taps,
+    apply_channel,
+)
 from afdmsim.ddgrid import grid_to_vector, io_predict, vector_to_grid
 from afdmsim.metrics import build_effective_channel
 from afdmsim.params import (
@@ -310,6 +317,22 @@ def test_doppler_taps_channel_equals_per_path_loop(data, config, batch, seed):
     s = rng.standard_normal((batch, config.n_c)) + 1j * rng.standard_normal((batch, config.n_c))
     got = _delay_doppler(s, _doppler_taps(paths, config.n_c))
     assert np.array_equal(got, _delay_doppler_per_path(s, paths))
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), config=geometries())
+def test_structured_channel_matrix_and_gram_equal_the_dense_forms(data, config):
+    # a pair sharing one delay (their diagonals add) and a delay tap that wraps
+    n_c = config.n_c
+    paths = data.draw(channels(config))
+    paths += [PathTap(0.5, paths[0].delay_tap, -n_c), PathTap(0.25j, n_c + 1, n_c)]
+    taps = _doppler_taps(paths, n_c)
+    H_t = _delay_doppler_matrix(taps, n_c)
+    dense = _delay_doppler(np.eye(n_c, dtype=np.complex128), taps).T
+    assert np.array_equal(H_t, dense)
+    gram = dense @ dense.conj().T
+    scale = np.abs(gram).max()
+    assert np.abs(_delay_doppler_gram(taps, n_c) - gram).max() <= 1e-12 * scale
 
 
 @st.composite

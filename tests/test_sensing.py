@@ -103,6 +103,19 @@ def test_batch_kernel_maps_every_signal_of_any_stack(kernel, algorithm):
         assert np.array_equal(kernel(CFG, stack[index], ref).reshape(8, 4), expected)
 
 
+def test_tfmf_batch_per_row_references_need_a_stack_of_as_many_rows():
+    rng = np.random.default_rng(6)
+    refs = rng.standard_normal((8, 32)) + 1j * rng.standard_normal((8, 32))
+    stack = rng.standard_normal((8, 32)) + 1j * rng.standard_normal((8, 32))
+    maps = tfmf_batch(CFG, stack, refs)
+    for row in range(8):
+        assert np.array_equal(maps[row], tfmf(CFG, stack[row], refs[row]).cells)
+    # per-row references need a (B, n_c) stack; a 1-D signal is one received signal
+    for r, count in [(subcarrier(CFG, 1).samples, 1), (stack[:4], 4), (stack.reshape(2, 4, 32), 8)]:
+        with pytest.raises(ValueError, match=f"8 references for {count} received signals"):
+            tfmf_batch(CFG, r, refs)
+
+
 class TestDdmf:
     def test_zero_received_grid(self):
         x = vector_to_grid(CFG, pilot_frame(CFG))
