@@ -93,12 +93,16 @@ def caf_closed(
 
     # phi1/(2*pi) = (k*l_a - l*k_b)/n_c + (k_b - k_a)*l_a/n_c
     #              + (l_b^2 - l_a^2)/(2*n_p)
-    phi1_numer = 2 * (k * l_a - l * k_b) + 2 * (k_b - k_a) * l_a + K * (
-        l_b * l_b - l_a * l_a
-    )
     # phi2/(2*pi) = -(l + l_b - l_a)^2 / (2*n_p)
-    phi2_numer = -K * dl * dl
-    value = n_c * unit_phasor(phi1_numer + phi2_numer, 2 * n_c)
+    # the integer sum is exact in any order; a term whose coefficient is 0
+    # everywhere is left out, so the phase keeps the shape of the terms it
+    # depends on (an (l, 1) column for the base auto-surface)
+    numer = 2 * (k_b - k_a) * l_a + K * (l_b * l_b - l_a * l_a) - K * dl * dl
+    if np.any(l_a):
+        numer = numer + 2 * l_a * k
+    if np.any(k_b):
+        numer = numer - 2 * k_b * l
+    value = n_c * unit_phasor(numer, 2 * n_c)
     out = np.where(on_support, value, 0.0 + 0.0j)
     return complex(out) if out.ndim == 0 else out
 

@@ -91,20 +91,17 @@ def _delay_doppler(samples: np.ndarray, taps) -> np.ndarray:
     return out
 
 
-def _delay_doppler_matrix(taps, n_c: int) -> np.ndarray:
-    """The n_c x n_c matrix H_t of ``_delay_doppler``, built on its <= len(taps) diagonals.
+def _delay_doppler_adjoint(samples: np.ndarray, taps) -> np.ndarray:
+    """The adjoint H_t^H of ``_delay_doppler`` on the last axis of a (..., n_c) stack.
 
-    Row n holds gain_i * phasor_i[n] at column (n - shift_i) % n_c for each tap;
-    the result equals ``_delay_doppler(np.eye(n_c), taps).T`` bit for bit. It
-    is filled in transposed layout and returned as a view, so products with
-    ``H_t.conj().T`` see C-contiguous strides.
+    H_t holds gain_i * phasor_i[n] at [n, (n - shift_i) % n_c], so H_t^H z is
+    the sum over taps of conj(gain_i * phasor_i) * z rolled back by shift_i:
+    O(len(taps) * n_c) per signal. Equal to the dense product up to rounding.
     """
-    n = np.arange(n_c, dtype=np.int64)
-    H_tT = np.zeros((n_c, n_c), dtype=np.complex128)
+    out = np.zeros(samples.shape, dtype=np.complex128)
     for gain, shift, phasor in taps:
-        # ``* 1.0`` repeats the identity sample's product in ``_delay_doppler``
-        H_tT[(n - shift) % n_c, n] += gain * 1.0 * phasor
-    return H_tT.T
+        out += np.roll(np.conj(gain * phasor) * samples, -shift, axis=-1)
+    return out
 
 
 def _delay_doppler_gram(taps, n_c: int) -> np.ndarray:

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import afdmsim.metrics as metrics
-from afdmsim.channel import PathTap, add_awgn, apply_channel, noise_variance, taps_from_targets
+from afdmsim.channel import (
+    PathTap,
+    _doppler_taps,
+    add_awgn,
+    apply_channel,
+    noise_variance,
+    taps_from_targets,
+)
 from afdmsim.ddgrid import io_predict, vector_to_grid
 from afdmsim.experiments import builtin_scenarios
 from afdmsim.metrics import (
@@ -386,6 +393,36 @@ class TestTimeDomainLink:
         counts = metrics.lmmse_ber_compare(*args)
         assert counts == _dense_ber_counts(*args)
         assert all(errors > 0 for (_, snr), (errors, _) in counts.items() if snr == 0.0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("presets", [("proposed", "classic"), ("ocdm",)])
+    def test_dense_fallback_counts_equal_dense_daft_domain_link(self, seed, presets):
+        # delays 0 and 12 at n_c = 32: no divisor of 32 lies in [12, 32 / 3],
+        # so the solve takes the dense LU instead of the block sweep
+        configs = {name: self.DESK.waveform(name) for name in presets}
+        taps = [(0, 1), (12, -1)]
+        paths = [PathTap(1.0, l, k) for l, k in taps]
+        assert metrics._block_size(_doppler_taps(paths, 32), 32) is None
+        args = (configs, [0.7, 0.3], taps, (0.0, 12.0), 24, 4, seed)
+        counts = metrics.lmmse_ber_compare(*args)
+        assert counts == _dense_ber_counts(*args)
+        assert all(errors > 0 for (_, snr), (errors, _) in counts.items() if snr == 0.0)
+
+    @pytest.mark.parametrize(
+        "n_c, delays, b",
+        [
+            (512, (3, 7, 10), 8),  # fig4: half-bandwidth 7, blocks of at least 8
+            (24, (0, 8), 8),  # N = 3 blocks
+            (30, (0, 9), 10),  # 9 does not divide 30
+            (64, (0, 63), 8),  # delays 0 and 63 are one sample apart cyclically
+            (512, (0, 20), 32),  # 32 is the next power-of-two divisor of 512
+            (32, (0, 12), None),  # no divisor of 32 in [12, 32 / 3]
+            (16, (0,), None),  # fewer than three blocks of 8
+        ],
+    )
+    def test_block_size_is_the_smallest_divisor_over_the_spread(self, n_c, delays, b):
+        paths = [PathTap(1.0, l, 0) for l in delays]
+        assert metrics._block_size(_doppler_taps(paths, n_c), n_c) == b
 
     @pytest.mark.parametrize("snrs", [(5.0, 5.0), (5, 5.0), (0.0, 12.0, 0)])
     def test_repeated_snr_rejected(self, snrs):

@@ -15,13 +15,13 @@ from afdmsim._phase import unit_phasor
 from afdmsim.channel import (
     PathTap,
     _delay_doppler,
+    _delay_doppler_adjoint,
     _delay_doppler_gram,
-    _delay_doppler_matrix,
     _doppler_taps,
     apply_channel,
 )
 from afdmsim.ddgrid import grid_to_vector, io_predict, vector_to_grid
-from afdmsim.metrics import build_effective_channel
+from afdmsim.metrics import _lmmse_solve, build_effective_channel
 from afdmsim.params import (
     PRESET_NAMES,
     AfdmConfig,
@@ -321,18 +321,49 @@ def test_doppler_taps_channel_equals_per_path_loop(data, config, batch, seed):
 
 @settings(deadline=None, max_examples=60)
 @given(data=st.data(), config=geometries())
-def test_structured_channel_matrix_and_gram_equal_the_dense_forms(data, config):
+def test_structured_gram_equals_the_dense_form(data, config):
     # a pair sharing one delay (their diagonals add) and a delay tap that wraps
     n_c = config.n_c
     paths = data.draw(channels(config))
     paths += [PathTap(0.5, paths[0].delay_tap, -n_c), PathTap(0.25j, n_c + 1, n_c)]
     taps = _doppler_taps(paths, n_c)
-    H_t = _delay_doppler_matrix(taps, n_c)
     dense = _delay_doppler(np.eye(n_c, dtype=np.complex128), taps).T
-    assert np.array_equal(H_t, dense)
     gram = dense @ dense.conj().T
     scale = np.abs(gram).max()
     assert np.abs(_delay_doppler_gram(taps, n_c) - gram).max() <= 1e-12 * scale
+
+
+def _relative_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@settings(deadline=None, max_examples=60)
+@given(n_c=st.integers(6, 96), spread=st.integers(0, 48), n_paths=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+# N = 3 blocks of 8: the forward sweep runs one step and meets the corner at once
+@example(n_c=24, spread=8, n_paths=2, seed=0)
+# no divisor of 32 in [12, 32 / 3]: the dense fallback
+@example(n_c=32, spread=12, n_paths=2, seed=0)
+def test_banded_lmmse_solve_and_adjoint_equal_the_dense_forms(n_c, spread, n_paths, seed):
+    rng = np.random.default_rng(seed)
+    # delays 0 and ``spread`` (more with three paths), a pair sharing a delay
+    # and a delay tap >= n_c
+    delays = [0, *rng.integers(0, spread + 1, max(n_paths - 2, 0)).tolist(), spread][:n_paths]
+    gains = rng.standard_normal((n_paths + 2, 2)) @ [1.0, 1j]
+    gains /= np.abs(gains).sum()  # ||H_t|| <= 1: every stacked system's condition is <= 101
+    dopplers = rng.integers(-n_c, n_c + 1, n_paths + 2)
+    delays += [delays[-1], n_c + int(rng.integers(0, spread + 1))]
+    taps = _doppler_taps([PathTap(*p) for p in zip(gains, delays, dopplers)], n_c)
+    dense = _delay_doppler(np.eye(n_c, dtype=np.complex128), taps).T
+    gram = dense @ dense.conj().T
+
+    noise_vars = np.array([1.0, 0.1, 0.01])  # SNR 0, 10 and 20 dB, stacked
+    y = rng.standard_normal((3, n_c, 4)) + 1j * rng.standard_normal((3, n_c, 4))
+    want = np.stack([np.linalg.solve(gram + v * np.eye(n_c), y_s) for v, y_s in zip(noise_vars, y)])
+    assert _relative_error(_lmmse_solve(gram, taps, noise_vars, y), want) <= 1e-12
+
+    z = rng.standard_normal((2, n_c)) + 1j * rng.standard_normal((2, n_c))
+    assert _relative_error(_delay_doppler_adjoint(z, taps), z @ dense.conj()) <= 1e-12
 
 
 @st.composite
