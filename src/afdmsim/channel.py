@@ -152,29 +152,36 @@ def apply_channel_linear(config: AfdmConfig, s: TimeSignal, paths) -> TimeSignal
 
 
 def noise_variance(snr_db: float) -> float:
-    """Per-sample complex noise variance for a given symbol SNR in dB (unit signal power)."""
+    """Per-sample complex noise variance for a given symbol SNR in dB (unit signal power).
+
+    +inf dB gives 0 (no noise); NaN and -inf dB are a ``ValueError``.
+    """
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
     return 1.0 / (10.0 ** (snr_db / 10.0))
 
 
-def _awgn(n: int, snr_db: float, rng: np.random.Generator) -> np.ndarray | None:
-    """``n`` samples of complex Gaussian noise at ``snr_db``, real parts drawn first.
-
-    Draws nothing and returns None at +inf SNR.
-    """
-    if math.isinf(snr_db) and snr_db > 0:
+def _noise_scale(snr_db: float) -> float | None:
+    """sqrt(sigma^2 / 2), the scale of each real noise part at ``snr_db``; None at +inf SNR."""
+    if snr_db == math.inf:
         return None
-    sigma2 = noise_variance(snr_db)
-    return np.sqrt(sigma2 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return np.sqrt(noise_variance(snr_db) / 2.0)
+
+
+def _normal_pairs(n: int, rng: np.random.Generator) -> np.ndarray:
+    """re + 1j*im of ``n`` standard normal pairs, the real parts drawn first."""
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def add_awgn(r: TimeSignal, snr_db: float, rng: np.random.Generator) -> TimeSignal:
     """Add circularly-symmetric complex Gaussian noise.
 
     The variance convention is relative to unit mean transmit-sample power
-    (frames are built with total energy n_c, so E|s[n]|^2 = 1); an infinite
-    ``snr_db`` returns the signal unchanged.
+    (frames are built with total energy n_c, so E|s[n]|^2 = 1); +inf
+    ``snr_db`` returns the signal unchanged and draws nothing.
     """
-    noise = _awgn(len(r.samples), snr_db, rng)
-    if noise is None:
+    scale = _noise_scale(snr_db)
+    if scale is None:
         return r
+    noise = scale * _normal_pairs(len(r.samples), rng)
     return TimeSignal(r.samples + noise, r.config, has_cpp=r.has_cpp)

@@ -328,13 +328,14 @@ def _sweep_rows(spec, preset_name, snr_values, po_values):
     rows = []
     algorithms = _algorithms_for(preset_name, spec.algorithms)
     for po in po_values:
-        for snr in snr_values:
-            samples = trial_metrics(
-                spec.scenario, algorithms, spec.trials, spec.resolved_seed, snr, po,
-                preset_name, spec.tfmf_reference, quality=spec.kind != "pd_curve",
-            )
+        # one engine call simulates each trial once for every SNR point
+        samples = trial_metrics(
+            spec.scenario, algorithms, spec.trials, spec.resolved_seed, snr_values, po,
+            preset_name, spec.tfmf_reference, quality=spec.kind != "pd_curve",
+        )
+        for i, snr in enumerate(snr_values):
             for alg in algorithms:
-                means = (float(np.mean(values)) for values in samples[alg])  # PSLR, image SNR, hit
+                means = (float(np.mean(v[i])) for v in samples[alg])  # PSLR, image SNR, hit
                 report = MetricReport(*means, ber=float("nan"), trials=spec.trials)
                 rows.append(_metric_row(snr, po, alg, preset_name, report))
     return rows

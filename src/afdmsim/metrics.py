@@ -8,12 +8,15 @@ n_c for every pilot overhead. Pilot overhead PO = (2Q+1)/n_c.
 Sensing metrics operate on delay-Doppler maps: PSLR (peak over strongest
 other cell) and image SNR (peak power over mean background power outside a
 one-cell guard ring). Every sensing Monte Carlo runs through one trial
-engine, ``sensing_trials``, and ``trial_metrics`` reduces its maps per trial.
+engine, ``_sweep``, which simulates each trial once for all SNR points of a
+sweep: ``trial_metrics`` reduces its maps per trial and SNR point, and
+``sensing_trials`` and ``sensing_maps`` return them at one SNR point.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,11 +24,12 @@ import numpy as np
 
 from .channel import (
     PathTap,
-    _awgn,
     _delay_doppler,
     _delay_doppler_adjoint,
     _delay_doppler_gram,
     _doppler_taps,
+    _noise_scale,
+    _normal_pairs,
     noise_variance,
     taps_from_targets,
 )
@@ -49,10 +53,18 @@ ALGORITHMS = ("tfmf", "dechirp", "ddmf")
 #: CFAR configuration used by the detection-probability studies.
 CFAR_TRAIN, CFAR_GUARD, CFAR_PFA = 2, 1, 1e-4
 
-#: Trials simulated and filtered together by ``sensing_trials``. Memory sets
-#: it, not speed: blocks of 8 raised the benchmark's peak RSS on ddmf sweeps
-#: by 2.4%, beyond its 2% bound; blocks of 4 by 0.3%.
+#: Trials simulated and filtered together by the sensing trial engine. Memory
+#: sets it, not speed: blocks of 8 raised the benchmark's peak RSS on ddmf
+#: sweeps by 2.4%, beyond its 2% bound; blocks of 4 by 0.3%.
 TRIAL_BLOCK = 4
+
+#: SNR points of one trial block filtered, CFAR-tested and scored together.
+#: Memory sets it too: on a 12-point fig5 sweep (proposed, three estimators,
+#: 100 trials) groups of 1, 2, 3, 4, 6 and 12 points peaked at 37.7, 38.0,
+#: 38.2, 38.7, 40.0 and 43.0 MB RSS and took 0.91, 0.76, 0.70, 0.62, 0.55
+#: and 0.55 s (2-vCPU host). 2 is the smallest group that filters a
+#: two-point sweep, the benchmark's longest, in one pass per block.
+SNR_GROUP = 2
 
 
 @dataclass(frozen=True)
@@ -226,7 +238,7 @@ def image_snr(ddm, target: tuple[int, int]):
 # ---------------------------------------------------------------------------
 
 class _TrialPlan(NamedTuple):
-    """What every trial block of one ``sensing_trials`` call shares, built once per call."""
+    """What every trial block of one ``_sweep`` call shares, built once per call."""
 
     pilot: TimeSignal        # pilot_reference(config)
     chirps: tuple            # _chirps(config), for modulate and demodulate
@@ -243,34 +255,58 @@ def _trial_plan(config: AfdmConfig, paths, algorithms) -> _TrialPlan:
     )
 
 
-def _matched_maps(config: AfdmConfig, algorithm: str, x, s, r, tfmf_reference: str, plan):
-    """(B, n_p, K) maps of one algorithm from (B, n_c) symbol, transmit and received stacks."""
-    if algorithm == "tfmf":
-        return tfmf_batch(config, r, s if tfmf_reference == "transmit" else plan.pilot)
-    if algorithm == "dechirp":
-        return dechirp_batch(config, r, plan.pilot)
-    if algorithm == "ddmf":
-        y_grids = vector_to_grid(config, demodulate(config, r, plan.chirps))
-        return ddmf_batch(config, y_grids, vector_to_grid(config, x), plan.ddmf)
-    raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+def _group_maps(config: AfdmConfig, algorithms, x_grids, s, r, tfmf_reference, plan):
+    """Yield (algorithm index, SNR slice, (g, B, n_p, K) maps) of one group of g SNR points.
 
-
-def _trial_block(config, frame, snr_db, algorithms, rngs, tfmf_reference, plan: _TrialPlan):
-    """{algorithm: (B, n_p, K) maps}, one trial per generator; each draws frame bits, then noise.
-
-    The draws stay per trial; modulation, channel and noise act once on the (B, n_c) stacks.
+    ``r`` is the group's flat (g B, n_c) received stack, SNR point major, and
+    ``s`` the block's (B, n_c) transmit stack. tfmf and dechirp filter all of
+    ``r`` in one call; ddmf filters one SNR point of B maps at a time, which
+    bounds its (B, K, K, n_p) intermediate.
     """
-    x, noise = zip(
-        *[(build_frame(config, frame, rng), _awgn(config.n_c, snr_db, rng)) for rng in rngs]
-    )
+    g = len(r) // len(s)
+    shape = (g, len(s), config.n_p, config.k_chirps)
+    for a, algorithm in enumerate(algorithms):
+        if algorithm == "tfmf":
+            reference = np.tile(s, (g, 1)) if tfmf_reference == "transmit" else plan.pilot
+            yield a, slice(0, g), tfmf_batch(config, r, reference).reshape(shape)
+        elif algorithm == "dechirp":
+            yield a, slice(0, g), dechirp_batch(config, r, plan.pilot).reshape(shape)
+        elif algorithm == "ddmf":
+            y_grids = vector_to_grid(config, demodulate(config, r, plan.chirps)).reshape(shape)
+            for i, y in enumerate(y_grids):
+                yield a, slice(i, i + 1), ddmf_batch(config, y, x_grids, plan.ddmf)[None]
+        else:
+            raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+
+
+def _trial_block(config, frame, scales, algorithms, rngs, tfmf_reference, plan: _TrialPlan):
+    """One block of trials at every SNR point: yield (SNR slice, maps) per group of points.
+
+    Each trial draws its frame bits, then its real and then its imaginary
+    noise normals, once for all SNR points; it draws no normals when every
+    point is +inf (every ``scales`` entry, ``_noise_scale``, is None). The
+    symbol, transmit and noise-free received (B, n_c) stacks are built once,
+    and point i receives r0 + scales[i] * (re + 1j im), or r0 alone at +inf.
+    ``maps`` is ``_group_maps`` of up to ``SNR_GROUP`` points; consuming it
+    before asking for the next group keeps one group's stacks alive at a time.
+    """
+    noisy = any(scale is not None for scale in scales)
+    x, w = [], []
+    for rng in rngs:
+        x.append(build_frame(config, frame, rng))
+        if noisy:
+            w.append(_normal_pairs(config.n_c, rng))
     x = np.stack(x)
+    w = np.stack(w) if noisy else None
     s = _modulate(config, x, plan.chirps)
-    r = _delay_doppler(s, plan.taps)
-    if noise[0] is not None:  # None: no noise drawn at +inf SNR
-        r += np.stack(noise)
-    return {
-        alg: _matched_maps(config, alg, x, s, r, tfmf_reference, plan) for alg in algorithms
-    }
+    r0 = _delay_doppler(s, plan.taps)
+    x_grids = None if plan.ddmf is None else vector_to_grid(config, x)
+    for start in range(0, len(scales), SNR_GROUP):
+        group = scales[start:start + SNR_GROUP]
+        r = np.stack([r0 if scale is None else r0 + scale * w for scale in group])
+        yield slice(start, start + len(group)), _group_maps(
+            config, algorithms, x_grids, s, r.reshape(-1, config.n_c), tfmf_reference, plan
+        )
 
 
 def sensing_maps(
@@ -287,16 +323,36 @@ def sensing_maps(
     ``tfmf_reference`` selects the matched-filter copy: the full known
     transmit signal (default) or the deterministic pilot only.
     """
-    maps = _trial_block(
-        config, spec, snr_db, algorithms, [rng], tfmf_reference,
+    _, maps = next(_trial_block(
+        config, spec, [_noise_scale(snr_db)], algorithms, [rng], tfmf_reference,
         _trial_plan(config, paths, algorithms),
-    )
-    return {alg: DelayDopplerMap(cells[0], config, alg) for alg, cells in maps.items()}
+    ))
+    return {
+        algorithms[a]: DelayDopplerMap(cells[0, 0], config, algorithms[a]) for a, _, cells in maps
+    }
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent, deterministic per-trial stream."""
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
+
+
+def _sweep(config, frame, paths, scales, algorithms, trials, seed, tfmf_reference):
+    """Yield (trial slice, SNR slice, maps) of ``_trial_block`` over blocks of trials.
+
+    Trial t runs on ``trial_rng(seed, t)``. Whatever depends only on the
+    config and the paths -- the pilot, the chirp pair, the channel's Doppler
+    taps and the ddmf phasors (``_trial_plan``) -- is built once per call and
+    shared by every block; nothing outlives the call.
+    """
+    plan = _trial_plan(config, paths, algorithms)
+    for start in range(0, trials, TRIAL_BLOCK):
+        block = slice(start, min(start + TRIAL_BLOCK, trials))
+        rngs = [trial_rng(seed, t) for t in range(block.start, block.stop)]
+        for snrs, maps in _trial_block(
+            config, frame, scales, algorithms, rngs, tfmf_reference, plan
+        ):
+            yield block, snrs, maps
 
 
 def sensing_trials(
@@ -311,15 +367,13 @@ def sensing_trials(
 ):
     """Yield {algorithm: (B, n_p, K) maps} for trials 0..trials-1, B <= TRIAL_BLOCK.
 
-    Trial t is ``sensing_maps`` on ``trial_rng(seed, t)``. Whatever depends
-    only on the config and the paths -- the pilot, the chirp pair, the
-    channel's Doppler taps and the ddmf phasors (``_trial_plan``) -- is built
-    once per call and shared by every block; nothing outlives the call.
+    Trial t is ``sensing_maps`` on ``trial_rng(seed, t)``: the sweep engine
+    of ``trial_metrics`` at one SNR point.
     """
-    plan = _trial_plan(config, paths, algorithms)
-    for start in range(0, trials, TRIAL_BLOCK):
-        rngs = [trial_rng(seed, t) for t in range(start, min(start + TRIAL_BLOCK, trials))]
-        yield _trial_block(config, frame, snr_db, algorithms, rngs, tfmf_reference, plan)
+    for _, _, maps in _sweep(
+        config, frame, paths, [_noise_scale(snr_db)], algorithms, trials, seed, tfmf_reference
+    ):
+        yield {algorithms[a]: cells[0] for a, _, cells in maps}
 
 
 def trial_metrics(
@@ -327,7 +381,7 @@ def trial_metrics(
     algorithms,
     trials: int,
     seed: int | None = None,
-    snr_db: float | None = None,
+    snr_db: float | Sequence[float] | None = None,
     pilot_overhead: float | None = None,
     preset_name: str | None = None,
     tfmf_reference: str = "transmit",
@@ -335,12 +389,16 @@ def trial_metrics(
 ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per-trial (PSLR dB, image SNR dB, hit) arrays of each algorithm.
 
-    Every metric is taken at the scenario's first target. A hit is a CA-CFAR
-    detection (2 train, 1 guard, Pfa 1e-4) within one cyclic cell of its
-    tap. Noise and data symbols are redrawn every trial; path gains stay
-    fixed at the scenario values. ``None`` arguments take the scenario's.
-    With ``quality=False`` only the hits are computed, and PSLR and image
-    SNR are NaN.
+    ``snr_db`` is one SNR point, giving (trials,) arrays, or a sequence of S
+    points, giving (S, trials) arrays whose row i equals the result at
+    ``snr_db[i]`` alone: trial t draws its frame bits and its unit noise
+    from ``trial_rng(seed, t)`` once and is simulated once for all points,
+    only the noise scale differing. Every metric is taken at the scenario's
+    first target. A hit is a CA-CFAR detection (2 train, 1 guard, Pfa 1e-4)
+    within one cyclic cell of its tap. Noise and data symbols are redrawn
+    every trial; path gains stay fixed at the scenario values. ``None``
+    arguments take the scenario's. With ``quality=False`` only the hits are
+    computed, and PSLR and image SNR are NaN.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -348,31 +406,34 @@ def trial_metrics(
         raise ValueError("scenario has no target to detect")
     config = scenario.waveform(preset_name)
     po = scenario.pilot_overhead if pilot_overhead is None else pilot_overhead
+    snr = scenario.snr_db if snr_db is None else snr_db
+    scales = [_noise_scale(point) for point in ([snr] if np.ndim(snr) == 0 else snr)]
     _, l, k = scenario.targets[0]
     cell = (l % config.n_p, k % config.k_chirps)
     if not algorithms:
         return {}
-    blocks = {alg: [] for alg in algorithms}
-    for maps in sensing_trials(
+    hits = np.empty((len(algorithms), len(scales), trials), dtype=bool)
+    ratios = np.full((2,) + hits.shape, np.nan)
+    for t, snrs, maps in _sweep(
         config, FrameSpec.from_overhead(config.n_c, po), taps_from_targets(scenario.targets),
-        scenario.snr_db if snr_db is None else snr_db, algorithms, trials,
-        scenario.rng_seed if seed is None else seed, tfmf_reference,
+        scales, algorithms, trials, scenario.rng_seed if seed is None else seed, tfmf_reference,
     ):
-        # one magnitude, one CFAR call and one quality pass on the
-        # (algorithms, B, n_p, K) stack of the block's maps
-        mag = np.abs(np.stack(list(maps.values())))
-        mask, _ = cfar_mask_batch(mag**2, CFAR_TRAIN, CFAR_GUARD, CFAR_PFA)
-        hits = mask_near(mask, l, k)
+        # every algorithm's magnitudes go straight into one float
+        # (algorithms, SNR points, B, n_p, K) stack; one CFAR call and one
+        # quality pass reduce it
+        mag = np.empty(hits[:, snrs, t].shape + (config.n_p, config.k_chirps))
+        for a, points, cells in maps:
+            np.abs(cells, out=mag[a, points])
+        # the mask alone: holding the threshold stack into the next group
+        # raised a 12-point sweep's allocation peak by 8%
+        hits[:, snrs, t] = mask_near(
+            cfar_mask_batch(mag**2, CFAR_TRAIN, CFAR_GUARD, CFAR_PFA)[0], l, k
+        )
         if quality:
-            ratios = pslr(mag, cell), image_snr(mag, cell)
-        else:
-            ratios = (np.full(hits.shape, np.nan),) * 2
-        for alg, *per_alg in zip(maps, *ratios, hits):
-            blocks[alg].append(per_alg)
-    return {
-        alg: tuple(np.concatenate(column) for column in zip(*per_block))
-        for alg, per_block in blocks.items()
-    }
+            ratios[:, :, snrs, t] = pslr(mag, cell), image_snr(mag, cell)
+    if np.ndim(snr) == 0:
+        hits, ratios = hits[:, 0], ratios[:, :, 0]
+    return {alg: (ratios[0, a], ratios[1, a], hits[a]) for a, alg in enumerate(algorithms)}
 
 
 # ---------------------------------------------------------------------------

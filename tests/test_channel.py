@@ -113,6 +113,16 @@ class TestAwgn:
         out = add_awgn(s, math.inf, np.random.default_rng(0))
         assert out.samples is s.samples
 
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_non_finite_snr_rejected(self, snr_db):
+        cfg = proposed_params(8, 4)
+        s = modulate(cfg, np.ones(32, dtype=complex))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"snr_db must be a number or \+inf, got (nan|-inf)"):
+            add_awgn(s, snr_db, rng)
+        assert rng.bit_generator.state == state  # nothing drawn
+
     def test_empirical_noise_power(self):
         cfg = proposed_params(64, 8)
         rng = np.random.default_rng(42)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -163,6 +164,9 @@ EDGE = ScenarioConfig(
 )
 GRID8 = EDGE.waveform()
 EDGE_PATHS = taps_from_targets(EDGE.targets)
+#: a sweep's SNR points: a noise-free one among finite ones, and a partial
+#: last group of SNR_GROUP = 2
+SWEEP_SNRS = (5.0, math.inf, -3.0)
 
 
 def one_trial_maps(config, frame, paths, snr_db, rng, tfmf_reference):
@@ -255,13 +259,76 @@ class TestTrialEngine:
         assert 0 < sum(hits) < len(hits)  # both outcomes are compared
 
     def test_partial_block_equals_one_trial_at_a_time(self, monkeypatch):
-        blocked = trial_metrics(EDGE, ALGORITHMS, 7, seed=3, pilot_overhead=0.5)
+        # 7 trials are a block of 4 and a partial block of 3; 3 SNR points
+        # are a group of 2 and a partial group of 1
+        blocked = trial_metrics(EDGE, ALGORITHMS, 7, seed=3, snr_db=SWEEP_SNRS, pilot_overhead=0.5)
         monkeypatch.setattr(metrics, "TRIAL_BLOCK", 1)
-        single = trial_metrics(EDGE, ALGORITHMS, 7, seed=3, pilot_overhead=0.5)
+        single = [
+            trial_metrics(EDGE, ALGORITHMS, 7, seed=3, snr_db=snr, pilot_overhead=0.5)
+            for snr in SWEEP_SNRS
+        ]
         for alg in ALGORITHMS:
-            for got, want in zip(blocked[alg], single[alg]):
-                assert got.shape == (7,)
-                assert np.array_equal(got, want)
+            for j, got in enumerate(blocked[alg]):
+                assert got.shape == (3, 7)
+                for i, at_one_snr in enumerate(single):
+                    assert at_one_snr[alg][j].shape == (7,)
+                    assert np.array_equal(got[i], at_one_snr[alg][j])
+
+    @pytest.mark.parametrize("reference", ["transmit", "pilot"])
+    @pytest.mark.parametrize("preset_name", ["proposed", "classic", "ofdm", "ocdm"])
+    def test_sweep_equals_one_trial_maps_at_each_snr(self, preset_name, reference):
+        # one simulation per trial serves every SNR point: its maps and its
+        # metrics equal the oracle's, run once per (trial, SNR point)
+        config = EDGE.waveform(preset_name)
+        algorithms = ALGORITHMS if config.fmcw_equivalent else ("tfmf", "dechirp")
+        frame = FrameSpec.from_overhead(config.n_c, 0.5)
+        scales = [metrics._noise_scale(snr) for snr in SWEEP_SNRS]
+        maps = np.full((len(algorithms), len(SWEEP_SNRS), 7, 8, 8), np.nan, dtype=complex)
+        for t, snrs, group in metrics._sweep(
+            config, frame, EDGE_PATHS, scales, algorithms, 7, 5, reference
+        ):
+            for a, points, cells in group:
+                maps[a, snrs][points, t] = cells
+        got = trial_metrics(
+            EDGE, algorithms, 7, seed=5, snr_db=SWEEP_SNRS, pilot_overhead=0.5,
+            preset_name=preset_name, tfmf_reference=reference,
+        )
+        _, l, k = EDGE.targets[0]
+        cell = (l % 8, k % 8)
+        for i, snr in enumerate(SWEEP_SNRS):
+            for t in range(7):
+                want = one_trial_maps(config, frame, EDGE_PATHS, snr, trial_rng(5, t), reference)
+                for a, alg in enumerate(algorithms):
+                    cells = want[alg]
+                    assert np.array_equal(maps[a, i, t], cells)
+                    p, isnr, hit = (column[i, t] for column in got[alg])
+                    assert (p, isnr) == (pslr(cells, cell), image_snr(cells, cell))
+                    dets = ca_cfar_2d(DelayDopplerMap(cells, config, alg), 2, 1, 1e-4)
+                    assert hit == detection_near(dets, l, k, 8, 8)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, (10.0, math.nan), [-math.inf]])
+    def test_non_finite_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match=r"snr_db must be a number or \+inf, got (nan|-inf)"):
+            trial_metrics(EDGE, ALGORITHMS, 3, snr_db=snr_db)
+
+    def test_memory_does_not_grow_with_the_snr_list(self):
+        # SNR points are filtered SNR_GROUP at a time, so a 12-point sweep
+        # allocates no more at its peak than a 2-point one; filtering all 12
+        # at once measured 3.6 times the 2-point peak
+        fig5 = builtin_scenarios()["fig5"]
+
+        def peak(snrs):
+            tracemalloc.start()
+            try:
+                trial_metrics(fig5, ALGORITHMS, 5, seed=1, snr_db=snrs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak((0.0, 10.0))  # warm any first-call allocations
+        two = peak((0.0, 10.0))
+        twelve = peak(tuple(range(-10, 26, 3)))
+        assert twelve <= 1.05 * two, (twelve, two)
 
     def test_no_algorithm_gives_no_metrics(self):
         # ddmf alone on a non-FMCW preset leaves a sweep no algorithm to run
@@ -429,6 +496,13 @@ class TestTimeDomainLink:
         # a repeated SNR would add its errors twice into one (name, SNR) count
         configs = {"proposed": self.DESK.waveform("proposed")}
         with pytest.raises(ValueError, match="snr_db_list repeats the value"):
+            metrics.lmmse_ber_compare(configs, [1.0], [(1, 1)], snrs, 4, 2, 1)
+
+    @pytest.mark.parametrize("snrs", [(math.nan,), (5.0, -math.inf)])
+    def test_non_finite_snr_rejected(self, snrs):
+        # NaN gave plausible counts and -inf a ZeroDivisionError
+        configs = {"proposed": self.DESK.waveform("proposed")}
+        with pytest.raises(ValueError, match=r"snr_db must be a number or \+inf, got (nan|-inf)"):
             metrics.lmmse_ber_compare(configs, [1.0], [(1, 1)], snrs, 4, 2, 1)
 
     @pytest.mark.parametrize("name", ["proposed", "classic", "ofdm", "ocdm"])
