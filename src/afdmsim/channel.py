@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._phase import unit_phasor
-from .params import AfdmConfig
+from .params import AfdmConfig, _snr_variance
 from .waveform import TimeSignal, _as_samples
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -154,11 +154,13 @@ def apply_channel_linear(config: AfdmConfig, s: TimeSignal, paths) -> TimeSignal
 def noise_variance(snr_db: float) -> float:
     """Per-sample complex noise variance for a given symbol SNR in dB (unit signal power).
 
-    +inf dB gives 0 (no noise); NaN and -inf dB are a ``ValueError``.
+    +inf dB gives 0 (no noise), and so does a finite SNR whose power
+    overflows a float; NaN, -inf and an SNR so low that the variance
+    overflows are a ``ValueError``.
     """
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
-    return 1.0 / (10.0 ** (snr_db / 10.0))
+    return _snr_variance(snr_db)
 
 
 def _noise_scale(snr_db: float) -> float | None:

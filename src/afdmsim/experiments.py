@@ -26,7 +26,7 @@ import numpy as np
 
 from . import csvio
 from .ambiguity import aaf_psi0_closed, dpaf_surface
-from .channel import PathTap, apply_channel, taps_from_targets
+from .channel import PathTap, apply_channel, noise_variance, taps_from_targets
 from .ddgrid import grid_to_vector, io_predict, vector_to_grid
 from .metrics import (
     ALGORITHMS,
@@ -150,6 +150,8 @@ class ExperimentSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not all(math.isfinite(snr) for snr in self.snr_db_list):
             raise ValueError(f"SNR values must be finite, got {list(self.snr_db_list)}")
+        for snr in self.snr_db_list:
+            noise_variance(snr)  # a ValueError below the lowest SNR a float can model
         if not all(0.0 <= po <= 1.0 for po in self.po_list):  # False for NaN too
             raise ValueError(f"po_list values must lie in [0, 1], got {list(self.po_list)}")
         for name in ("snr_db_list", "po_list"):

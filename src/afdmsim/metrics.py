@@ -54,9 +54,12 @@ ALGORITHMS = ("tfmf", "dechirp", "ddmf")
 CFAR_TRAIN, CFAR_GUARD, CFAR_PFA = 2, 1, 1e-4
 
 #: Trials simulated and filtered together by the sensing trial engine. Memory
-#: sets it, not speed: blocks of 8 raised the benchmark's peak RSS on ddmf
-#: sweeps by 2.4%, beyond its 2% bound; blocks of 4 by 0.3%.
-TRIAL_BLOCK = 4
+#: sets it: against blocks of 4, blocks of 8 raised the benchmark's
+#: ``peak_rss_mb`` from 42.84-43.07 to 43.07-43.52 MB on mc-ddmf and from
+#: 42.92-43.18 to 43.30-43.67 MB on mc-fft (10 runs each, 2-vCPU host; the
+#: bound is 2%), and ``work_per_s`` by 24% and 19% in the median. Blocks of
+#: 16 peaked 1.6 MB above blocks of 8 on both, for 2-7% more speed (3 pairs).
+TRIAL_BLOCK = 8
 
 #: SNR points of one trial block filtered, CFAR-tested and scored together.
 #: Memory sets it too: on a 12-point fig5 sweep (proposed, three estimators,
@@ -260,8 +263,9 @@ def _group_maps(config: AfdmConfig, algorithms, x_grids, s, r, tfmf_reference, p
 
     ``r`` is the group's flat (g B, n_c) received stack, SNR point major, and
     ``s`` the block's (B, n_c) transmit stack. tfmf and dechirp filter all of
-    ``r`` in one call; ddmf filters one SNR point of B maps at a time, which
-    bounds its (B, K, K, n_p) intermediate.
+    ``r`` in one call; ddmf filters one SNR point of B maps at a time against
+    the block's B transmit grids, and ``ddmf_batch`` correlates one map at a
+    time, so no (K, K, n_p) stack is held for more than one map.
     """
     g = len(r) // len(s)
     shape = (g, len(s), config.n_p, config.k_chirps)

@@ -209,12 +209,30 @@ class ScenarioConfig:
         )
 
 
+def _snr_variance(snr_db: float) -> float:
+    """1 / 10^(snr_db/10), the noise variance at a symbol SNR in dB (unit signal power).
+
+    Where 10^(snr_db/10) overflows, as at +inf dB, the variance is 0 (no
+    noise). An SNR so low that the variance overflows is a ``ValueError``.
+    NaN gives NaN: callers reject it first.
+    """
+    try:
+        power = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        return 0.0
+    if power == 0.0 or 1.0 / power == math.inf:
+        raise ValueError(f"snr_db {snr_db} is too low: its noise variance overflows")
+    return 1.0 / power
+
+
 def _check_field(key: str, value) -> None:
     """Raise ValueError if the value of one ``ScenarioConfig`` field is invalid on its own."""
     if key == "pilot_overhead" and not 0.0 <= value <= 1.0:
         raise ValueError("pilot_overhead must lie in [0, 1]")
-    if key == "snr_db" and (math.isnan(value) or value == -math.inf):
-        raise ValueError(f"snr_db must be finite or +inf (noise-free), got {value}")
+    if key == "snr_db":
+        if math.isnan(value) or value == -math.inf:
+            raise ValueError(f"snr_db must be finite or +inf (noise-free), got {value}")
+        _snr_variance(value)
     if key in ("l_max", "k_max", "seed", "rng_seed") and value < 0:
         raise ValueError(f"{key} must be non-negative, got {value}")
 

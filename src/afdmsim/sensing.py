@@ -210,7 +210,9 @@ def ddmf_batch(
     c(l) * sum_n (conj(y) c)[n] (a conj(c))[n-l], a length-n_p circular
     correlation. The c(l) cancels the l^2 term of the hypothesis phase.
     ``plan`` is ``_ddmf_plan(config)`` built by the caller, or None to build
-    it here; the maps are the same either way.
+    it here; the maps are the same either way. The spectra are transformed
+    for the whole batch and the (K, K, n_p) correlation stack is formed one
+    map at a time, so only the spectra and the maps grow with B.
     """
     Y, X = _ddmf_inputs(config, y_grids, x_grids)
     p = _ddmf_plan(config) if plan is None else plan
@@ -221,11 +223,14 @@ def ddmf_batch(
     # three values -1, 0, 1 over the signed hypotheses k
     rolled = X.transpose(0, 2, 1)[:, :, p.rolls]
     V = np.fft.ifft(rolled * p.chirp_conj, axis=-1) * config.n_p
-    # h[b, col, m, l] = sum_n u_m[n] v[n - l]: one circular correlation per (col, m)
-    h = V[:, p.column, p.offset]
-    h *= U[:, None, :, :]
-    h = np.fft.ifft(h, axis=-1)
-    return np.einsum("bcml,cml->blc", h, p.ramp)
+    maps = np.empty_like(Y)
+    for b in range(len(Y)):
+        # h[col, m, l] = sum_n u_m[n] v[n - l]: one circular correlation per (col, m)
+        h = V[b, p.column, p.offset]
+        h *= U[b]
+        h = np.fft.ifft(h, axis=-1)
+        maps[b] = np.einsum("cml,cml->lc", h, p.ramp)
+    return maps
 
 
 def ddmf(config: AfdmConfig, y_grid, x_grid) -> DelayDopplerMap:

@@ -9,6 +9,7 @@ from afdmsim.channel import (
     add_awgn,
     apply_channel,
     apply_channel_linear,
+    noise_variance,
     quantize_path,
 )
 from afdmsim.params import classic_params, preset, proposed_params
@@ -122,6 +123,22 @@ class TestAwgn:
         with pytest.raises(ValueError, match=r"snr_db must be a number or \+inf, got (nan|-inf)"):
             add_awgn(s, snr_db, rng)
         assert rng.bit_generator.state == state  # nothing drawn
+
+    @pytest.mark.parametrize("snr_db", [3083.0, 4000.0, 1e308])
+    def test_snr_past_the_float_range_is_noise_free(self, snr_db):
+        # 10^(snr_db/10) overflows a float from about 3083 dB up
+        assert noise_variance(snr_db) == 0.0
+        assert noise_variance(np.float64(snr_db)) == 0.0
+
+    @pytest.mark.parametrize("snr_db", [-3083.0, -3240.0, -4000.0, np.float64(-4000.0)])
+    def test_snr_whose_variance_overflows_rejected(self, snr_db):
+        # from about -3083 dB the variance is inf, from about -3240 dB the power is 0
+        with pytest.raises(ValueError, match=r"snr_db -\d+\.0 is too low: its noise variance"):
+            noise_variance(snr_db)
+
+    def test_lowest_modelled_snr_keeps_its_variance(self):
+        assert noise_variance(-3082.0) == 1.0 / 10.0 ** -308.2
+        assert noise_variance(3082.0) == 1.0 / 10.0 ** 308.2
 
     def test_empirical_noise_power(self):
         cfg = proposed_params(64, 8)

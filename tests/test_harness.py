@@ -250,6 +250,25 @@ class TestCli:
         assert "SNR values must be finite" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_snr_whose_variance_overflows_rejected(self, tmp_path, capsys):
+        code = main(["snr-sweep", "--scenario", "fig5", "--snr", "10", "-4000",
+                     "--trials", "2", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: snr_db -4000.0 is too low: its noise variance overflows" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_snr_past_the_float_range_runs_noise_free(self, tmp_path):
+        code = main(["snr-sweep", "--scenario", "fig5", "--snr", "4000",
+                     "--trials", "2", "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "manifest.json").exists()
+
+    def test_spec_snr_whose_variance_overflows_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"snr_db -4000\.0 is too low"):
+            ExperimentSpec(kind="pd_curve", scenario=builtin_scenarios()["desk"],
+                           out_dir=tmp_path, snr_db_list=(0.0, -4000.0))
 
     @pytest.mark.parametrize("value", ["nan", "-inf"])
     def test_non_finite_scenario_snr_rejected(self, tmp_path, capsys, value):
@@ -309,6 +328,8 @@ class TestCli:
         ("l_max = -1", "l = 0\nk = 0", "scen.txt:1: l_max must be non-negative"),
         ("snr_db = -inf", "l = 0\nk = 0",
          "scen.txt:1: snr_db must be finite or +inf (noise-free), got -inf"),
+        ("snr_db = -4000", "l = 0\nk = 0",
+         "scen.txt:1: snr_db -4000.0 is too low: its noise variance overflows"),
         ("l_max = 1", "l = 3\nk = 0",
          "scen.txt: path block 0: target delay tap 3 outside [0, l_max]"),
         ("k_max = 1", "l = 0\nk = 0\n[path]\ngain_re = 1.0\nl = 0\nk = -2",
@@ -318,8 +339,8 @@ class TestCli:
         ("n_p = 16", "l = 0\nk = 0", "scen.txt: n_c must equal k_chirps * n_p"),
         ("k_chirps = 2", "l = 0\nk = 0", "scen.txt:3: k_chirps given twice"),
         ("", "l = 0\nk = 0\nl = 1", "scen.txt:8: l given twice"),
-    ], ids=["pilot_overhead", "l_max", "snr_db", "delay-tap", "doppler-tap", "separability",
-            "geometry", "repeated-key", "repeated-path-key"])
+    ], ids=["pilot_overhead", "l_max", "snr_db", "snr_db-too-low", "delay-tap", "doppler-tap",
+            "separability", "geometry", "repeated-key", "repeated-path-key"])
     def test_invalid_scenario_names_file(self, tmp_path, capsys, top, paths, message):
         # faults found only when the ScenarioConfig is built still name the file
         scen = tmp_path / "scen.txt"

@@ -207,13 +207,14 @@ class TestTrialEngine:
         config = EDGE.waveform(preset_name)
         algorithms = ALGORITHMS if preset_name == "proposed" else ("tfmf", "dechirp")
         frame = FrameSpec.from_overhead(config.n_c, po)
+        trials = metrics.TRIAL_BLOCK + 3  # a full block and a partial one
         blocks = list(
-            sensing_trials(config, frame, EDGE_PATHS, snr_db, algorithms, 7, 5, reference)
+            sensing_trials(config, frame, EDGE_PATHS, snr_db, algorithms, trials, 5, reference)
         )
-        assert [len(b["tfmf"]) for b in blocks] == [4, 3]
+        assert [len(b["tfmf"]) for b in blocks] == [metrics.TRIAL_BLOCK, 3]
         for alg in algorithms:
             stack = np.concatenate([b[alg] for b in blocks])
-            for t in range(7):
+            for t in range(trials):
                 want = one_trial_maps(config, frame, EDGE_PATHS, snr_db, trial_rng(5, t), reference)
                 single = sensing_maps(
                     config, frame, EDGE_PATHS, snr_db, (alg,), trial_rng(5, t), reference
@@ -259,19 +260,22 @@ class TestTrialEngine:
         assert 0 < sum(hits) < len(hits)  # both outcomes are compared
 
     def test_partial_block_equals_one_trial_at_a_time(self, monkeypatch):
-        # 7 trials are a block of 4 and a partial block of 3; 3 SNR points
-        # are a group of 2 and a partial group of 1
-        blocked = trial_metrics(EDGE, ALGORITHMS, 7, seed=3, snr_db=SWEEP_SNRS, pilot_overhead=0.5)
+        # TRIAL_BLOCK + 3 trials are a full block and a partial block of 3;
+        # 3 SNR points are a group of 2 and a partial group of 1
+        trials = metrics.TRIAL_BLOCK + 3
+        blocked = trial_metrics(
+            EDGE, ALGORITHMS, trials, seed=3, snr_db=SWEEP_SNRS, pilot_overhead=0.5
+        )
         monkeypatch.setattr(metrics, "TRIAL_BLOCK", 1)
         single = [
-            trial_metrics(EDGE, ALGORITHMS, 7, seed=3, snr_db=snr, pilot_overhead=0.5)
+            trial_metrics(EDGE, ALGORITHMS, trials, seed=3, snr_db=snr, pilot_overhead=0.5)
             for snr in SWEEP_SNRS
         ]
         for alg in ALGORITHMS:
             for j, got in enumerate(blocked[alg]):
-                assert got.shape == (3, 7)
+                assert got.shape == (3, trials)
                 for i, at_one_snr in enumerate(single):
-                    assert at_one_snr[alg][j].shape == (7,)
+                    assert at_one_snr[alg][j].shape == (trials,)
                     assert np.array_equal(got[i], at_one_snr[alg][j])
 
     @pytest.mark.parametrize("reference", ["transmit", "pilot"])
@@ -310,6 +314,14 @@ class TestTrialEngine:
     def test_non_finite_snr_rejected(self, snr_db):
         with pytest.raises(ValueError, match=r"snr_db must be a number or \+inf, got (nan|-inf)"):
             trial_metrics(EDGE, ALGORITHMS, 3, snr_db=snr_db)
+
+    def test_snr_past_the_float_range_equals_noise_free(self):
+        # 10^400 overflows a float, so the noise variance is 0, as at +inf
+        beyond = trial_metrics(EDGE, ALGORITHMS, 3, snr_db=4000.0)
+        noise_free = trial_metrics(EDGE, ALGORITHMS, 3, snr_db=math.inf)
+        for alg in ALGORITHMS:
+            for got, want in zip(beyond[alg], noise_free[alg]):
+                assert np.array_equal(got, want)
 
     def test_memory_does_not_grow_with_the_snr_list(self):
         # SNR points are filtered SNR_GROUP at a time, so a 12-point sweep

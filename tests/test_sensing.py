@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from afdmsim.sensing import (
     ca_cfar_2d,
     cfar_mask_batch,
     cfar_threshold_factor,
+    _ddmf_plan,
     ddmf,
+    ddmf_batch,
     dechirp,
     dechirp_batch,
     detection_near,
@@ -26,6 +30,7 @@ from afdmsim.sensing import (
 from afdmsim.waveform import demodulate, modulate, subcarrier
 
 CFG = proposed_params(8, 4)
+FIG4 = proposed_params(64, 8)  # the fig4 grid, n_c = 512
 
 
 def pilot_frame(config):
@@ -151,6 +156,40 @@ class TestDdmf:
             + np.conj(b) * ddmf(CFG, y2, x_grid).cells
         )
         assert np.abs(combined - split).max() < 1e-10
+
+    @pytest.mark.parametrize("config", [FIG4, CFG], ids=["fig4", "n_c=32"])
+    @pytest.mark.parametrize("batch", [1, 3, 8, 17])
+    def test_batch_equals_each_map_filtered_alone(self, config, batch):
+        rng = np.random.default_rng(batch)
+        shape = (2, batch, config.n_p, config.k_chirps)
+        Y, X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        plan = _ddmf_plan(config)
+        got = ddmf_batch(config, Y, X, plan)
+        for b in range(batch):
+            assert np.array_equal(got[b], ddmf_batch(config, Y[b:b + 1], X[b:b + 1], plan)[0])
+
+    def test_memory_per_extra_map_is_less_than_a_correlation_stack(self):
+        # the (K, K, n_p) correlation stack is built one map at a time: from
+        # 1 to 16 maps the peak grows by the spectra and the maps alone
+        # (about 72 KiB a map at fig4); a (B, K, K, n_p) stack adds 184 KiB
+        n_p, K = FIG4.n_p, FIG4.k_chirps
+        stack_bytes = K * K * n_p * 16
+        plan = _ddmf_plan(FIG4)
+        rng = np.random.default_rng(4)
+        shape = (2, 16, n_p, K)
+        Y, X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                ddmf_batch(FIG4, Y[:batch], X[:batch], plan)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm any first-call allocations
+        per_map = (peak(16) - peak(1)) / 15
+        assert per_map < 1.5 * stack_bytes, (per_map, stack_bytes)
 
     def test_signed_doppler_convention(self):
         assert [signed_doppler(c, 8) for c in range(8)] == [0, 1, 2, 3, -4, -3, -2, -1]
