@@ -184,6 +184,13 @@ class ExperimentSpec:
                 f"ber_curve trials {self.trials} must be a multiple of its "
                 f"{self.ber_realizations} channel realizations (trials // 10)"
             )
+        window = 2 * (CFAR_TRAIN + CFAR_GUARD) + 1
+        grid = (self.scenario.n_p, self.scenario.k_chirps)
+        if EXPERIMENT_KINDS[self.kind].runner is _run_sweep and min(grid) < window:
+            raise ValueError(
+                f"scenario {self.scenario.name!r}: its {grid} delay-Doppler grid is smaller "
+                f"than the CFAR window {window} of {self.kind}"
+            )
 
     @property
     def resolved_presets(self) -> tuple[str, ...]:

@@ -67,22 +67,25 @@ def _fast_slow(config: AfdmConfig, samples: np.ndarray) -> np.ndarray:
 
 
 def tfmf_batch(config: AfdmConfig, r_stack: np.ndarray, s_ref) -> np.ndarray:
-    """Vectorized TFMF over a (..., n_c) stack of received signals.
+    """Vectorized TFMF over a (..., n_c) stack of N received signals.
 
-    ``s_ref`` is one reference for every signal (a signal or n_c samples) or,
-    for a (B, n_c) stack, a (B, n_c) stack holding each row's own reference.
+    ``s_ref`` holds R references: one signal or n_c samples (R = 1), or an
+    (R, n_c) stack. R must divide N, and received row i (C order over the
+    leading axes) is matched against reference i mod R: R = 1 shares one
+    reference, and R = N gives each row its own.
     """
     r = _as_samples(r_stack, config, stacked=True)
     refs = _as_samples(s_ref, config, stacked=True).reshape(-1, config.n_c)
-    if len(refs) != 1 and r.shape != refs.shape:
-        raise ValueError(f"{len(refs)} references for {r.size // config.n_c} received signals")
-    rm, sm = _fast_slow(config, r), _fast_slow(config, refs)
+    n_rows = r.size // config.n_c
+    if not len(refs) or n_rows % len(refs):
+        raise ValueError(f"{len(refs)} references do not divide {n_rows} received signals")
+    rm = _fast_slow(config, r.reshape(-1, len(refs), config.n_c))
     n_p, K = config.n_p, config.k_chirps
     r_fre = np.fft.fft(rm, axis=-2) / np.sqrt(n_p)
-    s_fre = np.fft.fft(sm, axis=-2) / np.sqrt(n_p)
+    s_fre = np.fft.fft(_fast_slow(config, refs), axis=-2) / np.sqrt(n_p)
     mf = r_fre * np.conj(s_fre)
     d_range = np.fft.ifft(mf, axis=-2) * np.sqrt(n_p)
-    return np.fft.ifft(d_range, axis=-1) * np.sqrt(K)
+    return (np.fft.ifft(d_range, axis=-1) * np.sqrt(K)).reshape(r.shape[:-1] + (n_p, K))
 
 
 def tfmf(config: AfdmConfig, r, s_ref) -> DelayDopplerMap:
@@ -124,12 +127,17 @@ def signed_doppler(column: int, k_chirps: int) -> int:
 
 
 def _ddmf_inputs(config: AfdmConfig, y_grids, x_grids) -> tuple[np.ndarray, np.ndarray]:
-    """Check a ddmf call (FMCW-equivalent config, two (B, n_p, K) stacks); return both stacks."""
+    """Check a ddmf call (FMCW-equivalent config; (N, n_p, K) received and
+    (R, n_p, K) transmit stacks, R dividing N); return both stacks."""
     config.require_fmcw("ddmf")
     Y = np.asarray(y_grids, dtype=np.complex128)
     X = np.asarray(x_grids, dtype=np.complex128)
-    if Y.shape != X.shape or Y.shape[1:] != (config.n_p, config.k_chirps):
-        raise ValueError("y_grids and x_grids must both be (B, n_p, K)")
+    grid = (config.n_p, config.k_chirps)
+    if Y.shape[1:] != grid or X.shape[1:] != grid or (len(Y) % len(X) if len(X) else len(Y)):
+        raise ValueError(
+            "y_grids and x_grids must both be stacks of (n_p, K) grids, "
+            "len(x_grids) dividing len(y_grids)"
+        )
     return Y, X
 
 
@@ -141,6 +149,8 @@ def _ddmf_direct(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -
     complexity the paper states, and what ``benchmark_pipelines`` times.
     """
     Y, X = _ddmf_inputs(config, y_grids, x_grids)
+    if Y.shape != X.shape:
+        raise ValueError("y_grids and x_grids must both be (B, n_p, K)")
     n_p, K, n_c = config.n_p, config.k_chirps, config.n_c
 
     L = np.arange(n_p, dtype=np.int64)
@@ -201,8 +211,10 @@ def ddmf_batch(
 ) -> np.ndarray:
     """Delay-Doppler matched filter over a batch of received grids.
 
-    ``y_grids`` and ``x_grids`` are (B, n_p, K); returns (B, n_p, K) maps,
-    each independent of the rest of the batch. Computes ``_ddmf_direct``'s
+    ``y_grids`` holds N received and ``x_grids`` R transmit (n_p, K) grids,
+    R dividing N; received grid i is matched against transmit grid i mod R,
+    as in ``tfmf_batch``. Returns (N, n_p, K) maps, each independent of the
+    rest of the batch. Computes ``_ddmf_direct``'s
     sum in O(K n_c log n_p) per map: with c(u) = exp(j pi u^2 / n_p), which
     is n_p-periodic because n_p is even, Bluestein's identity
     nl = (n^2 + l^2 - (n-l)^2) / 2 turns each (hypothesis column, m)
@@ -211,8 +223,8 @@ def ddmf_batch(
     correlation. The c(l) cancels the l^2 term of the hypothesis phase.
     ``plan`` is ``_ddmf_plan(config)`` built by the caller, or None to build
     it here; the maps are the same either way. The spectra are transformed
-    for the whole batch and the (K, K, n_p) correlation stack is formed one
-    map at a time, so only the spectra and the maps grow with B.
+    once per grid of each stack and the (K, K, n_p) correlation stack is
+    formed one map at a time, so only the spectra and the maps grow with N.
     """
     Y, X = _ddmf_inputs(config, y_grids, x_grids)
     p = _ddmf_plan(config) if plan is None else plan
@@ -226,7 +238,7 @@ def ddmf_batch(
     maps = np.empty_like(Y)
     for b in range(len(Y)):
         # h[col, m, l] = sum_n u_m[n] v[n - l]: one circular correlation per (col, m)
-        h = V[b, p.column, p.offset]
+        h = V[b % len(X), p.column, p.offset]
         h *= U[b]
         h = np.fft.ifft(h, axis=-1)
         maps[b] = np.einsum("cml,cml->lc", h, p.ramp)

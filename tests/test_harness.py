@@ -149,18 +149,26 @@ class TestDeterminism:
 
 
 class TestPartialCleanup:
-    def test_failed_run_removes_outputs(self, tmp_path):
-        scenario = builtin_scenarios()["desk"]
-        # pd_curve on the desk grid cannot fit the CFAR window: must fail
+    def test_failed_run_removes_outputs(self, tmp_path, monkeypatch):
+        import afdmsim.experiments as experiments
+
+        # the first preset's CSV is written, then the second preset's trials fail
+        def fail_after_first(*args, **kwargs):
+            if (tmp_path / "pd_curve_proposed_all.csv").exists():
+                raise ValueError("trials failed")
+            return metrics.trial_metrics(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "trial_metrics", fail_after_first)
         spec = ExperimentSpec(
             kind="pd_curve",
-            scenario=scenario,
+            scenario=builtin_scenarios()["table1"],
             out_dir=tmp_path,
-            presets=("proposed",),
+            presets=("proposed", "classic"),
             algorithms=("tfmf",),
             trials=2,
+            snr_db_list=(10.0,),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trials failed"):
             run(spec)
         assert list(tmp_path.glob("*.csv")) == []
         assert not (tmp_path / "manifest.json").exists()
@@ -418,6 +426,23 @@ class TestCli:
     def test_ber_trials_that_fill_every_realization_accepted(self, tmp_path, trials):
         ExperimentSpec(kind="ber_curve", scenario=builtin_scenarios()["desk"],
                        out_dir=tmp_path, trials=trials)
+
+    @pytest.mark.parametrize("kind", ["snr-sweep", "po-sweep", "pd-curve"])
+    def test_grid_smaller_than_the_cfar_window_rejected(self, tmp_path, capsys, monkeypatch,
+                                                        kind):
+        # the CA-CFAR ring (2 train, 1 guard) spans 7 cells per axis, more than
+        # the desk grid's 4 Doppler bins: no trial of a sweep there could be scored
+        import afdmsim.experiments as experiments
+
+        def no_trials(*args, **kwargs):
+            pytest.fail(f"{kind} started its trials")
+
+        monkeypatch.setattr(experiments, "trial_metrics", no_trials)
+        code = main([kind, "--scenario", "desk", "--trials", "2", "--out", str(tmp_path)])
+        assert code == 1
+        assert ("error: scenario 'desk': its (8, 4) delay-Doppler grid is smaller than the "
+                "CFAR window 7") in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("size", ["1010", "1032", "0", "-16"])
     def test_invalid_size_rejected_before_timing(self, tmp_path, capsys, monkeypatch, size):

@@ -288,11 +288,12 @@ class TestTrialEngine:
         frame = FrameSpec.from_overhead(config.n_c, 0.5)
         scales = [metrics._noise_scale(snr) for snr in SWEEP_SNRS]
         maps = np.full((len(algorithms), len(SWEEP_SNRS), 7, 8, 8), np.nan, dtype=complex)
+        rngs = [trial_rng(5, t) for t in range(7)]
         for t, snrs, group in metrics._sweep(
-            config, frame, EDGE_PATHS, scales, algorithms, 7, 5, reference
+            config, frame, EDGE_PATHS, scales, algorithms, rngs, reference
         ):
-            for a, points, cells in group:
-                maps[a, snrs][points, t] = cells
+            for a, cells in enumerate(group):
+                maps[a, snrs, t] = cells
         got = trial_metrics(
             EDGE, algorithms, 7, seed=5, snr_db=SWEEP_SNRS, pilot_overhead=0.5,
             preset_name=preset_name, tfmf_reference=reference,

@@ -42,6 +42,7 @@ from afdmsim.sensing import (
     os_cfar_rank,
     os_cfar_threshold_factor,
     signed_doppler,
+    tfmf_batch,
 )
 from afdmsim.waveform import _chirps, _modulate, demodulate, modulate
 
@@ -138,12 +139,48 @@ def test_fft_ddmf_equals_the_direct_form(n_p, k_chirps, batch, seed, zero_y):
         (proposed_params(8, 4), (1, 8, 4), (2, 8, 4), "must both be"),
         (proposed_params(8, 4), (1, 4, 8), (1, 4, 8), "must both be"),
         (proposed_params(8, 4), (8, 4), (8, 4), "must both be"),
+        # 2B received grids against B transmit grids: ddmf_batch pairs them
+        # (None), the direct form keeps its equal-shape (B, n_p, K) contract
+        (proposed_params(8, 4), (4, 8, 4), (2, 8, 4), None),
     ],
 )
 @pytest.mark.parametrize("form", [ddmf_batch, _ddmf_direct])
 def test_ddmf_forms_reject_the_same_inputs(form, config, y_shape, x_shape, match):
-    with pytest.raises(ValueError, match=match):
-        form(config, np.zeros(y_shape, complex), np.zeros(x_shape, complex))
+    y, x = np.zeros(y_shape, complex), np.zeros(x_shape, complex)
+    if match is None and form is ddmf_batch:
+        assert form(config, y, x).shape == y_shape
+        return
+    with pytest.raises(ValueError, match=match or r"must both be \(B, n_p, K\)"):
+        form(config, y, x)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    config=geometries(),
+    refs=st.integers(1, 3),
+    rows=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(config=proposed_params(8, 4), refs=3, rows=6, seed=0)
+@example(config=proposed_params(8, 4), refs=2, rows=3, seed=0)
+def test_batch_filters_pair_row_i_with_reference_i_mod_r(config, refs, rows, seed):
+    # N = m R received rows against R references equal the per-row calls
+    # bit for bit; an R that does not divide N is rejected
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((2, rows + refs, config.n_c))
+    r, s = np.split(parts[0] + 1j * parts[1], [rows])
+    kernels = [(tfmf_batch, r, s, "references do not divide")]
+    if config.fmcw_equivalent:
+        kernels.append((ddmf_batch, vector_to_grid(config, r), vector_to_grid(config, s),
+                        "must both be"))
+    for kernel, received, sent, message in kernels:
+        if rows % refs:
+            with pytest.raises(ValueError, match=message):
+                kernel(config, received, sent)
+            continue
+        want = [kernel(config, received[i:i + 1], sent[i % refs:i % refs + 1])[0]
+                for i in range(rows)]
+        assert np.array_equal(kernel(config, received, sent), np.stack(want))
 
 
 @settings(deadline=None, max_examples=60)

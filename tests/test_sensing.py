@@ -108,16 +108,18 @@ def test_batch_kernel_maps_every_signal_of_any_stack(kernel, algorithm):
         assert np.array_equal(kernel(CFG, stack[index], ref).reshape(8, 4), expected)
 
 
-def test_tfmf_batch_per_row_references_need_a_stack_of_as_many_rows():
+def test_tfmf_batch_pairs_rows_with_references_that_divide_them():
     rng = np.random.default_rng(6)
     refs = rng.standard_normal((8, 32)) + 1j * rng.standard_normal((8, 32))
     stack = rng.standard_normal((8, 32)) + 1j * rng.standard_normal((8, 32))
     maps = tfmf_batch(CFG, stack, refs)
     for row in range(8):
         assert np.array_equal(maps[row], tfmf(CFG, stack[row], refs[row]).cells)
-    # per-row references need a (B, n_c) stack; a 1-D signal is one received signal
-    for r, count in [(subcarrier(CFG, 1).samples, 1), (stack[:4], 4), (stack.reshape(2, 4, 32), 8)]:
-        with pytest.raises(ValueError, match=f"8 references for {count} received signals"):
+    # rows pair with references in C order over the leading axes, whatever their shape
+    assert np.array_equal(tfmf_batch(CFG, stack.reshape(2, 4, 32), refs), maps.reshape(2, 4, 8, 4))
+    # 8 references divide no fewer received signals; a 1-D signal is one received signal
+    for r, count in [(subcarrier(CFG, 1).samples, 1), (stack[:4], 4), (stack[:6], 6)]:
+        with pytest.raises(ValueError, match=f"8 references do not divide {count} received"):
             tfmf_batch(CFG, r, refs)
 
 
