@@ -83,7 +83,8 @@ def _delay_doppler(samples: np.ndarray, taps) -> np.ndarray:
     """The cyclic delay-Doppler channel on the last axis of a (..., n_c) stack.
 
     ``taps`` is ``_doppler_taps(paths, n_c)``, built once by the caller for
-    every stack that passes through the same paths.
+    every stack that passes through the same paths. A gain may be an array
+    that broadcasts against the stack, one per channel realization.
     """
     out = np.zeros(samples.shape, dtype=np.complex128)
     for gain, shift, phasor in taps:
@@ -104,21 +105,64 @@ def _delay_doppler_adjoint(samples: np.ndarray, taps) -> np.ndarray:
     return out
 
 
-def _delay_doppler_gram(taps, n_c: int) -> np.ndarray:
-    """The Gram H_t H_t^H of ``_delay_doppler``, built on its <= len(taps)**2 diagonals.
+def _gram_diagonals(taps):
+    """Yield (d, values) for each ordered tap pair (i, j) of the Gram H_t H_t^H.
 
-    With v_i = gain_i * phasor_i, the ordered tap pair (i, j) adds
-    v_i[n] * conj(v_j[m]) at [n, m], m = (n - shift_i + shift_j) % n_c.
-    Equal to the dense product up to rounding, not bit for bit.
+    With v_i = gain_i * phasor_i and d = shift_i - shift_j, the pair adds
+    values[..., n] = v_i[n] * conj(v_j[(n - d) % n_c]) at [n, (n - d) % n_c].
+    Gains may be arrays that broadcast against the (n_c,) phasors, one per
+    channel realization, giving (..., n_c) values.
     """
-    n = np.arange(n_c, dtype=np.int64)
-    gram = np.zeros((n_c, n_c), dtype=np.complex128)
     scaled = [(gain * phasor, shift) for gain, shift, phasor in taps]
     for v_i, shift_i in scaled:
         for v_j, shift_j in scaled:
-            m = (n - shift_i + shift_j) % n_c
-            gram[n, m] += v_i * np.conj(v_j[m])
+            d = shift_i - shift_j
+            yield d, v_i * np.conj(np.roll(v_j, d, axis=-1))
+
+
+def _delay_doppler_gram(taps, n_c: int) -> np.ndarray:
+    """The Gram H_t H_t^H of ``_delay_doppler``, built on its <= len(taps)**2 diagonals.
+
+    The pairs of ``_gram_diagonals`` are added in their order. Equal to the
+    dense product up to rounding, not bit for bit.
+    """
+    n = np.arange(n_c, dtype=np.int64)
+    gram = np.zeros((n_c, n_c), dtype=np.complex128)
+    for d, values in _gram_diagonals(taps):
+        gram[n, (n - d) % n_c] += values
     return gram
+
+
+def _gram_block_index(shifts, n_c: int, b: int) -> dict[int, np.ndarray]:
+    """Where [n, (n - d) % n_c] lies in a flat (3, n_c // b, b, b) stack, for each d = s_i - s_j.
+
+    Block row I of the stack holds its lower, diagonal and upper cyclic
+    neighbours [I, I - 1], [I, I] and [I, I + 1] at 0, 1 and 2. Valid for b
+    at least every cyclic distance between two shifts and n_c // b >= 3.
+    """
+    n = np.arange(n_c, dtype=np.int64)
+    blocks = n_c // b
+    index = {}
+    for d in {i - j for i in shifts for j in shifts}:
+        m = (n - d) % n_c
+        side = (m // b - n // b + 1) % blocks
+        index[d] = ((side * blocks + n // b) * b + n % b) * b + m % b
+    return index
+
+
+def _delay_doppler_gram_blocks(taps, n_c: int, b: int, index) -> np.ndarray:
+    """The Gram of ``_delay_doppler_gram`` as a (..., 3, n_c // b, b, b) block-cyclic stack.
+
+    ``index`` is ``_gram_block_index`` of the taps' shifts. The leading axes
+    are those of the gains broadcast against a phasor, less its sample axis:
+    (R, 1, 1) gains give (R, 1, 3, n_c // b, b, b). Each entry is the dense
+    form's bit for bit, as the same pairs are added in the same order.
+    """
+    lead = np.broadcast_shapes(*(np.shape(gain) for gain, _, _ in taps), (1,))[:-1]
+    blocks = np.zeros(lead + (3 * n_c * b,), dtype=np.complex128)
+    for d, values in _gram_diagonals(taps):
+        blocks[..., index[d]] += values
+    return blocks.reshape(lead + (3, n_c // b, b, b))
 
 
 def apply_channel(config: AfdmConfig, s, paths) -> TimeSignal:

@@ -29,7 +29,9 @@ from .channel import (
     _delay_doppler,
     _delay_doppler_adjoint,
     _delay_doppler_gram,
+    _delay_doppler_gram_blocks,
     _doppler_taps,
+    _gram_block_index,
     _noise_scale,
     _normal_pairs,
     noise_variance,
@@ -54,12 +56,17 @@ ALGORITHMS = ("tfmf", "dechirp", "ddmf")
 #: CFAR configuration used by the detection-probability studies.
 CFAR_TRAIN, CFAR_GUARD, CFAR_PFA = 2, 1, 1e-4
 
-#: Trials simulated and filtered together by the sensing trial engine. Memory
-#: sets it: against blocks of 4, blocks of 8 raised the benchmark's
-#: ``peak_rss_mb`` from 42.84-43.07 to 43.07-43.52 MB on mc-ddmf and from
-#: 42.92-43.18 to 43.30-43.67 MB on mc-fft (10 runs each, 2-vCPU host; the
-#: bound is 2%), and ``work_per_s`` by 24% and 19% in the median. Blocks of
-#: 16 peaked 1.6 MB above blocks of 8 on both, for 2-7% more speed (3 pairs).
+#: Trials simulated and filtered together by the sensing trial engine, and
+#: channel realizations solved together by the BER link. Memory sets it:
+#: against blocks of 4, blocks of 8 raised the benchmark's ``peak_rss_mb``
+#: from 42.84-43.07 to 43.07-43.52 MB on mc-ddmf and from 42.92-43.18 to
+#: 43.30-43.67 MB on mc-fft (10 runs each, 2-vCPU host; the bound is 2%),
+#: and ``work_per_s`` by 24% and 19% in the median. Blocks of 16 peaked
+#: 1.6 MB above blocks of 8 on both, for 2-7% more speed (3 pairs). On the
+#: link (fig4, 10 realizations of 10 symbols, 2 SNRs) blocks of 4, 8 and all
+#: 10 peak at 3.02, 5.84 and 7.24 MiB of allocations (one realization at a
+#: time with a dense Gram: 8.97 MiB); all 32 of a 32-realization call at
+#: once peak at 22.7 MiB, so the link's memory must not grow with ``trials``.
 TRIAL_BLOCK = 8
 
 #: SNR points of one trial block filtered, CFAR-tested and scored together.
@@ -377,6 +384,8 @@ def trial_metrics(
     po = scenario.pilot_overhead if pilot_overhead is None else pilot_overhead
     snr = scenario.snr_db if snr_db is None else snr_db
     scales = [_noise_scale(point) for point in ([snr] if np.ndim(snr) == 0 else snr)]
+    if not scales:
+        raise ValueError("snr_db needs at least one value")
     _, l, k = scenario.targets[0]
     cell = (l % config.n_p, k % config.k_chirps)
     if not algorithms:
@@ -455,63 +464,68 @@ def _block_size(taps, n_c: int) -> int | None:
     return next((b for b in range(max(w, _MIN_BLOCK), n_c // 3 + 1) if n_c % b == 0), None)
 
 
-def _lmmse_solve(gram: np.ndarray, taps, noise_vars, y: np.ndarray) -> np.ndarray:
-    """(gram + noise_vars[s] I)^(-1) y[s] for an (S, n_c, m) stack, one noise level per s.
+def _lmmse_solve(taps, noise_vars, y: np.ndarray, b: int | None, index) -> None:
+    """Overwrite each y[r, s] with (G_r + noise_vars[s] I)^(-1) y[r, s], G_r = H_t H_t^H.
 
-    ``gram`` is H_t H_t^H of ``taps``, Hermitian positive definite once
-    regularized, so block elimination without pivoting is stable (Golub and
-    Van Loan, block-tridiagonal LU). With b from ``_block_size`` the system
-    is block-cyclic-tridiagonal in N = n_c / b blocks: a forward sweep over
-    blocks 0..N-2 carries each block's coupling to the corner block N-1, one
-    b x b solve settles block N-1, and a back sweep recovers the rest. Each
-    step is one batched solve over all S noise levels. Without such a b (a
-    delay spread near n_c / 2) the dense LU solves it. Equal to the dense
-    solve up to rounding.
+    ``y`` is an (R, S, n_c, m) stack and ``taps`` hold each path's R gains
+    as an (R, 1, 1) array, one channel realization per gain; ``b`` is
+    ``_block_size`` of the taps and ``index`` the ``_gram_block_index`` of
+    their shifts. Each G_r + sigma^2 I is Hermitian positive definite, so
+    block elimination without pivoting is stable (Golub and Van Loan,
+    block-tridiagonal LU). The Grams are scattered into (R, 3, N, b, b)
+    block-cyclic-tridiagonal form, N = n_c / b. A forward sweep over blocks
+    0..N-2 carries each block's coupling to the corner block N-1, one b x b
+    solve settles block N-1, and a back sweep recovers the rest; each step
+    is one batched solve or product over every (realization, SNR). The
+    right-hand sides are reduced and solved in place in ``y``, so only the
+    (N-1, R, S, b, 2b) coupling coefficients are held besides it. With
+    ``b`` None (a delay spread near n_c / 2) each realization's dense Gram
+    takes the dense LU. Equal to the dense solve up to rounding.
     """
-    n_c = gram.shape[0]
+    n_c = y.shape[-2]
     noise = np.asarray(noise_vars, dtype=np.float64)[:, None, None]
-    b = _block_size(taps, n_c)
     if b is None:
-        return np.linalg.solve(gram + noise * np.eye(n_c), y)
+        for r, y_r in enumerate(y):
+            gram = _delay_doppler_gram(
+                [(gain[r].item(), shift, phasor) for gain, shift, phasor in taps], n_c
+            )
+            y_r[...] = np.linalg.solve(gram + noise * np.eye(n_c), y_r)
+        return
+    lower, diag, upper = np.moveaxis(_delay_doppler_gram_blocks(taps, n_c, b, index), -4, 0)
     last = n_c // b - 1
     bb = 2 * b
     ridge = noise * np.eye(b)
-    stack = (len(noise), b, b)
-
-    def block(i, j):
-        return gram[i * b:(i + 1) * b, j * b:(j + 1) * b]
-
-    def rows(i):
-        return y[:, i * b:(i + 1) * b]
+    stack = y.shape[:-2] + (b, b)
+    upper = np.broadcast_to(upper, y.shape[:-2] + upper.shape[-3:])
+    rows = [y[..., i * b:(i + 1) * b, :] for i in range(last + 1)]
 
     # with x_0..x_{k-1} eliminated, block row k reads
-    #     pivot x_k + nxt x_{k+1} + corner x_{N-1} = rhs
-    # and block row N-1 reads edge x_k + end x_{N-1} = end_rhs; row N-2's
+    #     pivot x_k + nxt x_{k+1} + corner x_{N-1} = rows[k]
+    # and block row N-1 reads edge x_k + end x_{N-1} = rows[N-1]; row N-2's
     # next block is N-1 itself, so its coupling is all in ``corner``
-    pivot, corner, rhs = block(0, 0) + ridge, np.broadcast_to(block(0, last), stack), rows(0)
-    edge, end, end_rhs = block(last, 0), block(last, last) + ridge, rows(last)
-    sweep = []
+    pivot, corner = diag[..., 0, :, :] + ridge, np.broadcast_to(lower[..., 0, :, :], stack)
+    edge, end = upper[..., last, :, :], diag[..., last, :, :] + ridge
+    coupling = np.empty((last,) + stack[:-1] + (bb,), dtype=np.complex128)
     for k in range(last):
-        nxt = block(k, k + 1) if k + 1 < last else np.zeros((b, b))
-        # pivot^-1 [nxt | corner | rhs]
-        z = np.linalg.solve(pivot, np.concatenate([np.broadcast_to(nxt, stack), corner, rhs], -1))
-        sweep.append(z)
+        nxt = upper[..., k, :, :] if k + 1 < last else np.zeros(stack)
+        # pivot^-1 [nxt | corner | rows[k]]
+        z = np.linalg.solve(pivot, np.concatenate([nxt, corner, rows[k]], -1))
+        coupling[k], rows[k][...] = z[..., :bb], z[..., bb:]
         fz = edge @ z
         end = end - fz[..., b:bb]
-        end_rhs = end_rhs - fz[..., bb:]
+        rows[last] -= fz[..., bb:]
         if k + 1 < last:
-            lz = block(k + 1, k) @ z
-            pivot = block(k + 1, k + 1) + ridge - lz[..., :b]
-            corner = block(k + 1, last) - lz[..., b:bb]
-            rhs = rows(k + 1) - lz[..., bb:]
-            edge = block(last, k + 1) - fz[..., :b]
-    x = np.empty(y.shape, dtype=np.complex128)
-    x[:, last * b:] = x_next = x_last = np.linalg.solve(end, end_rhs)
+            # blocks k + 1 and N-1 touch only when k + 1 = N-2
+            near = k + 2 == last
+            lz = lower[..., k + 1, :, :] @ z
+            pivot = diag[..., k + 1, :, :] + ridge - lz[..., :b]
+            corner = (upper[..., k + 1, :, :] if near else 0.0) - lz[..., b:bb]
+            rows[k + 1] -= lz[..., bb:]
+            edge = (lower[..., last, :, :] if near else 0.0) - fz[..., :b]
+    rows[last][...] = x_last = np.linalg.solve(end, rows[last])
     for k in reversed(range(last)):
-        z = sweep[k]
-        x_next = z[..., bb:] - z[..., :b] @ x_next - z[..., b:bb] @ x_last
-        x[:, k * b:(k + 1) * b] = x_next
-    return x
+        rows[k] -= coupling[k, ..., :b] @ rows[k + 1]
+        rows[k] -= coupling[k, ..., b:] @ x_last
 
 
 def rayleigh_gains(powers, rng: np.random.Generator) -> np.ndarray:
@@ -547,49 +561,83 @@ def lmmse_ber_compare(
     without forming H_t. The Gram is cyclically banded, with half-bandwidth
     w the largest cyclic distance between two delay taps, so the solve is a
     block-cyclic-tridiagonal sweep over blocks of b samples, b the smallest
-    divisor of n_c with b >= max(w, 8) and n_c / b >= 3, batched over the
-    SNRs; when no such b exists (a delay spread near n_c / 2) it falls back
-    to a dense LU. Returns {(config_name, snr_db): (bit_errors, bits)}.
+    divisor of n_c with b >= max(w, 8) and n_c / b >= 3; when no such b
+    exists (a delay spread near n_c / 2) it falls back to a dense LU.
+    Realizations run ``TRIAL_BLOCK`` at a time. Realization i draws its
+    gains, then its bits (per_real, n_c, 2), then its noise (n_c, per_real),
+    real part first, from ``trial_rng(seed, i)``; each block makes one
+    ``_lmmse_solve`` sweep over every (realization, SNR), on Grams scattered
+    straight into block form. The chirps, the Doppler phasors and the
+    Gram's scatter index are built once per call; only the gains change
+    between realizations. Returns {(config_name, snr_db): (bit_errors, bits)}.
     """
     if realizations < 1 or n_symbols < 1:
         raise ValueError("realizations and n_symbols must be >= 1")
     n_c = next(iter(configs.values())).n_c
     if any(c.n_c != n_c for c in configs.values()):
         raise ValueError("all configs must share n_c")
+    if not len(snr_db_list):
+        raise ValueError("snr_db_list needs at least one value")
     repeated = _first_repeat([float(snr) for snr in snr_db_list])
     if repeated is not None:
         raise ValueError(f"snr_db_list repeats the value {repeated!r}")
     per_real = max(1, n_symbols // realizations)
-    taps = [(int(l), int(k)) for l, k in target_taps]
     sigma2 = np.array([noise_variance(float(snr)) for snr in snr_db_list])
-    errors = {(name, float(snr)): 0 for name in configs for snr in snr_db_list}
-    for real in range(realizations):
-        rng = trial_rng(seed, real)
-        gains = rayleigh_gains(target_powers, rng)
-        paths = [PathTap(complex(g), l, k) for g, (l, k) in zip(gains, taps)]
-        doppler_taps = _doppler_taps(paths, n_c)
-        bits = rng.integers(0, 2, size=(per_real, n_c, 2))
-        w = (
-            rng.standard_normal((n_c, per_real))
-            + 1j * rng.standard_normal((n_c, per_real))
-        ) / math.sqrt(2.0)
+    # unit-gain taps: each block scales them by its realizations' gains
+    unit_taps = _doppler_taps([PathTap(1.0, int(l), int(k)) for l, k in target_taps], n_c)
+    b = _block_size(unit_taps, n_c)
+    index = None if b is None else _gram_block_index([s for _, s, _ in unit_taps], n_c, b)
+    chirps = [_chirps(config) for config in configs.values()]
+    scale = np.sqrt(sigma2)[:, None, None]
+
+    def block_errors(reals):
+        """The (configs, SNR) bit errors of realizations ``reals``, one solve for all."""
+        gains, bits, w = [], [], []
+        for real in reals:
+            rng = trial_rng(seed, real)
+            gains.append(rayleigh_gains(target_powers, rng))
+            bits.append(rng.integers(0, 2, size=(per_real, n_c, 2)))
+            w.append((
+                rng.standard_normal((n_c, per_real))
+                + 1j * rng.standard_normal((n_c, per_real))
+            ) / math.sqrt(2.0))
+        bits, w = np.stack(bits), np.stack(w)
+        taps = [
+            (gain[:, None, None], shift, phasor)
+            for gain, (_, shift, phasor) in zip(np.stack(gains).T, unit_taps)
+        ]
         # H = A^H H_t A with A unitary: detect in the time domain, where the
-        # channel and its Gram are the same for every config
-        gram = _delay_doppler_gram(doppler_taps, n_c)
-        # time-domain symbols A x and noise A w, each (configs, per_real, n_c);
-        # A w is white like w because A is unitary
-        s, noise = np.stack(
-            [_modulate(c, np.stack([qam4_modulate(bits), w.T])) for c in configs.values()]
-        ).swapaxes(0, 1)
-        r0 = _delay_doppler(s, doppler_taps)
-        # (SNR, configs, per_real, n_c): one received symbol per row
-        r = r0 + np.sqrt(sigma2)[:, None, None, None] * noise
-        y = r.reshape(len(sigma2), -1, n_c).swapaxes(1, 2)
-        z = _lmmse_solve(gram, doppler_taps, sigma2, y)
-        s_hat = _delay_doppler_adjoint(z.swapaxes(1, 2), doppler_taps).reshape(r.shape)
-        for (name, config), est in zip(configs.items(), s_hat.swapaxes(0, 1)):
-            detected = qam4_demodulate(demodulate(config, est))
-            wrong = np.count_nonzero(detected != bits, axis=(1, 2, 3))
-            for snr, e in zip(snr_db_list, wrong):
-                errors[(name, float(snr))] += int(e)
-    return {key: (e, realizations * bits.size) for key, e in errors.items()}
+        # channel and its Gram are the same for every config. y holds the
+        # received stack (R, SNR, n_c, configs * per_real), one symbol per
+        # column, and is solved in place: config c's columns receive the
+        # channel's image of A x plus the noise A w, white like w because A
+        # is unitary
+        x, w = qam4_modulate(bits), np.swapaxes(w, 1, 2)
+        y = np.empty((len(reals), len(sigma2), n_c, len(configs) * per_real), dtype=np.complex128)
+        for c, (config, pair) in enumerate(zip(configs.values(), chirps)):
+            cols = y[..., c * per_real:(c + 1) * per_real]
+            np.multiply(scale, _modulate(config, w, pair).swapaxes(1, 2)[:, None], out=cols)
+            cols += _delay_doppler(_modulate(config, x, pair), taps).swapaxes(1, 2)[:, None]
+        # holding x and w through the solve raised a fig4 call's allocation
+        # peak from 5.84 to 7.09 MiB
+        del x, w
+        _lmmse_solve(taps, sigma2, y, b, index)
+        s_hat = _delay_doppler_adjoint(y.transpose(1, 0, 3, 2), taps).reshape(
+            len(sigma2), len(reals), len(configs), per_real, n_c
+        )
+        return np.array([
+            np.count_nonzero(
+                qam4_demodulate(demodulate(config, s_hat[:, :, c], pair)) != bits, axis=(1, 2, 3, 4)
+            )
+            for c, (config, pair) in enumerate(zip(configs.values(), chirps))
+        ])
+
+    errors = sum(
+        block_errors(range(start, min(start + TRIAL_BLOCK, realizations)))
+        for start in range(0, realizations, TRIAL_BLOCK)
+    )
+    total = realizations * per_real * n_c * 2
+    return {
+        (name, float(snr)): (int(e), total)
+        for name, row in zip(configs, errors) for snr, e in zip(snr_db_list, row)
+    }

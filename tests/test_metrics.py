@@ -316,6 +316,16 @@ class TestTrialEngine:
         with pytest.raises(ValueError, match=r"snr_db must be a number or \+inf, got (nan|-inf)"):
             trial_metrics(EDGE, ALGORITHMS, 3, snr_db=snr_db)
 
+    @pytest.mark.parametrize("snr_db", [[], (), np.array([])])
+    def test_empty_snr_list_rejected_before_any_trial(self, snr_db, monkeypatch):
+        # it used to simulate every trial block and return (0, trials) arrays
+        def no_sweep(*args):
+            raise AssertionError("a trial was simulated")
+
+        monkeypatch.setattr(metrics, "_sweep", no_sweep)
+        with pytest.raises(ValueError, match="snr_db needs at least one value"):
+            trial_metrics(EDGE, ALGORITHMS, 20, snr_db=snr_db)
+
     def test_snr_past_the_float_range_equals_noise_free(self):
         # 10^400 overflows a float, so the noise variance is 0, as at +inf
         beyond = trial_metrics(EDGE, ALGORITHMS, 3, snr_db=4000.0)
@@ -488,6 +498,40 @@ class TestTimeDomainLink:
         assert counts == _dense_ber_counts(*args)
         assert all(errors > 0 for (_, snr), (errors, _) in counts.items() if snr == 0.0)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("presets", [("proposed", "classic"), ("ocdm",)])
+    def test_partial_block_of_realizations_equals_dense_daft_domain_link(self, seed, presets):
+        # one full block of TRIAL_BLOCK realizations and a partial block of 3
+        realizations = metrics.TRIAL_BLOCK + 3
+        configs = {name: self.DESK.waveform(name) for name in presets}
+        powers = [abs(g) ** 2 for g, _, _ in self.DESK.targets]
+        taps = [(l, k) for _, l, k in self.DESK.targets]
+        args = (configs, powers, taps, (0.0, 12.0), 2 * realizations, realizations, seed)
+        assert metrics.lmmse_ber_compare(*args) == _dense_ber_counts(*args)
+
+    def test_memory_does_not_grow_with_the_realizations(self):
+        # realizations are solved TRIAL_BLOCK at a time, so four blocks peak
+        # no higher than one; solving all of them at once grows with the count
+        fig4 = builtin_scenarios()["fig4"]
+        configs = {"proposed": fig4.waveform("proposed")}
+        powers = [abs(g) ** 2 for g, _, _ in fig4.targets]
+        taps = [(l, k) for _, l, k in fig4.targets]
+
+        def peak(realizations):
+            tracemalloc.start()
+            try:
+                metrics.lmmse_ber_compare(
+                    configs, powers, taps, (5.0, 15.0), 10 * realizations, realizations, 1
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm any first-call allocations
+        one = peak(metrics.TRIAL_BLOCK)
+        four = peak(4 * metrics.TRIAL_BLOCK)
+        assert four <= 1.1 * one, (four, one)
+
     @pytest.mark.parametrize(
         "n_c, delays, b",
         [
@@ -509,6 +553,13 @@ class TestTimeDomainLink:
         # a repeated SNR would add its errors twice into one (name, SNR) count
         configs = {"proposed": self.DESK.waveform("proposed")}
         with pytest.raises(ValueError, match="snr_db_list repeats the value"):
+            metrics.lmmse_ber_compare(configs, [1.0], [(1, 1)], snrs, 4, 2, 1)
+
+    @pytest.mark.parametrize("snrs", [(), [], np.array([])])
+    def test_empty_snr_list_rejected(self, snrs):
+        # an empty list used to end in a numpy reshape error
+        configs = {"proposed": self.DESK.waveform("proposed")}
+        with pytest.raises(ValueError, match="snr_db_list needs at least one value"):
             metrics.lmmse_ber_compare(configs, [1.0], [(1, 1)], snrs, 4, 2, 1)
 
     @pytest.mark.parametrize("snrs", [(math.nan,), (5.0, -math.inf)])

@@ -17,11 +17,13 @@ from afdmsim.channel import (
     _delay_doppler,
     _delay_doppler_adjoint,
     _delay_doppler_gram,
+    _delay_doppler_gram_blocks,
     _doppler_taps,
+    _gram_block_index,
     apply_channel,
 )
 from afdmsim.ddgrid import grid_to_vector, io_predict, vector_to_grid
-from afdmsim.metrics import _lmmse_solve, build_effective_channel
+from afdmsim.metrics import _block_size, _lmmse_solve, build_effective_channel
 from afdmsim.params import (
     PRESET_NAMES,
     AfdmConfig,
@@ -374,33 +376,66 @@ def _relative_error(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
+def _dense_from_blocks(blocks):
+    """The n_c x n_c matrix of a (3, N, b, b) lower/diagonal/upper block-cyclic stack."""
+    _, n_blocks, b, _ = blocks.shape
+    dense = np.zeros((n_blocks * b, n_blocks * b), dtype=blocks.dtype)
+    for side, offset in enumerate((-1, 0, 1)):
+        for i in range(n_blocks):
+            j = (i + offset) % n_blocks
+            dense[i * b:(i + 1) * b, j * b:(j + 1) * b] = blocks[side, i]
+    return dense
+
+
 @settings(deadline=None, max_examples=60)
 @given(n_c=st.integers(6, 96), spread=st.integers(0, 48), n_paths=st.integers(1, 3),
-       seed=st.integers(0, 2**32 - 1))
+       realizations=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
 # N = 3 blocks of 8: the forward sweep runs one step and meets the corner at once
-@example(n_c=24, spread=8, n_paths=2, seed=0)
+@example(n_c=24, spread=8, n_paths=2, realizations=3, seed=0)
 # no divisor of 32 in [12, 32 / 3]: the dense fallback
-@example(n_c=32, spread=12, n_paths=2, seed=0)
-def test_banded_lmmse_solve_and_adjoint_equal_the_dense_forms(n_c, spread, n_paths, seed):
+@example(n_c=32, spread=12, n_paths=2, realizations=3, seed=0)
+def test_banded_lmmse_solve_and_adjoint_equal_the_dense_forms(
+    n_c, spread, n_paths, realizations, seed
+):
     rng = np.random.default_rng(seed)
     # delays 0 and ``spread`` (more with three paths), a pair sharing a delay
-    # and a delay tap >= n_c
+    # and a delay tap >= n_c; each realization draws its own gains
     delays = [0, *rng.integers(0, spread + 1, max(n_paths - 2, 0)).tolist(), spread][:n_paths]
-    gains = rng.standard_normal((n_paths + 2, 2)) @ [1.0, 1j]
-    gains /= np.abs(gains).sum()  # ||H_t|| <= 1: every stacked system's condition is <= 101
+    gains = rng.standard_normal((realizations, n_paths + 2, 2)) @ [1.0, 1j]
+    # ||H_t|| <= 1: every stacked system's condition is <= 101
+    gains /= np.abs(gains).sum(axis=1, keepdims=True)
     dopplers = rng.integers(-n_c, n_c + 1, n_paths + 2)
     delays += [delays[-1], n_c + int(rng.integers(0, spread + 1))]
-    taps = _doppler_taps([PathTap(*p) for p in zip(gains, delays, dopplers)], n_c)
-    dense = _delay_doppler(np.eye(n_c, dtype=np.complex128), taps).T
-    gram = dense @ dense.conj().T
+    unit = _doppler_taps([PathTap(1.0, l, k) for l, k in zip(delays, dopplers)], n_c)
+    taps = [(g[:, None, None], shift, phasor) for g, (_, shift, phasor) in zip(gains.T, unit)]
+    b = _block_size(unit, n_c)
+    index = None if b is None else _gram_block_index([shift for _, shift, _ in unit], n_c, b)
 
     noise_vars = np.array([1.0, 0.1, 0.01])  # SNR 0, 10 and 20 dB, stacked
-    y = rng.standard_normal((3, n_c, 4)) + 1j * rng.standard_normal((3, n_c, 4))
-    want = np.stack([np.linalg.solve(gram + v * np.eye(n_c), y_s) for v, y_s in zip(noise_vars, y)])
-    assert _relative_error(_lmmse_solve(gram, taps, noise_vars, y), want) <= 1e-12
-
-    z = rng.standard_normal((2, n_c)) + 1j * rng.standard_normal((2, n_c))
-    assert _relative_error(_delay_doppler_adjoint(z, taps), z @ dense.conj()) <= 1e-12
+    y = rng.standard_normal((realizations, 3, n_c, 4)) + 1j * rng.standard_normal(
+        (realizations, 3, n_c, 4)
+    )
+    got = y.copy()
+    _lmmse_solve(taps, noise_vars, got, b, index)
+    z = rng.standard_normal((2, realizations, 3, n_c)) + 1j * rng.standard_normal(
+        (2, realizations, 3, n_c)
+    )
+    adjoint = _delay_doppler_adjoint(z, taps)
+    if b is not None:
+        blocks = _delay_doppler_gram_blocks(taps, n_c, b, index)
+        assert blocks.shape == (realizations, 1, 3, n_c // b, b, b)
+    for r in range(realizations):
+        taps_r = _doppler_taps([PathTap(*p) for p in zip(gains[r], delays, dopplers)], n_c)
+        dense = _delay_doppler(np.eye(n_c, dtype=np.complex128), taps_r).T
+        gram = dense @ dense.conj().T
+        for s, v in enumerate(noise_vars):
+            want = np.linalg.solve(gram + v * np.eye(n_c), y[r, s])
+            assert _relative_error(got[r, s], want) <= 1e-12
+        assert _relative_error(adjoint[:, r], z[:, r] @ dense.conj()) <= 1e-12
+        if b is not None:
+            # the block form holds the structured Gram's entries bit for bit
+            want = _delay_doppler_gram(taps_r, n_c)
+            assert np.array_equal(_dense_from_blocks(blocks[r, 0]), want)
 
 
 @st.composite
