@@ -138,14 +138,15 @@ def _gram_block_index(shifts, n_c: int, b: int) -> dict[int, np.ndarray]:
 
     Block row I of the stack holds its lower, diagonal and upper cyclic
     neighbours [I, I - 1], [I, I] and [I, I + 1] at 0, 1 and 2. Valid for b
-    at least every cyclic distance between two shifts and n_c // b >= 3.
+    at least every cyclic distance between two shifts and n_c // b >= 3, or
+    b = n_c (every entry in the diagonal slot).
     """
     n = np.arange(n_c, dtype=np.int64)
     blocks = n_c // b
     index = {}
     for d in {i - j for i in shifts for j in shifts}:
         m = (n - d) % n_c
-        side = (m // b - n // b + 1) % blocks
+        side = (m // b - n // b + 1) % blocks if blocks > 1 else 1
         index[d] = ((side * blocks + n // b) * b + n % b) * b + m % b
     return index
 

@@ -28,7 +28,6 @@ from .channel import (
     PathTap,
     _delay_doppler,
     _delay_doppler_adjoint,
-    _delay_doppler_gram,
     _delay_doppler_gram_blocks,
     _doppler_taps,
     _gram_block_index,
@@ -67,6 +66,8 @@ CFAR_TRAIN, CFAR_GUARD, CFAR_PFA = 2, 1, 1e-4
 #: 10 peak at 3.02, 5.84 and 7.24 MiB of allocations (one realization at a
 #: time with a dense Gram: 8.97 MiB); all 32 of a 32-realization call at
 #: once peak at 22.7 MiB, so the link's memory must not grow with ``trials``.
+#: The link's blocks hold max(1, TRIAL_BLOCK * 8 // b) realizations, scaling
+#: with 1/b (``_block_size``), so their Grams take no more memory than at b = 8.
 TRIAL_BLOCK = 8
 
 #: SNR points of one trial block filtered, CFAR-tested and scored together.
@@ -151,14 +152,15 @@ class FrameSpec:
     def from_overhead(cls, n_c: int, po: float) -> "FrameSpec":
         """Resolve a pilot-overhead fraction to a guard count.
 
-        PO = 0 gives the all-data frame; otherwise Q = round((PO*n_c - 1)/2),
-        so PO = 1 covers every non-pilot subcarrier with guards.
+        PO = 0 gives the all-data frame; otherwise Q = (PO*n_c - 1)/2 rounded
+        half up (``round`` goes to even), so PO = 1 covers every non-pilot
+        subcarrier with guards at every n_c.
         """
         if not 0.0 <= po <= 1.0:
             raise ValueError("pilot overhead must lie in [0, 1]")
         if po == 0.0:
             return cls(q_guard=None)
-        return cls(q_guard=max(0, round((po * n_c - 1) / 2)))
+        return cls(q_guard=max(0, math.floor((po * n_c - 1) / 2 + 0.5)))
 
     def occupied_slots(self, n_c: int) -> int:
         """Distinct subcarriers taken by the pilot and its guards."""
@@ -451,20 +453,21 @@ def lmmse_detect(H: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
 _MIN_BLOCK = 8
 
 
-def _block_size(taps, n_c: int) -> int | None:
-    """The block size b of ``_lmmse_solve``'s sweep for ``taps``, or None for the dense LU.
+def _block_size(taps, n_c: int) -> int:
+    """The block size b of ``_lmmse_solve``'s sweep for ``taps``.
 
     The Gram H_t H_t^H is nonzero only at the cyclic distances between two
     tap shifts, so with w the largest of them it is block-cyclic-tridiagonal
     in blocks of any b >= w that divides n_c. b is the smallest divisor with
-    b >= max(w, 8) and at least three blocks.
+    b >= max(w, 8) and at least three blocks, or n_c when none is (a delay
+    spread near n_c / 2, or n_c < 24): one block, the whole Gram.
     """
     shifts = [shift for _, shift, _ in taps]
     w = max((min((i - j) % n_c, (j - i) % n_c) for i in shifts for j in shifts), default=0)
-    return next((b for b in range(max(w, _MIN_BLOCK), n_c // 3 + 1) if n_c % b == 0), None)
+    return next((b for b in range(max(w, _MIN_BLOCK), n_c // 3 + 1) if n_c % b == 0), n_c)
 
 
-def _lmmse_solve(taps, noise_vars, y: np.ndarray, b: int | None, index) -> None:
+def _lmmse_solve(taps, noise_vars, y: np.ndarray, b: int, index) -> None:
     """Overwrite each y[r, s] with (G_r + noise_vars[s] I)^(-1) y[r, s], G_r = H_t H_t^H.
 
     ``y`` is an (R, S, n_c, m) stack and ``taps`` hold each path's R gains
@@ -478,19 +481,12 @@ def _lmmse_solve(taps, noise_vars, y: np.ndarray, b: int | None, index) -> None:
     solve settles block N-1, and a back sweep recovers the rest; each step
     is one batched solve or product over every (realization, SNR). The
     right-hand sides are reduced and solved in place in ``y``, so only the
-    (N-1, R, S, b, 2b) coupling coefficients are held besides it. With
-    ``b`` None (a delay spread near n_c / 2) each realization's dense Gram
-    takes the dense LU. Equal to the dense solve up to rounding.
+    (N-1, R, S, b, 2b) coupling coefficients are held besides it. One block
+    (b = n_c) makes no step, and its one solve, of block 0 as block N-1, is
+    the dense LU. Equal to the dense solve up to rounding.
     """
     n_c = y.shape[-2]
     noise = np.asarray(noise_vars, dtype=np.float64)[:, None, None]
-    if b is None:
-        for r, y_r in enumerate(y):
-            gram = _delay_doppler_gram(
-                [(gain[r].item(), shift, phasor) for gain, shift, phasor in taps], n_c
-            )
-            y_r[...] = np.linalg.solve(gram + noise * np.eye(n_c), y_r)
-        return
     lower, diag, upper = np.moveaxis(_delay_doppler_gram_blocks(taps, n_c, b, index), -4, 0)
     last = n_c // b - 1
     bb = 2 * b
@@ -504,7 +500,7 @@ def _lmmse_solve(taps, noise_vars, y: np.ndarray, b: int | None, index) -> None:
     # and block row N-1 reads edge x_k + end x_{N-1} = rows[N-1]; row N-2's
     # next block is N-1 itself, so its coupling is all in ``corner``
     pivot, corner = diag[..., 0, :, :] + ridge, np.broadcast_to(lower[..., 0, :, :], stack)
-    edge, end = upper[..., last, :, :], diag[..., last, :, :] + ridge
+    edge, end = upper[..., last, :, :], diag[..., last, :, :] + ridge if last else pivot
     coupling = np.empty((last,) + stack[:-1] + (bb,), dtype=np.complex128)
     for k in range(last):
         nxt = upper[..., k, :, :] if k + 1 < last else np.zeros(stack)
@@ -562,14 +558,15 @@ def lmmse_ber_compare(
     w the largest cyclic distance between two delay taps, so the solve is a
     block-cyclic-tridiagonal sweep over blocks of b samples, b the smallest
     divisor of n_c with b >= max(w, 8) and n_c / b >= 3; when no such b
-    exists (a delay spread near n_c / 2) it falls back to a dense LU.
-    Realizations run ``TRIAL_BLOCK`` at a time. Realization i draws its
-    gains, then its bits (per_real, n_c, 2), then its noise (n_c, per_real),
-    real part first, from ``trial_rng(seed, i)``; each block makes one
-    ``_lmmse_solve`` sweep over every (realization, SNR), on Grams scattered
-    straight into block form. The chirps, the Doppler phasors and the
-    Gram's scatter index are built once per call; only the gains change
-    between realizations. Returns {(config_name, snr_db): (bit_errors, bits)}.
+    exists (a delay spread near n_c / 2) b = n_c, one block solved by a
+    dense LU. Realizations run max(1, TRIAL_BLOCK * 8 // b) at a time.
+    Realization i draws its gains, then its bits (per_real, n_c, 2), then
+    its noise (n_c, per_real), real part first, from
+    ``trial_rng(seed, i)``; each block makes one ``_lmmse_solve`` sweep
+    over every (realization, SNR), on Grams scattered straight into block
+    form. The chirps, the Doppler phasors and the Gram's scatter index are
+    built once per call; only the gains change between realizations.
+    Returns {(config_name, snr_db): (bit_errors, bits)}.
     """
     if realizations < 1 or n_symbols < 1:
         raise ValueError("realizations and n_symbols must be >= 1")
@@ -586,7 +583,8 @@ def lmmse_ber_compare(
     # unit-gain taps: each block scales them by its realizations' gains
     unit_taps = _doppler_taps([PathTap(1.0, int(l), int(k)) for l, k in target_taps], n_c)
     b = _block_size(unit_taps, n_c)
-    index = None if b is None else _gram_block_index([s for _, s, _ in unit_taps], n_c, b)
+    index = _gram_block_index([s for _, s, _ in unit_taps], n_c, b)
+    per_block = max(1, TRIAL_BLOCK * _MIN_BLOCK // b)
     chirps = [_chirps(config) for config in configs.values()]
     scale = np.sqrt(sigma2)[:, None, None]
 
@@ -633,8 +631,8 @@ def lmmse_ber_compare(
         ])
 
     errors = sum(
-        block_errors(range(start, min(start + TRIAL_BLOCK, realizations)))
-        for start in range(0, realizations, TRIAL_BLOCK)
+        block_errors(range(start, min(start + per_block, realizations)))
+        for start in range(0, realizations, per_block)
     )
     total = realizations * per_real * n_c * 2
     return {

@@ -61,6 +61,18 @@ class TestFrames:
         assert x[0] == pytest.approx(math.sqrt(512))
         assert np.count_nonzero(x) == 1
 
+    @pytest.mark.parametrize("n_c", [18, 510])
+    def test_full_overhead_occupies_every_slot(self, n_c):
+        # (n_c - 1) / 2 is 8.5 at n_c = 18: halves round up, not to even
+        assert FrameSpec.from_overhead(n_c, 1.0).occupied_slots(n_c) == n_c
+
+    @pytest.mark.parametrize(
+        "n_c, guards", [(512, (64, 128, 192, 256)), (32, (4, 8, 12, 16))]
+    )
+    def test_builtin_grids_keep_their_guards(self, n_c, guards):
+        got = tuple(FrameSpec.from_overhead(n_c, po).q_guard for po in (0.25, 0.5, 0.75, 1.0))
+        assert got == guards
+
     def test_zero_overhead_all_data(self):
         spec = FrameSpec.from_overhead(512, 0.0)
         x = build_frame(proposed_params(64, 8), spec, np.random.default_rng(0))
@@ -486,13 +498,13 @@ class TestTimeDomainLink:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("presets", [("proposed", "classic"), ("ocdm",)])
-    def test_dense_fallback_counts_equal_dense_daft_domain_link(self, seed, presets):
+    def test_one_block_counts_equal_dense_daft_domain_link(self, seed, presets):
         # delays 0 and 12 at n_c = 32: no divisor of 32 lies in [12, 32 / 3],
-        # so the solve takes the dense LU instead of the block sweep
+        # so the sweep runs on one block of 32, a dense LU of the whole Gram
         configs = {name: self.DESK.waveform(name) for name in presets}
         taps = [(0, 1), (12, -1)]
         paths = [PathTap(1.0, l, k) for l, k in taps]
-        assert metrics._block_size(_doppler_taps(paths, 32), 32) is None
+        assert metrics._block_size(_doppler_taps(paths, 32), 32) == 32
         args = (configs, [0.7, 0.3], taps, (0.0, 12.0), 24, 4, seed)
         counts = metrics.lmmse_ber_compare(*args)
         assert counts == _dense_ber_counts(*args)
@@ -509,13 +521,10 @@ class TestTimeDomainLink:
         args = (configs, powers, taps, (0.0, 12.0), 2 * realizations, realizations, seed)
         assert metrics.lmmse_ber_compare(*args) == _dense_ber_counts(*args)
 
-    def test_memory_does_not_grow_with_the_realizations(self):
-        # realizations are solved TRIAL_BLOCK at a time, so four blocks peak
-        # no higher than one; solving all of them at once grows with the count
-        fig4 = builtin_scenarios()["fig4"]
-        configs = {"proposed": fig4.waveform("proposed")}
-        powers = [abs(g) ** 2 for g, _, _ in fig4.targets]
-        taps = [(l, k) for _, l, k in fig4.targets]
+    @staticmethod
+    def _peaks(powers, taps):
+        """The link's allocation peaks at TRIAL_BLOCK and 4 TRIAL_BLOCK realizations, on fig4."""
+        configs = {"proposed": builtin_scenarios()["fig4"].waveform("proposed")}
 
         def peak(realizations):
             tracemalloc.start()
@@ -528,8 +537,21 @@ class TestTimeDomainLink:
                 tracemalloc.stop()
 
         peak(1)  # warm any first-call allocations
-        one = peak(metrics.TRIAL_BLOCK)
-        four = peak(4 * metrics.TRIAL_BLOCK)
+        return peak(metrics.TRIAL_BLOCK), peak(4 * metrics.TRIAL_BLOCK)
+
+    def test_memory_does_not_grow_with_the_realizations(self):
+        # realizations are solved TRIAL_BLOCK at a time, so four blocks peak
+        # no higher than one; solving all of them at once grows with the count
+        fig4 = builtin_scenarios()["fig4"]
+        powers = [abs(g) ** 2 for g, _, _ in fig4.targets]
+        one, four = self._peaks(powers, [(l, k) for _, l, k in fig4.targets])
+        assert four <= 1.1 * one, (four, one)
+
+    def test_one_block_memory_does_not_grow_with_the_realizations(self):
+        # delays 0 and 200 at n_c = 512 leave one block of 512, solved one
+        # realization at a time: each holds its whole Gram, so four
+        # TRIAL_BLOCKs of them must still peak no higher than one
+        one, four = self._peaks([0.7, 0.3], [(0, 0), (200, 0)])
         assert four <= 1.1 * one, (four, one)
 
     @pytest.mark.parametrize(
@@ -540,8 +562,8 @@ class TestTimeDomainLink:
             (30, (0, 9), 10),  # 9 does not divide 30
             (64, (0, 63), 8),  # delays 0 and 63 are one sample apart cyclically
             (512, (0, 20), 32),  # 32 is the next power-of-two divisor of 512
-            (32, (0, 12), None),  # no divisor of 32 in [12, 32 / 3]
-            (16, (0,), None),  # fewer than three blocks of 8
+            (32, (0, 12), 32),  # no divisor of 32 in [12, 32 / 3]: one block
+            (16, (0,), 16),  # fewer than three blocks of 8: one block
         ],
     )
     def test_block_size_is_the_smallest_divisor_over_the_spread(self, n_c, delays, b):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from afdmsim.ambiguity import dpaf_surface
+from afdmsim.ambiguity import caf_closed, dpaf_brute, dpaf_surface
 from afdmsim._phase import unit_phasor
 from afdmsim.channel import (
     PathTap,
@@ -23,7 +23,14 @@ from afdmsim.channel import (
     apply_channel,
 )
 from afdmsim.ddgrid import grid_to_vector, io_predict, vector_to_grid
-from afdmsim.metrics import _block_size, _lmmse_solve, build_effective_channel
+from afdmsim.metrics import (
+    FrameSpec,
+    _block_size,
+    _lmmse_solve,
+    build_effective_channel,
+    build_frame,
+    pilot_reference,
+)
 from afdmsim.params import (
     PRESET_NAMES,
     AfdmConfig,
@@ -40,13 +47,25 @@ from afdmsim.sensing import (
     cfar_threshold_factor,
     ddmf,
     ddmf_batch,
+    dechirp,
     os_cfar_mask_batch,
     os_cfar_rank,
     os_cfar_threshold_factor,
     signed_doppler,
+    tfmf,
     tfmf_batch,
 )
-from afdmsim.waveform import _chirps, _modulate, demodulate, modulate
+from afdmsim.waveform import (
+    _chirps,
+    _modulate,
+    daft_index_to_dd,
+    dd_to_daft_index,
+    demodulate,
+    echo_form_subcarrier,
+    fmcw_signal,
+    modulate,
+    subcarrier,
+)
 
 
 @st.composite
@@ -377,13 +396,16 @@ def _relative_error(got, want):
 
 
 def _dense_from_blocks(blocks):
-    """The n_c x n_c matrix of a (3, N, b, b) lower/diagonal/upper block-cyclic stack."""
+    """The n_c x n_c matrix of a (3, N, b, b) lower/diagonal/upper block-cyclic stack.
+
+    The slots are added, not written: with N = 1 all three are the one block.
+    """
     _, n_blocks, b, _ = blocks.shape
     dense = np.zeros((n_blocks * b, n_blocks * b), dtype=blocks.dtype)
     for side, offset in enumerate((-1, 0, 1)):
         for i in range(n_blocks):
             j = (i + offset) % n_blocks
-            dense[i * b:(i + 1) * b, j * b:(j + 1) * b] = blocks[side, i]
+            dense[i * b:(i + 1) * b, j * b:(j + 1) * b] += blocks[side, i]
     return dense
 
 
@@ -392,7 +414,7 @@ def _dense_from_blocks(blocks):
        realizations=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
 # N = 3 blocks of 8: the forward sweep runs one step and meets the corner at once
 @example(n_c=24, spread=8, n_paths=2, realizations=3, seed=0)
-# no divisor of 32 in [12, 32 / 3]: the dense fallback
+# no divisor of 32 in [12, 32 / 3]: one block of 32
 @example(n_c=32, spread=12, n_paths=2, realizations=3, seed=0)
 def test_banded_lmmse_solve_and_adjoint_equal_the_dense_forms(
     n_c, spread, n_paths, realizations, seed
@@ -409,7 +431,7 @@ def test_banded_lmmse_solve_and_adjoint_equal_the_dense_forms(
     unit = _doppler_taps([PathTap(1.0, l, k) for l, k in zip(delays, dopplers)], n_c)
     taps = [(g[:, None, None], shift, phasor) for g, (_, shift, phasor) in zip(gains.T, unit)]
     b = _block_size(unit, n_c)
-    index = None if b is None else _gram_block_index([shift for _, shift, _ in unit], n_c, b)
+    index = _gram_block_index([shift for _, shift, _ in unit], n_c, b)
 
     noise_vars = np.array([1.0, 0.1, 0.01])  # SNR 0, 10 and 20 dB, stacked
     y = rng.standard_normal((realizations, 3, n_c, 4)) + 1j * rng.standard_normal(
@@ -421,9 +443,8 @@ def test_banded_lmmse_solve_and_adjoint_equal_the_dense_forms(
         (2, realizations, 3, n_c)
     )
     adjoint = _delay_doppler_adjoint(z, taps)
-    if b is not None:
-        blocks = _delay_doppler_gram_blocks(taps, n_c, b, index)
-        assert blocks.shape == (realizations, 1, 3, n_c // b, b, b)
+    blocks = _delay_doppler_gram_blocks(taps, n_c, b, index)
+    assert blocks.shape == (realizations, 1, 3, n_c // b, b, b)
     for r in range(realizations):
         taps_r = _doppler_taps([PathTap(*p) for p in zip(gains[r], delays, dopplers)], n_c)
         dense = _delay_doppler(np.eye(n_c, dtype=np.complex128), taps_r).T
@@ -432,10 +453,9 @@ def test_banded_lmmse_solve_and_adjoint_equal_the_dense_forms(
             want = np.linalg.solve(gram + v * np.eye(n_c), y[r, s])
             assert _relative_error(got[r, s], want) <= 1e-12
         assert _relative_error(adjoint[:, r], z[:, r] @ dense.conj()) <= 1e-12
-        if b is not None:
-            # the block form holds the structured Gram's entries bit for bit
-            want = _delay_doppler_gram(taps_r, n_c)
-            assert np.array_equal(_dense_from_blocks(blocks[r, 0]), want)
+        # the block form holds the structured Gram's entries bit for bit
+        want = _delay_doppler_gram(taps_r, n_c)
+        assert np.array_equal(_dense_from_blocks(blocks[r, 0]), want)
 
 
 @st.composite
@@ -523,3 +543,64 @@ def test_scenario_file_round_trip(sc, geometry_key):
         path = Path(tmp) / "scenario.txt"
         path.write_text("\n".join(lines) + "\n")
         assert load_scenario(path) == sc
+
+
+# ---------------------------------------------------------------------------
+# Acceptance criteria over random geometries
+# ---------------------------------------------------------------------------
+
+even_n_p = st.integers(1, 16).map(lambda half: 2 * half)
+
+
+@settings(deadline=None, max_examples=60)
+@given(n_p=even_n_p, k_chirps=st.integers(1, 8), delay=st.integers(0, 255),
+       doppler=st.integers(-256, 256),
+       gain=st.complex_numbers(min_magnitude=0.1, max_magnitude=1.5, allow_nan=False,
+                               allow_infinity=False),
+       seed=st.integers(0, 2**32 - 1))
+# n_c = 18: (n_c - 1) / 2 = 8.5 guards must round up, or one data subcarrier stays
+@example(n_p=6, k_chirps=3, delay=0, doppler=0, gain=1.0, seed=0)
+def test_c07_tfmf_equals_dechirp_at_full_overhead(n_p, k_chirps, delay, doppler, gain, seed):
+    # at PO = 1 the frame is the boosted pilot alone, so matching the
+    # transmit signal is dechirping by the pilot, up to scale
+    config = proposed_params(n_p, k_chirps)
+    x = build_frame(config, FrameSpec.from_overhead(config.n_c, 1.0), np.random.default_rng(seed))
+    s = modulate(config, x)
+    r = apply_channel(config, s, [PathTap(gain, delay, doppler)])
+    zt = tfmf(config, r, s).magnitude()
+    zd = dechirp(config, r, pilot_reference(config)).magnitude()
+    assert np.abs(zt / np.linalg.norm(zt) - zd / np.linalg.norm(zd)).max() < 1e-9
+
+
+@settings(deadline=None, max_examples=60)
+@given(n_p=st.integers(1, 32).map(lambda half: 2 * half), k_chirps=st.integers(1, 8))
+def test_c01_base_subcarrier_is_the_fmcw_sweep(n_p, k_chirps):
+    got = subcarrier(proposed_params(n_p, k_chirps), 0).samples
+    assert np.abs(got - fmcw_signal(n_p, k_chirps).samples).max() < 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), n_p=even_n_p, k_chirps=st.integers(1, 8))
+def test_c03_every_subcarrier_is_an_echo_of_the_base_chirp(data, n_p, k_chirps):
+    config = proposed_params(n_p, k_chirps)
+    l = data.draw(st.integers(0, n_p - 1))
+    k = data.draw(st.integers(0, k_chirps - 1))
+    m = dd_to_daft_index(config, l, k)
+    echo = echo_form_subcarrier(config, l, k).samples
+    assert np.abs(echo - subcarrier(config, m).samples).max() < 1e-10
+    assert daft_index_to_dd(config, m) == (l, k)
+
+
+@settings(deadline=None, max_examples=20)
+@given(data=st.data(), n_p=st.integers(1, 12).map(lambda half: 2 * half))
+def test_c04_cross_ambiguity_closed_form_on_the_full_plane(data, n_p):
+    # n_c = n_p K <= 48
+    config = proposed_params(n_p, data.draw(st.integers(1, 48 // n_p)))
+    K, n_c = config.k_chirps, config.n_c
+    sub = st.tuples(st.integers(0, n_p - 1), st.integers(0, K - 1))
+    sub_a, sub_b = data.draw(sub), data.draw(sub)
+    a, b = echo_form_subcarrier(config, *sub_a), echo_form_subcarrier(config, *sub_b)
+    l, k = np.meshgrid(np.arange(n_c), np.arange(n_c), indexing="ij")
+    closed = caf_closed(config, sub_a, sub_b, l, k)
+    brute = [[dpaf_brute(a, b, li, ki) for ki in range(n_c)] for li in range(n_c)]
+    assert np.abs(np.array(brute) - closed).max() < 1e-9
