@@ -45,7 +45,6 @@ from .sensing import (  # noqa: F401 -- ddmf is re-exported
     ddmf,
     ddmf_batch,
     dechirp_batch,
-    mask_near,
     tfmf_batch,
 )
 from .waveform import _chirps, _modulate, demodulate, subcarrier
@@ -373,7 +372,9 @@ def trial_metrics(
     from ``trial_rng(seed, t)`` once and is simulated once for all points,
     only the noise scale differing. Every metric is taken at the scenario's
     first target. A hit is a CA-CFAR detection (2 train, 1 guard, Pfa 1e-4)
-    within one cyclic cell of its tap. Noise and data symbols are redrawn
+    within one cyclic cell of its tap, so CA-CFAR runs on that 3 x 3 window
+    of each map only (``cfar_mask_batch`` with ``near``), with the same bits
+    as on the whole map. Noise and data symbols are redrawn
     every trial; path gains stay fixed at the scenario values. ``None``
     arguments take the scenario's. With ``quality=False`` only the hits are
     computed, and PSLR and image SNR are NaN.
@@ -400,16 +401,14 @@ def trial_metrics(
         scales, algorithms, (trial_rng(seed, t) for t in range(trials)), tfmf_reference,
     ):
         # every algorithm's magnitudes go straight into one float
-        # (algorithms, SNR points, B, n_p, K) stack; one CFAR call and one
-        # quality pass reduce it
+        # (algorithms, SNR points, B, n_p, K) stack; one CFAR call on the
+        # target's 3 x 3 window and one quality pass reduce it
         mag = np.empty(hits[:, snrs, t].shape + (config.n_p, config.k_chirps))
         for a, cells in enumerate(maps):
             np.abs(cells, out=mag[a])
-        # the mask alone: holding the threshold stack into the next group
-        # raised a 12-point sweep's allocation peak by 8%
-        hits[:, snrs, t] = mask_near(
-            cfar_mask_batch(mag**2, CFAR_TRAIN, CFAR_GUARD, CFAR_PFA)[0], l, k
-        )
+        hits[:, snrs, t] = cfar_mask_batch(
+            mag**2, CFAR_TRAIN, CFAR_GUARD, CFAR_PFA, near=(l, k)
+        )[0].any(axis=(-2, -1))
         if quality:
             ratios[:, :, snrs, t] = pslr(mag, cell), image_snr(mag, cell)
     if np.ndim(snr) == 0:
@@ -560,6 +559,8 @@ def lmmse_ber_compare(
     divisor of n_c with b >= max(w, 8) and n_c / b >= 3; when no such b
     exists (a delay spread near n_c / 2) b = n_c, one block solved by a
     dense LU. Realizations run max(1, TRIAL_BLOCK * 8 // b) at a time.
+    ``n_symbols`` must be a multiple of ``realizations``, and each
+    realization carries per_real = n_symbols / realizations symbols.
     Realization i draws its gains, then its bits (per_real, n_c, 2), then
     its noise (n_c, per_real), real part first, from
     ``trial_rng(seed, i)``; each block makes one ``_lmmse_solve`` sweep
@@ -570,6 +571,10 @@ def lmmse_ber_compare(
     """
     if realizations < 1 or n_symbols < 1:
         raise ValueError("realizations and n_symbols must be >= 1")
+    if n_symbols % realizations:
+        raise ValueError(
+            f"n_symbols {n_symbols} must be a multiple of its {realizations} channel realizations"
+        )
     n_c = next(iter(configs.values())).n_c
     if any(c.n_c != n_c for c in configs.values()):
         raise ValueError("all configs must share n_c")
@@ -578,7 +583,7 @@ def lmmse_ber_compare(
     repeated = _first_repeat([float(snr) for snr in snr_db_list])
     if repeated is not None:
         raise ValueError(f"snr_db_list repeats the value {repeated!r}")
-    per_real = max(1, n_symbols // realizations)
+    per_real = n_symbols // realizations
     sigma2 = np.array([noise_variance(float(snr)) for snr in snr_db_list])
     # unit-gain taps: each block scales them by its realizations' gains
     unit_taps = _doppler_taps([PathTap(1.0, int(l), int(k)) for l, k in target_taps], n_c)

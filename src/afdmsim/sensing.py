@@ -303,63 +303,102 @@ def _flat_wrap_pad(maps: np.ndarray, w: int) -> np.ndarray:
     return flat
 
 
-def _training_cells(power: np.ndarray, train: int, guard: int, pfa: float) -> list[np.ndarray]:
-    """Check the CFAR arguments; return the cyclic training ring of a (..., n_p, K) stack.
+def _ring_offsets(
+    shape: tuple[int, ...], train: int, guard: int, pfa: float
+) -> list[tuple[int, int]]:
+    """Check the CFAR arguments for (..., n_p, K) maps; return the training ring's offsets.
 
     The ring holds the offsets (di, dj) of Chebyshev radius in (guard, w],
-    w = train + guard, di outer. On each map's flattened wrapped pad, delay
-    axis last, the map rolled by (di, dj) is the contiguous slice at
-    (w - dj)(n_p + 2w) + (w - di), one view per offset: cell (l, k) sits at
-    k (n_p + 2w) + l, and the columns past n_p of each row are padding.
+    w = train + guard, di outer and dj inner. Cell (l, k)'s training value at
+    (di, dj) is power[(l - di) mod n_p, (k - dj) mod K], its cell in the map
+    rolled by (di, dj).
     """
     if train < 1 or guard < 0:
         raise ValueError("need train >= 1 and guard >= 0")
     if not 0.0 < pfa < 1.0:
         raise ValueError("pfa must lie in (0, 1)")
-    n_p, K = power.shape[-2:]
+    n_p, K = shape[-2:]
     w = train + guard
     if 2 * w + 1 > n_p or 2 * w + 1 > K:
         raise ValueError(f"CFAR window {2 * w + 1} exceeds map dimensions ({n_p}, {K})")
+    span = range(-w, w + 1)
+    return [(di, dj) for di in span for dj in span if max(abs(di), abs(dj)) > guard]
+
+
+def _training_cells(power: np.ndarray, train: int, guard: int, pfa: float) -> list[np.ndarray]:
+    """Check the CFAR arguments; return the cyclic training ring of a (..., n_p, K) stack.
+
+    One view per ``_ring_offsets`` offset, in its order. On each map's
+    flattened wrapped pad, delay axis last, the map rolled by (di, dj) is the
+    contiguous slice at (w - dj)(n_p + 2w) + (w - di): cell (l, k) sits at
+    k (n_p + 2w) + l, and the columns past n_p of each row are padding
+    (``_ring_maps`` drops them).
+    """
+    offsets = _ring_offsets(power.shape, train, guard, pfa)
+    n_p, K = power.shape[-2:]
+    w = train + guard
     row = n_p + 2 * w
     flat = _flat_wrap_pad(power.swapaxes(-1, -2), w)
-    span = range(-w, w + 1)
-    starts = (
-        (w - dj) * row + (w - di) for di in span for dj in span if max(abs(di), abs(dj)) > guard
-    )
+    starts = ((w - dj) * row + (w - di) for di, dj in offsets)
     return [flat[..., start : start + K * row] for start in starts]
+
+
+def _ring_maps(noise: np.ndarray, n_p: int, K: int) -> np.ndarray:
+    """The (..., n_p, K) maps of noise levels laid out as ``_training_cells``' views."""
+    noise = noise.reshape(noise.shape[:-1] + (K, noise.shape[-1] // K))[..., :n_p]
+    return noise.swapaxes(-1, -2)
 
 
 def _cfar_decide(
     power: np.ndarray, noise: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(power > threshold, threshold) for noise levels laid out as ``_training_cells``.
+    """(power > threshold, threshold) for the noise levels of ``power``'s cells.
 
     threshold = alpha * noise, where an exactly zero noise level is replaced
     by the smallest positive float so that a lone peak is still detected.
     """
-    n_p, K = power.shape[-2:]
-    noise = noise.reshape(power.shape[:-2] + (K, noise.shape[-1] // K))[..., :n_p]
-    noise = noise.swapaxes(-1, -2)
     noise = np.where(noise > 0.0, noise, np.finfo(np.float64).tiny)
     threshold = alpha * noise
     return power > threshold, threshold
 
 
 def cfar_mask_batch(
-    power: np.ndarray, train: int, guard: int, pfa: float
+    power: np.ndarray, train: int, guard: int, pfa: float, near: tuple[int, int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized CA-CFAR over a (..., n_p, K) stack of power maps.
 
     Returns (detected boolean stack, power-threshold stack). The noise level
-    is the mean of the ``_training_cells`` ring, summed in offset order, so
-    it equals the sum of rolled copies of each map bit for bit; each add runs
-    along K (n_p + 2w) contiguous cells.
+    is the mean of the ``_ring_offsets`` ring, summed in offset order, so it
+    equals the sum of rolled copies of each map bit for bit. With ``near``
+    None every cell is tested, each add running along K (n_p + 2w)
+    contiguous cells of the ``_training_cells`` views. With ``near`` = (l, k)
+    only the 3 x 3 window around that cell is: both stacks are (..., 3, 3),
+    rows l-1, l, l+1 mod n_p and columns k-1, k, k+1 mod K, and each window
+    cell's ring is gathered and added in the same order, so they equal the
+    full stacks' window bit for bit.
     """
-    cells = _training_cells(power, train, guard, pfa)
-    ring = np.zeros_like(cells[0])
-    for cell in cells:
-        ring += cell
-    return _cfar_decide(power, ring / len(cells), cfar_threshold_factor(len(cells), pfa))
+    if near is None:
+        cells = _training_cells(power, train, guard, pfa)
+        ring = np.zeros_like(cells[0])
+        for cell in cells:
+            ring += cell
+        n_train = len(cells)
+        noise = _ring_maps(ring / n_train, *power.shape[-2:])
+    else:
+        offsets = _ring_offsets(power.shape, train, guard, pfa)
+        n_train = len(offsets)
+        n_p, K = power.shape[-2:]
+        box = np.arange(-1, 2)
+        rows, cols = np.mod(near[0] + box, n_p)[:, None], np.mod(near[1] + box, K)
+        di, dj = np.array(offsets).T[:, :, None, None]
+        # (n_p, K, M) maps gathered to (N_t, 3, 3, M): reducing the leading
+        # axis adds the offsets one after another, as the full path does; a
+        # sum along a contiguous offset axis would pair them and round apart
+        maps = power.reshape(-1, n_p, K).transpose(1, 2, 0)
+        ring = np.add.reduce(maps[np.mod(rows - di, n_p), np.mod(cols - dj, K)])
+        power = power[..., rows, cols]
+        noise = np.moveaxis(ring, -1, 0).reshape(power.shape) / n_train
+    return _cfar_decide(power, noise, cfar_threshold_factor(n_train, pfa))
 
 
 def ca_cfar_2d(
@@ -409,7 +448,8 @@ def os_cfar_mask_batch(
     rank = os_cfar_rank(len(cells))
     ring = np.stack(cells, axis=-1)
     ring.partition(rank - 1, axis=-1)
-    return _cfar_decide(power, ring[..., rank - 1], os_cfar_threshold_factor(len(cells), pfa))
+    noise = _ring_maps(ring[..., rank - 1], *power.shape[-2:])
+    return _cfar_decide(power, noise, os_cfar_threshold_factor(len(cells), pfa))
 
 
 def os_cfar_2d(

@@ -35,7 +35,16 @@ from afdmsim.metrics import (
     trial_rng,
 )
 from afdmsim.params import ScenarioConfig, classic_params, proposed_params
-from afdmsim.sensing import DelayDopplerMap, ca_cfar_2d, ddmf, dechirp, detection_near, tfmf
+from afdmsim.sensing import (
+    DelayDopplerMap,
+    ca_cfar_2d,
+    cfar_mask_batch,
+    ddmf,
+    dechirp,
+    detection_near,
+    mask_near,
+    tfmf,
+)
 from afdmsim.waveform import demodulate, modulate
 
 CFG = proposed_params(8, 4)
@@ -323,6 +332,35 @@ class TestTrialEngine:
                     dets = ca_cfar_2d(DelayDopplerMap(cells, config, alg), 2, 1, 1e-4)
                     assert hit == detection_near(dets, l, k, 8, 8)
 
+    @pytest.mark.parametrize("reference", ["transmit", "pilot"])
+    @pytest.mark.parametrize("scenario, snrs", [
+        (builtin_scenarios()["fig5"], (-22.0, -19.0)),
+        (EDGE, (-3.0, 0.0)),  # target at (n_p - 1, K - 1): the window wraps both axes
+    ], ids=["fig5", "edge"])
+    def test_window_hits_equal_full_map_cfar(self, scenario, snrs, reference):
+        # CA-CFAR on the target's 3 x 3 window hits where the whole maps'
+        # masks have a detection near the target
+        trials = metrics.TRIAL_BLOCK + 3
+        got = trial_metrics(
+            scenario, ALGORITHMS, trials, seed=5, snr_db=snrs, tfmf_reference=reference,
+            quality=False,
+        )
+        config = scenario.waveform()
+        frame = FrameSpec.from_overhead(config.n_c, scenario.pilot_overhead)
+        paths = taps_from_targets(scenario.targets)
+        _, l, k = scenario.targets[0]
+        hits = []
+        for i, snr in enumerate(snrs):
+            blocks = list(
+                sensing_trials(config, frame, paths, snr, ALGORITHMS, trials, 5, reference)
+            )
+            for alg in ALGORITHMS:
+                power = np.abs(np.concatenate([b[alg] for b in blocks])) ** 2
+                want = mask_near(cfar_mask_batch(power, 2, 1, 1e-4)[0], l, k)
+                assert np.array_equal(got[alg][2][i], want)
+                hits.extend(want)
+        assert 0 < sum(hits) < len(hits)  # both outcomes are compared
+
     @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, (10.0, math.nan), [-math.inf]])
     def test_non_finite_snr_rejected(self, snr_db):
         with pytest.raises(ValueError, match=r"snr_db must be a number or \+inf, got (nan|-inf)"):
@@ -485,7 +523,7 @@ class TestTimeDomainLink:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("presets", [("proposed", "classic"), ("proposed",), ("classic",)])
-    @pytest.mark.parametrize("n_symbols, realizations", [(24, 4), (23, 5)])
+    @pytest.mark.parametrize("n_symbols, realizations", [(24, 4), (20, 5)])
     def test_counts_equal_dense_daft_domain_link(self, seed, presets, n_symbols, realizations):
         # classic has the irrational c2 = sqrt(2), held as a float
         configs = {name: self.DESK.waveform(name) for name in presets}
@@ -576,6 +614,16 @@ class TestTimeDomainLink:
         configs = {"proposed": self.DESK.waveform("proposed")}
         with pytest.raises(ValueError, match="snr_db_list repeats the value"):
             metrics.lmmse_ber_compare(configs, [1.0], [(1, 1)], snrs, 4, 2, 1)
+
+    @pytest.mark.parametrize("n_symbols, realizations", [(23, 5), (5, 10), (15, 10)])
+    def test_symbols_not_a_multiple_of_the_realizations_rejected(self, n_symbols, realizations):
+        # rounding would send 10 symbols for 5 or 15 over 10 realizations
+        configs = {"proposed": self.DESK.waveform("proposed")}
+        with pytest.raises(
+            ValueError,
+            match=f"n_symbols {n_symbols} must be a multiple of its {realizations} channel",
+        ):
+            metrics.lmmse_ber_compare(configs, [1.0], [(1, 1)], (0.0,), n_symbols, realizations, 1)
 
     @pytest.mark.parametrize("snrs", [(), [], np.array([])])
     def test_empty_snr_list_rejected(self, snrs):

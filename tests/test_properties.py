@@ -305,6 +305,33 @@ def test_flat_slice_cfar_equals_rolled_copies(data, lead, train, guard, zero_fra
         assert np.array_equal(mask, want_mask)
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    data=st.data(),
+    lead=st.lists(st.integers(1, 3), max_size=2),
+    ring=st.sampled_from([(2, 1), (1, 0), (1, 2)]),
+    near=st.tuples(st.integers(-2**62, 2**62), st.integers(-2**62, 2**62)),
+    zero_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cfar_window_equals_the_full_maps_window(data, lead, ring, near, zero_fraction, seed):
+    # each window cell's ring is gathered and added in the full map's offset
+    # order, so its threshold and decision are the full map's, bit for bit
+    train, guard = ring
+    window = 2 * (train + guard) + 1
+    n_p, k_chirps = (data.draw(st.integers(window, 40)) for _ in range(2))
+    rng = np.random.default_rng(seed)
+    power = np.exp(rng.uniform(np.log(1e-300), np.log(1e300), size=(*lead, n_p, k_chirps)))
+    power[rng.random(power.shape) < zero_fraction] = 0.0
+    mask, threshold = cfar_mask_batch(power, train, guard, 1e-4)
+    got_mask, got_threshold = cfar_mask_batch(power, train, guard, 1e-4, near=near)
+    rows = np.mod(near[0] + np.arange(-1, 2), n_p)[:, None]
+    cols = np.mod(near[1] + np.arange(-1, 2), k_chirps)
+    assert got_mask.shape == got_threshold.shape == (*lead, 3, 3)
+    assert np.array_equal(got_threshold, threshold[..., rows, cols])
+    assert np.array_equal(got_mask, mask[..., rows, cols])
+
+
 def _ddmf_rolled(config, Y, X):
     """``ddmf_batch`` with its phasors rebuilt per call and the transmit grid rolled per offset."""
     n_p, K, n_c = config.n_p, config.k_chirps, config.n_c

@@ -198,6 +198,11 @@ class TestDdmf:
         assert [signed_doppler(c, 4) for c in range(4)] == [0, 1, -2, -1]
 
 
+def cfar_window(power, train, guard, pfa):
+    """CA-CFAR on the 3 x 3 window around each map's last cell."""
+    return cfar_mask_batch(power, train, guard, pfa, near=(-1, -1))
+
+
 class TestCfar:
     def test_lone_peak_in_zero_background(self):
         cells = np.zeros((8, 4), dtype=complex)
@@ -215,7 +220,7 @@ class TestCfar:
         with pytest.raises(ValueError, match="window"):
             ca_cfar_2d(ddm, 2, 1, 1e-4)
 
-    @pytest.mark.parametrize("mask_fn", [cfar_mask_batch, os_cfar_mask_batch])
+    @pytest.mark.parametrize("mask_fn", [cfar_mask_batch, os_cfar_mask_batch, cfar_window])
     @pytest.mark.parametrize(
         "train, guard, pfa, match",
         [
@@ -296,10 +301,11 @@ class TestCfar:
         assert np.array_equal(got, threshold)
         assert np.array_equal(mask, power > threshold)
 
-    @pytest.mark.parametrize("mask_fn", [cfar_mask_batch, os_cfar_mask_batch])
+    @pytest.mark.parametrize("mask_fn", [cfar_mask_batch, os_cfar_mask_batch, cfar_window])
     def test_empty_stack(self, mask_fn):
         mask, threshold = mask_fn(np.zeros((0, 64, 8)), 2, 1, 1e-4)
-        assert mask.shape == threshold.shape == (0, 64, 8)
+        tail = (3, 3) if mask_fn is cfar_window else (64, 8)
+        assert mask.shape == threshold.shape == (0, *tail)
 
     @pytest.mark.parametrize("mask_fn", [cfar_mask_batch, os_cfar_mask_batch])
     @pytest.mark.parametrize("shape", [(3, 4, 64, 8), (2, 1, 7, 9)])
