@@ -26,7 +26,7 @@ import numpy as np
 
 from . import csvio
 from .ambiguity import aaf_psi0_closed, dpaf_surface
-from .channel import PathTap, apply_channel, noise_variance, taps_from_targets
+from .channel import PathTap, _delay_doppler, _doppler_taps, noise_variance, taps_from_targets
 from .ddgrid import grid_to_vector, io_predict, vector_to_grid
 from .metrics import (
     ALGORITHMS,
@@ -51,7 +51,7 @@ from .params import (
     preset,
 )
 from .sensing import _ddmf_direct, dechirp_batch, tfmf_batch
-from .waveform import demodulate, modulate, subcarrier
+from .waveform import _chirps, _modulate, demodulate, subcarrier
 
 IO_CHECK_TOLERANCE = 1e-9
 
@@ -398,6 +398,7 @@ def _run_io_check(spec):
     (preset_name,) = spec.resolved_presets
     config = spec.scenario.waveform(preset_name)
     rng = trial_rng(spec.resolved_seed, 0)
+    chirps = _chirps(config)
     worst = 0.0
     for _ in range(spec.trials):
         x_grid = rng.standard_normal((config.n_p, config.k_chirps)) + 1j * rng.standard_normal(
@@ -413,10 +414,9 @@ def _run_io_check(spec):
             for _ in range(n_paths)
         ]
         predicted = io_predict(config, x_grid, paths)
-        s = modulate(config, grid_to_vector(config, x_grid))
-        observed = vector_to_grid(
-            config, demodulate(config, apply_channel(config, s, paths))
-        )
+        s = _modulate(config, grid_to_vector(config, x_grid), chirps)
+        r = _delay_doppler(s, _doppler_taps(paths, config.n_c))
+        observed = vector_to_grid(config, demodulate(config, r, chirps))
         worst = max(worst, float(np.abs(predicted - observed).max()))
     yield (
         f"io_check_{preset_name}_all.csv",

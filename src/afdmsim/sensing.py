@@ -285,81 +285,57 @@ def _detections(
     ]
 
 
-def _flat_wrap_pad(maps: np.ndarray, w: int) -> np.ndarray:
-    """Each (r, c) map of a stack, cyclically padded by ``w`` and flattened, plus 2w zeros.
+def _training_windows(
+    power: np.ndarray, train: int, guard: int, pfa: float, near: tuple[int, int] | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check the CFAR arguments for (..., n_p, K) maps; return (windows, ring, cells).
 
-    Returns (..., (r + 2w)(c + 2w) + 2w) for ``w`` >= 1: padded row i starts at
-    i (c + 2w), and the zero tail keeps every slice that ``_training_cells``
-    takes in bounds.
-    """
-    r, c = maps.shape[-2:]
-    flat = np.zeros(maps.shape[:-2] + ((r + 2 * w) * (c + 2 * w) + 2 * w,), dtype=maps.dtype)
-    pad = flat[..., : -2 * w].reshape(maps.shape[:-2] + (r + 2 * w, c + 2 * w))
-    pad[..., w : w + r, w : w + c] = maps
-    pad[..., w : w + r, :w] = pad[..., w : w + r, c : c + w]
-    pad[..., w : w + r, w + c :] = pad[..., w : w + r, w : 2 * w]
-    pad[..., :w, :] = pad[..., r : r + w, :]
-    pad[..., w + r :, :] = pad[..., w : 2 * w, :]
-    return flat
-
-
-def _ring_offsets(
-    shape: tuple[int, ...], train: int, guard: int, pfa: float
-) -> list[tuple[int, int]]:
-    """Check the CFAR arguments for (..., n_p, K) maps; return the training ring's offsets.
-
-    The ring holds the offsets (di, dj) of Chebyshev radius in (guard, w],
-    w = train + guard, di outer and dj inner. Cell (l, k)'s training value at
-    (di, dj) is power[(l - di) mod n_p, (k - dj) mod K], its cell in the map
-    rolled by (di, dj).
+    ``cells`` are the tested cells, (..., r, c): every cell with ``near``
+    None, or with ``near`` = (l, k) the 3 x 3 window of rows l-1, l, l+1
+    mod n_p and columns k-1, k, k+1 mod K. Those cells and a cyclic margin
+    of w = train + guard are gathered once, as an (r + 2w, c + 2w, M) patch
+    over the M maps. ``windows[w + di, w + dj]`` is the (r, c, M) view of
+    the cells' values at offset (di, dj), power[(l - di) mod n_p,
+    (k - dj) mod K]: the map rolled by (di, dj). ``ring`` is the
+    (2w + 1, 2w + 1) mask of the training offsets, Chebyshev radius in
+    (guard, w]; C order over its axes runs di outer and dj inner.
     """
     if train < 1 or guard < 0:
         raise ValueError("need train >= 1 and guard >= 0")
     if not 0.0 < pfa < 1.0:
         raise ValueError("pfa must lie in (0, 1)")
-    n_p, K = shape[-2:]
+    n_p, K = power.shape[-2:]
     w = train + guard
     if 2 * w + 1 > n_p or 2 * w + 1 > K:
         raise ValueError(f"CFAR window {2 * w + 1} exceeds map dimensions ({n_p}, {K})")
-    span = range(-w, w + 1)
-    return [(di, dj) for di in span for dj in span if max(abs(di), abs(dj)) > guard]
-
-
-def _training_cells(power: np.ndarray, train: int, guard: int, pfa: float) -> list[np.ndarray]:
-    """Check the CFAR arguments; return the cyclic training ring of a (..., n_p, K) stack.
-
-    One view per ``_ring_offsets`` offset, in its order. On each map's
-    flattened wrapped pad, delay axis last, the map rolled by (di, dj) is the
-    contiguous slice at (w - dj)(n_p + 2w) + (w - di): cell (l, k) sits at
-    k (n_p + 2w) + l, and the columns past n_p of each row are padding
-    (``_ring_maps`` drops them).
-    """
-    offsets = _ring_offsets(power.shape, train, guard, pfa)
-    n_p, K = power.shape[-2:]
-    w = train + guard
-    row = n_p + 2 * w
-    flat = _flat_wrap_pad(power.swapaxes(-1, -2), w)
-    starts = ((w - dj) * row + (w - di) for di, dj in offsets)
-    return [flat[..., start : start + K * row] for start in starts]
-
-
-def _ring_maps(noise: np.ndarray, n_p: int, K: int) -> np.ndarray:
-    """The (..., n_p, K) maps of noise levels laid out as ``_training_cells``' views."""
-    noise = noise.reshape(noise.shape[:-1] + (K, noise.shape[-1] // K))[..., :n_p]
-    return noise.swapaxes(-1, -2)
+    l0, k0, r, c = (0, 0, n_p, K) if near is None else (near[0] - 1, near[1] - 1, 3, 3)
+    rows = np.mod(np.arange(l0 - w, l0 + r + w), n_p)
+    cols = np.mod(np.arange(k0 - w, k0 + c + w), K)
+    patch = power.reshape(-1, n_p, K).transpose(1, 2, 0)[rows[:, None], cols]
+    # windows[a, b, i, j] = patch[2w - a + i, 2w - b + j], from one bounds-checked
+    # constructor (sliding_window_view's argument handling took a third of a window call)
+    s0, s1, s2 = patch.strides
+    windows = np.ndarray(
+        (2 * w + 1, 2 * w + 1, r, c, patch.shape[2]), patch.dtype, buffer=patch,
+        offset=2 * w * (s0 + s1), strides=(-s0, -s1, s0, s1, s2),
+    )
+    span = np.abs(np.arange(-w, w + 1))
+    ring = np.maximum(span[:, None], span) > guard
+    cells = power if near is None else power[..., rows[w : w + 3, None], cols[w : w + 3]]
+    return windows, ring, cells
 
 
 def _cfar_decide(
-    power: np.ndarray, noise: np.ndarray, alpha: float
+    cells: np.ndarray, noise: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(power > threshold, threshold) for the noise levels of ``power``'s cells.
+    """(cells > threshold, threshold) for (..., r, c) cells and their (r, c, M) noise levels.
 
     threshold = alpha * noise, where an exactly zero noise level is replaced
     by the smallest positive float so that a lone peak is still detected.
     """
-    noise = np.where(noise > 0.0, noise, np.finfo(np.float64).tiny)
-    threshold = alpha * noise
-    return power > threshold, threshold
+    noise = np.moveaxis(np.where(noise > 0.0, noise, np.finfo(np.float64).tiny), -1, 0)
+    threshold = alpha * noise.reshape(cells.shape)
+    return cells > threshold, threshold
 
 
 def cfar_mask_batch(
@@ -367,38 +343,20 @@ def cfar_mask_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized CA-CFAR over a (..., n_p, K) stack of power maps.
 
-    Returns (detected boolean stack, power-threshold stack). The noise level
-    is the mean of the ``_ring_offsets`` ring, summed in offset order, so it
-    equals the sum of rolled copies of each map bit for bit. With ``near``
-    None every cell is tested, each add running along K (n_p + 2w)
-    contiguous cells of the ``_training_cells`` views. With ``near`` = (l, k)
-    only the 3 x 3 window around that cell is: both stacks are (..., 3, 3),
-    rows l-1, l, l+1 mod n_p and columns k-1, k, k+1 mod K, and each window
-    cell's ring is gathered and added in the same order, so they equal the
-    full stacks' window bit for bit.
+    Returns (detected boolean stack, power-threshold stack). With ``near``
+    None every cell is tested; with ``near`` = (l, k) only the 3 x 3 window
+    around that cell is, and both stacks are (..., 3, 3): rows l-1, l, l+1
+    mod n_p and columns k-1, k, k+1 mod K. The noise level is the mean of
+    the ``_training_windows`` ring. The maps are the patch's contiguous axis
+    and di strides wider than dj, so the masked reduce runs its inner loop
+    over cells and maps and adds the offsets one after another in ring order
+    (di outer, dj inner), never pairwise: the noise equals the sum of rolled
+    copies bit for bit, and the window the full stacks' window.
     """
-    if near is None:
-        cells = _training_cells(power, train, guard, pfa)
-        ring = np.zeros_like(cells[0])
-        for cell in cells:
-            ring += cell
-        n_train = len(cells)
-        noise = _ring_maps(ring / n_train, *power.shape[-2:])
-    else:
-        offsets = _ring_offsets(power.shape, train, guard, pfa)
-        n_train = len(offsets)
-        n_p, K = power.shape[-2:]
-        box = np.arange(-1, 2)
-        rows, cols = np.mod(near[0] + box, n_p)[:, None], np.mod(near[1] + box, K)
-        di, dj = np.array(offsets).T[:, :, None, None]
-        # (n_p, K, M) maps gathered to (N_t, 3, 3, M): reducing the leading
-        # axis adds the offsets one after another, as the full path does; a
-        # sum along a contiguous offset axis would pair them and round apart
-        maps = power.reshape(-1, n_p, K).transpose(1, 2, 0)
-        ring = np.add.reduce(maps[np.mod(rows - di, n_p), np.mod(cols - dj, K)])
-        power = power[..., rows, cols]
-        noise = np.moveaxis(ring, -1, 0).reshape(power.shape) / n_train
-    return _cfar_decide(power, noise, cfar_threshold_factor(n_train, pfa))
+    windows, ring, cells = _training_windows(power, train, guard, pfa, near)
+    n_train = int(ring.sum())
+    noise = np.add.reduce(windows, axis=(0, 1), where=ring[..., None, None, None]) / n_train
+    return _cfar_decide(cells, noise, cfar_threshold_factor(n_train, pfa))
 
 
 def ca_cfar_2d(
@@ -441,15 +399,16 @@ def os_cfar_mask_batch(
     ``cfar_mask_batch``, but the noise level is the ``os_cfar_rank``-th
     smallest of the N_t training cells instead of their mean, so a strong
     target inside the ring does not raise the threshold of its neighbour
-    (CA-CFAR target masking). The ring is stacked once and partitioned in
-    place, so memory is about N_t times that of ``power``.
+    (CA-CFAR target masking). Every cell is tested: the ring's
+    ``_training_windows`` views are stacked once on a last axis and
+    partitioned in place, so memory is about N_t times that of ``power``.
     """
-    cells = _training_cells(power, train, guard, pfa)
-    rank = os_cfar_rank(len(cells))
-    ring = np.stack(cells, axis=-1)
-    ring.partition(rank - 1, axis=-1)
-    noise = _ring_maps(ring[..., rank - 1], *power.shape[-2:])
-    return _cfar_decide(power, noise, os_cfar_threshold_factor(len(cells), pfa))
+    windows, ring, cells = _training_windows(power, train, guard, pfa, None)
+    n_train = int(ring.sum())
+    rank = os_cfar_rank(n_train)
+    stack = np.stack([windows[a, b] for a, b in np.argwhere(ring)], axis=-1)
+    stack.partition(rank - 1, axis=-1)
+    return _cfar_decide(cells, stack[..., rank - 1], os_cfar_threshold_factor(n_train, pfa))
 
 
 def os_cfar_2d(

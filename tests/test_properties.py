@@ -287,9 +287,10 @@ def _rolled_ring_os_cfar(power, train, guard, pfa):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_flat_slice_cfar_equals_rolled_copies(data, lead, train, guard, zero_fraction, seed):
-    # each cell's ring holds the same values (added in the same offset order
-    # for CA), so the thresholds of both detectors agree bit for bit over
-    # 600 decades of power, zero cells included
+    # both detectors read each cell's ring as views of one gathered cyclic
+    # patch: the same values as the rolled copies (added in the same offset
+    # order for CA), so the thresholds of both agree bit for bit over 600
+    # decades of power, zero cells included
     window = 2 * (train + guard) + 1
     n_p, k_chirps = (data.draw(st.integers(window, 70)) for _ in range(2))
     rng = np.random.default_rng(seed)
@@ -330,6 +331,30 @@ def test_cfar_window_equals_the_full_maps_window(data, lead, ring, near, zero_fr
     assert got_mask.shape == got_threshold.shape == (*lead, 3, 3)
     assert np.array_equal(got_threshold, threshold[..., rows, cols])
     assert np.array_equal(got_mask, mask[..., rows, cols])
+
+
+@pytest.mark.parametrize(
+    "shape, near",
+    [
+        ((2, 2, 8, 64, 8), (10, 3)), ((2, 2, 8, 64, 8), (-1, -1)),
+        ((3, 1, 8, 64, 8), (10, 3)), ((3, 1, 8, 64, 8), (-1, -1)),
+        ((256, 64, 8), None),
+    ],
+)
+def test_benchmark_stacks_equal_rolled_copies(shape, near):
+    # the trial engine's window stacks and a full-map stack: more leading
+    # axes and maps than the property tests draw
+    rng = np.random.default_rng(sum(shape))
+    power = np.exp(rng.uniform(np.log(1e-300), np.log(1e300), size=shape))
+    power[rng.random(shape) < 0.3] = 0.0
+    want_mask, want_threshold = _rolled_ring_cfar(power, 2, 1, 1e-4)
+    if near is not None:
+        rows = np.mod(near[0] + np.arange(-1, 2), shape[-2])[:, None]
+        cols = np.mod(near[1] + np.arange(-1, 2), shape[-1])
+        want_mask, want_threshold = want_mask[..., rows, cols], want_threshold[..., rows, cols]
+    mask, threshold = cfar_mask_batch(power, 2, 1, 1e-4, near=near)
+    assert np.array_equal(threshold, want_threshold)
+    assert np.array_equal(mask, want_mask)
 
 
 def _ddmf_rolled(config, Y, X):

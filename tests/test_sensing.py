@@ -280,8 +280,8 @@ class TestCfar:
         ],
     )
     def test_ring_equals_rolled_copies(self, shape, train, guard):
-        # the ring is summed from slices of one wrapped pad in the order of
-        # the offsets, so it equals the sum of rolled copies bit for bit
+        # the ring is summed from views of one gathered cyclic patch in the
+        # order of the offsets, so it equals the sum of rolled copies bit for bit
         rng = np.random.default_rng(sum(shape) + 10 * train + guard)
         power = np.exp(rng.uniform(np.log(1e-300), np.log(1e300), size=shape))
         power[..., 0, 0] = 0.0
@@ -300,6 +300,19 @@ class TestCfar:
         mask, got = cfar_mask_batch(power, train, guard, 1e-4)
         assert np.array_equal(got, threshold)
         assert np.array_equal(mask, power > threshold)
+
+    def test_full_map_memory_is_a_few_copies_of_the_input(self):
+        # the ring is read through views of one gathered patch (about 5 times
+        # the input at the peak); a gathered 40-offset ring takes about 44
+        power = np.random.default_rng(3).exponential(1.0, size=(256, 64, 8))
+        cfar_mask_batch(power, 2, 1, 1e-4)  # warm any first-call allocations
+        tracemalloc.start()
+        try:
+            cfar_mask_batch(power, 2, 1, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * power.nbytes, peak / power.nbytes
 
     @pytest.mark.parametrize("mask_fn", [cfar_mask_batch, os_cfar_mask_batch, cfar_window])
     def test_empty_stack(self, mask_fn):
