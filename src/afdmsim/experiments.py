@@ -35,6 +35,7 @@ from .metrics import (
     CFAR_TRAIN,
     FrameSpec,
     MetricReport,
+    _check_reference,
     _first_repeat,
     lmmse_ber_compare,
     sensing_maps,
@@ -142,8 +143,7 @@ class ExperimentSpec:
                         f"{name} must be {kind.__name__.lower()}, "
                         f"got {type(value).__name__} {value!r}"
                     )
-        if self.tfmf_reference not in ("transmit", "pilot"):
-            raise ValueError("tfmf_reference must be 'transmit' or 'pilot'")
+        _check_reference(self.tfmf_reference)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed is not None and self.seed < 0:

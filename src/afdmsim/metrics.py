@@ -10,7 +10,8 @@ other cell) and image SNR (peak power over mean background power outside a
 one-cell guard ring). Every sensing Monte Carlo runs through one trial
 engine, ``_sweep``, which simulates each trial once for all SNR points of a
 sweep and filters each group of points with one call per algorithm, every
-received row against its own trial's transmit row: ``trial_metrics``
+received row against its own trial's transmit row (at full pilot overhead,
+one data-free row shared by every trial): ``trial_metrics``
 reduces its maps per trial and SNR point, and ``sensing_trials`` and
 ``sensing_maps`` return them at one SNR point.
 """
@@ -169,7 +170,11 @@ class FrameSpec:
 
 
 def build_frame(config: AfdmConfig, spec: FrameSpec, rng: np.random.Generator) -> np.ndarray:
-    """One DAFT-domain symbol vector with total energy exactly n_c."""
+    """One DAFT-domain symbol vector with total energy exactly n_c.
+
+    The data bits come from ``rng``; a frame without data slots (PO = 1 at
+    every n_c) is the boosted pilot alone and draws nothing from ``rng``.
+    """
     n_c = config.n_c
     if spec.q_guard is None:
         bits = rng.integers(0, 2, size=(n_c, 2))
@@ -186,6 +191,12 @@ def build_frame(config: AfdmConfig, spec: FrameSpec, rng: np.random.Generator) -
         bits = rng.integers(0, 2, size=(n_data, 2))
         x[mask] = qam4_modulate(bits)
     return x
+
+
+def _check_reference(tfmf_reference) -> None:
+    """Reject a tfmf copy other than "transmit" (the full signal) or "pilot"."""
+    if tfmf_reference not in ("transmit", "pilot"):
+        raise ValueError("tfmf_reference must be 'transmit' or 'pilot'")
 
 
 def pilot_reference(config: AfdmConfig):
@@ -261,7 +272,8 @@ def sensing_maps(
     """Simulate one symbol through the channel and run the requested pipelines.
 
     ``tfmf_reference`` selects the matched-filter copy: the full known
-    transmit signal (default) or the deterministic pilot only.
+    transmit signal (default) or the deterministic pilot only; any other
+    value is a ValueError.
     """
     _, _, maps = next(_sweep(
         config, spec, paths, [_noise_scale(snr_db)], algorithms, [rng], tfmf_reference
@@ -283,21 +295,29 @@ def _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
     point is +inf (every ``scales`` entry, ``_noise_scale``, is None). The
     symbol, transmit and noise-free received (B, n_c) stacks are built once
     per block, and point i receives r0 + scales[i] * (re + 1j im), or r0
-    alone at +inf. For each group of up to ``SNR_GROUP`` points, ``maps``
+    alone at +inf. A frame without data slots (PO = 1) draws no bits and is
+    the same symbol in every trial, so its (1, n_c) symbol, transmit and
+    noise-free received rows are built once per call, from the first
+    trial's frame, and serve every block; ``build_frame`` still runs once
+    per trial. For each group of up to ``SNR_GROUP`` points, ``maps``
     yields one (g, B, n_p, K) stack per algorithm, in the order of
     ``algorithms``: one call filters the group's flat (g B, n_c) stack,
-    received row i against the block's transmit row i mod B. Consuming it
-    before asking for the next group keeps one group's stacks alive at a
-    time. The pilot, the chirp pair, the channel's Doppler taps and the ddmf
-    phasors are built once per call and shared by every block; nothing
-    outlives the call.
+    received row i against transmit row i mod R, R = B or the shared 1.
+    Consuming it before asking for the next group keeps one group's stacks
+    alive at a time. The pilot, the chirp pair, the channel's Doppler taps
+    and the ddmf phasors are built once per call and shared by every block;
+    nothing outlives the call. ``tfmf_reference`` other than "transmit" or
+    "pilot" is a ValueError, raised before any draw.
     """
+    _check_reference(tfmf_reference)
     pilot, chirps = pilot_reference(config), _chirps(config)
     taps = _doppler_taps(paths, config.n_c)
     plan = _ddmf_plan(config) if "ddmf" in algorithms else None
     noisy = any(scale is not None for scale in scales)
 
-    def filtered(r, s, x_grids):
+    shared = frame.occupied_slots(config.n_c) == config.n_c
+
+    def filtered(r, n, s, x_grids):
         for algorithm in algorithms:
             if algorithm == "tfmf":
                 maps = tfmf_batch(config, r, s if tfmf_reference == "transmit" else pilot)
@@ -308,9 +328,9 @@ def _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
                 maps = ddmf_batch(config, y_grids, x_grids, plan)
             else:
                 raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-            yield maps.reshape(-1, len(s), config.n_p, config.k_chirps)
+            yield maps.reshape(-1, n, config.n_p, config.k_chirps)
 
-    rngs, trials = iter(rngs), slice(0, 0)
+    rngs, trials, s = iter(rngs), slice(0, 0), None
     while block := list(islice(rngs, TRIAL_BLOCK)):
         # frame and normals trial by trial: drawing every frame of the block
         # first raised mc-ddmf's peak_rss_mb by 0.8 MB (3 pairs, 2-vCPU host)
@@ -319,16 +339,23 @@ def _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
             x.append(build_frame(config, frame, rng))
             if noisy:
                 w.append(_normal_pairs(config.n_c, rng))
-        x = np.stack(x)
         w = np.stack(w) if noisy else None
-        s = _modulate(config, x, chirps)
-        r0 = _delay_doppler(s, taps)
-        x_grids = None if plan is None else vector_to_grid(config, x)
-        trials = slice(trials.stop, trials.stop + len(block))
+        if s is None or not shared:
+            # a frame without data slots is the same symbol in every trial:
+            # the first trial's row serves every block of the call
+            x = np.stack(x[:1] if shared else x)
+            s = _modulate(config, x, chirps)
+            r0 = _delay_doppler(s, taps)
+            x_grids = None if plan is None else vector_to_grid(config, x)
+        n = len(block)
+        trials = slice(trials.stop, trials.stop + n)
         for start in range(0, len(scales), SNR_GROUP):
             group = scales[start:start + SNR_GROUP]
-            r = np.concatenate([r0 if scale is None else r0 + scale * w for scale in group])
-            yield trials, slice(start, start + len(group)), filtered(r, s, x_grids)
+            r = np.concatenate([
+                np.broadcast_to(r0, (n, config.n_c)) if scale is None else r0 + scale * w
+                for scale in group
+            ])
+            yield trials, slice(start, start + len(group)), filtered(r, n, s, x_grids)
 
 
 def sensing_trials(
@@ -370,15 +397,19 @@ def trial_metrics(
     points, giving (S, trials) arrays whose row i equals the result at
     ``snr_db[i]`` alone: trial t draws its frame bits and its unit noise
     from ``trial_rng(seed, t)`` once and is simulated once for all points,
-    only the noise scale differing. Every metric is taken at the scenario's
-    first target. A hit is a CA-CFAR detection (2 train, 1 guard, Pfa 1e-4)
-    within one cyclic cell of its tap, so CA-CFAR runs on that 3 x 3 window
-    of each map only (``cfar_mask_batch`` with ``near``), with the same bits
-    as on the whole map. Noise and data symbols are redrawn
-    every trial; path gains stay fixed at the scenario values. ``None``
+    only the noise scale differing; at full pilot overhead every trial sends
+    the same data-free symbol, simulated once per call (``_sweep``). Every
+    metric is taken at the scenario's first target. A hit is a CA-CFAR
+    detection (2 train, 1 guard, Pfa 1e-4) within one cyclic cell of its
+    tap, so CA-CFAR runs on that 3 x 3 window of each map only
+    (``cfar_mask_batch`` with ``near``), with the same bits as on the whole
+    map. Noise and data symbols are redrawn every trial; path gains stay
+    fixed at the scenario values. ``None``
     arguments take the scenario's. With ``quality=False`` only the hits are
-    computed, and PSLR and image SNR are NaN.
+    computed, and PSLR and image SNR are NaN. ``tfmf_reference`` is
+    "transmit" or "pilot", as for ``sensing_maps``.
     """
+    _check_reference(tfmf_reference)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not scenario.targets:

@@ -280,16 +280,18 @@ class TestTrialEngine:
                         assert math.isnan(p) and math.isnan(isnr)
         assert 0 < sum(hits) < len(hits)  # both outcomes are compared
 
-    def test_partial_block_equals_one_trial_at_a_time(self, monkeypatch):
+    @pytest.mark.parametrize("po", [0.5, 1.0])
+    def test_partial_block_equals_one_trial_at_a_time(self, po, monkeypatch):
         # TRIAL_BLOCK + 3 trials are a full block and a partial block of 3;
-        # 3 SNR points are a group of 2 and a partial group of 1
+        # 3 SNR points are a group of 2 and a partial group of 1. At PO = 1
+        # one data-free row serves both blocks
         trials = metrics.TRIAL_BLOCK + 3
         blocked = trial_metrics(
-            EDGE, ALGORITHMS, trials, seed=3, snr_db=SWEEP_SNRS, pilot_overhead=0.5
+            EDGE, ALGORITHMS, trials, seed=3, snr_db=SWEEP_SNRS, pilot_overhead=po
         )
         monkeypatch.setattr(metrics, "TRIAL_BLOCK", 1)
         single = [
-            trial_metrics(EDGE, ALGORITHMS, trials, seed=3, snr_db=snr, pilot_overhead=0.5)
+            trial_metrics(EDGE, ALGORITHMS, trials, seed=3, snr_db=snr, pilot_overhead=po)
             for snr in SWEEP_SNRS
         ]
         for alg in ALGORITHMS:
@@ -331,6 +333,49 @@ class TestTrialEngine:
                     assert (p, isnr) == (pslr(cells, cell), image_snr(cells, cell))
                     dets = ca_cfar_2d(DelayDopplerMap(cells, config, alg), 2, 1, 1e-4)
                     assert hit == detection_near(dets, l, k, 8, 8)
+
+    @pytest.mark.parametrize("po, passes", [(0.5, 3), (1.0, 1)])
+    def test_data_free_frame_is_simulated_once_per_call(self, po, passes, monkeypatch):
+        # a frame without data slots is one symbol for every trial: one
+        # modulation and one channel pass serve every block; frames with
+        # data take one per block. Every trial still builds its frame
+        calls = {"build_frame": 0, "_modulate": 0, "_delay_doppler": 0}
+
+        def counted(name):
+            original = getattr(metrics, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(metrics, name, counted(name))
+        trials = 2 * metrics.TRIAL_BLOCK + 3
+        trial_metrics(EDGE, ALGORITHMS, trials, snr_db=SWEEP_SNRS, pilot_overhead=po)
+        assert calls == {"build_frame": trials, "_modulate": passes, "_delay_doppler": passes}
+
+    @pytest.mark.parametrize("entry", ["trial_metrics", "sensing_trials", "sensing_maps"])
+    def test_unknown_reference_rejected_before_any_draw(self, entry, monkeypatch):
+        # "Transmit" used to run the pilot reference silently
+        def no_frame(*args):
+            raise AssertionError("a frame was drawn")
+
+        monkeypatch.setattr(metrics, "build_frame", no_frame)
+        frame = FrameSpec.from_overhead(GRID8.n_c, 0.5)
+        rng = trial_rng(5, 0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="tfmf_reference must be 'transmit' or 'pilot'"):
+            if entry == "trial_metrics":
+                trial_metrics(EDGE, ALGORITHMS, 3, tfmf_reference="Transmit")
+            elif entry == "sensing_trials":
+                next(sensing_trials(
+                    GRID8, frame, EDGE_PATHS, 5.0, ALGORITHMS, 3, 5, tfmf_reference="Transmit"
+                ))
+            else:
+                sensing_maps(GRID8, frame, EDGE_PATHS, 5.0, ALGORITHMS, rng, "Transmit")
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("reference", ["transmit", "pilot"])
     @pytest.mark.parametrize("scenario, snrs", [
