@@ -476,7 +476,8 @@ def test_banded_lmmse_solve_and_adjoint_equal_the_dense_forms(
     # and a delay tap >= n_c; each realization draws its own gains
     delays = [0, *rng.integers(0, spread + 1, max(n_paths - 2, 0)).tolist(), spread][:n_paths]
     gains = rng.standard_normal((realizations, n_paths + 2, 2)) @ [1.0, 1j]
-    # ||H_t|| <= 1: every stacked system's condition is <= 101
+    # ||H_t|| <= 1: every stacked system's condition is <= 1 + 1 / sigma^2,
+    # at most 10^4 + 1 at 40 dB
     gains /= np.abs(gains).sum(axis=1, keepdims=True)
     dopplers = rng.integers(-n_c, n_c + 1, n_paths + 2)
     delays += [delays[-1], n_c + int(rng.integers(0, spread + 1))]
@@ -485,10 +486,9 @@ def test_banded_lmmse_solve_and_adjoint_equal_the_dense_forms(
     b = _block_size(unit, n_c)
     index = _gram_block_index([shift for _, shift, _ in unit], n_c, b)
 
-    noise_vars = np.array([1.0, 0.1, 0.01])  # SNR 0, 10 and 20 dB, stacked
-    y = rng.standard_normal((realizations, 3, n_c, 4)) + 1j * rng.standard_normal(
-        (realizations, 3, n_c, 4)
-    )
+    noise_vars = np.array([1.0, 0.1, 0.01, 1e-4])  # SNR 0, 10, 20 and 40 dB, stacked
+    shape = (realizations, len(noise_vars), n_c, 4)
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     got = y.copy()
     _lmmse_solve(taps, noise_vars, got, b, index)
     z = rng.standard_normal((2, realizations, 3, n_c)) + 1j * rng.standard_normal(
@@ -508,6 +508,26 @@ def test_banded_lmmse_solve_and_adjoint_equal_the_dense_forms(
         # the block form holds the structured Gram's entries bit for bit
         want = _delay_doppler_gram(taps_r, n_c)
         assert np.array_equal(_dense_from_blocks(blocks[r, 0]), want)
+
+
+# three blocks of 8 (the sweep's steps) and one block of 32 (the dense LU)
+@pytest.mark.parametrize("n_c, delays, n_blocks", [(24, (0,), 3), (32, (0, 12), 1)])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_banded_lmmse_solve_reports_a_singular_system(n_c, delays, n_blocks, slot):
+    # each delay carries two taps at the same (l, k) with gains g and -g, so
+    # H_t = 0 and a zero noise variance leaves the system G_r + 0 I = 0
+    g = 0.6 - 0.3j
+    gains = [g, -g] * len(delays)
+    unit = _doppler_taps([PathTap(1.0, l, 1) for l in delays for _ in (g, -g)], n_c)
+    taps = [(np.full((2, 1, 1), v), shift, phasor) for v, (_, shift, phasor) in zip(gains, unit)]
+    b = _block_size(unit, n_c)
+    assert n_c // b == n_blocks
+    index = _gram_block_index([shift for _, shift, _ in unit], n_c, b)
+    noise_vars = np.ones(2)
+    noise_vars[slot] = 0.0
+    y = np.ones((2, 2, n_c, 3), dtype=np.complex128)
+    with pytest.raises(np.linalg.LinAlgError):
+        _lmmse_solve(taps, noise_vars, y, b, index)
 
 
 @st.composite
