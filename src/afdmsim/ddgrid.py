@@ -26,13 +26,12 @@ from .params import AfdmConfig
 from .waveform import dd_index_table
 
 
-def _check_grid(config: AfdmConfig, g) -> np.ndarray:
+def _check_grid(config: AfdmConfig, g, *, stacked: bool = False) -> np.ndarray:
+    """``g`` as a complex (n_p, K) grid (``stacked``: a (..., n_p, K) stack)."""
     arr = np.asarray(g, dtype=np.complex128)
-    if arr.shape != (config.n_p, config.k_chirps):
-        raise ValueError(
-            f"expected grid of shape ({config.n_p}, {config.k_chirps}), "
-            f"got {arr.shape}"
-        )
+    grid = (config.n_p, config.k_chirps)
+    if arr.shape[-2:] != grid or (arr.ndim != 2 and not stacked):
+        raise ValueError(f"expected grid of shape {grid}, got {arr.shape}")
     return arr
 
 
@@ -46,11 +45,11 @@ def vector_to_grid(config: AfdmConfig, v) -> np.ndarray:
 
 
 def grid_to_vector(config: AfdmConfig, g) -> np.ndarray:
-    """Inverse of :func:`vector_to_grid` (the index map is a bijection)."""
+    """Inverse of :func:`vector_to_grid` on (..., n_p, K) grids (the index map is a bijection)."""
     config.require_fmcw("grid_to_vector")
-    g = _check_grid(config, g)
-    v = np.empty(config.n_c, dtype=np.complex128)
-    v[dd_index_table(config).ravel()] = g.ravel()
+    g = _check_grid(config, g, stacked=True)
+    v = np.empty(g.shape[:-2] + (config.n_c,), dtype=np.complex128)
+    v[..., dd_index_table(config)] = g
     return v
 
 

@@ -454,7 +454,7 @@ def benchmark_pipelines(sizes, seed: int = 0) -> list[tuple[str, int, float]]:
     mask the per-map work: O(n_c log n_c) for the transform pipelines and
     O(n_c^2) for the grid matched filter as the paper states it (the direct
     form, ``_ddmf_direct``; ``ddmf_batch`` computes the same maps in
-    O(K n_c log n_p)). The matched-filter batch holds
+    O(K n_c log n_c)). The matched-filter batch holds
     2**24 / n_c^2 maps (at most 256), so its contraction works on the same
     4 MB at every size from 256 to 2048: no size gets a cache advantage
     that would tilt the measured slope. The transform pipelines' repetitions

@@ -41,7 +41,6 @@ from .params import AfdmConfig, ScenarioConfig
 from .ddgrid import vector_to_grid
 from .sensing import (  # noqa: F401 -- ddmf is re-exported
     DelayDopplerMap,
-    _ddmf_plan,
     cfar_mask_batch,
     ddmf,
     ddmf_batch,
@@ -304,15 +303,14 @@ def _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
     ``algorithms``: one call filters the group's flat (g B, n_c) stack,
     received row i against transmit row i mod R, R = B or the shared 1.
     Consuming it before asking for the next group keeps one group's stacks
-    alive at a time. The pilot, the chirp pair, the channel's Doppler taps
-    and the ddmf phasors are built once per call and shared by every block;
-    nothing outlives the call. ``tfmf_reference`` other than "transmit" or
+    alive at a time. The pilot, the chirp pair and the channel's Doppler
+    taps are built once per call and shared by every block; nothing
+    outlives the call. ``tfmf_reference`` other than "transmit" or
     "pilot" is a ValueError, raised before any draw.
     """
     _check_reference(tfmf_reference)
     pilot, chirps = pilot_reference(config), _chirps(config)
     taps = _doppler_taps(paths, config.n_c)
-    plan = _ddmf_plan(config) if "ddmf" in algorithms else None
     noisy = any(scale is not None for scale in scales)
 
     shared = frame.occupied_slots(config.n_c) == config.n_c
@@ -325,7 +323,7 @@ def _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
                 maps = dechirp_batch(config, r, pilot)
             elif algorithm == "ddmf":
                 y_grids = vector_to_grid(config, demodulate(config, r, chirps))
-                maps = ddmf_batch(config, y_grids, x_grids, plan)
+                maps = ddmf_batch(config, y_grids, x_grids)
             else:
                 raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
             yield maps.reshape(-1, n, config.n_p, config.k_chirps)
@@ -346,7 +344,7 @@ def _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
             x = np.stack(x[:1] if shared else x)
             s = _modulate(config, x, chirps)
             r0 = _delay_doppler(s, taps)
-            x_grids = None if plan is None else vector_to_grid(config, x)
+            x_grids = vector_to_grid(config, x) if "ddmf" in algorithms else None
         n = len(block)
         trials = slice(trials.stop, trials.stop + n)
         for start in range(0, len(scales), SNR_GROUP):

@@ -11,8 +11,9 @@ Three estimators produce an (n_p, K) delay-Doppler map from one symbol:
   ``tfmf`` whenever the reference is the pilot itself.
 * ``ddmf``    -- exhaustive hypothesis correlation on the delay-Doppler grid
   with the coupling offset and a phase-matching factor, O(n_c^2) as written
-  (``_ddmf_direct``) and O(K n_c log n_p) FFT-factored (``ddmf_batch``).
-  Exactly decouples delay and Doppler for the FMCW-equivalent parameter set.
+  (``_ddmf_direct``) and O(K n_c log n_c) as K time-domain cross-correlations
+  (``ddmf_batch``). Exactly decouples delay and Doppler for the
+  FMCW-equivalent parameter set.
 
 Doppler columns of every map are mod-K bins; ``ddmf`` evaluates each column
 at its signed representative in [-K//2, K-1-K//2] so that targets with
@@ -23,13 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from ._phase import unit_phasor
+from .ddgrid import grid_to_vector
 from .params import AfdmConfig
-from .waveform import _as_samples
+from .waveform import _as_samples, _chirps, _modulate
 
 
 @dataclass(frozen=True)
@@ -120,10 +121,9 @@ def dechirp(config: AfdmConfig, r, pilot) -> DelayDopplerMap:
     return DelayDopplerMap(cells, config, "dechirp")
 
 
-def signed_doppler(column: int, k_chirps: int) -> int:
-    """Signed hypothesis value for a Doppler column (nearest to zero)."""
-    half = (k_chirps + 1) // 2
-    return column - k_chirps if column >= half else column
+def signed_doppler(column, k_chirps: int):
+    """Signed hypothesis value for a Doppler column or array of columns (nearest to zero)."""
+    return column - k_chirps * (column >= (k_chirps + 1) // 2)
 
 
 def _ddmf_inputs(config: AfdmConfig, y_grids, x_grids) -> tuple[np.ndarray, np.ndarray]:
@@ -177,71 +177,33 @@ def _ddmf_direct(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -
     return Z
 
 
-class _DdmfPlan(NamedTuple):
-    """The per-config constants of ``ddmf_batch``, built once for all batches of a config."""
-
-    chirp: np.ndarray        # c(n) = exp(j pi n^2 / n_p), n < n_p
-    chirp_conj: np.ndarray   # conj c(n)
-    rolls: np.ndarray        # (3, n_p) delay rows (n + dl) mod n_p for dl = -1, 0, 1
-    offset: np.ndarray       # [col, m] -> floor((m - k) / K) + 1, the row of ``rolls``
-    column: np.ndarray       # [col, m] -> (m - k) mod K, the transmit column
-    ramp: np.ndarray         # [col, m, l] -> exp(j2pi l (m - k) / n_c)
-
-
-def _ddmf_plan(config: AfdmConfig) -> _DdmfPlan:
-    """Build ``ddmf_batch``'s phasors and gather indices for one FMCW-equivalent config."""
-    config.require_fmcw("ddmf")
-    n_p, K, n_c = config.n_p, config.k_chirps, config.n_c
-    n = np.arange(n_p, dtype=np.int64)
-    chirp = unit_phasor(n * n, 2 * n_p)
-    k_hyp = np.array([signed_doppler(col, K) for col in range(K)])
-    mk = np.arange(K) - k_hyp[:, None]  # [col, m] -> m - k
-    return _DdmfPlan(
-        chirp=chirp,
-        chirp_conj=np.conj(chirp),
-        rolls=np.mod(n + np.arange(-1, 2)[:, None], n_p),
-        offset=np.floor_divide(mk, K) + 1,
-        column=np.mod(mk, K),
-        ramp=unit_phasor(mk[:, :, None] * n[None, None, :], n_c),
-    )
-
-
-def ddmf_batch(
-    config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray, plan: _DdmfPlan | None = None
-) -> np.ndarray:
+def ddmf_batch(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -> np.ndarray:
     """Delay-Doppler matched filter over a batch of received grids.
 
     ``y_grids`` holds N received and ``x_grids`` R transmit (n_p, K) grids,
     R dividing N; received grid i is matched against transmit grid i mod R,
     as in ``tfmf_batch``. Returns (N, n_p, K) maps, each independent of the
-    rest of the batch. Computes ``_ddmf_direct``'s
-    sum in O(K n_c log n_p) per map: with c(u) = exp(j pi u^2 / n_p), which
-    is n_p-periodic because n_p is even, Bluestein's identity
-    nl = (n^2 + l^2 - (n-l)^2) / 2 turns each (hypothesis column, m)
-    correlation sum_n a[n-l] exp(j2pi nl/n_p) conj(y[n]) into
-    c(l) * sum_n (conj(y) c)[n] (a conj(c))[n-l], a length-n_p circular
-    correlation. The c(l) cancels the l^2 term of the hypothesis phase.
-    ``plan`` is ``_ddmf_plan(config)`` built by the caller, or None to build
-    it here; the maps are the same either way. The spectra are transformed
-    once per grid of each stack and the (K, K, n_p) correlation stack is
-    formed one map at a time, so only the spectra and the maps grow with N.
+    rest of the batch. Computes ``_ddmf_direct``'s sum in O(K n_c log n_c)
+    per map: under the FMCW-equivalent set every subcarrier is a delayed,
+    Doppler-shifted copy of one chirp, so cell (l, col) is the periodic
+    cross-ambiguity of the grids' time signals r and s,
+    sum_n conj(r[n]) s[n - l] exp(-j2pi k n / n_c) with k the column's
+    signed Doppler: lag l of one length-n_c circular correlation per column,
+    whose spectrum is V[f + k] T[f] with V = fft(conj r) and T = n_c ifft(s).
+    The spectra are transformed once per grid of each stack and the (K, n_c)
+    products are formed one map at a time, so only the spectra and the maps
+    grow with N.
     """
     Y, X = _ddmf_inputs(config, y_grids, x_grids)
-    p = _ddmf_plan(config) if plan is None else plan
-    # U[b, m, f]: spectrum of conj(y_m) c per received column m
-    U = np.fft.fft(np.conj(Y).transpose(0, 2, 1) * p.chirp, axis=-1)
-    # V[b, q, dl + 1, f]: n_p * inverse spectrum of a conj(c) for the transmit
-    # column q rolled by the coupling offset dl; floor((m - k)/K) takes all
-    # three values -1, 0, 1 over the signed hypotheses k
-    rolled = X.transpose(0, 2, 1)[:, :, p.rolls]
-    V = np.fft.ifft(rolled * p.chirp_conj, axis=-1) * config.n_p
+    n_c, K = config.n_c, config.k_chirps
+    chirps = _chirps(config)
+    V = np.fft.fft(np.conj(_modulate(config, grid_to_vector(config, Y), chirps)))
+    T = np.fft.ifft(_modulate(config, grid_to_vector(config, X), chirps)) * n_c
+    # shift[col, f] = (f + k) mod n_c: the bins of V that column col's Doppler reads
+    shift = np.mod(np.arange(n_c) + signed_doppler(np.arange(K), K)[:, None], n_c)
     maps = np.empty_like(Y)
     for b in range(len(Y)):
-        # h[col, m, l] = sum_n u_m[n] v[n - l]: one circular correlation per (col, m)
-        h = V[b % len(X), p.column, p.offset]
-        h *= U[b]
-        h = np.fft.ifft(h, axis=-1)
-        maps[b] = np.einsum("cml,cml->lc", h, p.ramp)
+        maps[b] = np.fft.ifft(V[b, shift] * T[b % len(X)])[:, :config.n_p].T
     return maps
 
 

@@ -59,6 +59,20 @@ class TestGridMapping:
         v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         assert np.array_equal(grid_to_vector(cfg, vector_to_grid(cfg, v)), v)
 
+    def test_round_trip_on_a_stack(self):
+        # both directions map every vector of a (..., n_c) stack alone
+        cfg = proposed_params(8, 4)
+        rng = np.random.default_rng(1)
+        v = rng.standard_normal((2, 3, 32)) + 1j * rng.standard_normal((2, 3, 32))
+        grids = vector_to_grid(cfg, v)
+        assert grids.shape == (2, 3, 8, 4)
+        assert np.array_equal(grid_to_vector(cfg, grids), v)
+
+    @pytest.mark.parametrize("shape", [(8,), (4, 8), (3, 8, 5)])
+    def test_grid_to_vector_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match=r"expected grid of shape \(8, 4\)"):
+            grid_to_vector(proposed_params(8, 4), np.zeros(shape, dtype=complex))
+
     def test_requires_fmcw_set(self):
         cfg = classic_params(32, 1, k_chirps=4)
         with pytest.raises(ValueError, match="FMCW"):

@@ -12,7 +12,6 @@ from afdmsim.sensing import (
     ca_cfar_2d,
     cfar_mask_batch,
     cfar_threshold_factor,
-    _ddmf_plan,
     ddmf,
     ddmf_batch,
     dechirp,
@@ -165,18 +164,16 @@ class TestDdmf:
         rng = np.random.default_rng(batch)
         shape = (2, batch, config.n_p, config.k_chirps)
         Y, X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        plan = _ddmf_plan(config)
-        got = ddmf_batch(config, Y, X, plan)
+        got = ddmf_batch(config, Y, X)
         for b in range(batch):
-            assert np.array_equal(got[b], ddmf_batch(config, Y[b:b + 1], X[b:b + 1], plan)[0])
+            assert np.array_equal(got[b], ddmf_batch(config, Y[b:b + 1], X[b:b + 1])[0])
 
     def test_memory_per_extra_map_is_less_than_a_correlation_stack(self):
-        # the (K, K, n_p) correlation stack is built one map at a time: from
+        # the (K, n_c) correlation spectra are built one map at a time: from
         # 1 to 16 maps the peak grows by the spectra and the maps alone
-        # (about 72 KiB a map at fig4); a (B, K, K, n_p) stack adds 184 KiB
+        # (about 26 KiB a map at fig4); a (B, K, n_c) stack would add 64 KiB
         n_p, K = FIG4.n_p, FIG4.k_chirps
         stack_bytes = K * K * n_p * 16
-        plan = _ddmf_plan(FIG4)
         rng = np.random.default_rng(4)
         shape = (2, 16, n_p, K)
         Y, X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -184,7 +181,7 @@ class TestDdmf:
         def peak(batch):
             tracemalloc.start()
             try:
-                ddmf_batch(FIG4, Y[:batch], X[:batch], plan)
+                ddmf_batch(FIG4, Y[:batch], X[:batch])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -196,6 +193,8 @@ class TestDdmf:
     def test_signed_doppler_convention(self):
         assert [signed_doppler(c, 8) for c in range(8)] == [0, 1, 2, 3, -4, -3, -2, -1]
         assert [signed_doppler(c, 4) for c in range(4)] == [0, 1, -2, -1]
+        # an array of columns maps elementwise, as ddmf_batch reads it
+        assert signed_doppler(np.arange(8), 8).tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
 
 
 def cfar_window(power, train, guard, pfa):
