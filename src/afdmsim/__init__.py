@@ -2,8 +2,8 @@
 
 Waveform synthesis with FMCW-equivalent parameterization, delay-Doppler
 channel simulation, periodic ambiguity analysis, grid-domain input-output
-modeling, matched-filter sensing with CA- and OS-CFAR detection, and
-communication metrics with LMMSE detection.
+modeling, matched-filter sensing into delay-Doppler arrays with CA- and
+OS-CFAR detection masks, and communication metrics with LMMSE detection.
 """
 
 from .ambiguity import (
@@ -52,12 +52,8 @@ from .params import (
     proposed_params,
 )
 from .sensing import (
-    DelayDopplerMap,
-    Detection,
-    ca_cfar_2d,
     ddmf,
     dechirp,
-    os_cfar_2d,
     peak,
     tfmf,
 )

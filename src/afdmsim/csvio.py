@@ -39,7 +39,7 @@ CHUNK_ROWS = 1024
 _BOOL_TEXT = ("false", "true")
 
 
-def _cells(values: np.ndarray):
+def _text(values: np.ndarray):
     """The text cells of one column chunk, dispatched once on its dtype."""
     kind = values.dtype.kind
     values = values.tolist()
@@ -70,7 +70,7 @@ def write_csv(path: str | Path, header, columns) -> Path:
         with open(tmp, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for start in range(0, n_rows, CHUNK_ROWS):
-                chunk = [_cells(np.asarray(col[start : start + CHUNK_ROWS])) for col in columns]
+                chunk = [_text(np.asarray(col[start : start + CHUNK_ROWS])) for col in columns]
                 fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
         os.replace(tmp, path)
     except BaseException:

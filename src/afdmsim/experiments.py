@@ -144,6 +144,8 @@ class ExperimentSpec:
                         f"got {type(value).__name__} {value!r}"
                     )
         _check_reference(self.tfmf_reference)
+        if self.tfmf_reference == "pilot" and "tfmf" not in self.algorithms:
+            raise ValueError("--pilot-only-reference sets the reference of tfmf, which is not run")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed is not None and self.seed < 0:
@@ -307,9 +309,9 @@ def _run_ddm(spec):
             _algorithms_for(preset_name, spec.algorithms), rng,
             tfmf_reference=spec.tfmf_reference,
         )
-        for alg, ddm in maps.items():
+        for alg, cells in maps.items():
             yield (f"ddm_{preset_name}_{alg}.csv", ["l", "k", "magnitude_db"],
-                   _grid_columns(csvio.peak_db(ddm.cells)))
+                   _grid_columns(csvio.peak_db(cells)))
 
 
 def _run_af_surface(spec):

@@ -5,7 +5,7 @@ side and unit-power 4QAM data elsewhere; the energy freed by the guards and
 the pilot slot is assigned to the pilot so total symbol energy is exactly
 n_c for every pilot overhead. Pilot overhead PO = (2Q+1)/n_c.
 
-Sensing metrics operate on delay-Doppler maps: PSLR (peak over strongest
+Sensing metrics operate on (n_p, K) map arrays: PSLR (peak over strongest
 other cell) and image SNR (peak power over mean background power outside a
 one-cell guard ring). Every sensing Monte Carlo runs through one trial
 engine, ``_sweep``, which simulates each trial once for all SNR points of a
@@ -40,7 +40,6 @@ from .channel import (
 from .params import AfdmConfig, ScenarioConfig
 from .ddgrid import vector_to_grid
 from .sensing import (  # noqa: F401 -- ddmf is re-exported
-    DelayDopplerMap,
     cfar_mask_batch,
     ddmf,
     ddmf_batch,
@@ -207,10 +206,6 @@ def pilot_reference(config: AfdmConfig):
 # Map metrics
 # ---------------------------------------------------------------------------
 
-def _cells(ddm) -> np.ndarray:
-    return ddm.cells if isinstance(ddm, DelayDopplerMap) else np.asarray(ddm)
-
-
 def _db(scale: float, num, den):
     """scale * log10(num / den) per element: +inf where den is 0, else -inf where num is 0.
 
@@ -223,12 +218,12 @@ def _db(scale: float, num, den):
     return values[0] if np.ndim(num) == 0 else np.array(values).reshape(np.shape(num))
 
 
-def pslr(ddm, target: tuple[int, int]):
+def pslr(cells, target: tuple[int, int]):
     """Peak-to-maximum-sidelobe ratio in dB, peak taken at the target cell.
 
     A (..., n_p, K) stack of maps gives an array with one ratio per map.
     """
-    mag = np.abs(_cells(ddm))
+    mag = np.abs(cells)
     l, k = target
     flat = mag.reshape(*mag.shape[:-2], -1)
     rest = np.delete(flat, l * mag.shape[-1] + k, axis=-1)
@@ -236,12 +231,12 @@ def pslr(ddm, target: tuple[int, int]):
     return _db(20.0, mag[..., l, k], side)
 
 
-def image_snr(ddm, target: tuple[int, int]):
+def image_snr(cells, target: tuple[int, int]):
     """Peak power over mean background power (one-cell guard ring excluded), dB.
 
     A (..., n_p, K) stack of maps gives an array with one ratio per map.
     """
-    power = np.abs(_cells(ddm)) ** 2
+    power = np.abs(cells) ** 2
     n_p, K = power.shape[-2:]
     l, k = target
     mask = np.ones((n_p, K), dtype=bool)
@@ -267,17 +262,17 @@ def sensing_maps(
     algorithms,
     rng: np.random.Generator,
     tfmf_reference: str = "transmit",
-) -> dict[str, DelayDopplerMap]:
-    """Simulate one symbol through the channel and run the requested pipelines.
+) -> dict[str, np.ndarray]:
+    """Simulate one symbol through the channel; return each algorithm's (n_p, K) map.
 
     ``tfmf_reference`` selects the matched-filter copy: the full known
     transmit signal (default) or the deterministic pilot only; any other
-    value is a ValueError.
+    value, or an unknown algorithm, is a ValueError raised before any draw.
     """
     _, _, maps = next(_sweep(
         config, spec, paths, [_noise_scale(snr_db)], algorithms, [rng], tfmf_reference
     ))
-    return {alg: DelayDopplerMap(cells[0, 0], config, alg) for alg, cells in zip(algorithms, maps)}
+    return {alg: cells[0, 0] for alg, cells in zip(algorithms, maps)}
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -306,9 +301,13 @@ def _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
     alive at a time. The pilot, the chirp pair and the channel's Doppler
     taps are built once per call and shared by every block; nothing
     outlives the call. ``tfmf_reference`` other than "transmit" or
-    "pilot" is a ValueError, raised before any draw.
+    "pilot", or an algorithm not in ``ALGORITHMS``, is a ValueError, raised
+    before any draw.
     """
     _check_reference(tfmf_reference)
+    unknown = [algorithm for algorithm in algorithms if algorithm not in ALGORITHMS]
+    if unknown:
+        raise ValueError(f"unknown algorithms {unknown}; expected some of {list(ALGORITHMS)}")
     pilot, chirps = pilot_reference(config), _chirps(config)
     taps = _doppler_taps(paths, config.n_c)
     noisy = any(scale is not None for scale in scales)
@@ -321,11 +320,9 @@ def _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
                 maps = tfmf_batch(config, r, s if tfmf_reference == "transmit" else pilot)
             elif algorithm == "dechirp":
                 maps = dechirp_batch(config, r, pilot)
-            elif algorithm == "ddmf":
+            else:
                 y_grids = vector_to_grid(config, demodulate(config, r, chirps))
                 maps = ddmf_batch(config, y_grids, x_grids)
-            else:
-                raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
             yield maps.reshape(-1, n, config.n_p, config.k_chirps)
 
     rngs, trials, s = iter(rngs), slice(0, 0), None
@@ -366,16 +363,16 @@ def sensing_trials(
     seed: int,
     tfmf_reference: str = "transmit",
 ):
-    """Yield {algorithm: (B, n_p, K) maps} for trials 0..trials-1, B <= TRIAL_BLOCK.
+    """Iterate {algorithm: (B, n_p, K) maps} over trials 0..trials-1, B <= TRIAL_BLOCK.
 
     Trial t is ``sensing_maps`` on ``trial_rng(seed, t)``: the sweep engine
-    of ``trial_metrics`` at one SNR point.
+    of ``trial_metrics`` at one SNR point. ``trials`` < 1 raises at the call.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rngs = (trial_rng(seed, t) for t in range(trials))
-    for _, _, maps in _sweep(
-        config, frame, paths, [_noise_scale(snr_db)], algorithms, rngs, tfmf_reference
-    ):
-        yield {alg: cells[0] for alg, cells in zip(algorithms, maps)}
+    sweep = _sweep(config, frame, paths, [_noise_scale(snr_db)], algorithms, rngs, tfmf_reference)
+    return ({alg: cells[0] for alg, cells in zip(algorithms, maps)} for _, _, maps in sweep)
 
 
 def trial_metrics(

@@ -1,6 +1,6 @@
 """Monostatic sensing pipelines and detection on delay-Doppler maps.
 
-Three estimators produce an (n_p, K) delay-Doppler map from one symbol:
+Three estimators turn one symbol into a complex (n_p, K) delay-Doppler array:
 
 * ``tfmf``    -- fast/slow-time reshape, per-column spectral matched filter
   against a reference copy of the transmitted signal, then delay and Doppler
@@ -18,12 +18,13 @@ Three estimators produce an (n_p, K) delay-Doppler map from one symbol:
 Doppler columns of every map are mod-K bins; ``ddmf`` evaluates each column
 at its signed representative in [-K//2, K-1-K//2] so that targets with
 negative Doppler taps integrate coherently at their true delay.
+
+CA- and OS-CFAR mark detections in boolean masks; ``mask_near`` matches them to a tap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,35 +32,6 @@ from ._phase import unit_phasor
 from .ddgrid import grid_to_vector
 from .params import AfdmConfig
 from .waveform import _as_samples, _chirps, _modulate
-
-
-@dataclass(frozen=True)
-class DelayDopplerMap:
-    """Complex (n_p, K) sensing surface plus the algorithm that made it."""
-
-    cells: np.ndarray
-    config: AfdmConfig
-    algorithm: str
-
-    def __post_init__(self) -> None:
-        if self.cells.shape != (self.config.n_p, self.config.k_chirps):
-            raise ValueError(
-                f"map shape {self.cells.shape} does not match config grid "
-                f"({self.config.n_p}, {self.config.k_chirps})"
-            )
-
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.cells)
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One CFAR exceedance: cell indices, amplitude, and its threshold."""
-
-    l: int
-    k: int
-    magnitude: float
-    threshold: float
 
 
 def _fast_slow(config: AfdmConfig, samples: np.ndarray) -> np.ndarray:
@@ -89,7 +61,7 @@ def tfmf_batch(config: AfdmConfig, r_stack: np.ndarray, s_ref) -> np.ndarray:
     return (np.fft.ifft(d_range, axis=-1) * np.sqrt(K)).reshape(r.shape[:-1] + (n_p, K))
 
 
-def tfmf(config: AfdmConfig, r, s_ref) -> DelayDopplerMap:
+def tfmf(config: AfdmConfig, r, s_ref) -> np.ndarray:
     """Time-frequency matched filter against a known reference signal.
 
     Five stages: reshape both signals to (n_p, K) fast/slow-time matrices,
@@ -97,8 +69,7 @@ def tfmf(config: AfdmConfig, r, s_ref) -> DelayDopplerMap:
     reference spectrum, inverse transform back to delay, inverse transform
     along slow time to Doppler.
     """
-    cells = tfmf_batch(config, _as_samples(r, config)[None, :], s_ref)[0]
-    return DelayDopplerMap(cells, config, "tfmf")
+    return tfmf_batch(config, _as_samples(r, config)[None, :], s_ref)[0]
 
 
 def dechirp_batch(config: AfdmConfig, r_stack: np.ndarray, pilot) -> np.ndarray:
@@ -111,14 +82,13 @@ def dechirp_batch(config: AfdmConfig, r_stack: np.ndarray, pilot) -> np.ndarray:
     return np.fft.ifft(d_range, axis=-1) * np.sqrt(K)
 
 
-def dechirp(config: AfdmConfig, r, pilot) -> DelayDopplerMap:
+def dechirp(config: AfdmConfig, r, pilot) -> np.ndarray:
     """Pilot dechirping: conjugate product, then beat-frequency transforms.
 
     The delay transform uses the +j kernel so that beat frequencies land on
     positive delay bins (argmax at the true tap).
     """
-    cells = dechirp_batch(config, _as_samples(r, config)[None, :], pilot)[0]
-    return DelayDopplerMap(cells, config, "dechirp")
+    return dechirp_batch(config, _as_samples(r, config)[None, :], pilot)[0]
 
 
 def signed_doppler(column, k_chirps: int):
@@ -207,7 +177,7 @@ def ddmf_batch(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -> 
     return maps
 
 
-def ddmf(config: AfdmConfig, y_grid, x_grid) -> DelayDopplerMap:
+def ddmf(config: AfdmConfig, y_grid, x_grid) -> np.ndarray:
     """Delay-Doppler matched filter for one received grid.
 
     Correlates the received grid against the known transmitted grid shifted
@@ -215,10 +185,7 @@ def ddmf(config: AfdmConfig, y_grid, x_grid) -> DelayDopplerMap:
     floor((m - k)/K) and the coherence phase factor. The map is conjugate-
     linear in the received grid.
     """
-    Y = np.asarray(y_grid, dtype=np.complex128)[None, :, :]
-    X = np.asarray(x_grid, dtype=np.complex128)[None, :, :]
-    cells = ddmf_batch(config, Y, X)[0]
-    return DelayDopplerMap(cells, config, "ddmf")
+    return ddmf_batch(config, np.asarray(y_grid)[None], np.asarray(x_grid)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +195,6 @@ def ddmf(config: AfdmConfig, y_grid, x_grid) -> DelayDopplerMap:
 def cfar_threshold_factor(n_train: int, pfa: float) -> float:
     """alpha = N_t * (pfa^(-1/N_t) - 1), the CA-CFAR scaling for exponential cells."""
     return n_train * (pfa ** (-1.0 / n_train) - 1.0)
-
-
-def _detections(
-    ddm: DelayDopplerMap, mask_fn, train: int, guard: int, pfa: float
-) -> list[Detection]:
-    """Run a CFAR mask function on one map and list its exceedances."""
-    power = np.abs(ddm.cells) ** 2
-    mask, threshold = mask_fn(power, train, guard, pfa)
-    return [
-        Detection(
-            l=int(l),
-            k=int(k),
-            magnitude=float(np.sqrt(power[l, k])),
-            threshold=float(np.sqrt(threshold[l, k])),
-        )
-        for l, k in np.argwhere(mask)
-    ]
 
 
 def _training_windows(
@@ -321,13 +271,6 @@ def cfar_mask_batch(
     return _cfar_decide(cells, noise, cfar_threshold_factor(n_train, pfa))
 
 
-def ca_cfar_2d(
-    ddm: DelayDopplerMap, train: int, guard: int, pfa: float
-) -> list[Detection]:
-    """2D cell-averaging CFAR on a delay-Doppler map."""
-    return _detections(ddm, cfar_mask_batch, train, guard, pfa)
-
-
 def os_cfar_rank(n_train: int) -> int:
     """Rank k = ceil(3 N_t / 4) of the ordered training cell used as noise level."""
     return -(-3 * n_train // 4)
@@ -373,16 +316,9 @@ def os_cfar_mask_batch(
     return _cfar_decide(cells, stack[..., rank - 1], os_cfar_threshold_factor(n_train, pfa))
 
 
-def os_cfar_2d(
-    ddm: DelayDopplerMap, train: int, guard: int, pfa: float
-) -> list[Detection]:
-    """2D ordered-statistic CFAR on a delay-Doppler map (detections as ``ca_cfar_2d``)."""
-    return _detections(ddm, os_cfar_mask_batch, train, guard, pfa)
-
-
-def peak(ddm: DelayDopplerMap) -> tuple[int, int, float]:
-    """Argmax of |cells|; ties resolve to the smallest l, then smallest k."""
-    mag = ddm.magnitude()
+def peak(cells) -> tuple[int, int, float]:
+    """(l, k, |cell|) at the argmax of an (n_p, K) map; ties go to the smallest l, then k."""
+    mag = np.abs(cells)
     if mag.size == 0:
         raise ValueError("empty map")
     flat = int(np.argmax(mag))
@@ -390,23 +326,8 @@ def peak(ddm: DelayDopplerMap) -> tuple[int, int, float]:
     return int(l), int(k), float(mag[l, k])
 
 
-def cyclic_distance(a: int, b: int, modulus: int) -> int:
-    d = abs((a - b) % modulus)
-    return min(d, modulus - d)
-
-
-def detection_near(detections, l_true: int, k_true: int, n_p: int, k_chirps: int) -> bool:
-    """True if any detection lies within one cyclic cell of the tap on both axes."""
-    k_bin = k_true % k_chirps
-    return any(
-        cyclic_distance(d.l, l_true % n_p, n_p) <= 1
-        and cyclic_distance(d.k, k_bin, k_chirps) <= 1
-        for d in detections
-    )
-
-
 def mask_near(mask: np.ndarray, l_true: int, k_true: int) -> np.ndarray:
-    """Per-map ``detection_near`` on a (..., n_p, K) detection-mask stack."""
+    """Per map of a (..., n_p, K) mask stack: a detection within one cyclic cell of the tap?"""
     n_p, K = mask.shape[-2:]
     box = np.arange(-1, 2)
     rows = np.mod(l_true + box, n_p)[:, None]

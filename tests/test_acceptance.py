@@ -244,8 +244,8 @@ def test_c07_tfmf_dechirp_equivalence_full_overhead():
     noisy = r.samples + math.sqrt(0.005) * (
         rng.standard_normal(512) + 1j * rng.standard_normal(512)
     )
-    zt = tfmf(TABLE_CFG, noisy, s).magnitude()
-    zd = dechirp(TABLE_CFG, noisy, pilot_reference(TABLE_CFG)).magnitude()
+    zt = np.abs(tfmf(TABLE_CFG, noisy, s))
+    zd = np.abs(dechirp(TABLE_CFG, noisy, pilot_reference(TABLE_CFG)))
     diff = np.abs(zt / np.linalg.norm(zt) - zd / np.linalg.norm(zd)).max()
     report(
         "criterion 7: dechirp equals the matched filter at full pilot overhead",

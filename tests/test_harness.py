@@ -381,6 +381,18 @@ class TestCli:
         assert ignored in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["snr-sweep", "--trials", "2", "--snr", "10"],
+        ["ddm", "--algorithm", "dechirp"],
+    ])
+    def test_pilot_reference_without_tfmf_rejected(self, tmp_path, capsys, argv):
+        # it used to run the other algorithms and record a pilot reference nothing read
+        code = main([*argv, "--scenario", "fig5", "--algorithm", "ddmf",
+                     "--pilot-only-reference", "--out", str(tmp_path)])
+        assert code == 1
+        assert "--pilot-only-reference" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv, message", [
         (["ber-curve", "--snr", "5", "5"], "snr_db_list repeats the value 5.0"),
         (["ber-curve", "--snr", "5", "10", "5.0"], "snr_db_list repeats the value 5.0"),

@@ -35,16 +35,7 @@ from afdmsim.metrics import (
     trial_rng,
 )
 from afdmsim.params import ScenarioConfig, classic_params, proposed_params
-from afdmsim.sensing import (
-    DelayDopplerMap,
-    ca_cfar_2d,
-    cfar_mask_batch,
-    ddmf,
-    dechirp,
-    detection_near,
-    mask_near,
-    tfmf,
-)
+from afdmsim.sensing import cfar_mask_batch, ddmf, dechirp, mask_near, tfmf
 from afdmsim.waveform import demodulate, modulate
 
 CFG = proposed_params(8, 4)
@@ -197,12 +188,12 @@ def one_trial_maps(config, frame, paths, snr_db, rng, tfmf_reference):
     r = add_awgn(apply_channel(config, s, paths), snr_db, rng)
     pilot = pilot_reference(config)
     maps = {
-        "tfmf": tfmf(config, r, s if tfmf_reference == "transmit" else pilot).cells,
-        "dechirp": dechirp(config, r, pilot).cells,
+        "tfmf": tfmf(config, r, s if tfmf_reference == "transmit" else pilot),
+        "dechirp": dechirp(config, r, pilot),
     }
     if config.fmcw_equivalent:
         y_grid = vector_to_grid(config, demodulate(config, r))
-        maps["ddmf"] = ddmf(config, y_grid, vector_to_grid(config, x)).cells
+        maps["ddmf"] = ddmf(config, y_grid, vector_to_grid(config, x))
     return maps
 
 
@@ -240,7 +231,7 @@ class TestTrialEngine:
                 single = sensing_maps(
                     config, frame, EDGE_PATHS, snr_db, (alg,), trial_rng(5, t), reference
                 )
-                assert np.array_equal(single[alg].cells, want[alg])
+                assert np.array_equal(single[alg], want[alg])
                 assert np.array_equal(stack[t], want[alg])
 
     def test_infinite_snr_draws_no_noise(self):
@@ -271,8 +262,8 @@ class TestTrialEngine:
                 for alg in algorithms:
                     cells = maps[alg]
                     p, isnr, hit = (column[t] for column in got[alg])
-                    dets = ca_cfar_2d(DelayDopplerMap(cells, GRID8, alg), 2, 1, 1e-4)
-                    assert hit == detection_near(dets, l, k, 8, 8)
+                    mask, _ = cfar_mask_batch(np.abs(cells) ** 2, 2, 1, 1e-4)
+                    assert hit == mask_near(mask, l, k)
                     hits.append(hit)
                     if quality:
                         assert (p, isnr) == (pslr(cells, cell), image_snr(cells, cell))
@@ -331,8 +322,8 @@ class TestTrialEngine:
                     assert np.array_equal(maps[a, i, t], cells)
                     p, isnr, hit = (column[i, t] for column in got[alg])
                     assert (p, isnr) == (pslr(cells, cell), image_snr(cells, cell))
-                    dets = ca_cfar_2d(DelayDopplerMap(cells, config, alg), 2, 1, 1e-4)
-                    assert hit == detection_near(dets, l, k, 8, 8)
+                    mask, _ = cfar_mask_batch(np.abs(cells) ** 2, 2, 1, 1e-4)
+                    assert hit == mask_near(mask, l, k)
 
     @pytest.mark.parametrize("po, passes", [(0.5, 3), (1.0, 1)])
     def test_data_free_frame_is_simulated_once_per_call(self, po, passes, monkeypatch):
@@ -376,6 +367,33 @@ class TestTrialEngine:
             else:
                 sensing_maps(GRID8, frame, EDGE_PATHS, 5.0, ALGORITHMS, rng, "Transmit")
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("entry", ["trial_metrics", "sensing_trials", "sensing_maps"])
+    def test_unknown_algorithm_rejected_before_any_draw(self, entry, monkeypatch):
+        # sensing_maps used to draw its frame and noise from the caller's rng first
+        def no_frame(*args):
+            raise AssertionError("a frame was drawn")
+
+        monkeypatch.setattr(metrics, "build_frame", no_frame)
+        frame = FrameSpec.from_overhead(GRID8.n_c, 0.5)
+        algorithms = ("tfmf", "foo")
+        rng = trial_rng(5, 0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"unknown algorithms \['foo'\]"):
+            if entry == "trial_metrics":
+                trial_metrics(EDGE, algorithms, 3)
+            elif entry == "sensing_trials":
+                next(sensing_trials(GRID8, frame, EDGE_PATHS, 5.0, algorithms, 3, 5))
+            else:
+                sensing_maps(GRID8, frame, EDGE_PATHS, 5.0, algorithms, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_sensing_trials_without_trials_rejected(self, trials):
+        # it used to yield no block, silently
+        frame = FrameSpec.from_overhead(GRID8.n_c, 0.5)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            sensing_trials(GRID8, frame, EDGE_PATHS, 5.0, ALGORITHMS, trials, 5)
 
     @pytest.mark.parametrize("reference", ["transmit", "pilot"])
     @pytest.mark.parametrize("scenario, snrs", [

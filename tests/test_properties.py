@@ -47,6 +47,7 @@ from afdmsim.sensing import (
     ddmf,
     ddmf_batch,
     dechirp,
+    mask_near,
     os_cfar_mask_batch,
     os_cfar_rank,
     os_cfar_threshold_factor,
@@ -124,7 +125,7 @@ def test_ddmf_is_the_time_domain_cross_ambiguity(config, seed):
     surface = np.conj(dpaf_surface(r, s))
     K = config.k_chirps
     doppler = [signed_doppler(col, K) % config.n_c for col in range(K)]
-    cells = ddmf(config, y, x).cells
+    cells = ddmf(config, y, x)
     assert np.abs(cells - surface[: config.n_p][:, doppler]).max() <= 1e-12 * np.abs(cells).max()
 
 
@@ -332,6 +333,8 @@ def test_cfar_window_equals_the_full_maps_window(data, lead, ring, near, zero_fr
     assert got_mask.shape == got_threshold.shape == (*lead, 3, 3)
     assert np.array_equal(got_threshold, threshold[..., rows, cols])
     assert np.array_equal(got_mask, mask[..., rows, cols])
+    # c08's association of the full masks is the trial engine's hit rule
+    assert np.array_equal(mask_near(mask, *near), got_mask.any(axis=(-2, -1)))
 
 
 @pytest.mark.parametrize(
@@ -602,8 +605,8 @@ def test_c07_tfmf_equals_dechirp_at_full_overhead(n_p, k_chirps, delay, doppler,
     x = build_frame(config, FrameSpec.from_overhead(config.n_c, 1.0), np.random.default_rng(seed))
     s = modulate(config, x)
     r = apply_channel(config, s, [PathTap(gain, delay, doppler)])
-    zt = tfmf(config, r, s).magnitude()
-    zd = dechirp(config, r, pilot_reference(config)).magnitude()
+    zt = np.abs(tfmf(config, r, s))
+    zd = np.abs(dechirp(config, r, pilot_reference(config)))
     assert np.abs(zt / np.linalg.norm(zt) - zd / np.linalg.norm(zd)).max() < 1e-9
 
 

@@ -8,16 +8,13 @@ from afdmsim.ddgrid import vector_to_grid
 from afdmsim.metrics import FrameSpec, build_frame, pilot_reference, sensing_maps
 from afdmsim.params import proposed_params
 from afdmsim.sensing import (
-    DelayDopplerMap,
-    ca_cfar_2d,
     cfar_mask_batch,
     cfar_threshold_factor,
     ddmf,
     ddmf_batch,
     dechirp,
     dechirp_batch,
-    detection_near,
-    os_cfar_2d,
+    mask_near,
     os_cfar_mask_batch,
     os_cfar_rank,
     os_cfar_threshold_factor,
@@ -44,7 +41,7 @@ def received_grid(config, x, paths):
 class TestTfmf:
     def test_zero_input_zero_map(self):
         z = tfmf(CFG, np.zeros(32, dtype=complex), subcarrier(CFG, 0))
-        assert np.all(z.cells == 0)
+        assert np.all(z == 0)
 
     def test_single_target_argmax(self):
         x = pilot_frame(CFG)
@@ -67,8 +64,8 @@ class TestTfmf:
         r1 = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         r2 = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         a, b = 1.5 - 0.5j, -0.7j
-        combined = tfmf(CFG, a * r1 + b * r2, ref).cells
-        split = a * tfmf(CFG, r1, ref).cells + b * tfmf(CFG, r2, ref).cells
+        combined = tfmf(CFG, a * r1 + b * r2, ref)
+        split = a * tfmf(CFG, r1, ref) + b * tfmf(CFG, r2, ref)
         assert np.abs(combined - split).max() < 1e-12
 
 
@@ -81,7 +78,7 @@ class TestDechirp:
         noisy = r.samples + 0.05 * (rng.standard_normal(32) + 1j * rng.standard_normal(32))
         zt = tfmf(CFG, noisy, s)
         zd = dechirp(CFG, noisy, pilot_reference(CFG))
-        assert np.abs(zt.magnitude() - zd.magnitude()).max() < 1e-9
+        assert np.abs(np.abs(zt) - np.abs(zd)).max() < 1e-9
 
     def test_identity_channel_peak_at_origin(self):
         p = pilot_reference(CFG)
@@ -90,7 +87,7 @@ class TestDechirp:
 
     def test_zero_input(self):
         z = dechirp(CFG, np.zeros(32, dtype=complex), pilot_reference(CFG))
-        assert np.all(z.cells == 0)
+        assert np.all(z == 0)
 
 
 @pytest.mark.parametrize("kernel, algorithm", [(tfmf_batch, tfmf), (dechirp_batch, dechirp)])
@@ -102,7 +99,7 @@ def test_batch_kernel_maps_every_signal_of_any_stack(kernel, algorithm):
     maps = kernel(CFG, stack, ref)
     assert maps.shape[-2:] == (8, 4)
     for index in np.ndindex(2, 3):
-        expected = algorithm(CFG, stack[index], ref).cells
+        expected = algorithm(CFG, stack[index], ref)
         assert np.array_equal(maps[index], expected)
         assert np.array_equal(kernel(CFG, stack[index], ref).reshape(8, 4), expected)
 
@@ -113,7 +110,7 @@ def test_tfmf_batch_pairs_rows_with_references_that_divide_them():
     stack = rng.standard_normal((8, 32)) + 1j * rng.standard_normal((8, 32))
     maps = tfmf_batch(CFG, stack, refs)
     for row in range(8):
-        assert np.array_equal(maps[row], tfmf(CFG, stack[row], refs[row]).cells)
+        assert np.array_equal(maps[row], tfmf(CFG, stack[row], refs[row]))
     # rows pair with references in C order over the leading axes, whatever their shape
     assert np.array_equal(tfmf_batch(CFG, stack.reshape(2, 4, 32), refs), maps.reshape(2, 4, 8, 4))
     # 8 references divide no fewer received signals; a 1-D signal is one received signal
@@ -126,7 +123,7 @@ class TestDdmf:
     def test_zero_received_grid(self):
         x = vector_to_grid(CFG, pilot_frame(CFG))
         z = ddmf(CFG, np.zeros((8, 4), dtype=complex), x)
-        assert np.all(z.cells == 0)
+        assert np.all(z == 0)
 
     def test_identity_channel_full_data(self):
         rng = np.random.default_rng(2)
@@ -134,7 +131,7 @@ class TestDdmf:
         y_grid, _ = received_grid(CFG, x, [PathTap(1.0, 0, 0)])
         x_grid = vector_to_grid(CFG, x)
         z = ddmf(CFG, y_grid, x_grid)
-        assert z.cells[0, 0] == pytest.approx(np.sum(np.abs(x_grid) ** 2), abs=1e-9)
+        assert z[0, 0] == pytest.approx(np.sum(np.abs(x_grid) ** 2), abs=1e-9)
         assert peak(z)[:2] == (0, 0)
 
     @pytest.mark.parametrize("li", range(8))
@@ -151,11 +148,8 @@ class TestDdmf:
         y1 = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
         y2 = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
         a, b = 0.3 + 2.0j, -1.1
-        combined = ddmf(CFG, a * y1 + b * y2, x_grid).cells
-        split = (
-            np.conj(a) * ddmf(CFG, y1, x_grid).cells
-            + np.conj(b) * ddmf(CFG, y2, x_grid).cells
-        )
+        combined = ddmf(CFG, a * y1 + b * y2, x_grid)
+        split = np.conj(a) * ddmf(CFG, y1, x_grid) + np.conj(b) * ddmf(CFG, y2, x_grid)
         assert np.abs(combined - split).max() < 1e-10
 
     @pytest.mark.parametrize("config", [FIG4, CFG], ids=["fig4", "n_c=32"])
@@ -203,21 +197,20 @@ def cfar_window(power, train, guard, pfa):
 
 
 class TestCfar:
-    def test_lone_peak_in_zero_background(self):
-        cells = np.zeros((8, 4), dtype=complex)
-        cells[5, 2] = 3.0
-        ddm = DelayDopplerMap(cells, CFG, "test")
-        dets = ca_cfar_2d(ddm, 1, 0, 1e-4)
-        assert [(d.l, d.k) for d in dets] == [(5, 2)]
-        assert dets[0].magnitude >= dets[0].threshold
+    @pytest.mark.parametrize("mask_fn", [cfar_mask_batch, os_cfar_mask_batch])
+    def test_lone_peak_in_zero_background(self, mask_fn):
+        power = np.zeros((8, 4))
+        power[5, 2] = 9.0
+        mask, threshold = mask_fn(power, 1, 0, 1e-4)
+        assert np.argwhere(mask).tolist() == [[5, 2]]
+        assert np.all(power[mask] >= threshold[mask])
 
     def test_threshold_factor_formula(self):
         assert cfar_threshold_factor(40, 1e-4) == pytest.approx(40 * (1e-4 ** (-1 / 40) - 1))
 
     def test_window_must_fit(self):
-        ddm = DelayDopplerMap(np.zeros((8, 4), dtype=complex), CFG, "test")
         with pytest.raises(ValueError, match="window"):
-            ca_cfar_2d(ddm, 2, 1, 1e-4)
+            cfar_mask_batch(np.zeros((8, 4)), 2, 1, 1e-4)
 
     @pytest.mark.parametrize("mask_fn", [cfar_mask_batch, os_cfar_mask_batch, cfar_window])
     @pytest.mark.parametrize(
@@ -254,21 +247,13 @@ class TestCfar:
 
     def test_os_sees_target_masked_for_ca(self):
         cfg = proposed_params(16, 8)
-        cells = np.ones((16, 8), dtype=complex)
-        cells[10, 3] = np.sqrt(30.0)   # weak target
-        cells[7, 2] = np.sqrt(90.0)    # 3x stronger, Chebyshev distance 3: in the ring
-        ddm = DelayDopplerMap(cells, cfg, "test")
-        ca = [(d.l, d.k) for d in ca_cfar_2d(ddm, 2, 1, 1e-4)]
-        os_ = [(d.l, d.k) for d in os_cfar_2d(ddm, 2, 1, 1e-4)]
-        assert ca == [(7, 2)]
-        assert os_ == [(7, 2), (10, 3)]
-
-    def test_os_lone_peak_in_zero_background(self):
-        cells = np.zeros((8, 4), dtype=complex)
-        cells[5, 2] = 3.0
-        dets = os_cfar_2d(DelayDopplerMap(cells, CFG, "test"), 1, 0, 1e-4)
-        assert [(d.l, d.k) for d in dets] == [(5, 2)]
-        assert dets[0].magnitude >= dets[0].threshold
+        power = np.ones((cfg.n_p, cfg.k_chirps))
+        power[10, 3] = 30.0   # weak target
+        power[7, 2] = 90.0    # 3x stronger, Chebyshev distance 3: in the ring
+        ca = np.argwhere(cfar_mask_batch(power, 2, 1, 1e-4)[0]).tolist()
+        os_ = np.argwhere(os_cfar_mask_batch(power, 2, 1, 1e-4)[0]).tolist()
+        assert ca == [[7, 2]]
+        assert os_ == [[7, 2], [10, 3]]
 
     @pytest.mark.parametrize("train, guard", [(2, 1), (1, 0), (1, 2)])
     @pytest.mark.parametrize(
@@ -349,12 +334,12 @@ class TestCfar:
             cfg, FrameSpec.from_overhead(512, 1.0), paths, 30.0, ("tfmf", "ddmf"), rng
         )
         for alg in ("tfmf", "ddmf"):
-            dets = ca_cfar_2d(maps[alg], 2, 1, 1e-4)
+            mask, _ = cfar_mask_batch(np.abs(maps[alg]) ** 2, 2, 1, 1e-4)
             for _, l, k in targets:
-                assert detection_near(dets, l, k, 64, 8)
-            for d in dets:
+                assert mask_near(mask, l, k)
+            for dl, dk in np.argwhere(mask):
                 assert any(
-                    max(min(abs(d.l - l), 64 - abs(d.l - l)), min(abs(d.k - k), 8 - abs(d.k - k))) <= 1
+                    max(min(abs(dl - l), 64 - abs(dl - l)), min(abs(dk - k), 8 - abs(dk - k))) <= 1
                     for _, l, k in targets
                 )
 
@@ -363,8 +348,8 @@ class TestPeak:
     def test_single_entry(self):
         cells = np.zeros((8, 4), dtype=complex)
         cells[2, 3] = 1.0 - 1.0j
-        assert peak(DelayDopplerMap(cells, CFG, "t")) == (2, 3, pytest.approx(np.sqrt(2)))
+        assert peak(cells) == (2, 3, pytest.approx(np.sqrt(2)))
 
     def test_uniform_tie_break(self):
         cells = np.ones((8, 4), dtype=complex)
-        assert peak(DelayDopplerMap(cells, CFG, "t"))[:2] == (0, 0)
+        assert peak(cells)[:2] == (0, 0)
