@@ -4,6 +4,7 @@ Waveform synthesis with FMCW-equivalent parameterization, delay-Doppler
 channel simulation, periodic ambiguity analysis, grid-domain input-output
 modeling, matched-filter sensing into delay-Doppler arrays with CA- and
 OS-CFAR detection masks, and communication metrics with LMMSE detection.
+Signals are plain complex arrays: n_c samples per symbol, (..., n_c) stacks.
 """
 
 from .ambiguity import (
@@ -58,7 +59,6 @@ from .sensing import (
     tfmf,
 )
 from .waveform import (
-    TimeSignal,
     add_cpp,
     daft_index_to_dd,
     dd_to_daft_index,

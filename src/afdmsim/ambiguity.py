@@ -17,12 +17,11 @@ import numpy as np
 
 from ._phase import unit_phasor
 from .params import AfdmConfig
-from .waveform import _unwrap
 
 
 def _signal_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """The samples of two CPP-free signals, which must be 1-D and of equal length."""
-    av, bv = _unwrap(a), _unwrap(b)
+    """Two signals as complex arrays, which must be 1-D and of equal length."""
+    av, bv = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
     if av.shape != bv.shape or av.ndim != 1:
         raise ValueError("signals must be 1-D and of equal length")
     return av, bv

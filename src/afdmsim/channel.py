@@ -19,7 +19,7 @@ import numpy as np
 
 from ._phase import unit_phasor
 from .params import AfdmConfig, _snr_variance
-from .waveform import TimeSignal, _as_samples
+from .waveform import _as_samples
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -166,34 +166,31 @@ def _delay_doppler_gram_blocks(taps, n_c: int, b: int, index) -> np.ndarray:
     return blocks.reshape(lead + (3, n_c // b, b, b))
 
 
-def apply_channel(config: AfdmConfig, s, paths) -> TimeSignal:
-    """Cyclic delay-Doppler channel on a CPP-free symbol (noise-free)."""
-    taps = _doppler_taps(paths, config.n_c)
-    return TimeSignal(_delay_doppler(_as_samples(s, config), taps), config)
+def apply_channel(config: AfdmConfig, s, paths) -> np.ndarray:
+    """Cyclic delay-Doppler channel on a CPP-free symbol or (..., n_c) stack (noise-free)."""
+    return _delay_doppler(_as_samples(s, config, stacked=True), _doppler_taps(paths, config.n_c))
 
 
-def apply_channel_linear(config: AfdmConfig, s: TimeSignal, paths) -> TimeSignal:
-    """Physical non-cyclic channel over a CPP-extended block.
+def apply_channel_linear(config: AfdmConfig, s, paths) -> np.ndarray:
+    """Physical non-cyclic channel over a CPP-extended block of n_c + l_cpp samples.
 
     Delayed samples that precede the block are dropped (no energy wraps), and
     the Doppler phase is referenced to the post-CPP sample index so that
     removing the CPP afterwards reproduces :func:`apply_channel` exactly for
     every delay tap not exceeding l_cpp.
     """
-    if not s.has_cpp:
-        raise ValueError("apply_channel_linear expects a CPP-extended signal")
-    total = config.n_c + config.l_cpp
+    s = _as_samples(s, config, cpp=True)
+    total = len(s)
     n_post = np.arange(total, dtype=np.int64) - config.l_cpp
     out = np.zeros(total, dtype=np.complex128)
     for p in paths:
         li = p.delay_tap
-        if li > total:
+        if li >= total:
             continue
         shifted = np.zeros(total, dtype=np.complex128)
-        if li < total:
-            shifted[li:] = s.samples[: total - li]
+        shifted[li:] = s[: total - li]
         out += complex(p.gain) * shifted * unit_phasor(-p.doppler_tap * n_post, config.n_c)
-    return TimeSignal(out, config, has_cpp=True)
+    return out
 
 
 def noise_variance(snr_db: float) -> float:
@@ -220,15 +217,16 @@ def _normal_pairs(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def add_awgn(r: TimeSignal, snr_db: float, rng: np.random.Generator) -> TimeSignal:
-    """Add circularly-symmetric complex Gaussian noise.
+def add_awgn(r, snr_db: float, rng: np.random.Generator) -> np.ndarray:
+    """Add circularly-symmetric complex Gaussian noise to a signal or stack of any shape.
 
     The variance convention is relative to unit mean transmit-sample power
     (frames are built with total energy n_c, so E|s[n]|^2 = 1); +inf
-    ``snr_db`` returns the signal unchanged and draws nothing.
+    ``snr_db`` returns the signal unchanged and draws nothing. The real
+    parts of every sample, in C order, are drawn before the imaginary parts.
     """
+    r = np.asarray(r, dtype=np.complex128)
     scale = _noise_scale(snr_db)
     if scale is None:
         return r
-    noise = scale * _normal_pairs(len(r.samples), rng)
-    return TimeSignal(r.samples + noise, r.config, has_cpp=r.has_cpp)
+    return r + scale * _normal_pairs(r.size, rng).reshape(r.shape)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import csvio
 from .ambiguity import aaf_psi0_closed, dpaf_surface
-from .channel import PathTap, _delay_doppler, _doppler_taps, noise_variance, taps_from_targets
+from .channel import PathTap, apply_channel, noise_variance, taps_from_targets
 from .ddgrid import grid_to_vector, io_predict, vector_to_grid
 from .metrics import (
     ALGORITHMS,
@@ -52,7 +52,7 @@ from .params import (
     preset,
 )
 from .sensing import _ddmf_direct, dechirp_batch, tfmf_batch
-from .waveform import _chirps, _modulate, demodulate, subcarrier
+from .waveform import _chirps, demodulate, modulate, subcarrier
 
 IO_CHECK_TOLERANCE = 1e-9
 
@@ -186,9 +186,14 @@ class ExperimentSpec:
                 f"ber_curve trials {self.trials} must be a multiple of its "
                 f"{self.ber_realizations} channel realizations (trials // 10)"
             )
+        runner = EXPERIMENT_KINDS[self.kind].runner
+        if runner in (_run_sweep, _run_ber_curve) and not self.scenario.targets:
+            raise ValueError(
+                f"scenario {self.scenario.name!r}: no target for {self.kind} to score"
+            )
         window = 2 * (CFAR_TRAIN + CFAR_GUARD) + 1
         grid = (self.scenario.n_p, self.scenario.k_chirps)
-        if EXPERIMENT_KINDS[self.kind].runner is _run_sweep and min(grid) < window:
+        if runner is _run_sweep and min(grid) < window:
             raise ValueError(
                 f"scenario {self.scenario.name!r}: its {grid} delay-Doppler grid is smaller "
                 f"than the CFAR window {window} of {self.kind}"
@@ -372,8 +377,6 @@ def _run_sweep(spec):
 
 def _run_ber_curve(spec):
     sc = spec.scenario
-    if not sc.targets:
-        raise ValueError("ber_curve needs at least one scenario target")
     powers = [abs(g) ** 2 for g, _, _ in sc.targets]
     taps = [(l, k) for _, l, k in sc.targets]
     configs = {name: sc.waveform(name) for name in spec.resolved_presets}
@@ -416,8 +419,8 @@ def _run_io_check(spec):
             for _ in range(n_paths)
         ]
         predicted = io_predict(config, x_grid, paths)
-        s = _modulate(config, grid_to_vector(config, x_grid), chirps)
-        r = _delay_doppler(s, _doppler_taps(paths, config.n_c))
+        s = modulate(config, grid_to_vector(config, x_grid), chirps)
+        r = apply_channel(config, s, paths)
         observed = vector_to_grid(config, demodulate(config, r, chirps))
         worst = max(worst, float(np.abs(predicted - observed).max()))
     yield (
@@ -471,7 +474,7 @@ def benchmark_pipelines(sizes, seed: int = 0) -> list[tuple[str, int, float]]:
     fast_runs, ddmf_runs = [], []
     for n_c, batch_fast in zip(sizes, batches_fast):
         config = preset("proposed", n_c, BENCHMARK_K_CHIRPS)
-        pilot = subcarrier(config, 0).samples
+        pilot = subcarrier(config, 0)
         stack = samples[: batch_fast * n_c].reshape(batch_fast, n_c)
         n_p, K = config.n_p, config.k_chirps
 

@@ -46,7 +46,7 @@ from .sensing import (  # noqa: F401 -- ddmf is re-exported
     dechirp_batch,
     tfmf_batch,
 )
-from .waveform import _chirps, _modulate, demodulate, subcarrier
+from .waveform import _chirps, demodulate, modulate, subcarrier
 
 ALGORITHMS = ("tfmf", "dechirp", "ddmf")
 
@@ -267,7 +267,8 @@ def sensing_maps(
 
     ``tfmf_reference`` selects the matched-filter copy: the full known
     transmit signal (default) or the deterministic pilot only; any other
-    value, or an unknown algorithm, is a ValueError raised before any draw.
+    value, an unknown algorithm or no algorithm at all is a ValueError
+    raised before any draw.
     """
     _, _, maps = next(_sweep(
         config, spec, paths, [_noise_scale(snr_db)], algorithms, [rng], tfmf_reference
@@ -301,10 +302,12 @@ def _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
     alive at a time. The pilot, the chirp pair and the channel's Doppler
     taps are built once per call and shared by every block; nothing
     outlives the call. ``tfmf_reference`` other than "transmit" or
-    "pilot", or an algorithm not in ``ALGORITHMS``, is a ValueError, raised
-    before any draw.
+    "pilot", an algorithm not in ``ALGORITHMS`` or an empty ``algorithms``
+    is a ValueError, raised before any draw.
     """
     _check_reference(tfmf_reference)
+    if not algorithms:
+        raise ValueError(f"algorithms needs at least one of {list(ALGORITHMS)}")
     unknown = [algorithm for algorithm in algorithms if algorithm not in ALGORITHMS]
     if unknown:
         raise ValueError(f"unknown algorithms {unknown}; expected some of {list(ALGORITHMS)}")
@@ -339,7 +342,7 @@ def _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
             # a frame without data slots is the same symbol in every trial:
             # the first trial's row serves every block of the call
             x = np.stack(x[:1] if shared else x)
-            s = _modulate(config, x, chirps)
+            s = modulate(config, x, chirps)
             r0 = _delay_doppler(s, taps)
             x_grids = vector_to_grid(config, x) if "ddmf" in algorithms else None
         n = len(block)
@@ -455,7 +458,7 @@ def build_effective_channel(config: AfdmConfig, paths) -> np.ndarray:
     eye = np.eye(config.n_c, dtype=np.complex128)
     # row m of each stack is the image of the basis vector e_m
     taps = _doppler_taps(paths, config.n_c)
-    return demodulate(config, _delay_doppler(_modulate(config, eye), taps)).T
+    return demodulate(config, _delay_doppler(modulate(config, eye), taps)).T
 
 
 def lmmse_detect(H: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
@@ -602,6 +605,8 @@ def lmmse_ber_compare(
     """
     if realizations < 1 or n_symbols < 1:
         raise ValueError("realizations and n_symbols must be >= 1")
+    if not configs:
+        raise ValueError("configs needs at least one waveform config")
     if n_symbols % realizations:
         raise ValueError(
             f"n_symbols {n_symbols} must be a multiple of its {realizations} channel realizations"
@@ -650,8 +655,8 @@ def lmmse_ber_compare(
         y = np.empty((len(reals), len(sigma2), n_c, len(configs) * per_real), dtype=np.complex128)
         for c, (config, pair) in enumerate(zip(configs.values(), chirps)):
             cols = y[..., c * per_real:(c + 1) * per_real]
-            np.multiply(scale, _modulate(config, w, pair).swapaxes(1, 2)[:, None], out=cols)
-            cols += _delay_doppler(_modulate(config, x, pair), taps).swapaxes(1, 2)[:, None]
+            np.multiply(scale, modulate(config, w, pair).swapaxes(1, 2)[:, None], out=cols)
+            cols += _delay_doppler(modulate(config, x, pair), taps).swapaxes(1, 2)[:, None]
         # holding x and w through the solve raised a fig4 call's allocation
         # peak from 5.84 to 7.09 MiB
         del x, w

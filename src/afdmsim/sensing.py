@@ -31,7 +31,7 @@ import numpy as np
 from ._phase import unit_phasor
 from .ddgrid import grid_to_vector
 from .params import AfdmConfig
-from .waveform import _as_samples, _chirps, _modulate
+from .waveform import _as_samples, _chirps, modulate
 
 
 def _fast_slow(config: AfdmConfig, samples: np.ndarray) -> np.ndarray:
@@ -42,7 +42,7 @@ def _fast_slow(config: AfdmConfig, samples: np.ndarray) -> np.ndarray:
 def tfmf_batch(config: AfdmConfig, r_stack: np.ndarray, s_ref) -> np.ndarray:
     """Vectorized TFMF over a (..., n_c) stack of N received signals.
 
-    ``s_ref`` holds R references: one signal or n_c samples (R = 1), or an
+    ``s_ref`` holds R references: one signal of n_c samples (R = 1), or an
     (R, n_c) stack. R must divide N, and received row i (C order over the
     leading axes) is matched against reference i mod R: R = 1 shares one
     reference, and R = N gives each row its own.
@@ -167,8 +167,8 @@ def ddmf_batch(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -> 
     Y, X = _ddmf_inputs(config, y_grids, x_grids)
     n_c, K = config.n_c, config.k_chirps
     chirps = _chirps(config)
-    V = np.fft.fft(np.conj(_modulate(config, grid_to_vector(config, Y), chirps)))
-    T = np.fft.ifft(_modulate(config, grid_to_vector(config, X), chirps)) * n_c
+    V = np.fft.fft(np.conj(modulate(config, grid_to_vector(config, Y), chirps)))
+    T = np.fft.ifft(modulate(config, grid_to_vector(config, X), chirps)) * n_c
     # shift[col, f] = (f + k) mod n_c: the bins of V that column col's Doppler reads
     shift = np.mod(np.arange(n_c) + signed_doppler(np.arange(K), K)[:, None], n_c)
     maps = np.empty_like(Y)

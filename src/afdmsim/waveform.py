@@ -16,11 +16,14 @@ delay-Doppler pair (l, k) are in bijection through
 
 and psi_m equals a cyclically delayed, Doppler-shifted copy of psi_0 up to a
 constant delay-dependent phase.
+
+Signals are plain complex arrays: a symbol is n_c samples (a stack (..., n_c)),
+and a CPP-extended block, the symbol behind its chirp cyclic prefix, is
+n_c + l_cpp. Each function checks the length it takes, so while l_cpp > 0
+a block is never mistaken for a symbol.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,39 +31,13 @@ from ._phase import chirp_phasor, unit_phasor
 from .params import AfdmConfig, proposed_params
 
 
-@dataclass(frozen=True)
-class TimeSignal:
-    """A complex baseband sample sequence tied to a waveform config."""
-
-    samples: np.ndarray
-    config: AfdmConfig
-    has_cpp: bool = False
-
-    def __post_init__(self) -> None:
-        expected = self.config.n_c + (self.config.l_cpp if self.has_cpp else 0)
-        if self.samples.shape != (expected,):
-            raise ValueError(
-                f"expected {expected} samples, got shape {self.samples.shape}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-def _unwrap(signal) -> np.ndarray:
-    """The samples of a CPP-free TimeSignal, or ``signal`` as a complex array."""
-    if isinstance(signal, TimeSignal):
-        if signal.has_cpp:
-            raise ValueError("signal still carries a CPP; remove it first")
-        return signal.samples
-    return np.asarray(signal, dtype=np.complex128)
-
-
-def _as_samples(signal, config: AfdmConfig, *, stacked: bool = False) -> np.ndarray:
-    """Accept a CPP-free TimeSignal or bare array of n_c samples (``stacked``: (..., n_c))."""
-    arr = _unwrap(signal)
-    if arr.shape[-1:] != (config.n_c,) or (arr.ndim != 1 and not stacked):
-        raise ValueError(f"expected {config.n_c} samples, got shape {arr.shape}")
+def _as_samples(signal, config: AfdmConfig, *, stacked: bool = False, cpp: bool = False):
+    """``signal`` as n_c complex samples (``stacked``: (..., n_c); ``cpp``: n_c + l_cpp)."""
+    arr = np.asarray(signal, dtype=np.complex128)
+    length = config.n_c + (config.l_cpp if cpp else 0)
+    if arr.shape[-1:] != (length,) or (arr.ndim != 1 and not stacked):
+        block = "a CPP-extended block of " if cpp else ""
+        raise ValueError(f"expected {block}{length} samples, got shape {arr.shape}")
     return arr
 
 
@@ -73,34 +50,26 @@ def _chirps(config: AfdmConfig) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def subcarrier(config: AfdmConfig, m: int) -> TimeSignal:
+def subcarrier(config: AfdmConfig, m: int) -> np.ndarray:
     """The m-th unit-modulus basis chirp, n = 0..n_c-1."""
     if not 0 <= m < config.n_c:
         raise ValueError(f"subcarrier index {m} outside [0, {config.n_c})")
     n = np.arange(config.n_c, dtype=np.int64)
-    samples = (
-        chirp_phasor(config.c1, n) * unit_phasor(m * n, config.n_c) * chirp_phasor(config.c2, m)
-    )
-    return TimeSignal(samples, config)
+    return chirp_phasor(config.c1, n) * unit_phasor(m * n, config.n_c) * chirp_phasor(config.c2, m)
 
 
-def _modulate(config: AfdmConfig, x: np.ndarray, chirps=None) -> np.ndarray:
+def modulate(config: AfdmConfig, x, chirps=None) -> np.ndarray:
     """(..., n_c) DAFT-domain symbol stack -> (..., n_c) time samples.
 
     Three-step fast path: chirp-filter the symbols by exp(j2pi c2 m^2),
     inverse FFT, then chirp-window by exp(j2pi c1 n^2). ``chirps`` is
     ``_chirps(config)`` built by the caller, or None to build it here.
     """
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape[-1:] != (config.n_c,):
+        raise ValueError(f"expected {config.n_c} symbols, got shape {x.shape}")
     c2_chirp, c1_chirp = _chirps(config) if chirps is None else chirps
     return np.fft.ifft(x * c2_chirp) * np.sqrt(config.n_c) * c1_chirp
-
-
-def modulate(config: AfdmConfig, x) -> TimeSignal:
-    """Synthesize the time-domain symbol from DAFT-domain symbols ``x``."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (config.n_c,):
-        raise ValueError(f"expected {config.n_c} symbols, got shape {x.shape}")
-    return TimeSignal(_modulate(config, x), config)
 
 
 def demodulate(config: AfdmConfig, r, chirps=None) -> np.ndarray:
@@ -125,35 +94,27 @@ def cpp_phase(config: AfdmConfig, n) -> np.ndarray:
     return unit_phasor(numer, q)
 
 
-def add_cpp(config: AfdmConfig, s: TimeSignal) -> TimeSignal:
-    """Prepend the l_cpp-sample chirp cyclic prefix."""
-    if s.has_cpp:
-        raise ValueError("signal already has a CPP")
-    l_cpp = config.l_cpp
-    if l_cpp == 0:
-        return TimeSignal(s.samples.copy(), config, has_cpp=True)
-    n = np.arange(-l_cpp, 0, dtype=np.int64)
-    prefix = cpp_phase(config, n) * s.samples[config.n_c - l_cpp :]
-    return TimeSignal(np.concatenate([prefix, s.samples]), config, has_cpp=True)
+def add_cpp(config: AfdmConfig, s) -> np.ndarray:
+    """Prepend the l_cpp-sample chirp cyclic prefix: n_c samples -> n_c + l_cpp."""
+    s = _as_samples(s, config)
+    n = np.arange(-config.l_cpp, 0, dtype=np.int64)
+    return np.concatenate([cpp_phase(config, n) * s[config.n_c - config.l_cpp :], s])
 
 
-def remove_cpp(config: AfdmConfig, r: TimeSignal) -> TimeSignal:
-    """Drop the first l_cpp samples."""
-    if not r.has_cpp:
-        raise ValueError("signal has no CPP to remove")
-    return TimeSignal(r.samples[config.l_cpp :].copy(), config, has_cpp=False)
+def remove_cpp(config: AfdmConfig, r) -> np.ndarray:
+    """Drop the first l_cpp samples of a CPP-extended block."""
+    return _as_samples(r, config, cpp=True)[config.l_cpp :].copy()
 
 
-def fmcw_signal(n_p: int, k_chirps: int) -> TimeSignal:
+def fmcw_signal(n_p: int, k_chirps: int) -> np.ndarray:
     """K concatenated Nyquist-sampled up-chirps exp(j*pi*n^2/n_p).
 
     ``n_p`` must be even, as ``proposed_params`` requires: only then is the
     concatenation phase-continuous and equal to subcarrier 0 of that config.
     """
-    config = proposed_params(n_p, k_chirps)
+    proposed_params(n_p, k_chirps)  # raises as the proposed set does, on an odd n_p
     n = np.arange(n_p, dtype=np.int64)
-    base = unit_phasor(n * n, 2 * n_p)
-    return TimeSignal(np.tile(base, k_chirps), config)
+    return np.tile(unit_phasor(n * n, 2 * n_p), k_chirps)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +145,7 @@ def dd_index_table(config: AfdmConfig) -> np.ndarray:
     return (config.n_c - config.k_chirps * l - k) % config.n_c
 
 
-def echo_form_subcarrier(config: AfdmConfig, l: int, k: int) -> TimeSignal:
+def echo_form_subcarrier(config: AfdmConfig, l: int, k: int) -> np.ndarray:
     """psi_m built as a delayed, Doppler-shifted echo of psi_0.
 
     Returns psi_0[(n-l) mod n_c] * exp(-j2pi k n / n_c) * exp(-j pi l^2/n_p),
@@ -195,11 +156,9 @@ def echo_form_subcarrier(config: AfdmConfig, l: int, k: int) -> TimeSignal:
         raise ValueError(f"delay index {l} outside [0, {config.n_p})")
     if not 0 <= k < config.k_chirps:
         raise ValueError(f"Doppler index {k} outside [0, {config.k_chirps})")
-    base = subcarrier(config, 0).samples
     n = np.arange(config.n_c, dtype=np.int64)
-    samples = (
-        np.roll(base, l)
+    return (
+        np.roll(subcarrier(config, 0), l)
         * unit_phasor(-k * n, config.n_c)
         * unit_phasor(-config.k_chirps * l * l, 2 * config.n_c)
     )
-    return TimeSignal(samples, config)

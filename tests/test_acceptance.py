@@ -85,7 +85,7 @@ def test_c01_fmcw_equivalence():
     worst = 0.0
     for n_p, k in ((8, 4), (64, 8)):
         cfg = proposed_params(n_p, k)
-        err = np.abs(subcarrier(cfg, 0).samples - fmcw_signal(n_p, k).samples).max()
+        err = np.abs(subcarrier(cfg, 0) - fmcw_signal(n_p, k)).max()
         worst = max(worst, float(err))
     elapsed = time.perf_counter() - t0
     report(
@@ -108,7 +108,7 @@ def test_c02_orthogonality():
     for cfg in configs.values():
         for _ in range(200):
             m1, m2 = (int(v) for v in rng.integers(0, cfg.n_c, size=2))
-            inner = np.vdot(subcarrier(cfg, m2).samples, subcarrier(cfg, m1).samples)
+            inner = np.vdot(subcarrier(cfg, m2), subcarrier(cfg, m1))
             expected = cfg.n_c if m1 == m2 else 0.0
             worst = max(worst, abs(inner - expected))
     elapsed = time.perf_counter() - t0
@@ -125,8 +125,8 @@ def test_c03_subcarrier_as_echo():
         cfg = proposed_params(n_p, k)
         for l in range(n_p):
             for kk in range(k):
-                direct = subcarrier(cfg, dd_to_daft_index(cfg, l, kk)).samples
-                echo = echo_form_subcarrier(cfg, l, kk).samples
+                direct = subcarrier(cfg, dd_to_daft_index(cfg, l, kk))
+                echo = echo_form_subcarrier(cfg, l, kk)
                 worst = max(worst, float(np.abs(echo - direct).max()))
     report(
         "criterion 3: every subcarrier is an echo of the base chirp",
@@ -241,7 +241,7 @@ def test_c07_tfmf_dechirp_equivalence_full_overhead():
     x = build_frame(TABLE_CFG, FrameSpec.from_overhead(512, 1.0), rng)
     s = modulate(TABLE_CFG, x)
     r = apply_channel(TABLE_CFG, s, [PathTap(1.0, 10, 3)])
-    noisy = r.samples + math.sqrt(0.005) * (
+    noisy = r + math.sqrt(0.005) * (
         rng.standard_normal(512) + 1j * rng.standard_normal(512)
     )
     zt = np.abs(tfmf(TABLE_CFG, noisy, s))

@@ -35,7 +35,7 @@ class TestBrute:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            dpaf_brute(PSI0.samples, PSI0.samples[:-1], 0, 0)
+            dpaf_brute(PSI0, PSI0[:-1], 0, 0)
 
     @pytest.mark.parametrize("n_delays", [-1, 33])
     def test_delay_count_outside_the_symbol(self, n_delays):
@@ -149,7 +149,7 @@ def test_n_delays_gives_the_full_planes_first_rows(preset_name):
     config = builtin_scenarios()["desk"].waveform(preset_name)
     rng = np.random.default_rng(3)
     a = rng.standard_normal(config.n_c) + 1j * rng.standard_normal(config.n_c)
-    for b in (subcarrier(config, 0), subcarrier(config, 5).samples):
+    for b in (subcarrier(config, 0), subcarrier(config, 5)):
         full = dpaf_surface(a, b)
         assert full.shape == (config.n_c, config.n_c)
         for n_delays in (0, 1, config.n_p, config.n_c - 1, config.n_c):

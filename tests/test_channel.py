@@ -52,32 +52,41 @@ class TestApplyChannel:
 
     def test_identity_path(self):
         r = apply_channel(self.cfg, self.s, [PathTap(1.0, 0, 0)])
-        assert np.abs(r.samples - self.s.samples).max() < 1e-15
+        assert np.abs(r - self.s).max() < 1e-15
 
     def test_pure_cyclic_shift(self):
         r = apply_channel(self.cfg, self.s, [PathTap(1.0, 2, 0)])
-        assert np.abs(r.samples - np.roll(self.s.samples, 2)).max() < 1e-15
+        assert np.abs(r - np.roll(self.s, 2)).max() < 1e-15
 
     def test_two_path_linearity(self):
         p1, p2 = PathTap(0.7 + 0.1j, 1, 1), PathTap(0.2 - 0.4j, 3, -1)
-        both = apply_channel(self.cfg, self.s, [p1, p2]).samples
+        both = apply_channel(self.cfg, self.s, [p1, p2])
         split = (
-            apply_channel(self.cfg, self.s, [p1]).samples
-            + apply_channel(self.cfg, self.s, [p2]).samples
+            apply_channel(self.cfg, self.s, [p1])
+            + apply_channel(self.cfg, self.s, [p2])
         )
         assert np.abs(both - split).max() < 1e-14
 
     def test_linear_in_gain(self):
-        a = apply_channel(self.cfg, self.s, [PathTap(2.0 + 1.0j, 1, 1)]).samples
-        b = apply_channel(self.cfg, self.s, [PathTap(1.0, 1, 1)]).samples
+        a = apply_channel(self.cfg, self.s, [PathTap(2.0 + 1.0j, 1, 1)])
+        b = apply_channel(self.cfg, self.s, [PathTap(1.0, 1, 1)])
         assert np.abs(a - (2.0 + 1.0j) * b).max() < 1e-13
+
+    def test_stack_equals_its_rows(self):
+        rng = np.random.default_rng(1)
+        stack = rng.standard_normal((2, 3, 32)) + 1j * rng.standard_normal((2, 3, 32))
+        paths = [PathTap(0.7 + 0.1j, 1, 1), PathTap(0.2 - 0.4j, 3, -1)]
+        r = apply_channel(self.cfg, stack, paths)
+        assert r.shape == stack.shape
+        for i in np.ndindex(2, 3):
+            assert np.array_equal(r[i], apply_channel(self.cfg, stack[i], paths))
 
     def test_doppler_phase_convention(self):
         # positive tap k applies exp(-j*2*pi*k*n/n_c)
         r = apply_channel(self.cfg, self.s, [PathTap(1.0, 0, 1)])
         n = np.arange(32)
-        expected = self.s.samples * np.exp(-2j * np.pi * n / 32)
-        assert np.abs(r.samples - expected).max() < 1e-13
+        expected = self.s * np.exp(-2j * np.pi * n / 32)
+        assert np.abs(r - expected).max() < 1e-13
 
 
 class TestCppEquivalence:
@@ -98,7 +107,7 @@ class TestCppEquivalence:
         paths = [PathTap(0.8 + 0.2j, 0, 1), PathTap(0.5 - 0.1j, 2, -1), PathTap(0.3j, 3, 0)]
         direct = apply_channel(cfg, s, paths)
         physical = remove_cpp(cfg, apply_channel_linear(cfg, add_cpp(cfg, s), paths))
-        assert np.abs(direct.samples - physical.samples).max() < 1e-10
+        assert np.abs(direct - physical).max() < 1e-10
 
     def test_requires_cpp_signal(self):
         cfg = proposed_params(8, 4, l_cpp=2)
@@ -112,7 +121,22 @@ class TestAwgn:
         cfg = proposed_params(8, 4)
         s = modulate(cfg, np.ones(32, dtype=complex))
         out = add_awgn(s, math.inf, np.random.default_rng(0))
-        assert out.samples is s.samples
+        assert out is s
+
+    def test_draws_real_parts_first(self):
+        cfg = proposed_params(8, 4)
+        s = modulate(cfg, np.ones(32, dtype=complex))
+        scale = math.sqrt(noise_variance(10.0) / 2.0)
+        rng = np.random.default_rng(5)
+        want = s + scale * (rng.standard_normal(32) + 1j * rng.standard_normal(32))
+        assert np.array_equal(add_awgn(s, 10.0, np.random.default_rng(5)), want)
+
+    def test_stack_keeps_its_shape(self):
+        stack = np.zeros((2, 3, 32), dtype=complex)
+        noisy = add_awgn(stack, 0.0, np.random.default_rng(6))
+        assert noisy.shape == stack.shape
+        flat = add_awgn(stack.reshape(-1), 0.0, np.random.default_rng(6))
+        assert np.array_equal(noisy.reshape(-1), flat)
 
     @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
     def test_non_finite_snr_rejected(self, snr_db):
@@ -147,7 +171,7 @@ class TestAwgn:
         total = 0.0
         for _ in range(100):
             noisy = add_awgn(zero, 0.0, rng)
-            total += np.mean(np.abs(noisy.samples) ** 2)
+            total += np.mean(np.abs(noisy) ** 2)
         assert abs(total / 100 - 1.0) < 0.1
 
     def test_zero_signal_uses_unit_reference(self):
@@ -155,4 +179,4 @@ class TestAwgn:
         rng = np.random.default_rng(1)
         zero = modulate(cfg, np.zeros(512))
         noisy = add_awgn(zero, 10.0, rng)
-        assert abs(np.mean(np.abs(noisy.samples) ** 2) - 0.1) < 0.05
+        assert abs(np.mean(np.abs(noisy) ** 2) - 0.1) < 0.05

@@ -241,6 +241,28 @@ class TestCli:
         assert code == 1
         assert "missing key n_c" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, where, message", [
+        ("n_c = 32\nk_chirps = 4\n[paths]\n", ":3", "unknown section [paths]"),
+        ("n_c = 32\nk_chirps 4\n", ":2", "expected 'key = value'"),
+        ("n_c = 32\nk_chirps = 4\n[path]\ngain = 1\n", ":4", "unknown path key 'gain'"),
+        ("n_c = 32\n", "", "missing key k_chirps"),
+        ("n_c = 32\nk_chirps = 4\n[path]\npower = 1\n", "", "path block 0 missing taps l/k"),
+        ("n_c = 32\nk_chirps = 4\n[path]\nl = 0\nk = 0\n", "",
+         "path block 0 needs gain_re/gain_im or power"),
+        ("n_c = 32\nk_chirps = 4\npreset = fancy\n", ":3", "unknown preset 'fancy'"),
+    ], ids=["section", "no-equals", "path-key", "no-k_chirps", "no-taps", "no-gain", "preset"])
+    def test_malformed_scenario_file_names_the_file(self, tmp_path, capsys, text, where,
+                                                    message):
+        scen = tmp_path / "bad.txt"
+        scen.write_text(text)
+        out = tmp_path / "o"
+        code = main(["ddm", "--scenario", str(scen), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {scen}{where}: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_scenario_path(self, tmp_path, capsys):
         code = main(["ddm", "--scenario", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
         assert code == 1
@@ -455,6 +477,20 @@ class TestCli:
         assert ("error: scenario 'desk': its (8, 4) delay-Doppler grid is smaller than the "
                 "CFAR window 7") in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("kind", ["snr-sweep", "po-sweep", "pd-curve", "ber-curve"])
+    def test_scenario_without_a_target_rejected(self, tmp_path, capsys, kind):
+        # these kinds score the scenario's first target; without one they
+        # used to fail inside the run, after creating the out dir
+        scen = tmp_path / "notarget.txt"
+        scen.write_text("n_c = 512\nk_chirps = 8\n")
+        out = tmp_path / "o"
+        code = main([kind, "--scenario", str(scen), "--trials", "10", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: scenario 'notarget': no target for {kind.replace('-', '_')} to score" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("size", ["1010", "1032", "0", "-16"])
     def test_invalid_size_rejected_before_timing(self, tmp_path, capsys, monkeypatch, size):

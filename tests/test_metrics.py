@@ -330,7 +330,7 @@ class TestTrialEngine:
         # a frame without data slots is one symbol for every trial: one
         # modulation and one channel pass serve every block; frames with
         # data take one per block. Every trial still builds its frame
-        calls = {"build_frame": 0, "_modulate": 0, "_delay_doppler": 0}
+        calls = {"build_frame": 0, "modulate": 0, "_delay_doppler": 0}
 
         def counted(name):
             original = getattr(metrics, name)
@@ -345,7 +345,7 @@ class TestTrialEngine:
             monkeypatch.setattr(metrics, name, counted(name))
         trials = 2 * metrics.TRIAL_BLOCK + 3
         trial_metrics(EDGE, ALGORITHMS, trials, snr_db=SWEEP_SNRS, pilot_overhead=po)
-        assert calls == {"build_frame": trials, "_modulate": passes, "_delay_doppler": passes}
+        assert calls == {"build_frame": trials, "modulate": passes, "_delay_doppler": passes}
 
     @pytest.mark.parametrize("entry", ["trial_metrics", "sensing_trials", "sensing_maps"])
     def test_unknown_reference_rejected_before_any_draw(self, entry, monkeypatch):
@@ -386,6 +386,23 @@ class TestTrialEngine:
                 next(sensing_trials(GRID8, frame, EDGE_PATHS, 5.0, algorithms, 3, 5))
             else:
                 sensing_maps(GRID8, frame, EDGE_PATHS, 5.0, algorithms, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("entry", ["sensing_trials", "sensing_maps"])
+    def test_no_algorithm_rejected_before_any_draw(self, entry, monkeypatch):
+        # both used to draw every frame and its noise, then return nothing
+        def no_frame(*args):
+            raise AssertionError("a frame was drawn")
+
+        monkeypatch.setattr(metrics, "build_frame", no_frame)
+        frame = FrameSpec.from_overhead(GRID8.n_c, 0.0)
+        rng = trial_rng(5, 0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="algorithms needs at least one of"):
+            if entry == "sensing_trials":
+                list(sensing_trials(GRID8, frame, EDGE_PATHS, 10.0, (), 3, 1))
+            else:
+                sensing_maps(GRID8, frame, [], 10.0, (), rng)
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("trials", [0, -3])
@@ -695,6 +712,15 @@ class TestTimeDomainLink:
         with pytest.raises(ValueError, match="snr_db_list needs at least one value"):
             metrics.lmmse_ber_compare(configs, [1.0], [(1, 1)], snrs, 4, 2, 1)
 
+    def test_no_config_rejected_before_any_draw(self, monkeypatch):
+        # it used to end in a bare StopIteration
+        def no_draw(*args):
+            raise AssertionError("a realization was drawn")
+
+        monkeypatch.setattr(metrics, "trial_rng", no_draw)
+        with pytest.raises(ValueError, match="configs needs at least one waveform config"):
+            metrics.lmmse_ber_compare({}, [1.0], [(0, 0)], [10.0], 10, 1, 1)
+
     @pytest.mark.parametrize("snrs", [(math.nan,), (5.0, -math.inf)])
     def test_non_finite_snr_rejected(self, snrs):
         # NaN gave plausible counts and -inf a ZeroDivisionError
@@ -705,17 +731,17 @@ class TestTimeDomainLink:
     @pytest.mark.parametrize("name", ["proposed", "classic", "ofdm", "ocdm"])
     def test_stacked_kernels_equal_row_wise_calls(self, name):
         from afdmsim.channel import _delay_doppler, _doppler_taps
-        from afdmsim.waveform import _modulate
 
         config = self.DESK.waveform(name)
         rng = np.random.default_rng(12)
         x = rng.standard_normal((2, 3, 32)) + 1j * rng.standard_normal((2, 3, 32))
         paths = taps_from_targets(self.DESK.targets)
-        s = _modulate(config, x)
+        s = modulate(config, x)
         r = _delay_doppler(s, _doppler_taps(paths, config.n_c))
+        assert np.array_equal(apply_channel(config, s, paths), r)
         for i in np.ndindex(2, 3):
-            assert np.array_equal(s[i], modulate(config, x[i]).samples)
-            assert np.array_equal(r[i], apply_channel(config, s[i], paths).samples)
+            assert np.array_equal(s[i], modulate(config, x[i]))
+            assert np.array_equal(r[i], apply_channel(config, s[i], paths))
 
 
 class TestFig4LinkCounts:

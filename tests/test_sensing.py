@@ -75,7 +75,7 @@ class TestDechirp:
         x = pilot_frame(CFG)
         s = modulate(CFG, x)
         r = apply_channel(CFG, s, [PathTap(0.8, 2, 1), PathTap(0.4, 5, -1)])
-        noisy = r.samples + 0.05 * (rng.standard_normal(32) + 1j * rng.standard_normal(32))
+        noisy = r + 0.05 * (rng.standard_normal(32) + 1j * rng.standard_normal(32))
         zt = tfmf(CFG, noisy, s)
         zd = dechirp(CFG, noisy, pilot_reference(CFG))
         assert np.abs(np.abs(zt) - np.abs(zd)).max() < 1e-9
@@ -114,7 +114,7 @@ def test_tfmf_batch_pairs_rows_with_references_that_divide_them():
     # rows pair with references in C order over the leading axes, whatever their shape
     assert np.array_equal(tfmf_batch(CFG, stack.reshape(2, 4, 32), refs), maps.reshape(2, 4, 8, 4))
     # 8 references divide no fewer received signals; a 1-D signal is one received signal
-    for r, count in [(subcarrier(CFG, 1).samples, 1), (stack[:4], 4), (stack[:6], 6)]:
+    for r, count in [(subcarrier(CFG, 1), 1), (stack[:4], 4), (stack[:6], 6)]:
         with pytest.raises(ValueError, match=f"8 references do not divide {count} received"):
             tfmf_batch(CFG, r, refs)
 

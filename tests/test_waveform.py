@@ -6,13 +6,11 @@ import pytest
 
 from afdmsim._phase import chirp_phasor, unit_phasor
 from afdmsim.ambiguity import dpaf_brute, dpaf_surface
-from afdmsim.channel import PathTap, apply_channel
+from afdmsim.channel import PathTap, apply_channel, apply_channel_linear
 from afdmsim.params import classic_params, preset, proposed_params
 from afdmsim.sensing import dechirp, dechirp_batch, tfmf, tfmf_batch
 from afdmsim.waveform import (
-    TimeSignal,
     _chirps,
-    _modulate,
     add_cpp,
     cpp_phase,
     daft_index_to_dd,
@@ -53,18 +51,18 @@ ALL_PRESETS = [
 class TestSubcarrier:
     def test_zero_phase_sample(self):
         cfg = proposed_params(64, 8)
-        assert subcarrier(cfg, 0).samples[0] == pytest.approx(1 + 0j)
+        assert subcarrier(cfg, 0)[0] == pytest.approx(1 + 0j)
 
     def test_period_boundary_sample(self):
         # n = n_p: phase c1*n^2 = 64^2/128 = 32 full turns
         cfg = proposed_params(64, 8)
-        assert subcarrier(cfg, 0).samples[64] == pytest.approx(1 + 0j, abs=1e-12)
+        assert subcarrier(cfg, 0)[64] == pytest.approx(1 + 0j, abs=1e-12)
 
     def test_ofdm_reduces_to_dft_basis(self):
         cfg = preset("ofdm", 32)
         n = np.arange(32)
         expected = np.exp(2j * np.pi * n / 32)
-        assert np.abs(subcarrier(cfg, 1).samples - expected).max() < 1e-12
+        assert np.abs(subcarrier(cfg, 1) - expected).max() < 1e-12
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -74,7 +72,7 @@ class TestSubcarrier:
     def test_matches_direct_formula(self, cfg):
         n = np.arange(cfg.n_c)
         for m in (0, 1, cfg.n_c // 2, cfg.n_c - 1):
-            assert np.abs(subcarrier(cfg, m).samples - direct_subcarrier(cfg, m, n)).max() < 1e-9
+            assert np.abs(subcarrier(cfg, m) - direct_subcarrier(cfg, m, n)).max() < 1e-9
 
 
 class TestOrthogonality:
@@ -83,12 +81,12 @@ class TestOrthogonality:
         rng = np.random.default_rng(3)
         for _ in range(40):
             m1, m2 = rng.integers(0, cfg.n_c, size=2)
-            inner = np.vdot(subcarrier(cfg, int(m2)).samples, subcarrier(cfg, int(m1)).samples)
+            inner = np.vdot(subcarrier(cfg, int(m2)), subcarrier(cfg, int(m1)))
             expected = cfg.n_c if m1 == m2 else 0.0
             assert abs(inner - expected) < 1e-9 * cfg.n_c
         # include the diagonal explicitly
         m = int(rng.integers(0, cfg.n_c))
-        inner = np.vdot(subcarrier(cfg, m).samples, subcarrier(cfg, m).samples)
+        inner = np.vdot(subcarrier(cfg, m), subcarrier(cfg, m))
         assert abs(inner - cfg.n_c) < 1e-9 * cfg.n_c
 
 
@@ -98,12 +96,12 @@ class TestModulateDemodulate:
         x = np.zeros(32, dtype=complex)
         x[0] = 1.0
         s = modulate(cfg, x)
-        expected = subcarrier(cfg, 0).samples / math.sqrt(32)
-        assert np.abs(s.samples - expected).max() < 1e-12
+        expected = subcarrier(cfg, 0) / math.sqrt(32)
+        assert np.abs(s - expected).max() < 1e-12
 
     def test_zero_in_zero_out(self):
         cfg = proposed_params(8, 4)
-        assert np.all(modulate(cfg, np.zeros(32)).samples == 0)
+        assert np.all(modulate(cfg, np.zeros(32)) == 0)
         assert np.all(demodulate(cfg, np.zeros(32)) == 0)
 
     @pytest.mark.parametrize("cfg", ALL_PRESETS, ids=lambda c: str(c.c1))
@@ -111,7 +109,7 @@ class TestModulateDemodulate:
         rng = np.random.default_rng(11)
         bits = rng.integers(0, 2, size=(cfg.n_c, 2))
         x = ((1 - 2 * bits[:, 0]) + 1j * (1 - 2 * bits[:, 1])) / math.sqrt(2)
-        assert np.abs(modulate(cfg, x).samples - direct_modulate(cfg, x)).max() < 1e-10
+        assert np.abs(modulate(cfg, x) - direct_modulate(cfg, x)).max() < 1e-10
 
     @pytest.mark.parametrize("cfg", ALL_PRESETS, ids=lambda c: str(c.c1))
     def test_round_trip(self, cfg):
@@ -121,7 +119,7 @@ class TestModulateDemodulate:
 
     def test_demodulate_single_subcarrier(self):
         cfg = proposed_params(8, 4)
-        r = subcarrier(cfg, 0).samples / math.sqrt(32)
+        r = subcarrier(cfg, 0) / math.sqrt(32)
         y = demodulate(cfg, r)
         expected = np.zeros(32, dtype=complex)
         expected[0] = 1.0
@@ -163,13 +161,13 @@ class TestChirps:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 3, cfg.n_c)) + 1j * rng.standard_normal((2, 3, cfg.n_c))
         s = np.fft.ifft(x * c2_chirp) * np.sqrt(cfg.n_c) * c1_chirp
-        assert np.array_equal(_modulate(cfg, x), s)
-        assert np.array_equal(_modulate(cfg, x, _chirps(cfg)), s)
+        assert np.array_equal(modulate(cfg, x), s)
+        assert np.array_equal(modulate(cfg, x, _chirps(cfg)), s)
         y = np.fft.fft(x * np.conj(c1_chirp)) / np.sqrt(cfg.n_c) * np.conj(c2_chirp)
         assert np.array_equal(demodulate(cfg, x), y)
         for m in (0, 5, cfg.n_c - 1):
             psi = c1_chirp * unit_phasor(m * index, cfg.n_c) * chirp_phasor(cfg.c2, m)
-            assert np.array_equal(subcarrier(cfg, m).samples, psi)
+            assert np.array_equal(subcarrier(cfg, m), psi)
 
 
 class TestCpp:
@@ -179,16 +177,15 @@ class TestCpp:
         x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         s = modulate(cfg, x)
         ext = add_cpp(cfg, s)
-        assert np.abs(ext.samples[:3] - s.samples[-3:]).max() < 1e-12
+        assert np.abs(ext[:3] - s[-3:]).max() < 1e-12
         assert np.abs(cpp_phase(cfg, np.arange(-3, 0)) - 1).max() == 0.0
 
     def test_zero_length_identity(self):
         cfg = proposed_params(8, 4, l_cpp=0)
         s = modulate(cfg, np.ones(32, dtype=complex))
         ext = add_cpp(cfg, s)
-        assert ext.has_cpp and len(ext) == 32
-        back = remove_cpp(cfg, ext)
-        assert np.array_equal(back.samples, s.samples)
+        assert ext.shape == (32,) and np.array_equal(ext, s)
+        assert np.array_equal(remove_cpp(cfg, ext), s)
 
     def test_classic_matches_direct_formula(self):
         cfg = classic_params(8, 0, l_cpp=2)
@@ -198,22 +195,39 @@ class TestCpp:
         ext = add_cpp(cfg, s)
         c1 = float(cfg.c1)
         for i, n in enumerate(range(-2, 0)):
-            expected = cmath.exp(-2j * math.pi * c1 * (64 + 16 * n)) * s.samples[n + 8]
-            assert abs(ext.samples[i] - expected) < 1e-12
+            expected = cmath.exp(-2j * math.pi * c1 * (64 + 16 * n)) * s[n + 8]
+            assert abs(ext[i] - expected) < 1e-12
 
-    def test_state_mismatch(self):
-        cfg = proposed_params(8, 4, l_cpp=2)
-        s = modulate(cfg, np.ones(32, dtype=complex))
-        with pytest.raises(ValueError, match="CPP"):
-            remove_cpp(cfg, s)
+    def test_round_trip_gives_the_symbol_back(self):
+        cfg = classic_params(8, 0, l_cpp=2)
+        s = modulate(cfg, np.arange(8) + 1j)
         ext = add_cpp(cfg, s)
-        with pytest.raises(ValueError, match="CPP"):
-            add_cpp(cfg, ext)
+        assert ext.shape == (10,)
+        assert np.array_equal(remove_cpp(cfg, ext), s)
+
+
+CPP_CFG = proposed_params(8, 4, l_cpp=2)
+SYMBOL = modulate(CPP_CFG, np.ones(32, dtype=complex))
+BLOCK = add_cpp(CPP_CFG, SYMBOL)
+
+
+@pytest.mark.parametrize("call, r, message", [
+    (lambda r: demodulate(CPP_CFG, r), BLOCK, "expected 32 samples"),
+    (lambda r: apply_channel(CPP_CFG, r, [PathTap(1.0, 0, 0)]), BLOCK, "expected 32 samples"),
+    (lambda r: tfmf(CPP_CFG, r, SYMBOL), BLOCK, "expected 32 samples"),
+    (lambda r: add_cpp(CPP_CFG, r), BLOCK, "expected 32 samples"),
+    (lambda r: remove_cpp(CPP_CFG, r), SYMBOL, "CPP-extended block of 34 samples"),
+    (lambda r: apply_channel_linear(CPP_CFG, r, [PathTap(1.0, 0, 0)]), SYMBOL,
+     "CPP-extended block of 34 samples"),
+], ids=["demodulate", "apply_channel", "tfmf", "add_cpp", "remove_cpp", "apply_channel_linear"])
+def test_a_symbol_and_its_cpp_block_are_told_apart_by_length(call, r, message):
+    with pytest.raises(ValueError, match=message):
+        call(r)
 
 
 class TestFmcw:
     def test_first_sample(self):
-        assert fmcw_signal(4, 1).samples[0] == pytest.approx(1 + 0j)
+        assert fmcw_signal(4, 1)[0] == pytest.approx(1 + 0j)
 
     def test_hand_expanded_single_chirp(self):
         expected = [
@@ -222,13 +236,13 @@ class TestFmcw:
             cmath.exp(1j * math.pi * 4 / 4),
             cmath.exp(1j * math.pi * 9 / 4),
         ]
-        got = fmcw_signal(4, 1).samples
+        got = fmcw_signal(4, 1)
         assert np.abs(got - np.array(expected)).max() < 1e-12
 
     @pytest.mark.parametrize("n_p,k", [(8, 4), (64, 8)])
     def test_equals_base_subcarrier(self, n_p, k):
         cfg = proposed_params(n_p, k)
-        err = np.abs(fmcw_signal(n_p, k).samples - subcarrier(cfg, 0).samples).max()
+        err = np.abs(fmcw_signal(n_p, k) - subcarrier(cfg, 0)).max()
         assert err < 1e-12
 
     def test_odd_period_rejected(self):
@@ -268,23 +282,23 @@ class TestEchoFormSubcarrier:
     def test_base_case(self):
         cfg = proposed_params(8, 4)
         assert np.abs(
-            echo_form_subcarrier(cfg, 0, 0).samples - subcarrier(cfg, 0).samples
+            echo_form_subcarrier(cfg, 0, 0) - subcarrier(cfg, 0)
         ).max() < 1e-12
 
     def test_hand_mapped_cases(self):
         cfg = proposed_params(4, 2)
-        got = echo_form_subcarrier(cfg, 1, 0).samples
-        assert np.abs(got - subcarrier(cfg, 6).samples).max() < 1e-10
-        got = echo_form_subcarrier(cfg, 0, 1).samples
-        assert np.abs(got - subcarrier(cfg, 7).samples).max() < 1e-10
+        got = echo_form_subcarrier(cfg, 1, 0)
+        assert np.abs(got - subcarrier(cfg, 6)).max() < 1e-10
+        got = echo_form_subcarrier(cfg, 0, 1)
+        assert np.abs(got - subcarrier(cfg, 7)).max() < 1e-10
 
     @pytest.mark.parametrize("n_p,k", [(4, 2), (8, 4), (16, 4), (8, 8)])
     def test_exhaustive_small_configs(self, n_p, k):
         cfg = proposed_params(n_p, k)
         for l in range(n_p):
             for kk in range(k):
-                direct = subcarrier(cfg, dd_to_daft_index(cfg, l, kk)).samples
-                echo = echo_form_subcarrier(cfg, l, kk).samples
+                direct = subcarrier(cfg, dd_to_daft_index(cfg, l, kk))
+                echo = echo_form_subcarrier(cfg, l, kk)
                 assert np.abs(echo - direct).max() < 1e-10
 
     def test_requires_fmcw_set(self):
@@ -293,13 +307,25 @@ class TestEchoFormSubcarrier:
             echo_form_subcarrier(cfg, 1, 1)
 
 
-class TestTimeSignal:
-    def test_length_validation(self):
-        cfg = proposed_params(8, 4)
-        with pytest.raises(ValueError):
-            TimeSignal(np.zeros(31, dtype=complex), cfg)
-        with pytest.raises(ValueError):
-            modulate(cfg, np.zeros(31))
+class TestModulateStack:
+    @pytest.mark.parametrize("shape", [(31,), (2, 31), (2, 3, 33), (32, 2)])
+    def test_wrong_trailing_length_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected 32 symbols"):
+            modulate(proposed_params(8, 4), np.zeros(shape))
+
+    @pytest.mark.parametrize("cfg", ALL_PRESETS, ids=lambda c: str(c.c1))
+    def test_stack_equals_its_rows(self, cfg):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2, 3, cfg.n_c)) + 1j * rng.standard_normal((2, 3, cfg.n_c))
+        s = modulate(cfg, x)
+        assert s.shape == x.shape and s.dtype == np.complex128
+        for i in np.ndindex(2, 3):
+            assert np.array_equal(s[i], modulate(cfg, x[i]))
+
+    def test_real_symbols_equal_their_complex_form(self):
+        cfg = classic_params(32, 1, k_chirps=4)
+        x = np.random.default_rng(13).standard_normal(32)
+        assert np.array_equal(modulate(cfg, x), modulate(cfg, x.astype(complex)))
 
 
 CFG32 = proposed_params(8, 4)
