@@ -170,6 +170,14 @@ class ExperimentSpec:
             repeated = _first_repeat(getattr(self, name))
             if repeated is not None:
                 raise ValueError(f"{name} repeats the value {repeated!r}")
+        for preset_name in self.resolved_presets:  # the manifest records each waveform
+            try:
+                self.scenario.waveform(preset_name)
+            except ValueError as exc:
+                raise ValueError(
+                    f"scenario {self.scenario.name!r}: preset {preset_name!r} does not fit "
+                    f"its grid: {exc}"
+                ) from None
         for n_c in self.sizes:  # each is timed on the proposed preset's grid
             try:
                 preset("proposed", n_c, BENCHMARK_K_CHIRPS)
@@ -307,16 +315,14 @@ def _run_ddm(spec):
     paths = taps_from_targets(sc.targets)
     spec_frame = FrameSpec.from_overhead(sc.n_c, sc.pilot_overhead)
     for preset_name in spec.resolved_presets:
-        config = sc.waveform(preset_name)
-        rng = trial_rng(spec.resolved_seed, 0)
-        maps = sensing_maps(
-            config, spec_frame, paths, sc.snr_db,
-            _algorithms_for(preset_name, spec.algorithms), rng,
+        maps = next(sensing_maps(
+            sc.waveform(preset_name), spec_frame, paths, sc.snr_db,
+            _algorithms_for(preset_name, spec.algorithms), [trial_rng(spec.resolved_seed, 0)],
             tfmf_reference=spec.tfmf_reference,
-        )
+        ))
         for alg, cells in maps.items():
             yield (f"ddm_{preset_name}_{alg}.csv", ["l", "k", "magnitude_db"],
-                   _grid_columns(csvio.peak_db(cells)))
+                   _grid_columns(csvio.peak_db(cells[0])))
 
 
 def _run_af_surface(spec):
@@ -377,12 +383,10 @@ def _run_sweep(spec):
 
 def _run_ber_curve(spec):
     sc = spec.scenario
-    powers = [abs(g) ** 2 for g, _, _ in sc.targets]
-    taps = [(l, k) for _, l, k in sc.targets]
-    configs = {name: sc.waveform(name) for name in spec.resolved_presets}
     counts = lmmse_ber_compare(
-        configs, powers, taps, spec.snr_db_list, spec.trials,
-        spec.ber_realizations, spec.resolved_seed,
+        {name: sc.waveform(name) for name in spec.resolved_presets},
+        taps_from_targets(sc.targets), spec.snr_db_list, spec.ber_realizations,
+        spec.trials // spec.ber_realizations, spec.resolved_seed,
     )
     for preset_name in spec.resolved_presets:
         rows = []
@@ -404,6 +408,8 @@ def _run_io_check(spec):
     config = spec.scenario.waveform(preset_name)
     rng = trial_rng(spec.resolved_seed, 0)
     chirps = _chirps(config)
+    # the Doppler taps whose shifts stay separable: K = 1 leaves only 0
+    k_edge = (config.k_chirps - 1) // 2
     worst = 0.0
     for _ in range(spec.trials):
         x_grid = rng.standard_normal((config.n_p, config.k_chirps)) + 1j * rng.standard_normal(
@@ -414,7 +420,7 @@ def _run_io_check(spec):
             PathTap(
                 complex(rng.standard_normal(), rng.standard_normal()),
                 int(rng.integers(0, config.n_p)),
-                int(rng.integers(-(config.k_chirps // 2) + 1, config.k_chirps // 2)),
+                int(rng.integers(-k_edge, k_edge + 1)),
             )
             for _ in range(n_paths)
         ]

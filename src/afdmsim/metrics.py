@@ -12,14 +12,15 @@ engine, ``_sweep``, which simulates each trial once for all SNR points of a
 sweep and filters each group of points with one call per algorithm, every
 received row against its own trial's transmit row (at full pilot overhead,
 one data-free row shared by every trial): ``trial_metrics``
-reduces its maps per trial and SNR point, and ``sensing_trials`` and
-``sensing_maps`` return them at one SNR point.
+reduces its maps per trial and SNR point, and ``sensing_maps`` returns them
+at one SNR point, for one generator per trial. The LMMSE link,
+``lmmse_ber_compare``, takes the same ``PathTap`` paths.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 
@@ -256,24 +257,25 @@ def image_snr(cells, target: tuple[int, int]):
 
 def sensing_maps(
     config: AfdmConfig,
-    spec: FrameSpec,
+    frame: FrameSpec,
     paths,
     snr_db: float,
     algorithms,
-    rng: np.random.Generator,
+    rngs,
     tfmf_reference: str = "transmit",
-) -> dict[str, np.ndarray]:
-    """Simulate one symbol through the channel; return each algorithm's (n_p, K) map.
+) -> Iterator[dict[str, np.ndarray]]:
+    """Iterate {algorithm: (B, n_p, K) maps}, one item per block of B <= TRIAL_BLOCK trials.
 
-    ``tfmf_reference`` selects the matched-filter copy: the full known
-    transmit signal (default) or the deterministic pilot only; any other
-    value, an unknown algorithm or no algorithm at all is a ValueError
-    raised before any draw.
+    ``rngs`` holds one generator per trial (a list or any iterable), and
+    each trial simulates one symbol through the channel on its generator:
+    the sweep engine of ``trial_metrics`` at one SNR point. ``tfmf_reference``
+    selects the matched-filter copy: the full known transmit signal
+    (default) or the deterministic pilot only. Any other reference, an
+    unknown algorithm or no algorithm at all is a ValueError raised at the
+    first item, before any draw; so is an empty ``rngs``.
     """
-    _, _, maps = next(_sweep(
-        config, spec, paths, [_noise_scale(snr_db)], algorithms, [rng], tfmf_reference
-    ))
-    return {alg: cells[0, 0] for alg, cells in zip(algorithms, maps)}
+    sweep = _sweep(config, frame, paths, [_noise_scale(snr_db)], algorithms, rngs, tfmf_reference)
+    return ({alg: cells[0] for alg, cells in zip(algorithms, maps)} for _, _, maps in sweep)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -303,7 +305,8 @@ def _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
     taps are built once per call and shared by every block; nothing
     outlives the call. ``tfmf_reference`` other than "transmit" or
     "pilot", an algorithm not in ``ALGORITHMS`` or an empty ``algorithms``
-    is a ValueError, raised before any draw.
+    is a ValueError, raised before any draw; an empty ``rngs`` is one too,
+    raised when the first block finds no trial.
     """
     _check_reference(tfmf_reference)
     if not algorithms:
@@ -354,28 +357,8 @@ def _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
                 for scale in group
             ])
             yield trials, slice(start, start + len(group)), filtered(r, n, s, x_grids)
-
-
-def sensing_trials(
-    config: AfdmConfig,
-    frame: FrameSpec,
-    paths,
-    snr_db: float,
-    algorithms,
-    trials: int,
-    seed: int,
-    tfmf_reference: str = "transmit",
-):
-    """Iterate {algorithm: (B, n_p, K) maps} over trials 0..trials-1, B <= TRIAL_BLOCK.
-
-    Trial t is ``sensing_maps`` on ``trial_rng(seed, t)``: the sweep engine
-    of ``trial_metrics`` at one SNR point. ``trials`` < 1 raises at the call.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rngs = (trial_rng(seed, t) for t in range(trials))
-    sweep = _sweep(config, frame, paths, [_noise_scale(snr_db)], algorithms, rngs, tfmf_reference)
-    return ({alg: cells[0] for alg, cells in zip(algorithms, maps)} for _, _, maps in sweep)
+    if not trials.stop:
+        raise ValueError("rngs needs at least one generator, one per trial")
 
 
 def trial_metrics(
@@ -560,8 +543,7 @@ def _lmmse_solve(taps, noise_vars, y: np.ndarray, b: int, index) -> None:
 def rayleigh_gains(powers, rng: np.random.Generator) -> np.ndarray:
     """Complex Gaussian gains with E|h_i|^2 equal to the given powers."""
     p = np.asarray(powers, dtype=np.float64)
-    g = rng.standard_normal(p.shape) + 1j * rng.standard_normal(p.shape)
-    return np.sqrt(p / 2.0) * g
+    return np.sqrt(p / 2.0) * _normal_pairs(p.size, rng).reshape(p.shape)
 
 
 def _first_repeat(values):
@@ -571,18 +553,19 @@ def _first_repeat(values):
 
 def lmmse_ber_compare(
     configs: dict[str, AfdmConfig],
-    target_powers,
-    target_taps,
+    paths,
     snr_db_list,
-    n_symbols: int,
     realizations: int,
+    symbols_per_realization: int,
     seed: int,
 ) -> dict[tuple[str, float], tuple[int, int]]:
     """Paired BER counts for several waveform configs over a fading channel.
 
-    Per realization the Rayleigh path gains, data bits, and DAFT-domain noise
-    draws are shared across configs, which pairs the BER estimates tightly.
-    Detection runs in the time domain, where the channel is
+    ``paths`` are ``PathTap`` paths: each keeps its delay and Doppler taps,
+    and its gain is redrawn per realization as a Rayleigh gain of mean power
+    ``abs(gain) ** 2``. Per realization the gains, data bits, and DAFT-domain
+    noise draws are shared across configs, which pairs the BER estimates
+    tightly. Detection runs in the time domain, where the channel is
     waveform-independent: one Gram H_t H_t^H per realization and one LMMSE
     solve per (realization, SNR) serve every config. With P paths (at most 3
     in the built-in scenarios) the Gram is built, to rounding, on its <= P**2
@@ -592,25 +575,19 @@ def lmmse_ber_compare(
     block-cyclic-tridiagonal sweep over blocks of b samples, b the smallest
     divisor of n_c with b >= max(w, 8) and n_c / b >= 3; when no such b
     exists (a delay spread near n_c / 2) b = n_c, one block solved by a
-    dense LU. Realizations run max(1, TRIAL_BLOCK * 8 // b) at a time.
-    ``n_symbols`` must be a multiple of ``realizations``, and each
-    realization carries per_real = n_symbols / realizations symbols.
-    Realization i draws its gains, then its bits (per_real, n_c, 2), then
-    its noise (n_c, per_real), real part first, from
-    ``trial_rng(seed, i)``; each block makes one ``_lmmse_solve`` sweep
-    over every (realization, SNR), on Grams scattered straight into block
-    form. The chirps, the Doppler phasors and the Gram's scatter index are
-    built once per call; only the gains change between realizations.
-    Returns {(config_name, snr_db): (bit_errors, bits)}.
+    dense LU. Realizations run max(1, TRIAL_BLOCK * 8 // b) at a time, each
+    carrying ``symbols_per_realization`` symbols. Realization i draws its
+    gains, then its bits (symbols, n_c, 2), then its noise (n_c, symbols),
+    real part first, from ``trial_rng(seed, i)``; each block makes one
+    ``_lmmse_solve`` sweep over every (realization, SNR), on Grams scattered
+    straight into block form. The chirps, the Doppler phasors and the Gram's
+    scatter index are built once per call; only the gains change between
+    realizations. Returns {(config_name, snr_db): (bit_errors, bits)}.
     """
-    if realizations < 1 or n_symbols < 1:
-        raise ValueError("realizations and n_symbols must be >= 1")
+    if realizations < 1 or symbols_per_realization < 1:
+        raise ValueError("realizations and symbols_per_realization must be >= 1")
     if not configs:
         raise ValueError("configs needs at least one waveform config")
-    if n_symbols % realizations:
-        raise ValueError(
-            f"n_symbols {n_symbols} must be a multiple of its {realizations} channel realizations"
-        )
     n_c = next(iter(configs.values())).n_c
     if any(c.n_c != n_c for c in configs.values()):
         raise ValueError("all configs must share n_c")
@@ -619,10 +596,11 @@ def lmmse_ber_compare(
     repeated = _first_repeat([float(snr) for snr in snr_db_list])
     if repeated is not None:
         raise ValueError(f"snr_db_list repeats the value {repeated!r}")
-    per_real = n_symbols // realizations
+    per_real = symbols_per_realization
     sigma2 = np.array([noise_variance(float(snr)) for snr in snr_db_list])
+    powers = [abs(p.gain) ** 2 for p in paths]
     # unit-gain taps: each block scales them by its realizations' gains
-    unit_taps = _doppler_taps([PathTap(1.0, int(l), int(k)) for l, k in target_taps], n_c)
+    unit_taps = _doppler_taps([PathTap(1.0, p.delay_tap, p.doppler_tap) for p in paths], n_c)
     b = _block_size(unit_taps, n_c)
     index = _gram_block_index([s for _, s, _ in unit_taps], n_c, b)
     per_block = max(1, TRIAL_BLOCK * _MIN_BLOCK // b)
@@ -634,12 +612,9 @@ def lmmse_ber_compare(
         gains, bits, w = [], [], []
         for real in reals:
             rng = trial_rng(seed, real)
-            gains.append(rayleigh_gains(target_powers, rng))
+            gains.append(rayleigh_gains(powers, rng))
             bits.append(rng.integers(0, 2, size=(per_real, n_c, 2)))
-            w.append((
-                rng.standard_normal((n_c, per_real))
-                + 1j * rng.standard_normal((n_c, per_real))
-            ) / math.sqrt(2.0))
+            w.append(_normal_pairs(n_c * per_real, rng).reshape(n_c, per_real) / math.sqrt(2.0))
         bits, w = np.stack(bits), np.stack(w)
         taps = [
             (gain[:, None, None], shift, phasor)

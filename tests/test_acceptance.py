@@ -32,7 +32,7 @@ from afdmsim.metrics import (
     build_frame,
     lmmse_ber_compare,
     pilot_reference,
-    sensing_trials,
+    sensing_maps,
     trial_metrics,
     trial_rng,
 )
@@ -265,7 +265,8 @@ def _three_target_counts(po: float, snr_db: float, trials: int, seed: int):
     detectors = {"ca": cfar_mask_batch, "os": os_cfar_mask_batch}
     all3 = {d: {"tfmf": 0, "ddmf": 0} for d in detectors}
     weak = {d: {"tfmf": 0, "ddmf": 0} for d in detectors}
-    for maps in sensing_trials(TABLE_CFG, frame, paths, snr_db, ("tfmf", "ddmf"), trials, seed):
+    rngs = [trial_rng(seed, t) for t in range(trials)]
+    for maps in sensing_maps(TABLE_CFG, frame, paths, snr_db, ("tfmf", "ddmf"), rngs):
         for alg, cells in maps.items():
             power = np.abs(cells) ** 2
             for name, mask_fn in detectors.items():
@@ -418,11 +419,10 @@ def test_c11_ber_parity():
     t0 = time.perf_counter()
     counts = lmmse_ber_compare(
         {"proposed": TABLE_CFG, "classic": CLASSIC_CFG},
-        [abs(g) ** 2 for g, _, _ in THREE_TARGETS],
-        [(l, k) for _, l, k in THREE_TARGETS],
+        [PathTap(g, l, k) for g, l, k in THREE_TARGETS],
         [5.0, 15.0],
-        n_symbols=2000,
         realizations=200,
+        symbols_per_realization=10,
         seed=1111,
     )
     elapsed = time.perf_counter() - t0

@@ -114,6 +114,16 @@ class TestIoCheck:
         assert int(fields[0]) == manifest["waveforms"]["proposed"]["n_c"] == 512
         assert fields[4] == "true"
 
+    def test_single_chirp_period_passes(self, tmp_path):
+        # K = 1 separates Doppler tap 0 only; the taps used to be drawn from
+        # [1 - K // 2, K // 2), an empty range that failed with "low >= high"
+        scen = tmp_path / "one_chirp.txt"
+        scen.write_text("n_c = 16\nk_chirps = 1\n")
+        out = tmp_path / "o"
+        assert main(["io-check", "--scenario", str(scen), "--trials", "5", "--out", str(out)]) == 0
+        header, row = (out / "io_check_proposed_all.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["passed"] == "true"
+
     @pytest.mark.parametrize("kind", ["io_check", "runtime_scaling"])
     def test_kind_without_presets_runs_and_records_proposed(self, tmp_path, kind):
         scenario = replace(builtin_scenarios()["desk"], preset="classic")
@@ -567,6 +577,33 @@ class TestCli:
             f"{n_c}, 4, {n_c // 4}\n"
         )
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["af-surface", "--preset", "proposed"],
+        ["io-check"],
+        ["runtime-scaling", "--sizes", "32", "64"],
+    ], ids=["af-surface", "io-check", "runtime-scaling"])
+    def test_preset_that_does_not_fit_the_grid_rejected(self, tmp_path, capsys, monkeypatch,
+                                                        argv):
+        # proposed needs an even n_p; these kinds used to fail inside the run
+        # without naming the scenario or the preset, after creating the out dir
+        # (runtime-scaling after every timing)
+        import afdmsim.experiments as experiments
+
+        def no_timing(*args, **kwargs):
+            pytest.fail("runtime scaling started timing")
+
+        monkeypatch.setattr(experiments, "benchmark_pipelines", no_timing)
+        scen = tmp_path / "ocdm30.txt"
+        scen.write_text("n_c = 30\nk_chirps = 2\npreset = ocdm\n")
+        out = tmp_path / "o"
+        code = main([*argv, "--scenario", str(scen), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: scenario 'ocdm30': preset 'proposed' does not fit its grid: "
+            "n_p must be even, got 15\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value, message", [
         ("presets", ("proposed", "bogus"), "unknown presets ['bogus']"),

@@ -30,7 +30,6 @@ from afdmsim.metrics import (
     qam4_modulate,
     rayleigh_gains,
     sensing_maps,
-    sensing_trials,
     trial_metrics,
     trial_rng,
 )
@@ -220,24 +219,23 @@ class TestTrialEngine:
         algorithms = ALGORITHMS if preset_name == "proposed" else ("tfmf", "dechirp")
         frame = FrameSpec.from_overhead(config.n_c, po)
         trials = metrics.TRIAL_BLOCK + 3  # a full block and a partial one
-        blocks = list(
-            sensing_trials(config, frame, EDGE_PATHS, snr_db, algorithms, trials, 5, reference)
-        )
+        rngs = [trial_rng(5, t) for t in range(trials)]
+        blocks = list(sensing_maps(config, frame, EDGE_PATHS, snr_db, algorithms, rngs, reference))
         assert [len(b["tfmf"]) for b in blocks] == [metrics.TRIAL_BLOCK, 3]
         for alg in algorithms:
             stack = np.concatenate([b[alg] for b in blocks])
             for t in range(trials):
                 want = one_trial_maps(config, frame, EDGE_PATHS, snr_db, trial_rng(5, t), reference)
-                single = sensing_maps(
-                    config, frame, EDGE_PATHS, snr_db, (alg,), trial_rng(5, t), reference
+                (single,) = sensing_maps(
+                    config, frame, EDGE_PATHS, snr_db, (alg,), [trial_rng(5, t)], reference
                 )
-                assert np.array_equal(single[alg], want[alg])
+                assert np.array_equal(single[alg][0], want[alg])
                 assert np.array_equal(stack[t], want[alg])
 
     def test_infinite_snr_draws_no_noise(self):
         frame = FrameSpec.from_overhead(GRID8.n_c, 0.5)
         rng, oracle = trial_rng(5, 0), trial_rng(5, 0)
-        sensing_maps(GRID8, frame, EDGE_PATHS, math.inf, ("tfmf",), rng)
+        next(sensing_maps(GRID8, frame, EDGE_PATHS, math.inf, ("tfmf",), [rng]))
         build_frame(GRID8, frame, oracle)
         assert rng.bit_generator.state == oracle.bit_generator.state
 
@@ -347,7 +345,7 @@ class TestTrialEngine:
         trial_metrics(EDGE, ALGORITHMS, trials, snr_db=SWEEP_SNRS, pilot_overhead=po)
         assert calls == {"build_frame": trials, "modulate": passes, "_delay_doppler": passes}
 
-    @pytest.mark.parametrize("entry", ["trial_metrics", "sensing_trials", "sensing_maps"])
+    @pytest.mark.parametrize("entry", ["trial_metrics", "sensing_maps"])
     def test_unknown_reference_rejected_before_any_draw(self, entry, monkeypatch):
         # "Transmit" used to run the pilot reference silently
         def no_frame(*args):
@@ -360,15 +358,11 @@ class TestTrialEngine:
         with pytest.raises(ValueError, match="tfmf_reference must be 'transmit' or 'pilot'"):
             if entry == "trial_metrics":
                 trial_metrics(EDGE, ALGORITHMS, 3, tfmf_reference="Transmit")
-            elif entry == "sensing_trials":
-                next(sensing_trials(
-                    GRID8, frame, EDGE_PATHS, 5.0, ALGORITHMS, 3, 5, tfmf_reference="Transmit"
-                ))
             else:
-                sensing_maps(GRID8, frame, EDGE_PATHS, 5.0, ALGORITHMS, rng, "Transmit")
+                next(sensing_maps(GRID8, frame, EDGE_PATHS, 5.0, ALGORITHMS, [rng], "Transmit"))
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("entry", ["trial_metrics", "sensing_trials", "sensing_maps"])
+    @pytest.mark.parametrize("entry", ["trial_metrics", "sensing_maps"])
     def test_unknown_algorithm_rejected_before_any_draw(self, entry, monkeypatch):
         # sensing_maps used to draw its frame and noise from the caller's rng first
         def no_frame(*args):
@@ -382,15 +376,12 @@ class TestTrialEngine:
         with pytest.raises(ValueError, match=r"unknown algorithms \['foo'\]"):
             if entry == "trial_metrics":
                 trial_metrics(EDGE, algorithms, 3)
-            elif entry == "sensing_trials":
-                next(sensing_trials(GRID8, frame, EDGE_PATHS, 5.0, algorithms, 3, 5))
             else:
-                sensing_maps(GRID8, frame, EDGE_PATHS, 5.0, algorithms, rng)
+                next(sensing_maps(GRID8, frame, EDGE_PATHS, 5.0, algorithms, [rng]))
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("entry", ["sensing_trials", "sensing_maps"])
-    def test_no_algorithm_rejected_before_any_draw(self, entry, monkeypatch):
-        # both used to draw every frame and its noise, then return nothing
+    def test_no_algorithm_rejected_before_any_draw(self, monkeypatch):
+        # it used to draw every frame and its noise, then return nothing
         def no_frame(*args):
             raise AssertionError("a frame was drawn")
 
@@ -399,18 +390,15 @@ class TestTrialEngine:
         rng = trial_rng(5, 0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="algorithms needs at least one of"):
-            if entry == "sensing_trials":
-                list(sensing_trials(GRID8, frame, EDGE_PATHS, 10.0, (), 3, 1))
-            else:
-                sensing_maps(GRID8, frame, [], 10.0, (), rng)
+            list(sensing_maps(GRID8, frame, EDGE_PATHS, 10.0, (), [rng]))
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("trials", [0, -3])
-    def test_sensing_trials_without_trials_rejected(self, trials):
-        # it used to yield no block, silently
+    @pytest.mark.parametrize("rngs", [[], (rng for rng in [])], ids=["list", "generator"])
+    def test_sensing_maps_without_trials_rejected(self, rngs):
+        # a trial count below 1 used to yield no block, silently
         frame = FrameSpec.from_overhead(GRID8.n_c, 0.5)
-        with pytest.raises(ValueError, match="trials must be >= 1"):
-            sensing_trials(GRID8, frame, EDGE_PATHS, 5.0, ALGORITHMS, trials, 5)
+        with pytest.raises(ValueError, match="rngs needs at least one generator"):
+            list(sensing_maps(GRID8, frame, EDGE_PATHS, 5.0, ALGORITHMS, rngs))
 
     @pytest.mark.parametrize("reference", ["transmit", "pilot"])
     @pytest.mark.parametrize("scenario, snrs", [
@@ -431,9 +419,8 @@ class TestTrialEngine:
         _, l, k = scenario.targets[0]
         hits = []
         for i, snr in enumerate(snrs):
-            blocks = list(
-                sensing_trials(config, frame, paths, snr, ALGORITHMS, trials, 5, reference)
-            )
+            rngs = [trial_rng(5, t) for t in range(trials)]
+            blocks = list(sensing_maps(config, frame, paths, snr, ALGORITHMS, rngs, reference))
             for alg in ALGORITHMS:
                 power = np.abs(np.concatenate([b[alg] for b in blocks])) ** 2
                 want = mask_near(cfar_mask_batch(power, 2, 1, 1e-4)[0], l, k)
@@ -568,22 +555,22 @@ class TestLmmse:
             lmmse_detect(H, np.ones(4, dtype=complex), noise_var)
 
 
-def _dense_ber_counts(configs, powers, taps, snr_db_list, n_symbols, realizations, seed):
+def _dense_ber_counts(configs, paths, snr_db_list, realizations, symbols_per_realization, seed):
     """The link in the DAFT domain: one dense H and one solve per (config, realization, SNR)."""
     n_c = next(iter(configs.values())).n_c
-    per_real = max(1, n_symbols // realizations)
+    per_real = symbols_per_realization
     counts = {(nm, float(snr)): [0, 0] for nm in configs for snr in snr_db_list}
     for real in range(realizations):
         rng = trial_rng(seed, real)
-        gains = rayleigh_gains(powers, rng)
-        paths = [PathTap(complex(g), l, k) for g, (l, k) in zip(gains, taps)]
+        gains = rayleigh_gains([abs(p.gain) ** 2 for p in paths], rng)
+        faded = [PathTap(complex(g), p.delay_tap, p.doppler_tap) for g, p in zip(gains, paths)]
         bits = rng.integers(0, 2, size=(per_real, n_c, 2))
         x = qam4_modulate(bits).T
         w = (
             rng.standard_normal((n_c, per_real)) + 1j * rng.standard_normal((n_c, per_real))
         ) / math.sqrt(2.0)
         for name, config in configs.items():
-            H = build_effective_channel(config, paths)
+            H = build_effective_channel(config, faded)
             for snr in snr_db_list:
                 sigma2 = noise_variance(snr)
                 x_hat = lmmse_detect(H, H @ x + math.sqrt(sigma2) * w, sigma2)
@@ -603,13 +590,12 @@ class TestTimeDomainLink:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("presets", [("proposed", "classic"), ("proposed",), ("classic",)])
-    @pytest.mark.parametrize("n_symbols, realizations", [(24, 4), (20, 5)])
-    def test_counts_equal_dense_daft_domain_link(self, seed, presets, n_symbols, realizations):
+    @pytest.mark.parametrize("realizations, per_real", [(4, 6), (5, 4)])
+    def test_counts_equal_dense_daft_domain_link(self, seed, presets, realizations, per_real):
         # classic has the irrational c2 = sqrt(2), held as a float
         configs = {name: self.DESK.waveform(name) for name in presets}
-        powers = [abs(g) ** 2 for g, _, _ in self.DESK.targets]
-        taps = [(l, k) for _, l, k in self.DESK.targets]
-        args = (configs, powers, taps, (0.0, 12.0), n_symbols, realizations, seed)
+        paths = taps_from_targets(self.DESK.targets)
+        args = (configs, paths, (0.0, 12.0), realizations, per_real, seed)
         counts = metrics.lmmse_ber_compare(*args)
         assert counts == _dense_ber_counts(*args)
         assert all(errors > 0 for (_, snr), (errors, _) in counts.items() if snr == 0.0)
@@ -620,10 +606,9 @@ class TestTimeDomainLink:
         # delays 0 and 12 at n_c = 32: no divisor of 32 lies in [12, 32 / 3],
         # so the sweep runs on one block of 32, a dense LU of the whole Gram
         configs = {name: self.DESK.waveform(name) for name in presets}
-        taps = [(0, 1), (12, -1)]
-        paths = [PathTap(1.0, l, k) for l, k in taps]
+        paths = [PathTap(math.sqrt(0.7), 0, 1), PathTap(math.sqrt(0.3), 12, -1)]
         assert metrics._block_size(_doppler_taps(paths, 32), 32) == 32
-        args = (configs, [0.7, 0.3], taps, (0.0, 12.0), 24, 4, seed)
+        args = (configs, paths, (0.0, 12.0), 4, 6, seed)
         counts = metrics.lmmse_ber_compare(*args)
         assert counts == _dense_ber_counts(*args)
         assert all(errors > 0 for (_, snr), (errors, _) in counts.items() if snr == 0.0)
@@ -634,22 +619,19 @@ class TestTimeDomainLink:
         # one full block of TRIAL_BLOCK realizations and a partial block of 3
         realizations = metrics.TRIAL_BLOCK + 3
         configs = {name: self.DESK.waveform(name) for name in presets}
-        powers = [abs(g) ** 2 for g, _, _ in self.DESK.targets]
-        taps = [(l, k) for _, l, k in self.DESK.targets]
-        args = (configs, powers, taps, (0.0, 12.0), 2 * realizations, realizations, seed)
+        paths = taps_from_targets(self.DESK.targets)
+        args = (configs, paths, (0.0, 12.0), realizations, 2, seed)
         assert metrics.lmmse_ber_compare(*args) == _dense_ber_counts(*args)
 
     @staticmethod
-    def _peaks(powers, taps):
+    def _peaks(paths):
         """The link's allocation peaks at TRIAL_BLOCK and 4 TRIAL_BLOCK realizations, on fig4."""
         configs = {"proposed": builtin_scenarios()["fig4"].waveform("proposed")}
 
         def peak(realizations):
             tracemalloc.start()
             try:
-                metrics.lmmse_ber_compare(
-                    configs, powers, taps, (5.0, 15.0), 10 * realizations, realizations, 1
-                )
+                metrics.lmmse_ber_compare(configs, paths, (5.0, 15.0), realizations, 10, 1)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -660,16 +642,14 @@ class TestTimeDomainLink:
     def test_memory_does_not_grow_with_the_realizations(self):
         # realizations are solved TRIAL_BLOCK at a time, so four blocks peak
         # no higher than one; solving all of them at once grows with the count
-        fig4 = builtin_scenarios()["fig4"]
-        powers = [abs(g) ** 2 for g, _, _ in fig4.targets]
-        one, four = self._peaks(powers, [(l, k) for _, l, k in fig4.targets])
+        one, four = self._peaks(taps_from_targets(builtin_scenarios()["fig4"].targets))
         assert four <= 1.1 * one, (four, one)
 
     def test_one_block_memory_does_not_grow_with_the_realizations(self):
         # delays 0 and 200 at n_c = 512 leave one block of 512, solved one
         # realization at a time: each holds its whole Gram, so four
         # TRIAL_BLOCKs of them must still peak no higher than one
-        one, four = self._peaks([0.7, 0.3], [(0, 0), (200, 0)])
+        one, four = self._peaks([PathTap(math.sqrt(0.7), 0, 0), PathTap(math.sqrt(0.3), 200, 0)])
         assert four <= 1.1 * one, (four, one)
 
     @pytest.mark.parametrize(
@@ -693,24 +673,21 @@ class TestTimeDomainLink:
         # a repeated SNR would add its errors twice into one (name, SNR) count
         configs = {"proposed": self.DESK.waveform("proposed")}
         with pytest.raises(ValueError, match="snr_db_list repeats the value"):
-            metrics.lmmse_ber_compare(configs, [1.0], [(1, 1)], snrs, 4, 2, 1)
+            metrics.lmmse_ber_compare(configs, [PathTap(1.0, 1, 1)], snrs, 2, 2, 1)
 
-    @pytest.mark.parametrize("n_symbols, realizations", [(23, 5), (5, 10), (15, 10)])
-    def test_symbols_not_a_multiple_of_the_realizations_rejected(self, n_symbols, realizations):
-        # rounding would send 10 symbols for 5 or 15 over 10 realizations
+    @pytest.mark.parametrize("realizations, per_real", [(0, 2), (2, 0), (-1, 2)])
+    def test_no_realization_or_no_symbol_rejected(self, realizations, per_real):
         configs = {"proposed": self.DESK.waveform("proposed")}
-        with pytest.raises(
-            ValueError,
-            match=f"n_symbols {n_symbols} must be a multiple of its {realizations} channel",
-        ):
-            metrics.lmmse_ber_compare(configs, [1.0], [(1, 1)], (0.0,), n_symbols, realizations, 1)
+        with pytest.raises(ValueError, match="realizations and symbols_per_realization must be"):
+            metrics.lmmse_ber_compare(configs, [PathTap(1.0, 1, 1)], (0.0,), realizations,
+                                      per_real, 1)
 
     @pytest.mark.parametrize("snrs", [(), [], np.array([])])
     def test_empty_snr_list_rejected(self, snrs):
         # an empty list used to end in a numpy reshape error
         configs = {"proposed": self.DESK.waveform("proposed")}
         with pytest.raises(ValueError, match="snr_db_list needs at least one value"):
-            metrics.lmmse_ber_compare(configs, [1.0], [(1, 1)], snrs, 4, 2, 1)
+            metrics.lmmse_ber_compare(configs, [PathTap(1.0, 1, 1)], snrs, 2, 2, 1)
 
     def test_no_config_rejected_before_any_draw(self, monkeypatch):
         # it used to end in a bare StopIteration
@@ -719,14 +696,14 @@ class TestTimeDomainLink:
 
         monkeypatch.setattr(metrics, "trial_rng", no_draw)
         with pytest.raises(ValueError, match="configs needs at least one waveform config"):
-            metrics.lmmse_ber_compare({}, [1.0], [(0, 0)], [10.0], 10, 1, 1)
+            metrics.lmmse_ber_compare({}, [PathTap(1.0, 0, 0)], [10.0], 1, 10, 1)
 
     @pytest.mark.parametrize("snrs", [(math.nan,), (5.0, -math.inf)])
     def test_non_finite_snr_rejected(self, snrs):
         # NaN gave plausible counts and -inf a ZeroDivisionError
         configs = {"proposed": self.DESK.waveform("proposed")}
         with pytest.raises(ValueError, match=r"snr_db must be a number or \+inf, got (nan|-inf)"):
-            metrics.lmmse_ber_compare(configs, [1.0], [(1, 1)], snrs, 4, 2, 1)
+            metrics.lmmse_ber_compare(configs, [PathTap(1.0, 1, 1)], snrs, 2, 2, 1)
 
     @pytest.mark.parametrize("name", ["proposed", "classic", "ofdm", "ocdm"])
     def test_stacked_kernels_equal_row_wise_calls(self, name):
@@ -761,10 +738,8 @@ class TestFig4LinkCounts:
     @pytest.mark.parametrize("name, seed", sorted(COUNTS))
     def test_counts_are_pinned(self, name, seed):
         sc = builtin_scenarios()["fig4"]
-        powers = [abs(g) ** 2 for g, _, _ in sc.targets]
-        taps = [(l, k) for _, l, k in sc.targets]
         counts = metrics.lmmse_ber_compare(
-            {name: sc.waveform(name)}, powers, taps, (5.0, 15.0), 100, 10, seed
+            {name: sc.waveform(name)}, taps_from_targets(sc.targets), (5.0, 15.0), 10, 10, seed
         )
         at_5, at_15 = self.COUNTS[(name, seed)]
         assert counts == {(name, 5.0): at_5, (name, 15.0): at_15}

@@ -330,11 +330,11 @@ class TestCfar:
         targets = [(np.sqrt(0.6), 3, 0), (np.sqrt(0.3), 7, 2), (np.sqrt(0.1), 10, 3)]
         paths = [PathTap(g, l, k) for g, l, k in targets]
         rng = np.random.default_rng(7)
-        maps = sensing_maps(
-            cfg, FrameSpec.from_overhead(512, 1.0), paths, 30.0, ("tfmf", "ddmf"), rng
+        (maps,) = sensing_maps(
+            cfg, FrameSpec.from_overhead(512, 1.0), paths, 30.0, ("tfmf", "ddmf"), [rng]
         )
         for alg in ("tfmf", "ddmf"):
-            mask, _ = cfar_mask_batch(np.abs(maps[alg]) ** 2, 2, 1, 1e-4)
+            mask, _ = cfar_mask_batch(np.abs(maps[alg][0]) ** 2, 2, 1, 1e-4)
             for _, l, k in targets:
                 assert mask_near(mask, l, k)
             for dl, dk in np.argwhere(mask):
