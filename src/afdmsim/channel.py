@@ -120,19 +120,6 @@ def _gram_diagonals(taps):
             yield d, v_i * np.conj(np.roll(v_j, d, axis=-1))
 
 
-def _delay_doppler_gram(taps, n_c: int) -> np.ndarray:
-    """The Gram H_t H_t^H of ``_delay_doppler``, built on its <= len(taps)**2 diagonals.
-
-    The pairs of ``_gram_diagonals`` are added in their order. Equal to the
-    dense product up to rounding, not bit for bit.
-    """
-    n = np.arange(n_c, dtype=np.int64)
-    gram = np.zeros((n_c, n_c), dtype=np.complex128)
-    for d, values in _gram_diagonals(taps):
-        gram[n, (n - d) % n_c] += values
-    return gram
-
-
 def _gram_block_index(shifts, n_c: int, b: int) -> dict[int, np.ndarray]:
     """Where [n, (n - d) % n_c] lies in a flat (3, n_c // b, b, b) stack, for each d = s_i - s_j.
 
@@ -152,12 +139,14 @@ def _gram_block_index(shifts, n_c: int, b: int) -> dict[int, np.ndarray]:
 
 
 def _delay_doppler_gram_blocks(taps, n_c: int, b: int, index) -> np.ndarray:
-    """The Gram of ``_delay_doppler_gram`` as a (..., 3, n_c // b, b, b) block-cyclic stack.
+    """The Gram H_t H_t^H of ``_delay_doppler`` as a (..., 3, n_c // b, b, b) block-cyclic stack.
 
     ``index`` is ``_gram_block_index`` of the taps' shifts. The leading axes
     are those of the gains broadcast against a phasor, less its sample axis:
-    (R, 1, 1) gains give (R, 1, 3, n_c // b, b, b). Each entry is the dense
-    form's bit for bit, as the same pairs are added in the same order.
+    (R, 1, 1) gains give (R, 1, 3, n_c // b, b, b). The pairs of
+    ``_gram_diagonals`` are added in their order, so each entry equals the
+    dense n_c x n_c Gram built from the same pairs bit for bit, and the dense
+    product H_t H_t^H up to rounding.
     """
     lead = np.broadcast_shapes(*(np.shape(gain) for gain, _, _ in taps), (1,))[:-1]
     blocks = np.zeros(lead + (3 * n_c * b,), dtype=np.complex128)

@@ -418,6 +418,7 @@ def trial_metrics(
         mag = np.empty(hits[:, snrs, t].shape + (config.n_p, config.k_chirps))
         for a, cells in enumerate(maps):
             np.abs(cells, out=mag[a])
+        del cells  # else the last map stack outlives the filtering of the next group
         hits[:, snrs, t] = cfar_mask_batch(
             mag**2, CFAR_TRAIN, CFAR_GUARD, CFAR_PFA, near=(l, k)
         )[0].any(axis=(-2, -1))

@@ -13,13 +13,16 @@ Three estimators turn one symbol into a complex (n_p, K) delay-Doppler array:
   with the coupling offset and a phase-matching factor, O(n_c^2) as written
   (``_ddmf_direct``) and O(K n_c log n_c) as K time-domain cross-correlations
   (``ddmf_batch``). Exactly decouples delay and Doppler for the
-  FMCW-equivalent parameter set.
+  FMCW-equivalent parameter set. Against one shared grid with a single
+  nonzero cell (the boosted pilot at full pilot overhead) each map cell
+  reads one received cell times a known phase, so ``ddmf_batch`` returns a
+  gather of the conjugate received grids, O(n_c) per map.
 
 Doppler columns of every map are mod-K bins; ``ddmf`` evaluates each column
 at its signed representative in [-K//2, K-1-K//2] so that targets with
 negative Doppler taps integrate coherently at their true delay.
 
-CA- and OS-CFAR mark detections in boolean masks; ``mask_near`` matches them to a tap.
+CA- and OS-CFAR mark detections in boolean masks.
 """
 
 from __future__ import annotations
@@ -147,6 +150,29 @@ def _ddmf_direct(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -
     return Z
 
 
+def _one_cell_gather(
+    config: AfdmConfig, x_grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, columns, weights) of ``ddmf`` against a grid with one nonzero cell.
+
+    With a at (r0, c0) the only nonzero cell of ``x_grid``, ``_ddmf_direct``'s
+    sum keeps one term per hypothesis cell (l, col): m = (c0 + k) mod K with
+    k = signed_doppler(col, K), and n = (r0 + l - floor((m - k)/K)) mod n_p.
+    So map[l, col] = conj(y[n, m]) * a * exp(j2pi n l / n_p)
+    * exp(jpi (2 l (m - k) - K l^2) / n_c), both phases reduced in one
+    ``unit_phasor`` over 2 n_c. Returns the (n_p, K) rows n, the (K,)
+    columns m and the (n_p, K) weights.
+    """
+    n_p, K = config.n_p, config.k_chirps
+    (r0,), (c0,) = np.nonzero(x_grid)
+    l = np.arange(n_p, dtype=np.int64)[:, None]
+    k = signed_doppler(np.arange(K, dtype=np.int64), K)
+    cols = (c0 + k) % K
+    rows = (r0 + l - (cols - k) // K) % n_p
+    turns = 2 * K * rows * l + 2 * l * (cols - k) - K * l * l
+    return rows, cols, x_grid[r0, c0] * unit_phasor(turns, 2 * config.n_c)
+
+
 def ddmf_batch(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -> np.ndarray:
     """Delay-Doppler matched filter over a batch of received grids.
 
@@ -162,9 +188,18 @@ def ddmf_batch(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -> 
     whose spectrum is V[f + k] T[f] with V = fft(conj r) and T = n_c ifft(s).
     The spectra are transformed once per grid of each stack and the (K, n_c)
     products are formed one map at a time, so only the spectra and the maps
-    grow with N.
+    grow with N. Against one grid with exactly one nonzero cell (the pilot
+    alone) each map cell is one received cell times a known phase, so the
+    maps are conj(Y[:, rows, cols]) * weights from ``_one_cell_gather``,
+    built once per call, and no FFT is taken.
     """
     Y, X = _ddmf_inputs(config, y_grids, x_grids)
+    if len(X) == 1 and np.count_nonzero(X) == 1:
+        rows, cols, weights = _one_cell_gather(config, X[0])
+        maps = Y[:, rows, cols]
+        np.conj(maps, out=maps)
+        maps *= weights
+        return maps
     n_c, K = config.n_c, config.k_chirps
     chirps = _chirps(config)
     V = np.fft.fft(np.conj(modulate(config, grid_to_vector(config, Y), chirps)))
@@ -324,12 +359,3 @@ def peak(cells) -> tuple[int, int, float]:
     flat = int(np.argmax(mag))
     l, k = np.unravel_index(flat, mag.shape)
     return int(l), int(k), float(mag[l, k])
-
-
-def mask_near(mask: np.ndarray, l_true: int, k_true: int) -> np.ndarray:
-    """Per map of a (..., n_p, K) mask stack: a detection within one cyclic cell of the tap?"""
-    n_p, K = mask.shape[-2:]
-    box = np.arange(-1, 2)
-    rows = np.mod(l_true + box, n_p)[:, None]
-    cols = np.mod(k_true + box, K)[None, :]
-    return mask[..., rows, cols].any(axis=(-2, -1))

@@ -41,7 +41,6 @@ from afdmsim.sensing import (
     cfar_mask_batch,
     ddmf,
     dechirp,
-    mask_near,
     os_cfar_mask_batch,
     peak,
     tfmf,
@@ -54,6 +53,8 @@ from afdmsim.waveform import (
     modulate,
     subcarrier,
 )
+
+from oracles import mask_near
 
 TABLE_N_P, TABLE_K = 64, 8
 TABLE_CFG = proposed_params(TABLE_N_P, TABLE_K)

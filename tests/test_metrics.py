@@ -34,8 +34,10 @@ from afdmsim.metrics import (
     trial_rng,
 )
 from afdmsim.params import ScenarioConfig, classic_params, proposed_params
-from afdmsim.sensing import cfar_mask_batch, ddmf, dechirp, mask_near, tfmf
+from afdmsim.sensing import cfar_mask_batch, ddmf, dechirp, tfmf
 from afdmsim.waveform import demodulate, modulate
+
+from oracles import mask_near
 
 CFG = proposed_params(8, 4)
 

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import afdmsim.sensing as sensing
 from afdmsim.ambiguity import caf_closed, dpaf_brute, dpaf_surface
 from afdmsim._phase import unit_phasor
 from afdmsim.channel import (
     PathTap,
     _delay_doppler,
     _delay_doppler_adjoint,
-    _delay_doppler_gram,
     _delay_doppler_gram_blocks,
     _doppler_taps,
     _gram_block_index,
@@ -47,7 +47,6 @@ from afdmsim.sensing import (
     ddmf,
     ddmf_batch,
     dechirp,
-    mask_near,
     os_cfar_mask_batch,
     os_cfar_rank,
     os_cfar_threshold_factor,
@@ -65,6 +64,8 @@ from afdmsim.waveform import (
     modulate,
     subcarrier,
 )
+
+from oracles import delay_doppler_gram, mask_near
 
 
 @st.composite
@@ -152,6 +153,62 @@ def test_fft_ddmf_equals_the_direct_form(n_p, k_chirps, batch, seed, zero_y):
     got = ddmf_batch(config, Y, X)
     peaks = np.abs(want).max(axis=(1, 2))
     assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * peaks)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n_p=st.integers(1, 16).map(lambda half: 2 * half),
+    k_chirps=st.integers(1, 9),
+    batch=st.integers(1, 5),
+    row=st.integers(0, 31),
+    col=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_p=64, k_chirps=8, batch=3, row=0, col=0, seed=0)
+@example(n_p=8, k_chirps=4, batch=1, row=7, col=3, seed=0)
+def test_one_cell_gather_equals_the_direct_form(n_p, k_chirps, batch, row, col, seed):
+    # one transmit grid whose only nonzero cell is a complex amplitude: each
+    # map cell reads one received cell (fig4's n_p = 64, K = 8 with the pilot
+    # at (0, 0), and a last cell)
+    config = proposed_params(n_p, k_chirps)
+    rng = np.random.default_rng(seed)
+    cell = (row % n_p, col % k_chirps)
+    parts = rng.standard_normal((batch, n_p, k_chirps, 2))
+    Y = parts[..., 0] + 1j * parts[..., 1]
+    X = np.zeros((1, n_p, k_chirps), dtype=np.complex128)
+    X[(0,) + cell] = complex(*rng.standard_normal(2))
+    want = _ddmf_direct(config, Y, np.repeat(X, batch, axis=0))
+    got = ddmf_batch(config, Y, X)
+    peaks = np.abs(want).max(axis=(1, 2))
+    assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * peaks)
+
+
+def test_only_one_shared_one_cell_grid_takes_the_gather(monkeypatch):
+    # a two-cell grid, an all-zero grid and R = N one-cell grids keep the
+    # FFT path; one shared one-cell grid skips it
+    config = proposed_params(8, 4)
+    rng = np.random.default_rng(3)
+    Y = rng.standard_normal((2, 8, 4)) + 1j * rng.standard_normal((2, 8, 4))
+    one = np.zeros((1, 8, 4), dtype=np.complex128)
+    one[0, 2, 1] = 1.5
+    two = one.copy()
+    two[0, 5, 3] = -0.5j
+    calls = {"gather": 0, "ifft": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sensing, "_one_cell_gather", counted("gather", sensing._one_cell_gather))
+    monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
+    for X in (two, np.zeros_like(one), np.repeat(one, 2, axis=0)):
+        ddmf_batch(config, Y, X)
+        assert calls["gather"] == 0 and calls["ifft"] > 0
+        calls["ifft"] = 0
+    ddmf_batch(config, Y, one)
+    assert calls == {"gather": 1, "ifft": 0}
 
 
 @pytest.mark.parametrize(
@@ -405,7 +462,7 @@ def test_structured_gram_equals_the_dense_form(data, config):
     dense = _delay_doppler(np.eye(n_c, dtype=np.complex128), taps).T
     gram = dense @ dense.conj().T
     scale = np.abs(gram).max()
-    assert np.abs(_delay_doppler_gram(taps, n_c) - gram).max() <= 1e-12 * scale
+    assert np.abs(delay_doppler_gram(taps, n_c) - gram).max() <= 1e-12 * scale
 
 
 def _relative_error(got, want):
@@ -471,7 +528,7 @@ def test_banded_lmmse_solve_and_adjoint_equal_the_dense_forms(
             assert _relative_error(got[r, s], want) <= 1e-12
         assert _relative_error(adjoint[:, r], z[:, r] @ dense.conj()) <= 1e-12
         # the block form holds the structured Gram's entries bit for bit
-        want = _delay_doppler_gram(taps_r, n_c)
+        want = delay_doppler_gram(taps_r, n_c)
         assert np.array_equal(_dense_from_blocks(blocks[r, 0]), want)
 
 

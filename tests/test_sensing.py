@@ -14,7 +14,6 @@ from afdmsim.sensing import (
     ddmf_batch,
     dechirp,
     dechirp_batch,
-    mask_near,
     os_cfar_mask_batch,
     os_cfar_rank,
     os_cfar_threshold_factor,
@@ -24,6 +23,8 @@ from afdmsim.sensing import (
     tfmf_batch,
 )
 from afdmsim.waveform import demodulate, modulate, subcarrier
+
+from oracles import mask_near
 
 CFG = proposed_params(8, 4)
 FIG4 = proposed_params(64, 8)  # the fig4 grid, n_c = 512
