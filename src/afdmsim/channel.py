@@ -7,7 +7,8 @@ complex gain. After CPP removal the channel acts cyclically:
 
 Doppler taps are signed; the exponential makes k_i and k_i + n_c equivalent,
 but values within one chirp-count period K are *not* interchangeable with
-their mod-K aliases, so taps are kept signed end to end.
+their mod-K aliases, so taps are kept signed end to end. A path is a
+``PathTap``, defined in :mod:`afdmsim.params` and re-exported here.
 """
 
 from __future__ import annotations
@@ -18,23 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._phase import unit_phasor
-from .params import AfdmConfig, _snr_variance
+from .params import AfdmConfig, PathTap, _snr_variance
 from .waveform import _as_samples
 
 SPEED_OF_LIGHT = 299_792_458.0
-
-
-@dataclass(frozen=True)
-class PathTap:
-    """One scatterer: complex gain, delay tap >= 0, signed Doppler tap."""
-
-    gain: complex
-    delay_tap: int
-    doppler_tap: int
-
-    def __post_init__(self) -> None:
-        if self.delay_tap < 0:
-            raise ValueError("delay_tap must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -63,11 +51,6 @@ def quantize_path(
         delay_tap=round(bandwidth_hz * tau),
         doppler_tap=round(duration_s * nu),
     )
-
-
-def taps_from_targets(targets) -> list[PathTap]:
-    """Convert scenario (gain, l, k) triples into PathTap objects."""
-    return [PathTap(complex(g), int(l), int(k)) for g, l, k in targets]
 
 
 def _doppler_taps(paths, n_c: int) -> list[tuple[complex, int, np.ndarray]]:

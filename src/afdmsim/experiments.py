@@ -3,11 +3,13 @@
 Every run resolves a scenario (built-in name or file) and executes one
 experiment kind for each requested (preset, algorithm) combination.
 ``EXPERIMENT_KINDS`` maps each kind to its runner and to the spec fields it
-reads. A runner yields ``(file name, header, columns)`` tables; :func:`run`
-alone writes them as ``<kind>_<preset>_<algorithm>.csv`` plus
-``manifest.json`` recording the fully resolved configuration, and removes its
-outputs and any manifest on failure. Fixed seeds give byte-identical CSVs,
-except for ``runtime_scaling`` whose rows contain wall-clock measurements.
+reads. Only runners turn a scenario into engine inputs (waveform, frame,
+``PathTap`` targets, ``trial_rng(spec.resolved_seed, t)`` streams). A runner
+yields ``(file name, header, columns)`` tables; :func:`run` alone writes them
+as ``<kind>_<preset>_<algorithm>.csv`` plus ``manifest.json`` recording the
+fully resolved configuration, and removes its outputs and any manifest on
+failure. Fixed seeds give byte-identical CSVs, except for
+``runtime_scaling`` whose rows contain wall-clock measurements.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import csvio
 from .ambiguity import aaf_psi0_closed, dpaf_surface
-from .channel import PathTap, apply_channel, noise_variance, taps_from_targets
+from .channel import apply_channel, noise_variance
 from .ddgrid import grid_to_vector, io_predict, vector_to_grid
 from .metrics import (
     ALGORITHMS,
@@ -47,6 +49,7 @@ from .params import (
     PRESET_NAMES,
     SUBCARRIER_SPACING_HZ,
     AfdmConfig,
+    PathTap,
     ScenarioConfig,
     load_scenario,
     preset,
@@ -74,13 +77,14 @@ def builtin_scenarios() -> dict[str, ScenarioConfig]:
     """
     full = dict(n_c=512, k_chirps=8, n_p=64, l_max=10, k_max=3)
     three = (
-        (math.sqrt(0.6) + 0.0j, 3, 0),
-        (math.sqrt(0.3) + 0.0j, 7, 2),
-        (math.sqrt(0.1) + 0.0j, 10, 3),
+        PathTap(math.sqrt(0.6) + 0.0j, 3, 0),
+        PathTap(math.sqrt(0.3) + 0.0j, 7, 2),
+        PathTap(math.sqrt(0.1) + 0.0j, 10, 3),
     )
+    unit = (PathTap(1.0 + 0.0j, 10, 3),)
     return {
         "table1": ScenarioConfig(
-            name="table1", targets=((1.0 + 0.0j, 10, 3),), snr_db=20.0,
+            name="table1", targets=unit, snr_db=20.0,
             pilot_overhead=1.0, rng_seed=1, **full,
         ),
         "fig4": ScenarioConfig(
@@ -88,12 +92,12 @@ def builtin_scenarios() -> dict[str, ScenarioConfig]:
             pilot_overhead=1.0, rng_seed=1, **full,
         ),
         "fig5": ScenarioConfig(
-            name="fig5", targets=((1.0 + 0.0j, 10, 3),), snr_db=20.0,
+            name="fig5", targets=unit, snr_db=20.0,
             pilot_overhead=1.0, rng_seed=1, **full,
         ),
         "desk": ScenarioConfig(
             name="desk", n_c=32, k_chirps=4, n_p=8, l_max=2, k_max=1,
-            targets=((1.0 + 0.0j, 1, 1),), snr_db=20.0,
+            targets=(PathTap(1.0 + 0.0j, 1, 1),), snr_db=20.0,
             pilot_overhead=1.0, rng_seed=7,
         ),
     }
@@ -237,8 +241,8 @@ def _scenario_manifest(sc: ScenarioConfig) -> dict:
         "carrier_hz": CARRIER_HZ,
         "subcarrier_spacing_hz": SUBCARRIER_SPACING_HZ,
         "targets": [
-            {"gain_re": g.real, "gain_im": g.imag, "l": l, "k": k}
-            for g, l, k in sc.targets
+            {"gain_re": t.gain.real, "gain_im": t.gain.imag, "l": t.delay_tap, "k": t.doppler_tap}
+            for t in sc.targets
         ],
     }
 
@@ -312,11 +316,10 @@ def _grid_columns(*planes) -> list[np.ndarray]:
 
 def _run_ddm(spec):
     sc = spec.scenario
-    paths = taps_from_targets(sc.targets)
     spec_frame = FrameSpec.from_overhead(sc.n_c, sc.pilot_overhead)
     for preset_name in spec.resolved_presets:
         maps = next(sensing_maps(
-            sc.waveform(preset_name), spec_frame, paths, sc.snr_db,
+            sc.waveform(preset_name), spec_frame, sc.targets, sc.snr_db,
             _algorithms_for(preset_name, spec.algorithms), [trial_rng(spec.resolved_seed, 0)],
             tfmf_reference=spec.tfmf_reference,
         ))
@@ -348,12 +351,14 @@ def _metric_row(snr_db, po, algorithm, preset_name, report: MetricReport) -> tup
 
 def _sweep_rows(spec, preset_name, snr_values, po_values):
     rows = []
+    config = spec.scenario.waveform(preset_name)
     algorithms = _algorithms_for(preset_name, spec.algorithms)
     for po in po_values:
         # one engine call simulates each trial once for every SNR point
         samples = trial_metrics(
-            spec.scenario, algorithms, spec.trials, spec.resolved_seed, snr_values, po,
-            preset_name, spec.tfmf_reference, quality=spec.kind != "pd_curve",
+            config, FrameSpec.from_overhead(config.n_c, po), spec.scenario.targets, snr_values,
+            algorithms, (trial_rng(spec.resolved_seed, t) for t in range(spec.trials)),
+            spec.tfmf_reference, quality=spec.kind != "pd_curve",
         )
         for i, snr in enumerate(snr_values):
             for alg in algorithms:
@@ -385,7 +390,7 @@ def _run_ber_curve(spec):
     sc = spec.scenario
     counts = lmmse_ber_compare(
         {name: sc.waveform(name) for name in spec.resolved_presets},
-        taps_from_targets(sc.targets), spec.snr_db_list, spec.ber_realizations,
+        sc.targets, spec.snr_db_list, spec.ber_realizations,
         spec.trials // spec.ber_realizations, spec.resolved_seed,
     )
     for preset_name in spec.resolved_presets:

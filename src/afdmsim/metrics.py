@@ -11,10 +11,11 @@ one-cell guard ring). Every sensing Monte Carlo runs through one trial
 engine, ``_sweep``, which simulates each trial once for all SNR points of a
 sweep and filters each group of points with one call per algorithm, every
 received row against its own trial's transmit row (at full pilot overhead,
-one data-free row shared by every trial): ``trial_metrics``
-reduces its maps per trial and SNR point, and ``sensing_maps`` returns them
-at one SNR point, for one generator per trial. The LMMSE link,
-``lmmse_ber_compare``, takes the same ``PathTap`` paths.
+one data-free row shared by every trial). ``trial_metrics`` reduces its
+maps per trial and SNR point, and ``sensing_maps`` returns them at one SNR
+point, from the same inputs: config, frame, ``PathTap`` paths, SNR,
+algorithms and one generator per trial. The LMMSE link,
+``lmmse_ber_compare``, takes the same paths. No scenario enters this module.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ from .channel import (
     _noise_scale,
     _normal_pairs,
     noise_variance,
-    taps_from_targets,
 )
-from .params import AfdmConfig, ScenarioConfig
+from .params import AfdmConfig
 from .ddgrid import vector_to_grid
 from .sensing import (  # noqa: F401 -- ddmf is re-exported
     cfar_mask_batch,
@@ -362,69 +362,59 @@ def _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
 
 
 def trial_metrics(
-    scenario: ScenarioConfig,
+    config: AfdmConfig,
+    frame: FrameSpec,
+    paths,
+    snr_db: float | Sequence[float],
     algorithms,
-    trials: int,
-    seed: int | None = None,
-    snr_db: float | Sequence[float] | None = None,
-    pilot_overhead: float | None = None,
-    preset_name: str | None = None,
+    rngs,
     tfmf_reference: str = "transmit",
     quality: bool = True,
 ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per-trial (PSLR dB, image SNR dB, hit) arrays of each algorithm.
 
-    ``snr_db`` is one SNR point, giving (trials,) arrays, or a sequence of S
-    points, giving (S, trials) arrays whose row i equals the result at
-    ``snr_db[i]`` alone: trial t draws its frame bits and its unit noise
-    from ``trial_rng(seed, t)`` once and is simulated once for all points,
-    only the noise scale differing; at full pilot overhead every trial sends
-    the same data-free symbol, simulated once per call (``_sweep``). Every
-    metric is taken at the scenario's first target. A hit is a CA-CFAR
-    detection (2 train, 1 guard, Pfa 1e-4) within one cyclic cell of its
-    tap, so CA-CFAR runs on that 3 x 3 window of each map only
-    (``cfar_mask_batch`` with ``near``), with the same bits as on the whole
-    map. Noise and data symbols are redrawn every trial; path gains stay
-    fixed at the scenario values. ``None``
-    arguments take the scenario's. With ``quality=False`` only the hits are
-    computed, and PSLR and image SNR are NaN. ``tfmf_reference`` is
-    "transmit" or "pilot", as for ``sensing_maps``.
+    The inputs are those of ``sensing_maps``, whose ``rngs`` (one generator
+    per trial, any iterable) are read one block at a time. ``snr_db`` is one
+    point, giving (trials,) arrays, or S points, giving (S, trials) arrays
+    whose row i equals the result at ``snr_db[i]`` alone: each trial is
+    simulated once for all points (``_sweep``), its data and noise drawn
+    afresh and the path gains fixed. Every metric is taken at ``paths[0]``.
+    A hit is a CA-CFAR detection (2 train, 1 guard, Pfa 1e-4) within one
+    cyclic cell of its tap, so CA-CFAR runs on that 3 x 3 window only
+    (``cfar_mask_batch`` with ``near``), with the bits of the whole map. With
+    ``quality=False`` PSLR and image SNR are NaN. No path or SNR point is a
+    ValueError before any draw; no algorithm gives no metrics.
     """
     _check_reference(tfmf_reference)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not scenario.targets:
-        raise ValueError("scenario has no target to detect")
-    config = scenario.waveform(preset_name)
-    po = scenario.pilot_overhead if pilot_overhead is None else pilot_overhead
-    snr = scenario.snr_db if snr_db is None else snr_db
-    scales = [_noise_scale(point) for point in ([snr] if np.ndim(snr) == 0 else snr)]
+    if not paths:
+        raise ValueError("paths needs at least one path to score")
+    scales = [_noise_scale(point) for point in ([snr_db] if np.ndim(snr_db) == 0 else snr_db)]
     if not scales:
         raise ValueError("snr_db needs at least one value")
-    _, l, k = scenario.targets[0]
-    cell = (l % config.n_p, k % config.k_chirps)
     if not algorithms:
         return {}
-    seed = scenario.rng_seed if seed is None else seed
-    hits = np.empty((len(algorithms), len(scales), trials), dtype=bool)
-    ratios = np.full((2,) + hits.shape, np.nan)
-    for t, snrs, maps in _sweep(
-        config, FrameSpec.from_overhead(config.n_c, po), taps_from_targets(scenario.targets),
-        scales, algorithms, (trial_rng(seed, t) for t in range(trials)), tfmf_reference,
-    ):
+    l, k = paths[0].delay_tap, paths[0].doppler_tap
+    cell = (l % config.n_p, k % config.k_chirps)
+    blocks = []  # (hits, ratios) of each block of trials
+    for t, snrs, maps in _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
+        if snrs.start == 0:
+            hits = np.empty((len(algorithms), len(scales), t.stop - t.start), dtype=bool)
+            ratios = np.full((2,) + hits.shape, np.nan)
+            blocks.append((hits, ratios))
         # every algorithm's magnitudes go straight into one float
         # (algorithms, SNR points, B, n_p, K) stack; one CFAR call on the
         # target's 3 x 3 window and one quality pass reduce it
-        mag = np.empty(hits[:, snrs, t].shape + (config.n_p, config.k_chirps))
+        mag = np.empty(hits[:, snrs].shape + (config.n_p, config.k_chirps))
         for a, cells in enumerate(maps):
             np.abs(cells, out=mag[a])
         del cells  # else the last map stack outlives the filtering of the next group
-        hits[:, snrs, t] = cfar_mask_batch(
+        hits[:, snrs] = cfar_mask_batch(
             mag**2, CFAR_TRAIN, CFAR_GUARD, CFAR_PFA, near=(l, k)
         )[0].any(axis=(-2, -1))
         if quality:
-            ratios[:, :, snrs, t] = pslr(mag, cell), image_snr(mag, cell)
-    if np.ndim(snr) == 0:
+            ratios[:, :, snrs] = pslr(mag, cell), image_snr(mag, cell)
+    hits, ratios = (np.concatenate(parts, axis=-1) for parts in zip(*blocks))
+    if np.ndim(snr_db) == 0:
         hits, ratios = hits[:, 0], ratios[:, :, 0]
     return {alg: (ratios[0, a], ratios[1, a], hits[a]) for a, alg in enumerate(algorithms)}
 

@@ -1,4 +1,4 @@
-"""Waveform geometry, chirp-parameter presets, and scenario configuration.
+"""Waveform geometry, chirp-parameter presets, channel paths and scenario configuration.
 
 A symbol of ``n_c`` samples is split into ``k_chirps`` periods of ``n_p``
 samples each. The two chirp rates ``c1`` (time domain, cycles per
@@ -13,7 +13,7 @@ sample-squared) and ``c2`` (symbol-index domain) select the waveform family:
 
 ``c1`` is always held as an exact :class:`fractions.Fraction` so that the
 periodicity identities hold to rounding error rather than accumulating phase
-drift (see :mod:`afdmsim._phase`).
+drift (see :mod:`afdmsim._phase`). A scenario's targets are ``PathTap`` paths.
 """
 
 from __future__ import annotations
@@ -131,6 +131,25 @@ def classic_params(
     return preset("classic", n_c, k_chirps, k_max, l_cpp)
 
 
+@dataclass(frozen=True)
+class PathTap:
+    """One scatterer: finite complex gain, integer delay tap >= 0, signed integer Doppler tap."""
+
+    gain: complex
+    delay_tap: int
+    doppler_tap: int
+
+    def __post_init__(self) -> None:
+        for name in ("delay_tap", "doppler_tap"):
+            tap = getattr(self, name)
+            if not isinstance(tap, numbers.Integral) or isinstance(tap, bool):
+                raise ValueError(f"{name} must be an integer, got {type(tap).__name__} {tap!r}")
+        if not cmath.isfinite(self.gain):
+            raise ValueError(f"target gain {self.gain} must be finite")
+        if self.delay_tap < 0:
+            raise ValueError("delay_tap must be non-negative")
+
+
 # ---------------------------------------------------------------------------
 # Scenario configuration and scenario files
 # ---------------------------------------------------------------------------
@@ -159,9 +178,10 @@ CARRIER_HZ, SUBCARRIER_SPACING_HZ = 79e9, 15e3
 class ScenarioConfig:
     """A named simulation scenario: geometry, channel bounds, and targets.
 
-    ``targets`` holds (complex gain, delay tap, Doppler tap) triples; Doppler
-    taps are signed integers. Every scenario shares the reference deployment's
-    ``CARRIER_HZ`` and ``SUBCARRIER_SPACING_HZ``.
+    ``targets`` holds ``PathTap`` paths within the channel bounds (delay tap
+    at most ``l_max``, Doppler tap at most ``k_max`` in magnitude); the
+    first is the one the sweeps score. Every scenario shares the reference
+    deployment's ``CARRIER_HZ`` and ``SUBCARRIER_SPACING_HZ``.
     """
 
     name: str
@@ -174,7 +194,7 @@ class ScenarioConfig:
     snr_db: float = 20.0
     pilot_overhead: float = 1.0
     rng_seed: int = 1
-    targets: tuple[tuple[complex, int, int], ...] = ()
+    targets: tuple[PathTap, ...] = ()
 
     def __post_init__(self) -> None:
         _check_geometry(self.n_c, self.k_chirps, self.n_p)
@@ -193,7 +213,9 @@ class ScenarioConfig:
                     f"path separability needs n_p > l_max ({self.n_p} <= {self.l_max})"
                 )
         for target in self.targets:
-            _check_target(target, self.l_max, self.k_max)
+            if not isinstance(target, PathTap):
+                raise ValueError(f"targets must be PathTap paths, got {target!r}")
+            _check_target(target.delay_tap, target.doppler_tap, self.l_max, self.k_max)
 
     @property
     def bandwidth_hz(self) -> float:
@@ -237,11 +259,8 @@ def _check_field(key: str, value) -> None:
         raise ValueError(f"{key} must be non-negative, got {value}")
 
 
-def _check_target(target, l_max: int, k_max: int) -> None:
-    """Raise ValueError if a (gain, l, k) target is invalid under the channel bounds."""
-    gain, l, k = target
-    if not cmath.isfinite(gain):
-        raise ValueError(f"target gain {gain} must be finite")
+def _check_target(l: int, k: int, l_max: int, k_max: int) -> None:
+    """Raise ValueError if a target's taps lie outside the channel bounds."""
     if not 0 <= l <= l_max:
         raise ValueError(f"target delay tap {l} outside [0, l_max]")
     if abs(k) > k_max:
@@ -342,11 +361,11 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             )
         else:
             raise ScenarioError(f"{path}: path block {i} needs gain_re/gain_im or power")
-        targets.append((gain, int(block["l"]), int(block["k"])))
         try:
-            _check_target(targets[-1], l_max, k_max)
+            _check_target(block["l"], block["k"], l_max, k_max)
         except ValueError as exc:
             raise ScenarioError(f"{path}: path block {i}: {exc}") from None
+        targets.append(PathTap(gain, block["l"], block["k"]))
 
     try:
         return ScenarioConfig(

@@ -340,8 +340,11 @@ def test_c08b_weak_target_no_pilot():
 
 def _ordering_cell(preset_name, algorithms, snr_db, po, trials, seed):
     """Per-trial PSLR/image SNR and hit count at table1's unit target (10, 3)."""
+    table1 = builtin_scenarios()["table1"]
+    config = table1.waveform(preset_name)
     samples = trial_metrics(
-        builtin_scenarios()["table1"], algorithms, trials, seed, snr_db, po, preset_name
+        config, FrameSpec.from_overhead(config.n_c, po), table1.targets, snr_db, algorithms,
+        (trial_rng(seed, t) for t in range(trials)),
     )
     return {
         alg: {"pslr": p, "isnr": isnr, "hits": int(hit.sum())}

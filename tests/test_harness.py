@@ -17,7 +17,7 @@ from afdmsim.experiments import (
     builtin_scenarios,
     run,
 )
-from afdmsim.params import PRESET_NAMES
+from afdmsim.params import PRESET_NAMES, PathTap
 
 
 def read_ddm_csv(path):
@@ -39,14 +39,14 @@ class TestBuiltinScenarios:
 
     def test_three_target_scene(self):
         sc = builtin_scenarios()["fig4"]
-        taps = [(l, k) for _, l, k in sc.targets]
+        taps = [(p.delay_tap, p.doppler_tap) for p in sc.targets]
         assert taps == [(3, 0), (7, 2), (10, 3)]
-        powers = [abs(g) ** 2 for g, _, _ in sc.targets]
+        powers = [abs(p.gain) ** 2 for p in sc.targets]
         assert powers == pytest.approx([0.6, 0.3, 0.1])
 
     def test_single_target_scene(self):
         sc = builtin_scenarios()["fig5"]
-        assert sc.targets == ((1.0 + 0.0j, 10, 3),)
+        assert sc.targets == (PathTap(1.0 + 0.0j, 10, 3),)
 
     def test_desk_is_scaled_down(self):
         sc = builtin_scenarios()["desk"]

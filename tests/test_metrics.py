@@ -12,7 +12,6 @@ from afdmsim.channel import (
     add_awgn,
     apply_channel,
     noise_variance,
-    taps_from_targets,
 )
 from afdmsim.ddgrid import io_predict, vector_to_grid
 from afdmsim.experiments import builtin_scenarios
@@ -37,7 +36,7 @@ from afdmsim.params import ScenarioConfig, classic_params, proposed_params
 from afdmsim.sensing import cfar_mask_batch, ddmf, dechirp, tfmf
 from afdmsim.waveform import demodulate, modulate
 
-from oracles import mask_near
+from oracles import mask_near, scenario_metrics
 
 CFG = proposed_params(8, 4)
 
@@ -138,7 +137,7 @@ class TestMapMetrics:
 # smallest grid whose Doppler axis fits the standard 7-cell CFAR window
 DESK = ScenarioConfig(
     name="pd-desk", n_c=64, k_chirps=8, n_p=8, l_max=2, k_max=1,
-    targets=((1.0 + 0.0j, 1, 1),), snr_db=20.0, pilot_overhead=1.0, rng_seed=7,
+    targets=(PathTap(1.0 + 0.0j, 1, 1),), snr_db=20.0, pilot_overhead=1.0, rng_seed=7,
 )
 
 
@@ -146,23 +145,23 @@ class TestMonteCarloPd:
     """Detection probability: the mean of ``trial_metrics``' per-trial hits."""
 
     def test_noiseless_ddmf_always_detects(self):
-        hits = trial_metrics(DESK, ("ddmf",), 20, snr_db=math.inf, quality=False)["ddmf"][2]
+        hits = scenario_metrics(DESK, ("ddmf",), 20, snr_db=math.inf, quality=False)["ddmf"][2]
         assert hits.all()
 
     def test_deep_noise_rarely_detects(self):
-        hits = trial_metrics(DESK, ("ddmf",), 40, snr_db=-60.0, quality=False)["ddmf"][2]
+        hits = scenario_metrics(DESK, ("ddmf",), 40, snr_db=-60.0, quality=False)["ddmf"][2]
         assert hits.mean() <= 0.1
 
     def test_monotone_in_snr(self):
         lo, hi = (
-            trial_metrics(DESK, ("tfmf",), 60, snr_db=snr, quality=False)["tfmf"][2].mean()
+            scenario_metrics(DESK, ("tfmf",), 60, snr_db=snr, quality=False)["tfmf"][2].mean()
             for snr in (-25.0, 10.0)
         )
         assert hi >= lo
 
     def test_deterministic_given_seed(self):
         a, b = (
-            trial_metrics(DESK, ("dechirp",), 25, seed=3, snr_db=-5.0, quality=False)
+            scenario_metrics(DESK, ("dechirp",), 25, seed=3, snr_db=-5.0, quality=False)
             for _ in range(2)
         )
         assert np.array_equal(a["dechirp"][2], b["dechirp"][2])
@@ -172,11 +171,11 @@ class TestMonteCarloPd:
 # map edges (rows 0 and 7, column 7), and the zero-gain one only sees noise
 EDGE = ScenarioConfig(
     name="edge", n_c=64, k_chirps=8, n_p=8, l_max=7, k_max=3,
-    targets=((1.0, 7, -1), (0.6, 0, 3), (0.4, 4, -3), (0.0, 0, 0)),
+    targets=(PathTap(1.0, 7, -1), PathTap(0.6, 0, 3), PathTap(0.4, 4, -3), PathTap(0.0, 0, 0)),
     snr_db=5.0, pilot_overhead=0.0, rng_seed=8,
 )
 GRID8 = EDGE.waveform()
-EDGE_PATHS = taps_from_targets(EDGE.targets)
+EDGE_PATHS = EDGE.targets
 #: a sweep's SNR points: a noise-free one among finite ones, and a partial
 #: last group of SNR_GROUP = 2
 SWEEP_SNRS = (5.0, math.inf, -3.0)
@@ -250,13 +249,13 @@ class TestTrialEngine:
         # maps give each map what the single-map reductions give it
         frame = FrameSpec.from_overhead(GRID8.n_c, 0.0)
         hits = []
-        for first in range(len(EDGE.targets)):
-            targets = EDGE.targets[first:] + EDGE.targets[:first]
-            _, l, k = targets[0]
+        for first in range(len(EDGE_PATHS)):
+            paths = EDGE_PATHS[first:] + EDGE_PATHS[:first]
+            l, k = paths[0].delay_tap, paths[0].doppler_tap
             cell = (l % 8, k % 8)
-            got = trial_metrics(replace(EDGE, targets=targets), algorithms, 9, quality=quality)
+            rngs = (trial_rng(8, t) for t in range(9))
+            got = trial_metrics(GRID8, frame, paths, 5.0, algorithms, rngs, quality=quality)
             assert list(got) == list(algorithms)
-            paths = taps_from_targets(targets)
             for t in range(9):
                 maps = one_trial_maps(GRID8, frame, paths, 5.0, trial_rng(8, t), "transmit")
                 for alg in algorithms:
@@ -277,12 +276,12 @@ class TestTrialEngine:
         # 3 SNR points are a group of 2 and a partial group of 1. At PO = 1
         # one data-free row serves both blocks
         trials = metrics.TRIAL_BLOCK + 3
-        blocked = trial_metrics(
+        blocked = scenario_metrics(
             EDGE, ALGORITHMS, trials, seed=3, snr_db=SWEEP_SNRS, pilot_overhead=po
         )
         monkeypatch.setattr(metrics, "TRIAL_BLOCK", 1)
         single = [
-            trial_metrics(EDGE, ALGORITHMS, trials, seed=3, snr_db=snr, pilot_overhead=po)
+            scenario_metrics(EDGE, ALGORITHMS, trials, seed=3, snr_db=snr, pilot_overhead=po)
             for snr in SWEEP_SNRS
         ]
         for alg in ALGORITHMS:
@@ -308,11 +307,11 @@ class TestTrialEngine:
         ):
             for a, cells in enumerate(group):
                 maps[a, snrs, t] = cells
-        got = trial_metrics(
+        got = scenario_metrics(
             EDGE, algorithms, 7, seed=5, snr_db=SWEEP_SNRS, pilot_overhead=0.5,
             preset_name=preset_name, tfmf_reference=reference,
         )
-        _, l, k = EDGE.targets[0]
+        l, k = EDGE_PATHS[0].delay_tap, EDGE_PATHS[0].doppler_tap
         cell = (l % 8, k % 8)
         for i, snr in enumerate(SWEEP_SNRS):
             for t in range(7):
@@ -344,7 +343,7 @@ class TestTrialEngine:
         for name in calls:
             monkeypatch.setattr(metrics, name, counted(name))
         trials = 2 * metrics.TRIAL_BLOCK + 3
-        trial_metrics(EDGE, ALGORITHMS, trials, snr_db=SWEEP_SNRS, pilot_overhead=po)
+        scenario_metrics(EDGE, ALGORITHMS, trials, snr_db=SWEEP_SNRS, pilot_overhead=po)
         assert calls == {"build_frame": trials, "modulate": passes, "_delay_doppler": passes}
 
     @pytest.mark.parametrize("entry", ["trial_metrics", "sensing_maps"])
@@ -359,7 +358,7 @@ class TestTrialEngine:
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="tfmf_reference must be 'transmit' or 'pilot'"):
             if entry == "trial_metrics":
-                trial_metrics(EDGE, ALGORITHMS, 3, tfmf_reference="Transmit")
+                trial_metrics(GRID8, frame, EDGE_PATHS, 5.0, ALGORITHMS, [rng], "Transmit")
             else:
                 next(sensing_maps(GRID8, frame, EDGE_PATHS, 5.0, ALGORITHMS, [rng], "Transmit"))
         assert rng.bit_generator.state == state
@@ -377,7 +376,7 @@ class TestTrialEngine:
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=r"unknown algorithms \['foo'\]"):
             if entry == "trial_metrics":
-                trial_metrics(EDGE, algorithms, 3)
+                trial_metrics(GRID8, frame, EDGE_PATHS, 5.0, algorithms, [rng])
             else:
                 next(sensing_maps(GRID8, frame, EDGE_PATHS, 5.0, algorithms, [rng]))
         assert rng.bit_generator.state == state
@@ -402,6 +401,62 @@ class TestTrialEngine:
         with pytest.raises(ValueError, match="rngs needs at least one generator"):
             list(sensing_maps(GRID8, frame, EDGE_PATHS, 5.0, ALGORITHMS, rngs))
 
+    @pytest.mark.parametrize("rngs", [[], (rng for rng in [])], ids=["list", "generator"])
+    def test_trial_metrics_without_trials_rejected(self, rngs):
+        frame = FrameSpec.from_overhead(GRID8.n_c, 0.5)
+        with pytest.raises(ValueError, match="rngs needs at least one generator"):
+            trial_metrics(GRID8, frame, EDGE_PATHS, 5.0, ALGORITHMS, rngs)
+
+    def test_no_path_rejected_before_any_draw(self, monkeypatch):
+        # trial_metrics scores the first path; with none it has nothing to score
+        def no_frame(*args):
+            raise AssertionError("a frame was drawn")
+
+        monkeypatch.setattr(metrics, "build_frame", no_frame)
+        frame = FrameSpec.from_overhead(GRID8.n_c, 0.5)
+        rng = trial_rng(5, 0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="paths needs at least one path to score"):
+            trial_metrics(GRID8, frame, [], 5.0, ALGORITHMS, [rng])
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("po", [0.5, 1.0])
+    def test_one_shot_streams_equal_a_list_of_them(self, po):
+        # two full blocks and a partial one; SWEEP_SNRS are a group of 2 and one of 1
+        trials = 2 * metrics.TRIAL_BLOCK + 3
+        frame = FrameSpec.from_overhead(GRID8.n_c, po)
+        listed, one_shot = (
+            trial_metrics(GRID8, frame, EDGE_PATHS, SWEEP_SNRS, ALGORITHMS, rngs)
+            for rngs in (
+                [trial_rng(5, t) for t in range(trials)],
+                (trial_rng(5, t) for t in range(trials)),
+            )
+        )
+        for alg in ALGORITHMS:
+            for got, want in zip(one_shot[alg], listed[alg]):
+                assert got.shape == (len(SWEEP_SNRS), trials)
+                assert np.array_equal(got, want, equal_nan=True)
+
+    def test_streams_are_read_one_block_at_a_time(self, monkeypatch):
+        # the streams of the next block are not drawn before this block's frames
+        trials = 2 * metrics.TRIAL_BLOCK + 3
+        read, seen = [], []
+
+        def streams():
+            for t in range(trials):
+                read.append(t)
+                yield trial_rng(5, t)
+
+        def counted(*args):
+            seen.append(len(read))
+            return build_frame(*args)
+
+        monkeypatch.setattr(metrics, "build_frame", counted)
+        frame = FrameSpec.from_overhead(GRID8.n_c, 0.5)
+        trial_metrics(GRID8, frame, EDGE_PATHS, 5.0, ("tfmf",), streams())
+        block = metrics.TRIAL_BLOCK
+        assert seen == [block] * block + [2 * block] * block + [trials] * 3
+
     @pytest.mark.parametrize("reference", ["transmit", "pilot"])
     @pytest.mark.parametrize("scenario, snrs", [
         (builtin_scenarios()["fig5"], (-22.0, -19.0)),
@@ -411,14 +466,14 @@ class TestTrialEngine:
         # CA-CFAR on the target's 3 x 3 window hits where the whole maps'
         # masks have a detection near the target
         trials = metrics.TRIAL_BLOCK + 3
-        got = trial_metrics(
+        got = scenario_metrics(
             scenario, ALGORITHMS, trials, seed=5, snr_db=snrs, tfmf_reference=reference,
             quality=False,
         )
         config = scenario.waveform()
         frame = FrameSpec.from_overhead(config.n_c, scenario.pilot_overhead)
-        paths = taps_from_targets(scenario.targets)
-        _, l, k = scenario.targets[0]
+        paths = scenario.targets
+        l, k = paths[0].delay_tap, paths[0].doppler_tap
         hits = []
         for i, snr in enumerate(snrs):
             rngs = [trial_rng(5, t) for t in range(trials)]
@@ -433,7 +488,7 @@ class TestTrialEngine:
     @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, (10.0, math.nan), [-math.inf]])
     def test_non_finite_snr_rejected(self, snr_db):
         with pytest.raises(ValueError, match=r"snr_db must be a number or \+inf, got (nan|-inf)"):
-            trial_metrics(EDGE, ALGORITHMS, 3, snr_db=snr_db)
+            scenario_metrics(EDGE, ALGORITHMS, 3, snr_db=snr_db)
 
     @pytest.mark.parametrize("snr_db", [[], (), np.array([])])
     def test_empty_snr_list_rejected_before_any_trial(self, snr_db, monkeypatch):
@@ -443,12 +498,12 @@ class TestTrialEngine:
 
         monkeypatch.setattr(metrics, "_sweep", no_sweep)
         with pytest.raises(ValueError, match="snr_db needs at least one value"):
-            trial_metrics(EDGE, ALGORITHMS, 20, snr_db=snr_db)
+            scenario_metrics(EDGE, ALGORITHMS, 20, snr_db=snr_db)
 
     def test_snr_past_the_float_range_equals_noise_free(self):
         # 10^400 overflows a float, so the noise variance is 0, as at +inf
-        beyond = trial_metrics(EDGE, ALGORITHMS, 3, snr_db=4000.0)
-        noise_free = trial_metrics(EDGE, ALGORITHMS, 3, snr_db=math.inf)
+        beyond = scenario_metrics(EDGE, ALGORITHMS, 3, snr_db=4000.0)
+        noise_free = scenario_metrics(EDGE, ALGORITHMS, 3, snr_db=math.inf)
         for alg in ALGORITHMS:
             for got, want in zip(beyond[alg], noise_free[alg]):
                 assert np.array_equal(got, want)
@@ -462,7 +517,7 @@ class TestTrialEngine:
         def peak(snrs):
             tracemalloc.start()
             try:
-                trial_metrics(fig5, ALGORITHMS, 5, seed=1, snr_db=snrs)
+                scenario_metrics(fig5, ALGORITHMS, 5, seed=1, snr_db=snrs)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -474,7 +529,7 @@ class TestTrialEngine:
 
     def test_no_algorithm_gives_no_metrics(self):
         # ddmf alone on a non-FMCW preset leaves a sweep no algorithm to run
-        assert trial_metrics(EDGE, (), 5) == {}
+        assert scenario_metrics(EDGE, (), 5) == {}
 
     def test_stack_metrics_match_single_maps(self):
         rng = np.random.default_rng(14)
@@ -587,7 +642,7 @@ class TestTimeDomainLink:
     #: the built-in desk grid with three paths, one of negative Doppler
     DESK = replace(
         builtin_scenarios()["desk"],
-        targets=((0.8 + 0.0j, 1, 1), (0.5j, 2, -1), (0.3 + 0.0j, 0, 0)),
+        targets=(PathTap(0.8 + 0.0j, 1, 1), PathTap(0.5j, 2, -1), PathTap(0.3 + 0.0j, 0, 0)),
     )
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -596,7 +651,7 @@ class TestTimeDomainLink:
     def test_counts_equal_dense_daft_domain_link(self, seed, presets, realizations, per_real):
         # classic has the irrational c2 = sqrt(2), held as a float
         configs = {name: self.DESK.waveform(name) for name in presets}
-        paths = taps_from_targets(self.DESK.targets)
+        paths = self.DESK.targets
         args = (configs, paths, (0.0, 12.0), realizations, per_real, seed)
         counts = metrics.lmmse_ber_compare(*args)
         assert counts == _dense_ber_counts(*args)
@@ -621,7 +676,7 @@ class TestTimeDomainLink:
         # one full block of TRIAL_BLOCK realizations and a partial block of 3
         realizations = metrics.TRIAL_BLOCK + 3
         configs = {name: self.DESK.waveform(name) for name in presets}
-        paths = taps_from_targets(self.DESK.targets)
+        paths = self.DESK.targets
         args = (configs, paths, (0.0, 12.0), realizations, 2, seed)
         assert metrics.lmmse_ber_compare(*args) == _dense_ber_counts(*args)
 
@@ -644,7 +699,7 @@ class TestTimeDomainLink:
     def test_memory_does_not_grow_with_the_realizations(self):
         # realizations are solved TRIAL_BLOCK at a time, so four blocks peak
         # no higher than one; solving all of them at once grows with the count
-        one, four = self._peaks(taps_from_targets(builtin_scenarios()["fig4"].targets))
+        one, four = self._peaks(builtin_scenarios()["fig4"].targets)
         assert four <= 1.1 * one, (four, one)
 
     def test_one_block_memory_does_not_grow_with_the_realizations(self):
@@ -714,7 +769,7 @@ class TestTimeDomainLink:
         config = self.DESK.waveform(name)
         rng = np.random.default_rng(12)
         x = rng.standard_normal((2, 3, 32)) + 1j * rng.standard_normal((2, 3, 32))
-        paths = taps_from_targets(self.DESK.targets)
+        paths = self.DESK.targets
         s = modulate(config, x)
         r = _delay_doppler(s, _doppler_taps(paths, config.n_c))
         assert np.array_equal(apply_channel(config, s, paths), r)
@@ -741,7 +796,7 @@ class TestFig4LinkCounts:
     def test_counts_are_pinned(self, name, seed):
         sc = builtin_scenarios()["fig4"]
         counts = metrics.lmmse_ber_compare(
-            {name: sc.waveform(name)}, taps_from_targets(sc.targets), (5.0, 15.0), 10, 10, seed
+            {name: sc.waveform(name)}, sc.targets, (5.0, 15.0), 10, 10, seed
         )
         at_5, at_15 = self.COUNTS[(name, seed)]
         assert counts == {(name, 5.0): at_5, (name, 15.0): at_15}

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from afdmsim.params import (
     AfdmConfig,
+    PathTap,
     ScenarioConfig,
     ScenarioError,
     classic_params,
@@ -91,6 +93,39 @@ class TestPeriodicityInvariants:
             AfdmConfig(n_c=30, k_chirps=4, n_p=8, c1=Fraction(1, 16), c2=Fraction(0))
 
 
+class TestPathTap:
+    @pytest.mark.parametrize("taps, name", [
+        ((1, 0.5), "doppler_tap"),  # its phasor used to take int64(-0.5 n), truncated
+        ((1.5, 0), "delay_tap"),  # apply_channel used to run on it
+        ((True, 0), "delay_tap"),
+        ((1, False), "doppler_tap"),
+        ((Fraction(1), 0), "delay_tap"),
+    ])
+    def test_non_integer_tap_rejected(self, taps, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            PathTap(1.0, *taps)
+
+    @pytest.mark.parametrize("gain", [math.nan, complex(0.0, math.inf), complex(-math.inf, 1.0)])
+    def test_non_finite_gain_rejected(self, gain):
+        # a NaN gain used to make the channel output NaN
+        with pytest.raises(ValueError, match="gain .* must be finite"):
+            PathTap(gain, 1, 0)
+
+    def test_negative_delay_rejected(self):
+        with pytest.raises(ValueError, match="delay_tap must be non-negative"):
+            PathTap(1.0, -1, 0)
+
+    def test_numpy_integer_taps_accepted(self):
+        path = PathTap(np.float64(0.5), np.int64(3), np.int32(-2))
+        assert (path.delay_tap, path.doppler_tap) == (3, -2)
+
+    def test_channel_and_package_export_the_same_type(self):
+        import afdmsim
+        from afdmsim.channel import PathTap as channel_path
+
+        assert afdmsim.PathTap is channel_path is PathTap
+
+
 class TestScenarioConfig:
     def test_path_separability(self):
         with pytest.raises(ValueError, match="separability"):
@@ -100,7 +135,7 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="Doppler"):
             ScenarioConfig(
                 name="bad", n_c=32, k_chirps=4, n_p=8, k_max=1, l_max=2,
-                targets=((1.0, 1, 3),),
+                targets=(PathTap(1.0, 1, 3),),
             )
 
     @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")])
@@ -108,10 +143,16 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="snr_db"):
             ScenarioConfig(name="bad", n_c=32, k_chirps=4, n_p=8, snr_db=snr_db)
 
+    @pytest.mark.parametrize("target", [(1.0, 1, 0), (1.0, 1.5, 0), [1.0, 1, 0]])
+    def test_target_that_is_no_path_rejected(self, target):
+        # a (gain, l, k) tuple used to be accepted, and int() made 1.5 delay tap 1
+        with pytest.raises(ValueError, match="targets must be PathTap paths"):
+            ScenarioConfig(name="bad", n_c=32, k_chirps=4, n_p=8, l_max=2, targets=(target,))
+
     @pytest.mark.parametrize("gain", [complex(math.nan, 0.0), complex(0.0, math.inf), math.nan])
     def test_non_finite_target_gain_rejected(self, gain):
         with pytest.raises(ValueError, match="target gain"):
-            ScenarioConfig(name="bad", n_c=32, k_chirps=4, n_p=8, targets=((gain, 0, 0),))
+            ScenarioConfig(name="bad", n_c=32, k_chirps=4, n_p=8, targets=(PathTap(gain, 0, 0),))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="rng_seed must be non-negative, got -1"):
@@ -156,8 +197,8 @@ class TestScenarioFiles:
         sc = load_scenario(f)
         assert sc.n_c == 32 and sc.k_chirps == 4 and sc.n_p == 8
         assert sc.snr_db == 15 and sc.pilot_overhead == 0.5 and sc.rng_seed == 9
-        assert sc.targets[0] == (complex(0.6, -0.2), 1, -1)
-        assert sc.targets[1][0] == pytest.approx(0.5)
+        assert sc.targets[0] == PathTap(complex(0.6, -0.2), 1, -1)
+        assert sc.targets[1].gain == pytest.approx(0.5)
 
     def test_unknown_key_rejected(self, tmp_path):
         f = tmp_path / "scen.txt"

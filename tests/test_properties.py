@@ -566,7 +566,7 @@ def scenarios(draw):
     k_max = draw(st.integers(0, (k_chirps - 1) // 2 if proposed else 4))
     l_max = draw(st.integers(0, n_p - 1 if proposed else 20))
     gain = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
-    target = st.tuples(gain, st.integers(0, l_max), st.integers(-k_max, k_max))
+    target = st.builds(PathTap, gain, st.integers(0, l_max), st.integers(-k_max, k_max))
     return ScenarioConfig(
         name="scenario", n_c=n_p * k_chirps, k_chirps=k_chirps, n_p=n_p, preset=name,
         l_max=l_max, k_max=k_max,
@@ -630,9 +630,9 @@ def test_scenario_file_round_trip(sc, geometry_key):
         f"snr_db = {sc.snr_db!r}", f"pilot_overhead = {sc.pilot_overhead!r}",
         f"seed = {sc.rng_seed}",
     ]
-    for gain, l, k in sc.targets:
-        lines += ["[path]", f"gain_re = {gain.real!r}", f"gain_im = {gain.imag!r}",
-                  f"l = {l}", f"k = {k}"]
+    for path in sc.targets:
+        lines += ["[path]", f"gain_re = {path.gain.real!r}", f"gain_im = {path.gain.imag!r}",
+                  f"l = {path.delay_tap}", f"k = {path.doppler_tap}"]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.txt"
         path.write_text("\n".join(lines) + "\n")
