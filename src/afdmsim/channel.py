@@ -8,7 +8,8 @@ complex gain. After CPP removal the channel acts cyclically:
 Doppler taps are signed; the exponential makes k_i and k_i + n_c equivalent,
 but values within one chirp-count period K are *not* interchangeable with
 their mod-K aliases, so taps are kept signed end to end. A path is a
-``PathTap``, defined in :mod:`afdmsim.params` and re-exported here.
+``PathTap``, and ``noise_variance`` the SNR rule; both are defined in
+:mod:`afdmsim.params` and re-exported here.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._phase import unit_phasor
-from .params import AfdmConfig, PathTap, _snr_variance
+from .params import AfdmConfig, PathTap, noise_variance
 from .waveform import _as_samples
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -34,6 +35,9 @@ class PhysicalPath:
     gain: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
+        for name in ("range_m", "radial_velocity_mps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.range_m < 0:
             raise ValueError("range_m must be non-negative")
 
@@ -163,18 +167,6 @@ def apply_channel_linear(config: AfdmConfig, s, paths) -> np.ndarray:
         shifted[li:] = s[: total - li]
         out += complex(p.gain) * shifted * unit_phasor(-p.doppler_tap * n_post, config.n_c)
     return out
-
-
-def noise_variance(snr_db: float) -> float:
-    """Per-sample complex noise variance for a given symbol SNR in dB (unit signal power).
-
-    +inf dB gives 0 (no noise), and so does a finite SNR whose power
-    overflows a float; NaN, -inf and an SNR so low that the variance
-    overflows are a ``ValueError``.
-    """
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
-    return _snr_variance(snr_db)
 
 
 def _noise_scale(snr_db: float) -> float | None:

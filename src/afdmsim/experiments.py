@@ -75,7 +75,7 @@ def builtin_scenarios() -> dict[str, ScenarioConfig]:
     (10, 3); ``fig4``: three targets with powers 0.6/0.3/0.1; ``desk``: a
     scaled-down grid for fast experimentation.
     """
-    full = dict(n_c=512, k_chirps=8, n_p=64, l_max=10, k_max=3)
+    full = dict(n_c=512, k_chirps=8, l_max=10, k_max=3)
     three = (
         PathTap(math.sqrt(0.6) + 0.0j, 3, 0),
         PathTap(math.sqrt(0.3) + 0.0j, 7, 2),
@@ -96,7 +96,7 @@ def builtin_scenarios() -> dict[str, ScenarioConfig]:
             pilot_overhead=1.0, rng_seed=1, **full,
         ),
         "desk": ScenarioConfig(
-            name="desk", n_c=32, k_chirps=4, n_p=8, l_max=2, k_max=1,
+            name="desk", n_c=32, k_chirps=4, l_max=2, k_max=1,
             targets=(PathTap(1.0 + 0.0j, 1, 1),), snr_db=20.0,
             pilot_overhead=1.0, rng_seed=7,
         ),
@@ -237,6 +237,7 @@ def _algorithms_for(preset_name: str, algorithms) -> tuple[str, ...]:
 
 def _scenario_manifest(sc: ScenarioConfig) -> dict:
     return asdict(sc) | {
+        "n_p": sc.n_p,
         "bandwidth_hz": sc.bandwidth_hz,
         "carrier_hz": CARRIER_HZ,
         "subcarrier_spacing_hz": SUBCARRIER_SPACING_HZ,
@@ -248,8 +249,12 @@ def _scenario_manifest(sc: ScenarioConfig) -> dict:
 
 
 def _config_manifest(config: AfdmConfig) -> dict:
-    """Fields of ``config``, exact rates as text, and the sweep count ``z_a`` (1 or None)."""
+    """Fields of ``config`` and its ``n_p``, exact rates as text, and the sweep count ``z_a``.
+
+    ``z_a`` is 1 for the FMCW-equivalent set and None otherwise.
+    """
     return asdict(config) | {
+        "n_p": config.n_p,
         "c1": str(config.c1),
         "c2": str(config.c2),
         "z_a": 1 if config.fmcw_equivalent else None,

@@ -382,17 +382,15 @@ def trial_metrics(
     A hit is a CA-CFAR detection (2 train, 1 guard, Pfa 1e-4) within one
     cyclic cell of its tap, so CA-CFAR runs on that 3 x 3 window only
     (``cfar_mask_batch`` with ``near``), with the bits of the whole map. With
-    ``quality=False`` PSLR and image SNR are NaN. No path or SNR point is a
-    ValueError before any draw; no algorithm gives no metrics.
+    ``quality=False`` PSLR and image SNR are NaN. No path, no SNR point, no
+    algorithm or any other input ``sensing_maps`` rejects is a ValueError
+    raised before any draw.
     """
-    _check_reference(tfmf_reference)
     if not paths:
         raise ValueError("paths needs at least one path to score")
     scales = [_noise_scale(point) for point in ([snr_db] if np.ndim(snr_db) == 0 else snr_db)]
     if not scales:
         raise ValueError("snr_db needs at least one value")
-    if not algorithms:
-        return {}
     l, k = paths[0].delay_tap, paths[0].doppler_tap
     cell = (l % config.n_p, k % config.k_chirps)
     blocks = []  # (hits, ratios) of each block of trials

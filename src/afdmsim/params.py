@@ -39,16 +39,12 @@ _RATES = {
 PRESET_NAMES = tuple(_RATES)
 
 
-def _check_geometry(n_c: int, k_chirps: int, n_p: int) -> None:
-    """Raise ValueError unless n_c = k_chirps * n_p with all three positive integers."""
-    if not all(isinstance(v, numbers.Integral) and v > 0 for v in (n_c, k_chirps, n_p)):
-        raise ValueError(
-            f"n_c, k_chirps and n_p must be positive integers, got {n_c}, {k_chirps}, {n_p}"
-        )
-    if n_c != k_chirps * n_p:
-        raise ValueError(
-            f"n_c must equal k_chirps * n_p, got {n_c} != {k_chirps} * {n_p}"
-        )
+def _check_geometry(n_c: int, k_chirps: int) -> None:
+    """Raise ValueError unless n_c and k_chirps are positive integers and k_chirps divides n_c."""
+    if not all(isinstance(v, numbers.Integral) and v > 0 for v in (n_c, k_chirps)):
+        raise ValueError(f"n_c and k_chirps must be positive integers, got {n_c}, {k_chirps}")
+    if n_c % k_chirps:
+        raise ValueError(f"k_chirps must divide n_c, got {n_c} % {k_chirps} != 0")
 
 
 @dataclass(frozen=True)
@@ -57,8 +53,8 @@ class AfdmConfig:
 
     Attributes:
         n_c: samples (= subcarriers) per symbol.
-        k_chirps: chirp periods per symbol (K).
-        n_p: samples per chirp period; n_c = k_chirps * n_p.
+        k_chirps: chirp periods per symbol (K); it divides n_c.
+        n_p: samples per chirp period, the property n_c / k_chirps.
         c1: time-domain chirp rate, exact rational.
         c2: symbol-index chirp rate; Fraction when exact, float otherwise.
         l_cpp: chirp-cyclic-prefix length in samples.
@@ -66,17 +62,21 @@ class AfdmConfig:
 
     n_c: int
     k_chirps: int
-    n_p: int
     c1: Fraction
     c2: ChirpRate
     l_cpp: int = 0
 
     def __post_init__(self) -> None:
-        _check_geometry(self.n_c, self.k_chirps, self.n_p)
+        _check_geometry(self.n_c, self.k_chirps)
         if self.l_cpp < 0:
             raise ValueError("l_cpp must be non-negative")
         if not isinstance(self.c1, Fraction):
             raise TypeError("c1 must be an exact Fraction")
+
+    @property
+    def n_p(self) -> int:
+        """Samples per chirp period: n_c / k_chirps."""
+        return self.n_c // self.k_chirps
 
     @property
     def fmcw_equivalent(self) -> bool:
@@ -107,16 +107,14 @@ def preset(
     """
     if name not in _RATES:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
-    if k_chirps < 1 or n_c % k_chirps != 0:
-        raise ValueError("k_chirps must divide n_c")
+    _check_geometry(n_c, k_chirps)  # before a rate divides by n_c or n_p
     n_p = n_c // k_chirps
-    _check_geometry(n_c, k_chirps, n_p)  # before a rate divides by n_c or n_p
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if name == "proposed" and n_p % 2 != 0:
         raise ValueError(f"n_p must be even, got {n_p}")
     c1, c2 = _RATES[name](n_c, n_p, k_max)
-    return AfdmConfig(n_c=n_c, k_chirps=k_chirps, n_p=n_p, c1=c1, c2=c2, l_cpp=l_cpp)
+    return AfdmConfig(n_c=n_c, k_chirps=k_chirps, c1=c1, c2=c2, l_cpp=l_cpp)
 
 
 def proposed_params(n_p: int, k_chirps: int, l_cpp: int = 0) -> AfdmConfig:
@@ -178,7 +176,8 @@ CARRIER_HZ, SUBCARRIER_SPACING_HZ = 79e9, 15e3
 class ScenarioConfig:
     """A named simulation scenario: geometry, channel bounds, and targets.
 
-    ``targets`` holds ``PathTap`` paths within the channel bounds (delay tap
+    The geometry is ``n_c`` and ``k_chirps``; ``n_p`` is derived, as in
+    ``AfdmConfig``. ``targets`` holds ``PathTap`` paths within the channel bounds (delay tap
     at most ``l_max``, Doppler tap at most ``k_max`` in magnitude); the
     first is the one the sweeps score. Every scenario shares the reference
     deployment's ``CARRIER_HZ`` and ``SUBCARRIER_SPACING_HZ``.
@@ -187,7 +186,6 @@ class ScenarioConfig:
     name: str
     n_c: int
     k_chirps: int
-    n_p: int
     preset: str = "proposed"
     l_max: int = 0
     k_max: int = 0
@@ -197,7 +195,7 @@ class ScenarioConfig:
     targets: tuple[PathTap, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_geometry(self.n_c, self.k_chirps, self.n_p)
+        _check_geometry(self.n_c, self.k_chirps)
         if self.preset not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.preset!r}")
         for key in ("pilot_overhead", "snr_db", "l_max", "k_max", "rng_seed"):
@@ -217,6 +215,8 @@ class ScenarioConfig:
                 raise ValueError(f"targets must be PathTap paths, got {target!r}")
             _check_target(target.delay_tap, target.doppler_tap, self.l_max, self.k_max)
 
+    n_p = AfdmConfig.n_p
+
     @property
     def bandwidth_hz(self) -> float:
         return self.n_c * SUBCARRIER_SPACING_HZ
@@ -231,13 +231,15 @@ class ScenarioConfig:
         )
 
 
-def _snr_variance(snr_db: float) -> float:
-    """1 / 10^(snr_db/10), the noise variance at a symbol SNR in dB (unit signal power).
+def noise_variance(snr_db: float) -> float:
+    """Per-sample complex noise variance for a given symbol SNR in dB (unit signal power).
 
-    Where 10^(snr_db/10) overflows, as at +inf dB, the variance is 0 (no
-    noise). An SNR so low that the variance overflows is a ``ValueError``.
-    NaN gives NaN: callers reject it first.
+    +inf dB gives 0 (no noise), and so does a finite SNR whose power
+    overflows a float; NaN, -inf and an SNR so low that the variance
+    overflows are a ``ValueError``.
     """
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
     try:
         power = 10.0 ** (float(snr_db) / 10.0)
     except OverflowError:
@@ -252,9 +254,7 @@ def _check_field(key: str, value) -> None:
     if key == "pilot_overhead" and not 0.0 <= value <= 1.0:
         raise ValueError("pilot_overhead must lie in [0, 1]")
     if key == "snr_db":
-        if math.isnan(value) or value == -math.inf:
-            raise ValueError(f"snr_db must be finite or +inf (noise-free), got {value}")
-        _snr_variance(value)
+        noise_variance(value)
     if key in ("l_max", "k_max", "seed", "rng_seed") and value < 0:
         raise ValueError(f"{key} must be non-negative, got {value}")
 
@@ -298,7 +298,9 @@ def _parse_value(key: str, raw: str):
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse a scenario file (``key = value`` lines plus [path] blocks).
 
-    The scenario is named after the file stem. Unknown keys are rejected.
+    The scenario is named after the file stem. Unknown keys are rejected,
+    and a key the file omits takes the ``ScenarioConfig`` default; ``seed``
+    is ``rng_seed``, and ``n_p`` may stand for ``k_chirps = n_c / n_p``.
     Each ``[path]`` block declares one target via either
     ``gain_re``/``gain_im`` or ``power``/``phase``, plus taps ``l`` and ``k``.
     Every error names the file: a bad value also its line, a bad target its
@@ -341,14 +343,11 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ScenarioError(f"{path}: missing key n_c")
     if "k_chirps" not in top and "n_p" not in top:
         raise ScenarioError(f"{path}: missing key k_chirps")
-    for key in ("k_chirps", "n_p"):  # either may divide n_c to give the other
+    for key in ("k_chirps", "n_p"):  # n_c is divided by either
         if key in top and top[key] < 1:
             raise ScenarioError(f"{path}: {key} must be >= 1, got {top[key]}")
-    n_c = top["n_c"]
-    k_chirps = top["k_chirps"] if "k_chirps" in top else n_c // top["n_p"]
-    n_p = top["n_p"] if "n_p" in top else n_c // k_chirps
 
-    l_max, k_max = int(top.get("l_max", 0)), int(top.get("k_max", 0))
+    l_max, k_max = top.get("l_max", ScenarioConfig.l_max), top.get("k_max", ScenarioConfig.k_max)
     targets = []
     for i, block in enumerate(paths):
         if "l" not in block or "k" not in block:
@@ -367,19 +366,16 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             raise ScenarioError(f"{path}: path block {i}: {exc}") from None
         targets.append(PathTap(gain, block["l"], block["k"]))
 
+    if "n_p" in top:  # the chirp period is an input only: it fixes k_chirps
+        n_c, n_p = top["n_c"], top.pop("n_p")
+        k_chirps = top.setdefault("k_chirps", n_c // n_p)
+        if n_c != k_chirps * n_p:
+            raise ScenarioError(
+                f"{path}: n_c must equal k_chirps * n_p, got {n_c} != {k_chirps} * {n_p}"
+            )
+    if "seed" in top:
+        top["rng_seed"] = top.pop("seed")
     try:
-        return ScenarioConfig(
-            name=path.stem,
-            n_c=n_c,
-            k_chirps=k_chirps,
-            n_p=n_p,
-            preset=str(top.get("preset", "proposed")),
-            l_max=l_max,
-            k_max=k_max,
-            snr_db=float(top.get("snr_db", 20.0)),
-            pilot_overhead=float(top.get("pilot_overhead", 1.0)),
-            rng_seed=int(top.get("seed", 1)),
-            targets=tuple(targets),
-        )
+        return ScenarioConfig(name=path.stem, targets=tuple(targets), **top)
     except ValueError as exc:  # a fault of several keys together: geometry, path separability
         raise ScenarioError(f"{path}: {exc}") from None

@@ -43,6 +43,17 @@ class TestQuantizePath:
         )
         assert tap.doppler_tap < 0
 
+    @pytest.mark.parametrize("range_m, velocity, name", [
+        (math.nan, 0.0, "range_m"),
+        (math.inf, 0.0, "range_m"),
+        (10.0, math.nan, "radial_velocity_mps"),
+        (10.0, -math.inf, "radial_velocity_mps"),
+    ])
+    def test_non_finite_path_rejected(self, range_m, velocity, name):
+        # quantize_path used to fail on it with a raw float-to-integer conversion error
+        with pytest.raises(ValueError, match=f"{name} must be finite, got"):
+            PhysicalPath(range_m, velocity)
+
 
 class TestApplyChannel:
     def setup_method(self):

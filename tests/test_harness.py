@@ -367,7 +367,7 @@ class TestCli:
         ("pilot_overhead = 2", "l = 0\nk = 0", "scen.txt:1: pilot_overhead must lie in [0, 1]"),
         ("l_max = -1", "l = 0\nk = 0", "scen.txt:1: l_max must be non-negative"),
         ("snr_db = -inf", "l = 0\nk = 0",
-         "scen.txt:1: snr_db must be finite or +inf (noise-free), got -inf"),
+         "scen.txt:1: snr_db must be a number or +inf, got -inf"),
         ("snr_db = -4000", "l = 0\nk = 0",
          "scen.txt:1: snr_db -4000.0 is too low: its noise variance overflows"),
         ("l_max = 1", "l = 3\nk = 0",
@@ -376,15 +376,20 @@ class TestCli:
          "scen.txt: path block 1: target Doppler tap -2 outside [-k_max, k_max]"),
         ("k_max = 2", "l = 0\nk = 0",
          "scen.txt: path separability needs k_chirps > 2*k_max (4 <= 4)"),
-        ("n_p = 16", "l = 0\nk = 0", "scen.txt: n_c must equal k_chirps * n_p"),
+        ("n_p = 16", "l = 0\nk = 0", "scen.txt: n_c must equal k_chirps * n_p, got 32 != 4 * 16"),
+        ("n_c = 30\nn_p = 8", "l = 0\nk = 0",
+         "scen.txt: n_c must equal k_chirps * n_p, got 30 != 3 * 8"),
         ("k_chirps = 2", "l = 0\nk = 0", "scen.txt:3: k_chirps given twice"),
         ("", "l = 0\nk = 0\nl = 1", "scen.txt:8: l given twice"),
     ], ids=["pilot_overhead", "l_max", "snr_db", "snr_db-too-low", "delay-tap", "doppler-tap",
-            "separability", "geometry", "repeated-key", "repeated-path-key"])
+            "separability", "geometry", "period-not-dividing", "repeated-key",
+            "repeated-path-key"])
     def test_invalid_scenario_names_file(self, tmp_path, capsys, top, paths, message):
-        # faults found only when the ScenarioConfig is built still name the file
+        # faults found only when the ScenarioConfig is built still name the file;
+        # a row that sets n_c brings its own geometry
+        geometry = "" if top.startswith("n_c") else "n_c = 32\nk_chirps = 4\n"
         scen = tmp_path / "scen.txt"
-        scen.write_text(f"{top}\nn_c = 32\nk_chirps = 4\n[path]\ngain_re = 1.0\n{paths}\n")
+        scen.write_text(f"{top}\n{geometry}[path]\ngain_re = 1.0\n{paths}\n")
         out = tmp_path / "o"
         out.mkdir()
         code = main(["ddm", "--scenario", str(scen), "--out", str(out)])
@@ -573,8 +578,7 @@ class TestCli:
         code = main(["af-surface", "--scenario", str(scen), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: {scen}: n_c, k_chirps and n_p must be positive integers, got "
-            f"{n_c}, 4, {n_c // 4}\n"
+            f"error: {scen}: n_c and k_chirps must be positive integers, got {n_c}, 4\n"
         )
         assert not list(out.iterdir())
 

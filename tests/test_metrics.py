@@ -136,7 +136,7 @@ class TestMapMetrics:
 
 # smallest grid whose Doppler axis fits the standard 7-cell CFAR window
 DESK = ScenarioConfig(
-    name="pd-desk", n_c=64, k_chirps=8, n_p=8, l_max=2, k_max=1,
+    name="pd-desk", n_c=64, k_chirps=8, l_max=2, k_max=1,
     targets=(PathTap(1.0 + 0.0j, 1, 1),), snr_db=20.0, pilot_overhead=1.0, rng_seed=7,
 )
 
@@ -170,7 +170,7 @@ class TestMonteCarloPd:
 # n_p = K = 8: the 7-cell CFAR window fits both axes; the targets sit on the
 # map edges (rows 0 and 7, column 7), and the zero-gain one only sees noise
 EDGE = ScenarioConfig(
-    name="edge", n_c=64, k_chirps=8, n_p=8, l_max=7, k_max=3,
+    name="edge", n_c=64, k_chirps=8, l_max=7, k_max=3,
     targets=(PathTap(1.0, 7, -1), PathTap(0.6, 0, 3), PathTap(0.4, 4, -3), PathTap(0.0, 0, 0)),
     snr_db=5.0, pilot_overhead=0.0, rng_seed=8,
 )
@@ -381,8 +381,10 @@ class TestTrialEngine:
                 next(sensing_maps(GRID8, frame, EDGE_PATHS, 5.0, algorithms, [rng]))
         assert rng.bit_generator.state == state
 
-    def test_no_algorithm_rejected_before_any_draw(self, monkeypatch):
-        # it used to draw every frame and its noise, then return nothing
+    @pytest.mark.parametrize("entry", ["trial_metrics", "sensing_maps"])
+    def test_no_algorithm_rejected_before_any_draw(self, entry, monkeypatch):
+        # sensing_maps used to draw every frame and its noise, then return
+        # nothing, and trial_metrics returned {}
         def no_frame(*args):
             raise AssertionError("a frame was drawn")
 
@@ -391,7 +393,10 @@ class TestTrialEngine:
         rng = trial_rng(5, 0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="algorithms needs at least one of"):
-            list(sensing_maps(GRID8, frame, EDGE_PATHS, 10.0, (), [rng]))
+            if entry == "trial_metrics":
+                trial_metrics(GRID8, frame, EDGE_PATHS, 10.0, (), [rng])
+            else:
+                next(sensing_maps(GRID8, frame, EDGE_PATHS, 10.0, (), [rng]))
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("rngs", [[], (rng for rng in [])], ids=["list", "generator"])
@@ -526,10 +531,6 @@ class TestTrialEngine:
         two = peak((0.0, 10.0))
         twelve = peak(tuple(range(-10, 26, 3)))
         assert twelve <= 1.05 * two, (twelve, two)
-
-    def test_no_algorithm_gives_no_metrics(self):
-        # ddmf alone on a non-FMCW preset leaves a sweep no algorithm to run
-        assert scenario_metrics(EDGE, (), 5) == {}
 
     def test_stack_metrics_match_single_maps(self):
         rng = np.random.default_rng(14)

@@ -1,9 +1,11 @@
 import math
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from afdmsim.experiments import builtin_scenarios
 from afdmsim.params import (
     AfdmConfig,
     PathTap,
@@ -68,7 +70,7 @@ class TestPreset:
 class TestPeriodicityInvariants:
     def test_parity_rule_enforced(self):
         # an odd period breaks the chirp's n_p-periodicity, so the set is not FMCW-equivalent
-        cfg = AfdmConfig(n_c=21, k_chirps=3, n_p=7, c1=Fraction(1, 14), c2=Fraction(0))
+        cfg = AfdmConfig(n_c=21, k_chirps=3, c1=Fraction(1, 14), c2=Fraction(0))
         with pytest.raises(ValueError, match="even"):
             cfg.require_fmcw("ddmf")
 
@@ -80,17 +82,24 @@ class TestPeriodicityInvariants:
 
     @pytest.mark.parametrize("build", [
         lambda: preset("proposed", 32.0, 4),
-        lambda: ScenarioConfig(name="bad", n_c=32.0, k_chirps=4, n_p=8.0),
-        lambda: AfdmConfig(n_c=32, k_chirps=4.0, n_p=8, c1=Fraction(1, 16), c2=Fraction(0)),
+        lambda: ScenarioConfig(name="bad", n_c=32.0, k_chirps=4),
+        lambda: AfdmConfig(n_c=32, k_chirps=4.0, c1=Fraction(1, 16), c2=Fraction(0)),
     ], ids=["preset", "scenario", "config"])
     def test_non_integer_geometry_rejected(self, build):
-        # a float n_p would otherwise reach a Fraction rate as a raw TypeError
+        # a float n_c or k_chirps would otherwise reach a Fraction rate as a raw TypeError
         with pytest.raises(ValueError, match="must be positive integers"):
             build()
 
     def test_geometry_consistency_enforced(self):
-        with pytest.raises(ValueError, match="k_chirps"):
-            AfdmConfig(n_c=30, k_chirps=4, n_p=8, c1=Fraction(1, 16), c2=Fraction(0))
+        with pytest.raises(ValueError, match="k_chirps must divide n_c, got 30 % 4 != 0"):
+            AfdmConfig(n_c=30, k_chirps=4, c1=Fraction(1, 16), c2=Fraction(0))
+
+    def test_chirp_period_is_derived(self):
+        # n_p used to be a stored field, so a new k_chirps alone raised
+        # "n_c must equal k_chirps * n_p"
+        assert replace(builtin_scenarios()["fig4"], k_chirps=16).n_p == 32
+        assert replace(proposed_params(64, 8), k_chirps=4).n_p == 128
+        assert "n_p" not in {f.name for f in (*fields(AfdmConfig), *fields(ScenarioConfig))}
 
 
 class TestPathTap:
@@ -129,41 +138,41 @@ class TestPathTap:
 class TestScenarioConfig:
     def test_path_separability(self):
         with pytest.raises(ValueError, match="separability"):
-            ScenarioConfig(name="bad", n_c=32, k_chirps=4, n_p=8, k_max=2, l_max=1)
+            ScenarioConfig(name="bad", n_c=32, k_chirps=4, k_max=2, l_max=1)
 
     def test_target_bounds(self):
         with pytest.raises(ValueError, match="Doppler"):
             ScenarioConfig(
-                name="bad", n_c=32, k_chirps=4, n_p=8, k_max=1, l_max=2,
+                name="bad", n_c=32, k_chirps=4, k_max=1, l_max=2,
                 targets=(PathTap(1.0, 1, 3),),
             )
 
     @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")])
     def test_non_finite_snr_rejected(self, snr_db):
         with pytest.raises(ValueError, match="snr_db"):
-            ScenarioConfig(name="bad", n_c=32, k_chirps=4, n_p=8, snr_db=snr_db)
+            ScenarioConfig(name="bad", n_c=32, k_chirps=4, snr_db=snr_db)
 
     @pytest.mark.parametrize("target", [(1.0, 1, 0), (1.0, 1.5, 0), [1.0, 1, 0]])
     def test_target_that_is_no_path_rejected(self, target):
         # a (gain, l, k) tuple used to be accepted, and int() made 1.5 delay tap 1
         with pytest.raises(ValueError, match="targets must be PathTap paths"):
-            ScenarioConfig(name="bad", n_c=32, k_chirps=4, n_p=8, l_max=2, targets=(target,))
+            ScenarioConfig(name="bad", n_c=32, k_chirps=4, l_max=2, targets=(target,))
 
     @pytest.mark.parametrize("gain", [complex(math.nan, 0.0), complex(0.0, math.inf), math.nan])
     def test_non_finite_target_gain_rejected(self, gain):
         with pytest.raises(ValueError, match="target gain"):
-            ScenarioConfig(name="bad", n_c=32, k_chirps=4, n_p=8, targets=(PathTap(gain, 0, 0),))
+            ScenarioConfig(name="bad", n_c=32, k_chirps=4, targets=(PathTap(gain, 0, 0),))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="rng_seed must be non-negative, got -1"):
-            ScenarioConfig(name="bad", n_c=32, k_chirps=4, n_p=8, rng_seed=-1)
+            ScenarioConfig(name="bad", n_c=32, k_chirps=4, rng_seed=-1)
 
     def test_infinite_snr_is_noise_free(self):
-        sc = ScenarioConfig(name="clean", n_c=32, k_chirps=4, n_p=8, snr_db=float("inf"))
+        sc = ScenarioConfig(name="clean", n_c=32, k_chirps=4, snr_db=float("inf"))
         assert sc.snr_db == float("inf")
 
     def test_bandwidth_derived(self):
-        sc = ScenarioConfig(name="x", n_c=512, k_chirps=8, n_p=64, k_max=3, l_max=10)
+        sc = ScenarioConfig(name="x", n_c=512, k_chirps=8, k_max=3, l_max=10)
         assert sc.bandwidth_hz == pytest.approx(7.68e6)
 
 

@@ -568,7 +568,7 @@ def scenarios(draw):
     gain = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
     target = st.builds(PathTap, gain, st.integers(0, l_max), st.integers(-k_max, k_max))
     return ScenarioConfig(
-        name="scenario", n_c=n_p * k_chirps, k_chirps=k_chirps, n_p=n_p, preset=name,
+        name="scenario", n_c=n_p * k_chirps, k_chirps=k_chirps, preset=name,
         l_max=l_max, k_max=k_max,
         snr_db=draw(st.floats(-100.0, 100.0) | st.just(math.inf)),
         pilot_overhead=draw(st.floats(0.0, 1.0)),
@@ -607,7 +607,7 @@ def test_preset_builds_its_rates_or_raises_value_error(name, n_c, k_chirps, k_ma
     config = preset(name, n_c, k_chirps, k_max, l_cpp)
     n_p = n_c // k_chirps
     c1, c2 = preset_rates(name, n_c, n_p, k_max)
-    assert config == AfdmConfig(n_c, k_chirps, n_p, c1=c1, c2=c2, l_cpp=l_cpp)
+    assert config == AfdmConfig(n_c, k_chirps, c1=c1, c2=c2, l_cpp=l_cpp)
     assert config.fmcw_equivalent == (name == "proposed")
 
 
@@ -616,16 +616,26 @@ def test_preset_builds_its_rates_or_raises_value_error(name, n_c, k_chirps, k_ma
 def test_scenario_waveform_is_the_preset_formula(sc, name):
     assume(name != "proposed" or sc.n_p % 2 == 0)
     c1, c2 = preset_rates(name, sc.n_c, sc.n_p, sc.k_max)
-    want = AfdmConfig(sc.n_c, sc.k_chirps, sc.n_p, c1=c1, c2=c2, l_cpp=sc.l_max + 1)
+    want = AfdmConfig(sc.n_c, sc.k_chirps, c1=c1, c2=c2, l_cpp=sc.l_max + 1)
     assert sc.waveform(name) == want
     assert sc.waveform() == sc.waveform(sc.preset)
 
 
 @settings(deadline=None, max_examples=100)
-@given(sc=scenarios(), geometry_key=st.sampled_from(("k_chirps", "n_p")))
-def test_scenario_file_round_trip(sc, geometry_key):
+@given(
+    sc=scenarios(),
+    geometry=st.sampled_from((("k_chirps",), ("n_p",), ("k_chirps", "n_p"))),
+)
+@example(  # the desk grid keyed by its chirp period alone
+    sc=ScenarioConfig(name="scenario", n_c=32, k_chirps=4, l_max=2, k_max=1,
+                      targets=(PathTap(1.0 + 0.0j, 1, 1),)),
+    geometry=("n_p",),
+)
+def test_scenario_file_round_trip(sc, geometry):
+    # the chirp period n_p is a file input: alone or beside k_chirps it
+    # loads the same scenario as k_chirps alone
     lines = [
-        f"n_c = {sc.n_c}", f"{geometry_key} = {getattr(sc, geometry_key)}",
+        f"n_c = {sc.n_c}", *(f"{key} = {getattr(sc, key)}" for key in geometry),
         f"preset = {sc.preset}", f"k_max = {sc.k_max}", f"l_max = {sc.l_max}",
         f"snr_db = {sc.snr_db!r}", f"pilot_overhead = {sc.pilot_overhead!r}",
         f"seed = {sc.rng_seed}",
