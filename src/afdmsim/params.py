@@ -39,9 +39,14 @@ _RATES = {
 PRESET_NAMES = tuple(_RATES)
 
 
+def _is_integer(value) -> bool:
+    """True for an integral number that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_geometry(n_c: int, k_chirps: int) -> None:
     """Raise ValueError unless n_c and k_chirps are positive integers and k_chirps divides n_c."""
-    if not all(isinstance(v, numbers.Integral) and v > 0 for v in (n_c, k_chirps)):
+    if not all(_is_integer(v) and v > 0 for v in (n_c, k_chirps)):
         raise ValueError(f"n_c and k_chirps must be positive integers, got {n_c}, {k_chirps}")
     if n_c % k_chirps:
         raise ValueError(f"k_chirps must divide n_c, got {n_c} % {k_chirps} != 0")
@@ -68,6 +73,8 @@ class AfdmConfig:
 
     def __post_init__(self) -> None:
         _check_geometry(self.n_c, self.k_chirps)
+        if not _is_integer(self.l_cpp):
+            raise ValueError(f"l_cpp must be an integer, got {self.l_cpp!r}")
         if self.l_cpp < 0:
             raise ValueError("l_cpp must be non-negative")
         if not isinstance(self.c1, Fraction):
@@ -140,7 +147,7 @@ class PathTap:
     def __post_init__(self) -> None:
         for name in ("delay_tap", "doppler_tap"):
             tap = getattr(self, name)
-            if not isinstance(tap, numbers.Integral) or isinstance(tap, bool):
+            if not _is_integer(tap):
                 raise ValueError(f"{name} must be an integer, got {type(tap).__name__} {tap!r}")
         if not cmath.isfinite(self.gain):
             raise ValueError(f"target gain {self.gain} must be finite")
@@ -255,6 +262,8 @@ def _check_field(key: str, value) -> None:
         raise ValueError("pilot_overhead must lie in [0, 1]")
     if key == "snr_db":
         noise_variance(value)
+    if key in ("l_max", "k_max") and not _is_integer(value):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
     if key in ("l_max", "k_max", "seed", "rng_seed") and value < 0:
         raise ValueError(f"{key} must be non-negative, got {value}")
 

@@ -2,21 +2,29 @@
 
 Three estimators turn one symbol into a complex (n_p, K) delay-Doppler array:
 
-* ``tfmf``    -- fast/slow-time reshape, per-column spectral matched filter
-  against a reference copy of the transmitted signal, then delay and Doppler
-  inverse transforms. O(n_c log n_c). Works for any reference waveform but
-  does not compensate the Doppler-into-delay coupling of chirp waveforms.
+* ``tfmf``    -- per-chirp spectral matched filter against a reference copy
+  of the transmitted signal, then delay and Doppler inverse transforms.
+  O(n_c log n_c). Works for any reference waveform but does not compensate
+  the Doppler-into-delay coupling of chirp waveforms.
 * ``dechirp`` -- conjugate-multiply by a deterministic pilot then transform;
   the classic low-complexity FMCW receiver. Identical map magnitudes to
   ``tfmf`` whenever the reference is the pilot itself.
 * ``ddmf``    -- exhaustive hypothesis correlation on the delay-Doppler grid
   with the coupling offset and a phase-matching factor, O(n_c^2) as written
   (``_ddmf_direct``) and O(K n_c log n_c) as K time-domain cross-correlations
-  (``ddmf_batch``). Exactly decouples delay and Doppler for the
-  FMCW-equivalent parameter set. Against one shared grid with a single
-  nonzero cell (the boosted pilot at full pilot overhead) each map cell
-  reads one received cell times a known phase, so ``ddmf_batch`` returns a
-  gather of the conjugate received grids, O(n_c) per map.
+  (``ddmf_batch``, each column's Doppler-shifted spectrum read as a window
+  of the received spectrum wrapped by K//2 bins on each side). Exactly
+  decouples delay and Doppler for the FMCW-equivalent parameter set. Against
+  one shared grid with a single nonzero cell (the boosted pilot at full
+  pilot overhead) each map cell reads one received cell times a known
+  phase, so ``ddmf_batch`` returns a gather of the conjugate received grids,
+  O(n_c) per map.
+
+``tfmf`` and ``dechirp`` run chirp-major: a symbol's K chirps of n_p samples
+are contiguous runs, so a (..., n_c) stack is a free (..., K, n_p) view. The
+fast-time transforms and products run along that contiguous last axis in
+place, and the slow-time transform writes the C-contiguous (..., n_p, K)
+maps through their transposed view, scaled once.
 
 Doppler columns of every map are mod-K bins; ``ddmf`` evaluates each column
 at its signed representative in [-K//2, K-1-K//2] so that targets with
@@ -37,9 +45,13 @@ from .params import AfdmConfig
 from .waveform import _as_samples, _chirps, modulate
 
 
-def _fast_slow(config: AfdmConfig, samples: np.ndarray) -> np.ndarray:
-    """(..., n_c) -> (..., n_p, K) fast/slow-time matrices: entry [n, q] = x[n + q*n_p]."""
-    return samples.reshape(*samples.shape[:-1], config.k_chirps, config.n_p).swapaxes(-1, -2)
+def _slow_time_maps(chirps: np.ndarray, lead: tuple, scale: float) -> np.ndarray:
+    """scale * the slow-time inverse transform of (..., K, n_p) chirps, as (*lead, n_p, K) maps."""
+    K, n_p = chirps.shape[-2:]
+    maps = np.empty(lead + (n_p, K), dtype=np.complex128)
+    np.fft.ifft(chirps, axis=-2, out=maps.reshape(chirps.shape[:-2] + (n_p, K)).swapaxes(-1, -2))
+    maps *= scale
+    return maps
 
 
 def tfmf_batch(config: AfdmConfig, r_stack: np.ndarray, s_ref) -> np.ndarray:
@@ -55,34 +67,33 @@ def tfmf_batch(config: AfdmConfig, r_stack: np.ndarray, s_ref) -> np.ndarray:
     n_rows = r.size // config.n_c
     if not len(refs) or n_rows % len(refs):
         raise ValueError(f"{len(refs)} references do not divide {n_rows} received signals")
-    rm = _fast_slow(config, r.reshape(-1, len(refs), config.n_c))
     n_p, K = config.n_p, config.k_chirps
-    r_fre = np.fft.fft(rm, axis=-2) / np.sqrt(n_p)
-    s_fre = np.fft.fft(_fast_slow(config, refs), axis=-2) / np.sqrt(n_p)
-    mf = r_fre * np.conj(s_fre)
-    d_range = np.fft.ifft(mf, axis=-2) * np.sqrt(n_p)
-    return (np.fft.ifft(d_range, axis=-1) * np.sqrt(K)).reshape(r.shape[:-1] + (n_p, K))
+    spectra = np.fft.fft(r.reshape(-1, len(refs), K, n_p))
+    ref_spectra = np.fft.fft(refs.reshape(-1, K, n_p))
+    spectra *= np.conj(ref_spectra, out=ref_spectra)
+    np.fft.ifft(spectra, out=spectra)
+    return _slow_time_maps(spectra, r.shape[:-1], np.sqrt(K) / np.sqrt(n_p))
 
 
 def tfmf(config: AfdmConfig, r, s_ref) -> np.ndarray:
     """Time-frequency matched filter against a known reference signal.
 
-    Five stages: reshape both signals to (n_p, K) fast/slow-time matrices,
-    forward transform along fast time, per-cell product with the conjugate
+    Five stages: cut both signals into their K chirps of n_p samples, forward
+    transform each chirp along fast time, per-cell product with the conjugate
     reference spectrum, inverse transform back to delay, inverse transform
-    along slow time to Doppler.
+    across the chirps along slow time to Doppler, giving the (n_p, K) map.
     """
     return tfmf_batch(config, _as_samples(r, config)[None, :], s_ref)[0]
 
 
 def dechirp_batch(config: AfdmConfig, r_stack: np.ndarray, pilot) -> np.ndarray:
-    """Vectorized dechirp over a (..., n_c) stack of received signals."""
-    rm = _fast_slow(config, _as_samples(r_stack, config, stacked=True))
-    pm = _fast_slow(config, _as_samples(pilot, config))
+    """Vectorized dechirp over a (..., n_c) stack of received signals, chirp-major like TFMF."""
+    r = _as_samples(r_stack, config, stacked=True)
+    pilot = _as_samples(pilot, config)
     n_p, K = config.n_p, config.k_chirps
-    d = rm * np.conj(pm)
-    d_range = np.fft.ifft(d, axis=-2) * np.sqrt(n_p)
-    return np.fft.ifft(d_range, axis=-1) * np.sqrt(K)
+    beats = r.reshape(-1, K, n_p) * np.conj(pilot.reshape(K, n_p))
+    np.fft.ifft(beats, out=beats)
+    return _slow_time_maps(beats, r.shape[:-1], np.sqrt(n_p) * np.sqrt(K))
 
 
 def dechirp(config: AfdmConfig, r, pilot) -> np.ndarray:
@@ -186,12 +197,14 @@ def ddmf_batch(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -> 
     sum_n conj(r[n]) s[n - l] exp(-j2pi k n / n_c) with k the column's
     signed Doppler: lag l of one length-n_c circular correlation per column,
     whose spectrum is V[f + k] T[f] with V = fft(conj r) and T = n_c ifft(s).
-    The spectra are transformed once per grid of each stack and the (K, n_c)
-    products are formed one map at a time, so only the spectra and the maps
-    grow with N. Against one grid with exactly one nonzero cell (the pilot
-    alone) each map cell is one received cell times a known phase, so the
-    maps are conj(Y[:, rows, cols]) * weights from ``_one_cell_gather``,
-    built once per call, and no FFT is taken.
+    The spectra are transformed once per grid of each stack; V[(f + k) mod
+    n_c] is a window of V wrapped by K//2 bins on each side, and the (K, n_c)
+    products are formed and inverse-transformed one map at a time in one
+    reused buffer, so only the spectra and the maps grow with N. Against
+    one grid with exactly one nonzero cell (the pilot alone) each map cell
+    is one received cell times a known phase, so the maps are
+    conj(Y[:, rows, cols]) * weights from ``_one_cell_gather``, built once
+    per call, and no FFT is taken.
     """
     Y, X = _ddmf_inputs(config, y_grids, x_grids)
     if len(X) == 1 and np.count_nonzero(X) == 1:
@@ -200,15 +213,23 @@ def ddmf_batch(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -> 
         np.conj(maps, out=maps)
         maps *= weights
         return maps
-    n_c, K = config.n_c, config.k_chirps
+    n_c, K, half = config.n_c, config.k_chirps, config.k_chirps // 2
     chirps = _chirps(config)
     V = np.fft.fft(np.conj(modulate(config, grid_to_vector(config, Y), chirps)))
     T = np.fft.ifft(modulate(config, grid_to_vector(config, X), chirps)) * n_c
-    # shift[col, f] = (f + k) mod n_c: the bins of V that column col's Doppler reads
-    shift = np.mod(np.arange(n_c) + signed_doppler(np.arange(K), K)[:, None], n_c)
-    maps = np.empty_like(Y)
+    # window j of V wrapped by K//2 bins on each side is V[(f + j - K//2) mod n_c]:
+    # Doppler k reads window k + K//2, so columns 0.. read windows K//2..K-1
+    # and the negative-Doppler columns after them windows 0..K//2-1
+    wrapped = np.concatenate((V[:, n_c - half:], V, V[:, :half]), axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(wrapped, n_c, axis=1)
+    split = K - half
+    products = np.empty((K, n_c), dtype=np.complex128)
+    maps = np.empty(Y.shape, dtype=np.complex128)
     for b in range(len(Y)):
-        maps[b] = np.fft.ifft(V[b, shift] * T[b % len(X)])[:, :config.n_p].T
+        np.multiply(windows[b, half:K], T[b % len(X)], out=products[:split])
+        np.multiply(windows[b, :half], T[b % len(X)], out=products[split:])
+        np.fft.ifft(products, out=products)
+        maps[b] = products[:, :config.n_p].T
     return maps
 
 

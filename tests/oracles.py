@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from afdmsim.channel import _gram_diagonals
+from afdmsim.ddgrid import grid_to_vector
 from afdmsim.metrics import FrameSpec, trial_metrics, trial_rng
+from afdmsim.sensing import _ddmf_inputs, signed_doppler
+from afdmsim.waveform import _as_samples, _chirps, modulate
 
 
 def delay_doppler_gram(taps, n_c: int) -> np.ndarray:
@@ -49,3 +52,49 @@ def scenario_metrics(
         config, FrameSpec.from_overhead(config.n_c, po), scenario.targets, snr, algorithms, rngs,
         **options,
     )
+
+
+def _fast_slow(config, samples: np.ndarray) -> np.ndarray:
+    """(..., n_c) -> (..., n_p, K) fast/slow-time matrices: entry [n, q] = x[n + q*n_p]."""
+    return samples.reshape(*samples.shape[:-1], config.k_chirps, config.n_p).swapaxes(-1, -2)
+
+
+def tfmf_strided(config, r_stack, s_ref) -> np.ndarray:
+    """``sensing.tfmf_batch`` on the transposed (n_p, K) view, scaled stage by stage.
+
+    Each transform runs along a strided axis and each stage keeps its own
+    unitary scale, as the filter is written step by step.
+    """
+    r = _as_samples(r_stack, config, stacked=True)
+    refs = _as_samples(s_ref, config, stacked=True).reshape(-1, config.n_c)
+    rm = _fast_slow(config, r.reshape(-1, len(refs), config.n_c))
+    n_p, K = config.n_p, config.k_chirps
+    r_fre = np.fft.fft(rm, axis=-2) / np.sqrt(n_p)
+    s_fre = np.fft.fft(_fast_slow(config, refs), axis=-2) / np.sqrt(n_p)
+    mf = r_fre * np.conj(s_fre)
+    d_range = np.fft.ifft(mf, axis=-2) * np.sqrt(n_p)
+    return (np.fft.ifft(d_range, axis=-1) * np.sqrt(K)).reshape(r.shape[:-1] + (n_p, K))
+
+
+def dechirp_strided(config, r_stack, pilot) -> np.ndarray:
+    """``sensing.dechirp_batch`` on the transposed (n_p, K) view, scaled stage by stage."""
+    rm = _fast_slow(config, _as_samples(r_stack, config, stacked=True))
+    pm = _fast_slow(config, _as_samples(pilot, config))
+    n_p, K = config.n_p, config.k_chirps
+    d_range = np.fft.ifft(rm * np.conj(pm), axis=-2) * np.sqrt(n_p)
+    return np.fft.ifft(d_range, axis=-1) * np.sqrt(K)
+
+
+def ddmf_gathered(config, y_grids, x_grids) -> np.ndarray:
+    """``sensing.ddmf_batch``'s correlation path with each column's Doppler-shifted
+    spectrum gathered as V[b, (f + k) mod n_c], one map at a time."""
+    Y, X = _ddmf_inputs(config, y_grids, x_grids)
+    n_c, K = config.n_c, config.k_chirps
+    chirps = _chirps(config)
+    V = np.fft.fft(np.conj(modulate(config, grid_to_vector(config, Y), chirps)))
+    T = np.fft.ifft(modulate(config, grid_to_vector(config, X), chirps)) * n_c
+    shift = np.mod(np.arange(n_c) + signed_doppler(np.arange(K), K)[:, None], n_c)
+    maps = np.empty_like(Y)
+    for b in range(len(Y)):
+        maps[b] = np.fft.ifft(V[b, shift] * T[b % len(X)])[:, :config.n_p].T
+    return maps

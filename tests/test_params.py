@@ -90,6 +90,22 @@ class TestPeriodicityInvariants:
         with pytest.raises(ValueError, match="must be positive integers"):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: preset("ocdm", True, True),
+        lambda: ScenarioConfig(name="bad", n_c=32, k_chirps=True, preset="ocdm"),
+        lambda: AfdmConfig(n_c=True, k_chirps=1, c1=Fraction(1, 2), c2=Fraction(0)),
+    ], ids=["preset", "scenario", "config"])
+    def test_bool_geometry_rejected(self, build):
+        # True counted as the integer 1, so preset("ocdm", True, True) built a one-sample grid
+        with pytest.raises(ValueError, match="n_c and k_chirps must be positive integers"):
+            build()
+
+    @pytest.mark.parametrize("l_cpp", [2.5, 2.0, True, Fraction(2)])
+    def test_non_integer_prefix_rejected(self, l_cpp):
+        # a 2.5-sample prefix used to reach add_cpp's slices as a raw TypeError
+        with pytest.raises(ValueError, match="l_cpp must be an integer"):
+            AfdmConfig(n_c=32, k_chirps=4, c1=Fraction(1, 16), c2=Fraction(0), l_cpp=l_cpp)
+
     def test_geometry_consistency_enforced(self):
         with pytest.raises(ValueError, match="k_chirps must divide n_c, got 30 % 4 != 0"):
             AfdmConfig(n_c=30, k_chirps=4, c1=Fraction(1, 16), c2=Fraction(0))
@@ -162,6 +178,14 @@ class TestScenarioConfig:
     def test_non_finite_target_gain_rejected(self, gain):
         with pytest.raises(ValueError, match="target gain"):
             ScenarioConfig(name="bad", n_c=32, k_chirps=4, targets=(PathTap(gain, 0, 0),))
+
+    @pytest.mark.parametrize("field, value", [
+        ("l_max", 1.5), ("k_max", 0.5), ("l_max", 2.0), ("k_max", True), ("l_max", Fraction(1)),
+    ])
+    def test_non_integer_channel_bound_rejected(self, field, value):
+        # l_max = 1.5 used to build a waveform with l_cpp = 2.5
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ScenarioConfig(name="bad", n_c=32, k_chirps=4, preset="ocdm", **{field: value})
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="rng_seed must be non-negative, got -1"):

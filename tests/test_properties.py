@@ -47,6 +47,7 @@ from afdmsim.sensing import (
     ddmf,
     ddmf_batch,
     dechirp,
+    dechirp_batch,
     os_cfar_mask_batch,
     os_cfar_rank,
     os_cfar_threshold_factor,
@@ -65,7 +66,13 @@ from afdmsim.waveform import (
     subcarrier,
 )
 
-from oracles import delay_doppler_gram, mask_near
+from oracles import (
+    dechirp_strided,
+    ddmf_gathered,
+    delay_doppler_gram,
+    mask_near,
+    tfmf_strided,
+)
 
 
 @st.composite
@@ -299,6 +306,51 @@ def test_cfar_is_invariant_to_power_of_two_scaling(shape, zeros, exponent, seed)
 # ---------------------------------------------------------------------------
 # Fast paths pinned bit for bit to the forms they replaced
 # ---------------------------------------------------------------------------
+
+@settings(deadline=None, max_examples=60)
+@given(
+    name=st.sampled_from(PRESET_NAMES),
+    n_p=st.integers(1, 16),
+    k_chirps=st.integers(1, 8),
+    lead=st.integers(1, 3),
+    rows=st.integers(1, 4),
+    per_row=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(name="proposed", n_p=64, k_chirps=8, lead=2, rows=3, per_row=False, seed=0)
+@example(name="ocdm", n_p=6, k_chirps=3, lead=1, rows=2, per_row=True, seed=0)
+@example(name="proposed", n_p=6, k_chirps=1, lead=1, rows=1, per_row=True, seed=0)
+def test_chirp_major_filters_equal_the_strided_forms(
+    name, n_p, k_chirps, lead, rows, per_row, seed
+):
+    # tfmf and dechirp scale once where the strided forms scale each stage:
+    # bit for bit when sqrt(n_p) is a power of 2, to rounding otherwise. The
+    # ddmf correlation path reads the same spectrum bins through windows,
+    # bit for bit. Every map stack is C-contiguous
+    if name == "proposed":
+        n_p += n_p % 2
+    config = preset(name, n_p * k_chirps, k_chirps, 1)
+    rng = np.random.default_rng(seed)
+    n_rows = lead * rows
+    parts = rng.standard_normal((2, n_rows + (n_rows if per_row else 1) + 1, config.n_c))
+    r, s, pilot = np.split(parts[0] + 1j * parts[1], [n_rows, -1])
+    r = r.reshape(lead, rows, config.n_c)
+    exact = n_p & (n_p - 1) == 0 and n_p.bit_length() % 2 == 1  # n_p a power of 4
+    for got, want in (
+        (tfmf_batch(config, r, s), tfmf_strided(config, r, s)),
+        (dechirp_batch(config, r, pilot[0]), dechirp_strided(config, r, pilot[0])),
+    ):
+        assert got.flags.c_contiguous and got.shape == want.shape == (lead, rows, n_p, k_chirps)
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            peaks = np.abs(want).max(axis=(-2, -1))
+            assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= 1e-14 * peaks)
+    if config.fmcw_equivalent:
+        Y, X = vector_to_grid(config, r.reshape(-1, config.n_c)), vector_to_grid(config, s)
+        got = ddmf_batch(config, Y, X)
+        assert got.flags.c_contiguous and np.array_equal(got, ddmf_gathered(config, Y, X))
+
 
 def _rolled_ring(power, train, guard):
     """The training ring as rolled copies of each map, in offset order."""
