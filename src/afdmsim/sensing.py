@@ -12,13 +12,11 @@ Three estimators turn one symbol into a complex (n_p, K) delay-Doppler array:
 * ``ddmf``    -- exhaustive hypothesis correlation on the delay-Doppler grid
   with the coupling offset and a phase-matching factor, O(n_c^2) as written
   (``_ddmf_direct``) and O(K n_c log n_c) as K time-domain cross-correlations
-  (``ddmf_batch``, each column's Doppler-shifted spectrum read as a window
-  of the received spectrum wrapped by K//2 bins on each side). Exactly
-  decouples delay and Doppler for the FMCW-equivalent parameter set. Against
-  one shared grid with a single nonzero cell (the boosted pilot at full
-  pilot overhead) each map cell reads one received cell times a known
-  phase, so ``ddmf_batch`` returns a gather of the conjugate received grids,
-  O(n_c) per map.
+  (``ddmf_batch``). Exactly decouples delay and Doppler for the
+  FMCW-equivalent parameter set. Against one shared grid with a single
+  nonzero cell (the boosted pilot at full pilot overhead) each map cell
+  reads one received cell times a known phase, so ``ddmf_batch`` returns a
+  gather of the conjugate received grids, O(n_c) per map.
 
 ``tfmf`` and ``dechirp`` run chirp-major: a symbol's K chirps of n_p samples
 are contiguous runs, so a (..., n_c) stack is a free (..., K, n_p) view. The
@@ -197,14 +195,12 @@ def ddmf_batch(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -> 
     sum_n conj(r[n]) s[n - l] exp(-j2pi k n / n_c) with k the column's
     signed Doppler: lag l of one length-n_c circular correlation per column,
     whose spectrum is V[f + k] T[f] with V = fft(conj r) and T = n_c ifft(s).
-    The spectra are transformed once per grid of each stack; V[(f + k) mod
-    n_c] is a window of V wrapped by K//2 bins on each side, and the (K, n_c)
-    products are formed and inverse-transformed one map at a time in one
-    reused buffer, so only the spectra and the maps grow with N. Against
-    one grid with exactly one nonzero cell (the pilot alone) each map cell
-    is one received cell times a known phase, so the maps are
-    conj(Y[:, rows, cols]) * weights from ``_one_cell_gather``, built once
-    per call, and no FFT is taken.
+    The spectra are transformed once per grid of each stack and the (K, n_c)
+    products are formed one map at a time, so only the spectra and the maps
+    grow with N. Against one grid with exactly one nonzero cell (the pilot
+    alone) each map cell is one received cell times a known phase, so the
+    maps are conj(Y[:, rows, cols]) * weights from ``_one_cell_gather``,
+    built once per call, and no FFT is taken.
     """
     Y, X = _ddmf_inputs(config, y_grids, x_grids)
     if len(X) == 1 and np.count_nonzero(X) == 1:
@@ -213,23 +209,15 @@ def ddmf_batch(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -> 
         np.conj(maps, out=maps)
         maps *= weights
         return maps
-    n_c, K, half = config.n_c, config.k_chirps, config.k_chirps // 2
+    n_c, K = config.n_c, config.k_chirps
     chirps = _chirps(config)
     V = np.fft.fft(np.conj(modulate(config, grid_to_vector(config, Y), chirps)))
     T = np.fft.ifft(modulate(config, grid_to_vector(config, X), chirps)) * n_c
-    # window j of V wrapped by K//2 bins on each side is V[(f + j - K//2) mod n_c]:
-    # Doppler k reads window k + K//2, so columns 0.. read windows K//2..K-1
-    # and the negative-Doppler columns after them windows 0..K//2-1
-    wrapped = np.concatenate((V[:, n_c - half:], V, V[:, :half]), axis=1)
-    windows = np.lib.stride_tricks.sliding_window_view(wrapped, n_c, axis=1)
-    split = K - half
-    products = np.empty((K, n_c), dtype=np.complex128)
-    maps = np.empty(Y.shape, dtype=np.complex128)
+    # shift[col, f] = (f + k) mod n_c: the bins of V that column col's Doppler reads
+    shift = np.mod(np.arange(n_c) + signed_doppler(np.arange(K), K)[:, None], n_c)
+    maps = np.empty_like(Y)
     for b in range(len(Y)):
-        np.multiply(windows[b, half:K], T[b % len(X)], out=products[:split])
-        np.multiply(windows[b, :half], T[b % len(X)], out=products[split:])
-        np.fft.ifft(products, out=products)
-        maps[b] = products[:, :config.n_p].T
+        maps[b] = np.fft.ifft(V[b, shift] * T[b % len(X)])[:, :config.n_p].T
     return maps
 
 

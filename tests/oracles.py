@@ -5,10 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from afdmsim.channel import _gram_diagonals
-from afdmsim.ddgrid import grid_to_vector
 from afdmsim.metrics import FrameSpec, trial_metrics, trial_rng
-from afdmsim.sensing import _ddmf_inputs, signed_doppler
-from afdmsim.waveform import _as_samples, _chirps, modulate
+from afdmsim.waveform import _as_samples
 
 
 def delay_doppler_gram(taps, n_c: int) -> np.ndarray:
@@ -84,17 +82,3 @@ def dechirp_strided(config, r_stack, pilot) -> np.ndarray:
     d_range = np.fft.ifft(rm * np.conj(pm), axis=-2) * np.sqrt(n_p)
     return np.fft.ifft(d_range, axis=-1) * np.sqrt(K)
 
-
-def ddmf_gathered(config, y_grids, x_grids) -> np.ndarray:
-    """``sensing.ddmf_batch``'s correlation path with each column's Doppler-shifted
-    spectrum gathered as V[b, (f + k) mod n_c], one map at a time."""
-    Y, X = _ddmf_inputs(config, y_grids, x_grids)
-    n_c, K = config.n_c, config.k_chirps
-    chirps = _chirps(config)
-    V = np.fft.fft(np.conj(modulate(config, grid_to_vector(config, Y), chirps)))
-    T = np.fft.ifft(modulate(config, grid_to_vector(config, X), chirps)) * n_c
-    shift = np.mod(np.arange(n_c) + signed_doppler(np.arange(K), K)[:, None], n_c)
-    maps = np.empty_like(Y)
-    for b in range(len(Y)):
-        maps[b] = np.fft.ifft(V[b, shift] * T[b % len(X)])[:, :config.n_p].T
-    return maps

@@ -68,7 +68,6 @@ from afdmsim.waveform import (
 
 from oracles import (
     dechirp_strided,
-    ddmf_gathered,
     delay_doppler_gram,
     mask_near,
     tfmf_strided,
@@ -324,9 +323,8 @@ def test_chirp_major_filters_equal_the_strided_forms(
     name, n_p, k_chirps, lead, rows, per_row, seed
 ):
     # tfmf and dechirp scale once where the strided forms scale each stage:
-    # bit for bit when sqrt(n_p) is a power of 2, to rounding otherwise. The
-    # ddmf correlation path reads the same spectrum bins through windows,
-    # bit for bit. Every map stack is C-contiguous
+    # bit for bit when sqrt(n_p) is a power of 2, to rounding otherwise.
+    # Every map stack is C-contiguous
     if name == "proposed":
         n_p += n_p % 2
     config = preset(name, n_p * k_chirps, k_chirps, 1)
@@ -346,10 +344,6 @@ def test_chirp_major_filters_equal_the_strided_forms(
         else:
             peaks = np.abs(want).max(axis=(-2, -1))
             assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= 1e-14 * peaks)
-    if config.fmcw_equivalent:
-        Y, X = vector_to_grid(config, r.reshape(-1, config.n_c)), vector_to_grid(config, s)
-        got = ddmf_batch(config, Y, X)
-        assert got.flags.c_contiguous and np.array_equal(got, ddmf_gathered(config, Y, X))
 
 
 def _rolled_ring(power, train, guard):
