@@ -33,8 +33,6 @@ from .ddgrid import (
     vector_to_grid,
 )
 from .metrics import (
-    FrameSpec,
-    MetricReport,
     ber,
     build_effective_channel,
     build_frame,

@@ -41,7 +41,8 @@ def vector_to_grid(config: AfdmConfig, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
     if v.shape[-1:] != (config.n_c,):
         raise ValueError(f"expected {config.n_c} symbols, got shape {v.shape}")
-    return v[..., dd_index_table(config)]
+    # take gives C order; v[..., table] lays a stack out grid-axes first
+    return np.take(v, dd_index_table(config), axis=-1)
 
 
 def grid_to_vector(config: AfdmConfig, g) -> np.ndarray:

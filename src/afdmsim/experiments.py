@@ -3,12 +3,12 @@
 Every run resolves a scenario (built-in name or file) and executes one
 experiment kind for each requested (preset, algorithm) combination.
 ``EXPERIMENT_KINDS`` maps each kind to its runner and to the spec fields it
-reads. Only runners turn a scenario into engine inputs (waveform, frame,
-``PathTap`` targets, ``trial_rng(spec.resolved_seed, t)`` streams). A runner
-yields ``(file name, header, columns)`` tables; :func:`run` alone writes them
-as ``<kind>_<preset>_<algorithm>.csv`` plus ``manifest.json`` recording the
-fully resolved configuration, and removes its outputs and any manifest on
-failure. Fixed seeds give byte-identical CSVs, except for
+reads. Only runners turn a scenario into engine inputs (waveform, pilot
+overhead, ``PathTap`` targets, ``trial_rng(spec.resolved_seed, t)``
+streams). A runner yields ``(file name, header, columns)`` tables;
+:func:`run` alone writes them as ``<kind>_<preset>_<algorithm>.csv`` plus
+``manifest.json`` recording the fully resolved configuration, and removes
+its outputs and any manifest on failure. Fixed seeds give byte-identical CSVs, except for
 ``runtime_scaling`` whose rows contain wall-clock measurements.
 """
 
@@ -18,7 +18,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from numbers import Real
 from pathlib import Path
@@ -35,8 +35,6 @@ from .metrics import (
     CFAR_GUARD,
     CFAR_PFA,
     CFAR_TRAIN,
-    FrameSpec,
-    MetricReport,
     _check_reference,
     _first_repeat,
     lmmse_ber_compare,
@@ -321,10 +319,9 @@ def _grid_columns(*planes) -> list[np.ndarray]:
 
 def _run_ddm(spec):
     sc = spec.scenario
-    spec_frame = FrameSpec.from_overhead(sc.n_c, sc.pilot_overhead)
     for preset_name in spec.resolved_presets:
         maps = next(sensing_maps(
-            sc.waveform(preset_name), spec_frame, sc.targets, sc.snr_db,
+            sc.waveform(preset_name), sc.pilot_overhead, sc.targets, sc.snr_db,
             _algorithms_for(preset_name, spec.algorithms), [trial_rng(spec.resolved_seed, 0)],
             tfmf_reference=spec.tfmf_reference,
         ))
@@ -349,11 +346,6 @@ def _run_af_surface(spec):
                _grid_columns(cells.real, cells.imag, csvio.peak_db(cells)))
 
 
-def _metric_row(snr_db, po, algorithm, preset_name, report: MetricReport) -> tuple:
-    """One ``csvio.METRIC_COLUMNS`` row; the report's fields are its last five columns."""
-    return (float(snr_db), float(po), algorithm, preset_name, *astuple(report))
-
-
 def _sweep_rows(spec, preset_name, snr_values, po_values):
     rows = []
     config = spec.scenario.waveform(preset_name)
@@ -361,15 +353,15 @@ def _sweep_rows(spec, preset_name, snr_values, po_values):
     for po in po_values:
         # one engine call simulates each trial once for every SNR point
         samples = trial_metrics(
-            config, FrameSpec.from_overhead(config.n_c, po), spec.scenario.targets, snr_values,
-            algorithms, (trial_rng(spec.resolved_seed, t) for t in range(spec.trials)),
+            config, po, spec.scenario.targets, snr_values, algorithms,
+            (trial_rng(spec.resolved_seed, t) for t in range(spec.trials)),
             spec.tfmf_reference, quality=spec.kind != "pd_curve",
         )
         for i, snr in enumerate(snr_values):
             for alg in algorithms:
-                means = (float(np.mean(v[i])) for v in samples[alg])  # PSLR, image SNR, hit
-                report = MetricReport(*means, ber=float("nan"), trials=spec.trials)
-                rows.append(_metric_row(snr, po, alg, preset_name, report))
+                pslr_db, image_snr_db, pd = (float(np.mean(v[i])) for v in samples[alg])
+                rows.append((float(snr), float(po), alg, preset_name,
+                             pslr_db, image_snr_db, pd, math.nan, spec.trials))
     return rows
 
 
@@ -402,14 +394,8 @@ def _run_ber_curve(spec):
         rows = []
         for snr in spec.snr_db_list:
             errors, bits = counts[(preset_name, float(snr))]
-            report = MetricReport(
-                pslr_db=float("nan"),
-                image_snr_db=float("nan"),
-                pd=float("nan"),
-                ber=errors / bits,
-                trials=bits,
-            )
-            rows.append(_metric_row(snr, 0.0, "lmmse", preset_name, report))
+            rows.append((float(snr), 0.0, "lmmse", preset_name,
+                         math.nan, math.nan, math.nan, errors / bits, bits))
         yield f"ber_curve_{preset_name}_lmmse.csv", csvio.METRIC_COLUMNS, list(zip(*rows))
 
 

@@ -13,8 +13,8 @@ sweep and filters each group of points with one call per algorithm, every
 received row against its own trial's transmit row (at full pilot overhead,
 one data-free row shared by every trial). ``trial_metrics`` reduces its
 maps per trial and SNR point, and ``sensing_maps`` returns them at one SNR
-point, from the same inputs: config, frame, ``PathTap`` paths, SNR,
-algorithms and one generator per trial. The LMMSE link,
+point, from the same inputs: config, pilot overhead, ``PathTap`` paths,
+SNR, algorithms and one generator per trial. The LMMSE link,
 ``lmmse_ber_compare``, takes the same paths. No scenario enters this module.
 """
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -38,7 +37,7 @@ from .channel import (
     _normal_pairs,
     noise_variance,
 )
-from .params import AfdmConfig
+from .params import AfdmConfig, _is_real
 from .ddgrid import vector_to_grid
 from .sensing import (  # noqa: F401 -- ddmf is re-exported
     cfar_mask_batch,
@@ -78,29 +77,6 @@ TRIAL_BLOCK = 8
 SNR_GROUP = 2
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """Aggregated quality figures for one (condition, algorithm) cell.
-
-    Probability fields must be valid fractions or NaN when the quantity was
-    not measured; dB fields may be +-inf (sentinels for degenerate maps).
-    """
-
-    pslr_db: float
-    image_snr_db: float
-    pd: float
-    ber: float
-    trials: int
-
-    def __post_init__(self) -> None:
-        for name in ("pd", "ber"):
-            value = getattr(self, name)
-            if not math.isnan(value) and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if self.trials <= 0:
-            raise ValueError("trials must be positive")
-
-
 # ---------------------------------------------------------------------------
 # 4QAM mapping (Gray: independent sign bits on I and Q)
 # ---------------------------------------------------------------------------
@@ -131,64 +107,43 @@ def ber(x_hat: np.ndarray, x_true: np.ndarray) -> float:
 # Frames
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FrameSpec:
-    """Pilot/guard layout of one symbol.
+def _pilot_slots(n_c: int, po) -> int:
+    """Distinct subcarriers the pilot and its guards take at pilot overhead ``po``.
 
-    ``q_guard`` is the single-sided zero-guard count; ``None`` means a pure
-    data frame with no pilot at all. The pilot sits on subcarrier 0, the data
-    are 4QAM, and the pilot power is the number of distinct pilot+guard slots
-    (the energy-conserving boost).
+    PO = 0 takes none (the all-data frame); otherwise the pilot and Q zero
+    guards on each cyclic side take min(2Q+1, n_c), with Q = (PO*n_c - 1)/2
+    rounded half up (not to even, as ``round`` does), which is
+    floor(PO*n_c / 2), so PO = 1 covers every subcarrier at every n_c. A PO that is no real
+    number in [0, 1] (NaN and bools included) is a ValueError.
     """
-
-    q_guard: int | None
-
-    def __post_init__(self) -> None:
-        if self.q_guard is not None and self.q_guard < 0:
-            raise ValueError("q_guard must be non-negative")
-
-    @classmethod
-    def from_overhead(cls, n_c: int, po: float) -> "FrameSpec":
-        """Resolve a pilot-overhead fraction to a guard count.
-
-        PO = 0 gives the all-data frame; otherwise Q = (PO*n_c - 1)/2 rounded
-        half up (``round`` goes to even), so PO = 1 covers every non-pilot
-        subcarrier with guards at every n_c.
-        """
-        if not 0.0 <= po <= 1.0:
-            raise ValueError("pilot overhead must lie in [0, 1]")
-        if po == 0.0:
-            return cls(q_guard=None)
-        return cls(q_guard=max(0, math.floor((po * n_c - 1) / 2 + 0.5)))
-
-    def occupied_slots(self, n_c: int) -> int:
-        """Distinct subcarriers taken by the pilot and its guards."""
-        if self.q_guard is None:
-            return 0
-        return min(2 * self.q_guard + 1, n_c)
+    if not _is_real(po):
+        raise ValueError(f"pilot overhead must be a real number, got {type(po).__name__} {po!r}")
+    if not 0.0 <= po <= 1.0:
+        raise ValueError("pilot overhead must lie in [0, 1]")
+    if po == 0.0:
+        return 0
+    return min(2 * math.floor(po * n_c / 2) + 1, n_c)
 
 
-def build_frame(config: AfdmConfig, spec: FrameSpec, rng: np.random.Generator) -> np.ndarray:
-    """One DAFT-domain symbol vector with total energy exactly n_c.
+def build_frame(config: AfdmConfig, po: float, rng: np.random.Generator) -> np.ndarray:
+    """One DAFT-domain symbol vector with total energy exactly n_c, at pilot overhead ``po``.
 
-    The data bits come from ``rng``; a frame without data slots (PO = 1 at
-    every n_c) is the boosted pilot alone and draws nothing from ``rng``.
+    The pilot sits on subcarrier 0 with power equal to the slots it and its
+    guards take (``_pilot_slots``: the energy-conserving boost); the other
+    slots carry 4QAM data whose bits come from ``rng``. A frame without
+    data slots (PO = 1 at every n_c) is the boosted pilot alone and draws
+    nothing from ``rng``.
     """
     n_c = config.n_c
-    if spec.q_guard is None:
-        bits = rng.integers(0, 2, size=(n_c, 2))
-        return qam4_modulate(bits).astype(np.complex128)
-
-    occupied = spec.occupied_slots(n_c)
-    n_data = n_c - occupied
+    occupied = _pilot_slots(n_c, po)
     x = np.zeros(n_c, dtype=np.complex128)
     x[0] = math.sqrt(occupied)
-    if n_data:
-        offsets = np.arange(-spec.q_guard, spec.q_guard + 1)
-        mask = np.ones(n_c, dtype=bool)
-        mask[np.mod(offsets, n_c)] = False
-        bits = rng.integers(0, 2, size=(n_data, 2))
-        x[mask] = qam4_modulate(bits)
+    if occupied < n_c:
+        # occupied = 2Q + 1 slots: the pilot, Q guards after it and Q before
+        # it (cyclically), so the data fill slots Q+1 .. n_c-Q-1; the
+        # all-data frame is Q = -1, every slot
+        q = (occupied - 1) // 2
+        x[q + 1:n_c - q] = qam4_modulate(rng.integers(0, 2, size=(n_c - occupied, 2)))
     return x
 
 
@@ -257,7 +212,7 @@ def image_snr(cells, target: tuple[int, int]):
 
 def sensing_maps(
     config: AfdmConfig,
-    frame: FrameSpec,
+    po: float,
     paths,
     snr_db: float,
     algorithms,
@@ -267,14 +222,16 @@ def sensing_maps(
     """Iterate {algorithm: (B, n_p, K) maps}, one item per block of B <= TRIAL_BLOCK trials.
 
     ``rngs`` holds one generator per trial (a list or any iterable), and
-    each trial simulates one symbol through the channel on its generator:
-    the sweep engine of ``trial_metrics`` at one SNR point. ``tfmf_reference``
+    each trial simulates one symbol at pilot overhead ``po`` (``build_frame``)
+    through the channel on its generator: the sweep engine of
+    ``trial_metrics`` at one SNR point. ``tfmf_reference``
     selects the matched-filter copy: the full known transmit signal
     (default) or the deterministic pilot only. Any other reference, an
-    unknown algorithm or no algorithm at all is a ValueError raised at the
-    first item, before any draw; so is an empty ``rngs``.
+    unknown algorithm, no algorithm at all or a pilot overhead outside
+    [0, 1] is a ValueError raised at the first item, before any draw; so is
+    an empty ``rngs``.
     """
-    sweep = _sweep(config, frame, paths, [_noise_scale(snr_db)], algorithms, rngs, tfmf_reference)
+    sweep = _sweep(config, po, paths, [_noise_scale(snr_db)], algorithms, rngs, tfmf_reference)
     return ({alg: cells[0] for alg, cells in zip(algorithms, maps)} for _, _, maps in sweep)
 
 
@@ -283,13 +240,13 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
+def _sweep(config, po, paths, scales, algorithms, rngs, tfmf_reference):
     """Yield (trial slice, SNR slice, maps) per block of trials and group of SNR points.
 
     ``rngs`` holds one generator per trial. Trials run ``TRIAL_BLOCK`` at a
-    time: each draws its frame bits, then its real and then its imaginary
-    noise normals, once for all SNR points; it draws no normals when every
-    point is +inf (every ``scales`` entry, ``_noise_scale``, is None). The
+    time: each draws the bits of its frame at pilot overhead ``po``, then
+    its real and then its imaginary noise normals, once for all SNR points;
+    it draws no normals when every point is +inf (every ``scales`` entry, ``_noise_scale``, is None). The
     symbol, transmit and noise-free received (B, n_c) stacks are built once
     per block, and point i receives r0 + scales[i] * (re + 1j im), or r0
     alone at +inf. A frame without data slots (PO = 1) draws no bits and is
@@ -304,9 +261,10 @@ def _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
     alive at a time. The pilot, the chirp pair and the channel's Doppler
     taps are built once per call and shared by every block; nothing
     outlives the call. ``tfmf_reference`` other than "transmit" or
-    "pilot", an algorithm not in ``ALGORITHMS`` or an empty ``algorithms``
-    is a ValueError, raised before any draw; an empty ``rngs`` is one too,
-    raised when the first block finds no trial.
+    "pilot", an algorithm not in ``ALGORITHMS``, an empty ``algorithms``
+    or a ``po`` that ``_pilot_slots`` rejects is a ValueError, raised
+    before any draw; an empty ``rngs`` is one too, raised when the first
+    block finds no trial.
     """
     _check_reference(tfmf_reference)
     if not algorithms:
@@ -318,7 +276,7 @@ def _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
     taps = _doppler_taps(paths, config.n_c)
     noisy = any(scale is not None for scale in scales)
 
-    shared = frame.occupied_slots(config.n_c) == config.n_c
+    shared = _pilot_slots(config.n_c, po) == config.n_c
 
     def filtered(r, n, s, x_grids):
         for algorithm in algorithms:
@@ -337,7 +295,7 @@ def _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
         # first raised mc-ddmf's peak_rss_mb by 0.8 MB (3 pairs, 2-vCPU host)
         x, w = [], []
         for rng in block:
-            x.append(build_frame(config, frame, rng))
+            x.append(build_frame(config, po, rng))
             if noisy:
                 w.append(_normal_pairs(config.n_c, rng))
         w = np.stack(w) if noisy else None
@@ -363,7 +321,7 @@ def _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
 
 def trial_metrics(
     config: AfdmConfig,
-    frame: FrameSpec,
+    po: float,
     paths,
     snr_db: float | Sequence[float],
     algorithms,
@@ -394,7 +352,7 @@ def trial_metrics(
     l, k = paths[0].delay_tap, paths[0].doppler_tap
     cell = (l % config.n_p, k % config.k_chirps)
     blocks = []  # (hits, ratios) of each block of trials
-    for t, snrs, maps in _sweep(config, frame, paths, scales, algorithms, rngs, tfmf_reference):
+    for t, snrs, maps in _sweep(config, po, paths, scales, algorithms, rngs, tfmf_reference):
         if snrs.start == 0:
             hits = np.empty((len(algorithms), len(scales), t.stop - t.start), dtype=bool)
             ratios = np.full((2,) + hits.shape, np.nan)

@@ -205,7 +205,7 @@ def ddmf_batch(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -> 
     Y, X = _ddmf_inputs(config, y_grids, x_grids)
     if len(X) == 1 and np.count_nonzero(X) == 1:
         rows, cols, weights = _one_cell_gather(config, X[0])
-        maps = Y[:, rows, cols]
+        maps = np.take(Y.reshape(len(Y), -1), rows * config.k_chirps + cols, axis=-1)
         np.conj(maps, out=maps)
         maps *= weights
         return maps

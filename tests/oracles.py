@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from afdmsim.channel import _gram_diagonals
-from afdmsim.metrics import FrameSpec, trial_metrics, trial_rng
+from afdmsim.metrics import qam4_modulate, trial_metrics, trial_rng
 from afdmsim.waveform import _as_samples
 
 
@@ -46,10 +48,41 @@ def scenario_metrics(
     snr = scenario.snr_db if snr_db is None else snr_db
     seed = scenario.rng_seed if seed is None else seed
     rngs = (trial_rng(seed, t) for t in range(trials))
-    return trial_metrics(
-        config, FrameSpec.from_overhead(config.n_c, po), scenario.targets, snr, algorithms, rngs,
-        **options,
-    )
+    return trial_metrics(config, po, scenario.targets, snr, algorithms, rngs, **options)
+
+
+def guard_count(n_c: int, po: float) -> int | None:
+    """Single-sided zero-guard count Q of pilot overhead ``po``; None is the all-data frame.
+
+    PO = 0 has no pilot; otherwise Q = (PO*n_c - 1)/2 rounded half up.
+    """
+    if not 0.0 <= po <= 1.0:
+        raise ValueError("pilot overhead must lie in [0, 1]")
+    if po == 0.0:
+        return None
+    return max(0, math.floor((po * n_c - 1) / 2 + 0.5))
+
+
+def reference_frame(config, po: float, rng: np.random.Generator) -> np.ndarray:
+    """``metrics.build_frame`` written from the guard count, with its all-data branch.
+
+    The pilot on subcarrier 0 has the power of the min(2Q+1, n_c) slots it
+    and its guards take; 4QAM data fill the rest, and a frame without data
+    slots draws nothing.
+    """
+    n_c = config.n_c
+    q = guard_count(n_c, po)
+    if q is None:
+        bits = rng.integers(0, 2, size=(n_c, 2))
+        return qam4_modulate(bits).astype(np.complex128)
+    occupied = min(2 * q + 1, n_c)
+    x = np.zeros(n_c, dtype=np.complex128)
+    x[0] = math.sqrt(occupied)
+    if n_c - occupied:
+        mask = np.ones(n_c, dtype=bool)
+        mask[np.mod(np.arange(-q, q + 1), n_c)] = False
+        x[mask] = qam4_modulate(rng.integers(0, 2, size=(n_c - occupied, 2)))
+    return x
 
 
 def _fast_slow(config, samples: np.ndarray) -> np.ndarray:

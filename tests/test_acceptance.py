@@ -28,7 +28,6 @@ from afdmsim.experiments import (
     run,
 )
 from afdmsim.metrics import (
-    FrameSpec,
     build_frame,
     lmmse_ber_compare,
     pilot_reference,
@@ -217,7 +216,7 @@ def test_c05_grid_io_relation():
 
 def test_c06_matched_filter_decoupling():
     t0 = time.perf_counter()
-    x = build_frame(TABLE_CFG, FrameSpec.from_overhead(512, 1.0), np.random.default_rng(0))
+    x = build_frame(TABLE_CFG, 1.0, np.random.default_rng(0))
     s = modulate(TABLE_CFG, x)
     x_grid = vector_to_grid(TABLE_CFG, x)
     hits = 0
@@ -239,7 +238,7 @@ def test_c06_matched_filter_decoupling():
 
 def test_c07_tfmf_dechirp_equivalence_full_overhead():
     rng = trial_rng(707, 0)
-    x = build_frame(TABLE_CFG, FrameSpec.from_overhead(512, 1.0), rng)
+    x = build_frame(TABLE_CFG, 1.0, rng)
     s = modulate(TABLE_CFG, x)
     r = apply_channel(TABLE_CFG, s, [PathTap(1.0, 10, 3)])
     noisy = r + math.sqrt(0.005) * (
@@ -262,12 +261,11 @@ def _three_target_counts(po: float, snr_db: float, trials: int, seed: int):
     with detectors ``"ca"`` (cell-averaging) and ``"os"`` (ordered-statistic).
     """
     paths = [PathTap(g, l, k) for g, l, k in THREE_TARGETS]
-    frame = FrameSpec.from_overhead(512, po)
     detectors = {"ca": cfar_mask_batch, "os": os_cfar_mask_batch}
     all3 = {d: {"tfmf": 0, "ddmf": 0} for d in detectors}
     weak = {d: {"tfmf": 0, "ddmf": 0} for d in detectors}
     rngs = [trial_rng(seed, t) for t in range(trials)]
-    for maps in sensing_maps(TABLE_CFG, frame, paths, snr_db, ("tfmf", "ddmf"), rngs):
+    for maps in sensing_maps(TABLE_CFG, po, paths, snr_db, ("tfmf", "ddmf"), rngs):
         for alg, cells in maps.items():
             power = np.abs(cells) ** 2
             for name, mask_fn in detectors.items():
@@ -343,7 +341,7 @@ def _ordering_cell(preset_name, algorithms, snr_db, po, trials, seed):
     table1 = builtin_scenarios()["table1"]
     config = table1.waveform(preset_name)
     samples = trial_metrics(
-        config, FrameSpec.from_overhead(config.n_c, po), table1.targets, snr_db, algorithms,
+        config, po, table1.targets, snr_db, algorithms,
         (trial_rng(seed, t) for t in range(trials)),
     )
     return {

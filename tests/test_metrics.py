@@ -17,7 +17,7 @@ from afdmsim.ddgrid import io_predict, vector_to_grid
 from afdmsim.experiments import builtin_scenarios
 from afdmsim.metrics import (
     ALGORITHMS,
-    FrameSpec,
+    _pilot_slots,
     ber,
     build_effective_channel,
     build_frame,
@@ -56,46 +56,44 @@ class TestQam4:
 
 class TestFrames:
     def test_full_overhead_pilot_only(self):
-        spec = FrameSpec.from_overhead(512, 1.0)
-        x = build_frame(proposed_params(64, 8), spec, np.random.default_rng(0))
+        x = build_frame(proposed_params(64, 8), 1.0, np.random.default_rng(0))
         assert x[0] == pytest.approx(math.sqrt(512))
         assert np.count_nonzero(x) == 1
 
     @pytest.mark.parametrize("n_c", [18, 510])
     def test_full_overhead_occupies_every_slot(self, n_c):
         # (n_c - 1) / 2 is 8.5 at n_c = 18: halves round up, not to even
-        assert FrameSpec.from_overhead(n_c, 1.0).occupied_slots(n_c) == n_c
+        assert _pilot_slots(n_c, 1.0) == n_c
 
     @pytest.mark.parametrize(
-        "n_c, guards", [(512, (64, 128, 192, 256)), (32, (4, 8, 12, 16))]
+        "n_c, slots", [(512, (129, 257, 385, 512)), (32, (9, 17, 25, 32))]
     )
-    def test_builtin_grids_keep_their_guards(self, n_c, guards):
-        got = tuple(FrameSpec.from_overhead(n_c, po).q_guard for po in (0.25, 0.5, 0.75, 1.0))
-        assert got == guards
+    def test_builtin_grids_keep_their_guards(self, n_c, slots):
+        # Q = 64, 128, 192 at n_c = 512 and 4, 8, 12 at 32; PO = 1 takes every slot
+        assert tuple(_pilot_slots(n_c, po) for po in (0.25, 0.5, 0.75, 1.0)) == slots
 
     def test_zero_overhead_all_data(self):
-        spec = FrameSpec.from_overhead(512, 0.0)
-        x = build_frame(proposed_params(64, 8), spec, np.random.default_rng(0))
+        x = build_frame(proposed_params(64, 8), 0.0, np.random.default_rng(0))
         assert np.count_nonzero(x) == 512
         assert np.allclose(np.abs(x), 1.0)
 
     def test_minimal_pilot(self):
-        spec = FrameSpec(q_guard=0)
-        x = build_frame(CFG, spec, np.random.default_rng(0))
+        # PO = 1/32 on 32 subcarriers is the pilot alone, Q = 0
+        x = build_frame(CFG, 1 / 32, np.random.default_rng(0))
         assert x[0] == pytest.approx(1.0)
         assert np.count_nonzero(x) == 32
 
     @pytest.mark.parametrize("po", [0.0, 0.1, 0.25, 0.5, 0.9, 1.0])
     def test_energy_exactly_n_c(self, po):
-        spec = FrameSpec.from_overhead(512, po)
-        x = build_frame(proposed_params(64, 8), spec, np.random.default_rng(1))
+        x = build_frame(proposed_params(64, 8), po, np.random.default_rng(1))
         assert np.sum(np.abs(x) ** 2) == pytest.approx(512.0, abs=1e-9)
 
     def test_guard_slots_are_cyclic(self):
-        spec = FrameSpec(q_guard=2)
-        x = build_frame(CFG, spec, np.random.default_rng(2))
+        # PO = 5/32 on 32 subcarriers is the pilot and Q = 2 guards on each side
+        x = build_frame(CFG, 5 / 32, np.random.default_rng(2))
         for idx in (1, 2, 30, 31):
             assert x[idx] == 0
+        assert np.count_nonzero(x) == 28
 
 
 class TestMapMetrics:
@@ -181,9 +179,9 @@ EDGE_PATHS = EDGE.targets
 SWEEP_SNRS = (5.0, math.inf, -3.0)
 
 
-def one_trial_maps(config, frame, paths, snr_db, rng, tfmf_reference):
+def one_trial_maps(config, po, paths, snr_db, rng, tfmf_reference):
     """One trial through the single-map estimators: the engine's oracle."""
-    x = build_frame(config, frame, rng)
+    x = build_frame(config, po, rng)
     s = modulate(config, x)
     r = add_awgn(apply_channel(config, s, paths), snr_db, rng)
     pilot = pilot_reference(config)
@@ -218,26 +216,25 @@ class TestTrialEngine:
     def assert_stacks_equal_one_trial_maps(preset_name, snr_db, po, reference):
         config = EDGE.waveform(preset_name)
         algorithms = ALGORITHMS if preset_name == "proposed" else ("tfmf", "dechirp")
-        frame = FrameSpec.from_overhead(config.n_c, po)
         trials = metrics.TRIAL_BLOCK + 3  # a full block and a partial one
         rngs = [trial_rng(5, t) for t in range(trials)]
-        blocks = list(sensing_maps(config, frame, EDGE_PATHS, snr_db, algorithms, rngs, reference))
+        blocks = list(sensing_maps(config, po, EDGE_PATHS, snr_db, algorithms, rngs, reference))
         assert [len(b["tfmf"]) for b in blocks] == [metrics.TRIAL_BLOCK, 3]
         for alg in algorithms:
             stack = np.concatenate([b[alg] for b in blocks])
             for t in range(trials):
-                want = one_trial_maps(config, frame, EDGE_PATHS, snr_db, trial_rng(5, t), reference)
+                want = one_trial_maps(config, po, EDGE_PATHS, snr_db, trial_rng(5, t), reference)
                 (single,) = sensing_maps(
-                    config, frame, EDGE_PATHS, snr_db, (alg,), [trial_rng(5, t)], reference
+                    config, po, EDGE_PATHS, snr_db, (alg,), [trial_rng(5, t)], reference
                 )
                 assert np.array_equal(single[alg][0], want[alg])
                 assert np.array_equal(stack[t], want[alg])
 
     def test_infinite_snr_draws_no_noise(self):
-        frame = FrameSpec.from_overhead(GRID8.n_c, 0.5)
+        po = 0.5
         rng, oracle = trial_rng(5, 0), trial_rng(5, 0)
-        next(sensing_maps(GRID8, frame, EDGE_PATHS, math.inf, ("tfmf",), [rng]))
-        build_frame(GRID8, frame, oracle)
+        next(sensing_maps(GRID8, po, EDGE_PATHS, math.inf, ("tfmf",), [rng]))
+        build_frame(GRID8, po, oracle)
         assert rng.bit_generator.state == oracle.bit_generator.state
 
     @pytest.mark.parametrize("quality", [True, False])
@@ -247,17 +244,17 @@ class TestTrialEngine:
     def test_metrics_equal_single_map_reductions(self, algorithms, quality):
         # the block's one CFAR call and one quality pass over all algorithms'
         # maps give each map what the single-map reductions give it
-        frame = FrameSpec.from_overhead(GRID8.n_c, 0.0)
+        po = 0.0
         hits = []
         for first in range(len(EDGE_PATHS)):
             paths = EDGE_PATHS[first:] + EDGE_PATHS[:first]
             l, k = paths[0].delay_tap, paths[0].doppler_tap
             cell = (l % 8, k % 8)
             rngs = (trial_rng(8, t) for t in range(9))
-            got = trial_metrics(GRID8, frame, paths, 5.0, algorithms, rngs, quality=quality)
+            got = trial_metrics(GRID8, po, paths, 5.0, algorithms, rngs, quality=quality)
             assert list(got) == list(algorithms)
             for t in range(9):
-                maps = one_trial_maps(GRID8, frame, paths, 5.0, trial_rng(8, t), "transmit")
+                maps = one_trial_maps(GRID8, po, paths, 5.0, trial_rng(8, t), "transmit")
                 for alg in algorithms:
                     cells = maps[alg]
                     p, isnr, hit = (column[t] for column in got[alg])
@@ -298,12 +295,12 @@ class TestTrialEngine:
         # metrics equal the oracle's, run once per (trial, SNR point)
         config = EDGE.waveform(preset_name)
         algorithms = ALGORITHMS if config.fmcw_equivalent else ("tfmf", "dechirp")
-        frame = FrameSpec.from_overhead(config.n_c, 0.5)
+        po = 0.5
         scales = [metrics._noise_scale(snr) for snr in SWEEP_SNRS]
         maps = np.full((len(algorithms), len(SWEEP_SNRS), 7, 8, 8), np.nan, dtype=complex)
         rngs = [trial_rng(5, t) for t in range(7)]
         for t, snrs, group in metrics._sweep(
-            config, frame, EDGE_PATHS, scales, algorithms, rngs, reference
+            config, po, EDGE_PATHS, scales, algorithms, rngs, reference
         ):
             for a, cells in enumerate(group):
                 maps[a, snrs, t] = cells
@@ -315,7 +312,7 @@ class TestTrialEngine:
         cell = (l % 8, k % 8)
         for i, snr in enumerate(SWEEP_SNRS):
             for t in range(7):
-                want = one_trial_maps(config, frame, EDGE_PATHS, snr, trial_rng(5, t), reference)
+                want = one_trial_maps(config, po, EDGE_PATHS, snr, trial_rng(5, t), reference)
                 for a, alg in enumerate(algorithms):
                     cells = want[alg]
                     assert np.array_equal(maps[a, i, t], cells)
@@ -353,14 +350,14 @@ class TestTrialEngine:
             raise AssertionError("a frame was drawn")
 
         monkeypatch.setattr(metrics, "build_frame", no_frame)
-        frame = FrameSpec.from_overhead(GRID8.n_c, 0.5)
+        po = 0.5
         rng = trial_rng(5, 0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="tfmf_reference must be 'transmit' or 'pilot'"):
             if entry == "trial_metrics":
-                trial_metrics(GRID8, frame, EDGE_PATHS, 5.0, ALGORITHMS, [rng], "Transmit")
+                trial_metrics(GRID8, po, EDGE_PATHS, 5.0, ALGORITHMS, [rng], "Transmit")
             else:
-                next(sensing_maps(GRID8, frame, EDGE_PATHS, 5.0, ALGORITHMS, [rng], "Transmit"))
+                next(sensing_maps(GRID8, po, EDGE_PATHS, 5.0, ALGORITHMS, [rng], "Transmit"))
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("entry", ["trial_metrics", "sensing_maps"])
@@ -370,15 +367,15 @@ class TestTrialEngine:
             raise AssertionError("a frame was drawn")
 
         monkeypatch.setattr(metrics, "build_frame", no_frame)
-        frame = FrameSpec.from_overhead(GRID8.n_c, 0.5)
+        po = 0.5
         algorithms = ("tfmf", "foo")
         rng = trial_rng(5, 0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=r"unknown algorithms \['foo'\]"):
             if entry == "trial_metrics":
-                trial_metrics(GRID8, frame, EDGE_PATHS, 5.0, algorithms, [rng])
+                trial_metrics(GRID8, po, EDGE_PATHS, 5.0, algorithms, [rng])
             else:
-                next(sensing_maps(GRID8, frame, EDGE_PATHS, 5.0, algorithms, [rng]))
+                next(sensing_maps(GRID8, po, EDGE_PATHS, 5.0, algorithms, [rng]))
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("entry", ["trial_metrics", "sensing_maps"])
@@ -389,28 +386,28 @@ class TestTrialEngine:
             raise AssertionError("a frame was drawn")
 
         monkeypatch.setattr(metrics, "build_frame", no_frame)
-        frame = FrameSpec.from_overhead(GRID8.n_c, 0.0)
+        po = 0.0
         rng = trial_rng(5, 0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="algorithms needs at least one of"):
             if entry == "trial_metrics":
-                trial_metrics(GRID8, frame, EDGE_PATHS, 10.0, (), [rng])
+                trial_metrics(GRID8, po, EDGE_PATHS, 10.0, (), [rng])
             else:
-                next(sensing_maps(GRID8, frame, EDGE_PATHS, 10.0, (), [rng]))
+                next(sensing_maps(GRID8, po, EDGE_PATHS, 10.0, (), [rng]))
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("rngs", [[], (rng for rng in [])], ids=["list", "generator"])
     def test_sensing_maps_without_trials_rejected(self, rngs):
         # a trial count below 1 used to yield no block, silently
-        frame = FrameSpec.from_overhead(GRID8.n_c, 0.5)
+        po = 0.5
         with pytest.raises(ValueError, match="rngs needs at least one generator"):
-            list(sensing_maps(GRID8, frame, EDGE_PATHS, 5.0, ALGORITHMS, rngs))
+            list(sensing_maps(GRID8, po, EDGE_PATHS, 5.0, ALGORITHMS, rngs))
 
     @pytest.mark.parametrize("rngs", [[], (rng for rng in [])], ids=["list", "generator"])
     def test_trial_metrics_without_trials_rejected(self, rngs):
-        frame = FrameSpec.from_overhead(GRID8.n_c, 0.5)
+        po = 0.5
         with pytest.raises(ValueError, match="rngs needs at least one generator"):
-            trial_metrics(GRID8, frame, EDGE_PATHS, 5.0, ALGORITHMS, rngs)
+            trial_metrics(GRID8, po, EDGE_PATHS, 5.0, ALGORITHMS, rngs)
 
     def test_no_path_rejected_before_any_draw(self, monkeypatch):
         # trial_metrics scores the first path; with none it has nothing to score
@@ -418,20 +415,19 @@ class TestTrialEngine:
             raise AssertionError("a frame was drawn")
 
         monkeypatch.setattr(metrics, "build_frame", no_frame)
-        frame = FrameSpec.from_overhead(GRID8.n_c, 0.5)
+        po = 0.5
         rng = trial_rng(5, 0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="paths needs at least one path to score"):
-            trial_metrics(GRID8, frame, [], 5.0, ALGORITHMS, [rng])
+            trial_metrics(GRID8, po, [], 5.0, ALGORITHMS, [rng])
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("po", [0.5, 1.0])
     def test_one_shot_streams_equal_a_list_of_them(self, po):
         # two full blocks and a partial one; SWEEP_SNRS are a group of 2 and one of 1
         trials = 2 * metrics.TRIAL_BLOCK + 3
-        frame = FrameSpec.from_overhead(GRID8.n_c, po)
         listed, one_shot = (
-            trial_metrics(GRID8, frame, EDGE_PATHS, SWEEP_SNRS, ALGORITHMS, rngs)
+            trial_metrics(GRID8, po, EDGE_PATHS, SWEEP_SNRS, ALGORITHMS, rngs)
             for rngs in (
                 [trial_rng(5, t) for t in range(trials)],
                 (trial_rng(5, t) for t in range(trials)),
@@ -457,8 +453,8 @@ class TestTrialEngine:
             return build_frame(*args)
 
         monkeypatch.setattr(metrics, "build_frame", counted)
-        frame = FrameSpec.from_overhead(GRID8.n_c, 0.5)
-        trial_metrics(GRID8, frame, EDGE_PATHS, 5.0, ("tfmf",), streams())
+        po = 0.5
+        trial_metrics(GRID8, po, EDGE_PATHS, 5.0, ("tfmf",), streams())
         block = metrics.TRIAL_BLOCK
         assert seen == [block] * block + [2 * block] * block + [trials] * 3
 
@@ -476,13 +472,13 @@ class TestTrialEngine:
             quality=False,
         )
         config = scenario.waveform()
-        frame = FrameSpec.from_overhead(config.n_c, scenario.pilot_overhead)
+        po = scenario.pilot_overhead
         paths = scenario.targets
         l, k = paths[0].delay_tap, paths[0].doppler_tap
         hits = []
         for i, snr in enumerate(snrs):
             rngs = [trial_rng(5, t) for t in range(trials)]
-            blocks = list(sensing_maps(config, frame, paths, snr, ALGORITHMS, rngs, reference))
+            blocks = list(sensing_maps(config, po, paths, snr, ALGORITHMS, rngs, reference))
             for alg in ALGORITHMS:
                 power = np.abs(np.concatenate([b[alg] for b in blocks])) ** 2
                 want = mask_near(cfar_mask_batch(power, 2, 1, 1e-4)[0], l, k)
@@ -809,14 +805,3 @@ class TestRayleighGains:
         draws = rayleigh_gains(np.tile([0.6, 0.3, 0.1], (4000, 1)), rng)
         est = np.mean(np.abs(draws) ** 2, axis=0)
         assert np.abs(est - [0.6, 0.3, 0.1]).max() < 0.05
-
-
-class TestMetricReport:
-    def test_bounds_enforced(self):
-        from afdmsim.metrics import MetricReport
-
-        MetricReport(pslr_db=10.0, image_snr_db=20.0, pd=0.5, ber=float("nan"), trials=100)
-        with pytest.raises(ValueError, match="pd"):
-            MetricReport(pslr_db=0.0, image_snr_db=0.0, pd=1.5, ber=0.0, trials=1)
-        with pytest.raises(ValueError, match="trials"):
-            MetricReport(pslr_db=0.0, image_snr_db=0.0, pd=0.0, ber=0.0, trials=0)

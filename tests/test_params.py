@@ -187,6 +187,25 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ScenarioConfig(name="bad", n_c=32, k_chirps=4, preset="ocdm", **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        # "20" used to raise a bare TypeError, True to run and be recorded as
+        # the seed true, and 1.5 to build and fail inside numpy at run time
+        ("snr_db", "20"), ("snr_db", True), ("snr_db", 20j),
+        ("pilot_overhead", "1"), ("pilot_overhead", False),
+        ("rng_seed", True), ("rng_seed", 1.5), ("rng_seed", 2.0), ("rng_seed", "3"),
+    ])
+    def test_field_of_the_wrong_type_rejected(self, field, value):
+        kind = "an integer" if field == "rng_seed" else "a real number"
+        with pytest.raises(ValueError, match=f"{field} must be {kind}, got"):
+            ScenarioConfig(name="bad", n_c=32, k_chirps=4, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("snr_db", np.float64(7.5)), ("snr_db", 12), ("pilot_overhead", Fraction(1, 2)),
+        ("pilot_overhead", 0), ("rng_seed", np.int64(4)),
+    ])
+    def test_field_of_another_number_type_accepted(self, field, value):
+        assert getattr(ScenarioConfig(name="ok", n_c=32, k_chirps=4, **{field: value}), field) == value
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="rng_seed must be non-negative, got -1"):
             ScenarioConfig(name="bad", n_c=32, k_chirps=4, rng_seed=-1)

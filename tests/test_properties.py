@@ -24,9 +24,9 @@ from afdmsim.channel import (
 )
 from afdmsim.ddgrid import grid_to_vector, io_predict, vector_to_grid
 from afdmsim.metrics import (
-    FrameSpec,
     _block_size,
     _lmmse_solve,
+    _pilot_slots,
     build_effective_channel,
     build_frame,
     pilot_reference,
@@ -70,6 +70,7 @@ from oracles import (
     dechirp_strided,
     delay_doppler_gram,
     mask_near,
+    reference_frame,
     tfmf_strided,
 )
 
@@ -151,12 +152,14 @@ def test_fft_ddmf_equals_the_direct_form(n_p, k_chirps, batch, seed, zero_y):
     # received grid gives all-zero maps
     config = proposed_params(n_p, k_chirps)
     rng = np.random.default_rng(seed)
-    parts = rng.standard_normal((2, batch, n_p, k_chirps, 2))
-    Y, X = parts[..., 0] + 1j * parts[..., 1]
+    parts = rng.standard_normal((2, batch, config.n_c, 2))
+    # gridded as the engine grids its symbols, so the maps' layout is the engine's
+    Y, X = vector_to_grid(config, parts[..., 0] + 1j * parts[..., 1])
     if zero_y:
         Y[:] = 0.0
     want = _ddmf_direct(config, Y, X)
     got = ddmf_batch(config, Y, X)
+    assert got.flags.c_contiguous
     peaks = np.abs(want).max(axis=(1, 2))
     assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * peaks)
 
@@ -179,12 +182,13 @@ def test_one_cell_gather_equals_the_direct_form(n_p, k_chirps, batch, row, col, 
     config = proposed_params(n_p, k_chirps)
     rng = np.random.default_rng(seed)
     cell = (row % n_p, col % k_chirps)
-    parts = rng.standard_normal((batch, n_p, k_chirps, 2))
-    Y = parts[..., 0] + 1j * parts[..., 1]
+    parts = rng.standard_normal((batch, config.n_c, 2))
+    Y = vector_to_grid(config, parts[..., 0] + 1j * parts[..., 1])
     X = np.zeros((1, n_p, k_chirps), dtype=np.complex128)
     X[(0,) + cell] = complex(*rng.standard_normal(2))
     want = _ddmf_direct(config, Y, np.repeat(X, batch, axis=0))
     got = ddmf_batch(config, Y, X)
+    assert got.flags.c_contiguous
     peaks = np.abs(want).max(axis=(1, 2))
     assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * peaks)
 
@@ -714,12 +718,46 @@ def test_c07_tfmf_equals_dechirp_at_full_overhead(n_p, k_chirps, delay, doppler,
     # at PO = 1 the frame is the boosted pilot alone, so matching the
     # transmit signal is dechirping by the pilot, up to scale
     config = proposed_params(n_p, k_chirps)
-    x = build_frame(config, FrameSpec.from_overhead(config.n_c, 1.0), np.random.default_rng(seed))
+    x = build_frame(config, 1.0, np.random.default_rng(seed))
     s = modulate(config, x)
     r = apply_channel(config, s, [PathTap(gain, delay, doppler)])
     zt = np.abs(tfmf(config, r, s))
     zd = np.abs(dechirp(config, r, pilot_reference(config)))
     assert np.abs(zt / np.linalg.norm(zt) - zd / np.linalg.norm(zd)).max() < 1e-9
+
+
+@st.composite
+def overheads(draw):
+    """(n_c, PO): PO 0, 1, (2Q+2)/n_c (Q + 1/2 guards, rounded up) or any in [0, 1]."""
+    n_c = draw(st.integers(1, 70))
+    half_up = st.integers(0, max(0, n_c // 2 - 1)).map(lambda q: min(1.0, (2 * q + 2) / n_c))
+    return n_c, draw(st.one_of(st.sampled_from([0.0, 1.0]), half_up, st.floats(0.0, 1.0)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(grid=overheads(), seed=st.integers(0, 2**32 - 1))
+@example(grid=(64, 0.09375), seed=0)  # 2.5 guards: Q = 3, not 2
+def test_frame_equals_the_guard_count_form(grid, seed):
+    # one path for every overhead builds the frame the guard-count form
+    # builds, and takes as many draws
+    n_c, po = grid
+    config = preset("ofdm", n_c)
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(build_frame(config, po, rng), reference_frame(config, po, oracle))
+    assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n_c=st.integers(1, 70),
+    po=st.one_of(
+        st.just(math.nan), st.booleans(),
+        st.floats(allow_nan=False).filter(lambda po: not 0.0 <= po <= 1.0),
+    ),
+)
+def test_pilot_slots_reject_an_overhead_outside_the_unit_interval(n_c, po):
+    with pytest.raises(ValueError, match="pilot overhead must"):
+        _pilot_slots(n_c, po)
 
 
 @settings(deadline=None, max_examples=60)

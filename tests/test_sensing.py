@@ -5,7 +5,7 @@ import pytest
 
 from afdmsim.channel import PathTap, apply_channel
 from afdmsim.ddgrid import vector_to_grid
-from afdmsim.metrics import FrameSpec, build_frame, pilot_reference, sensing_maps
+from afdmsim.metrics import build_frame, pilot_reference, sensing_maps
 from afdmsim.params import proposed_params
 from afdmsim.sensing import (
     cfar_mask_batch,
@@ -31,7 +31,7 @@ FIG4 = proposed_params(64, 8)  # the fig4 grid, n_c = 512
 
 
 def pilot_frame(config):
-    return build_frame(config, FrameSpec.from_overhead(config.n_c, 1.0), np.random.default_rng(0))
+    return build_frame(config, 1.0, np.random.default_rng(0))
 
 
 def received_grid(config, x, paths):
@@ -128,7 +128,7 @@ class TestDdmf:
 
     def test_identity_channel_full_data(self):
         rng = np.random.default_rng(2)
-        x = build_frame(CFG, FrameSpec.from_overhead(32, 0.0), rng)
+        x = build_frame(CFG, 0.0, rng)
         y_grid, _ = received_grid(CFG, x, [PathTap(1.0, 0, 0)])
         x_grid = vector_to_grid(CFG, x)
         z = ddmf(CFG, y_grid, x_grid)
@@ -332,7 +332,7 @@ class TestCfar:
         paths = [PathTap(g, l, k) for g, l, k in targets]
         rng = np.random.default_rng(7)
         (maps,) = sensing_maps(
-            cfg, FrameSpec.from_overhead(512, 1.0), paths, 30.0, ("tfmf", "ddmf"), [rng]
+            cfg, 1.0, paths, 30.0, ("tfmf", "ddmf"), [rng]
         )
         for alg in ("tfmf", "ddmf"):
             mask, _ = cfar_mask_batch(np.abs(maps[alg][0]) ** 2, 2, 1, 1e-4)
