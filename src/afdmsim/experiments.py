@@ -20,7 +20,6 @@ import os
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
-from numbers import Real
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -49,11 +48,13 @@ from .params import (
     AfdmConfig,
     PathTap,
     ScenarioConfig,
+    _is_integer,
+    _is_real,
     load_scenario,
     preset,
 )
 from .sensing import _ddmf_direct, dechirp_batch, tfmf_batch
-from .waveform import _chirps, demodulate, modulate, subcarrier
+from .waveform import demodulate, modulate, subcarrier
 
 IO_CHECK_TOLERANCE = 1e-9
 
@@ -136,15 +137,18 @@ class ExperimentSpec:
                 raise ValueError(f"unknown {name} {unknown}; expected some of {list(known)}")
         seeds = () if self.seed is None else (self.seed,)
         for name, values, kind in (
-            ("trials", (self.trials,), int), ("seed", seeds, int), ("sizes", self.sizes, int),
-            ("snr_db_list", self.snr_db_list, Real), ("po_list", self.po_list, Real),
+            ("trials", (self.trials,), "int"), ("seed", seeds, "int"), ("sizes", self.sizes, "int"),
+            ("snr_db_list", self.snr_db_list, "real"), ("po_list", self.po_list, "real"),
         ):
             for value in values:
-                if not isinstance(value, kind) or isinstance(value, bool):
-                    raise ValueError(
-                        f"{name} must be {kind.__name__.lower()}, "
-                        f"got {type(value).__name__} {value!r}"
-                    )
+                if not (_is_integer if kind == "int" else _is_real)(value):
+                    raise ValueError(f"{name} must be {kind}, got {type(value).__name__} {value!r}")
+        # the manifest records plain numbers, whatever number types came in
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "seed", None if self.seed is None else int(self.seed))
+        object.__setattr__(self, "sizes", tuple(int(n_c) for n_c in self.sizes))
+        for name in ("snr_db_list", "po_list"):
+            object.__setattr__(self, name, tuple(float(value) for value in getattr(self, name)))
         _check_reference(self.tfmf_reference)
         if self.tfmf_reference == "pilot" and "tfmf" not in self.algorithms:
             raise ValueError("--pilot-only-reference sets the reference of tfmf, which is not run")
@@ -403,7 +407,6 @@ def _run_io_check(spec):
     (preset_name,) = spec.resolved_presets
     config = spec.scenario.waveform(preset_name)
     rng = trial_rng(spec.resolved_seed, 0)
-    chirps = _chirps(config)
     # the Doppler taps whose shifts stay separable: K = 1 leaves only 0
     k_edge = (config.k_chirps - 1) // 2
     worst = 0.0
@@ -421,9 +424,9 @@ def _run_io_check(spec):
             for _ in range(n_paths)
         ]
         predicted = io_predict(config, x_grid, paths)
-        s = modulate(config, grid_to_vector(config, x_grid), chirps)
+        s = modulate(config, grid_to_vector(config, x_grid))
         r = apply_channel(config, s, paths)
-        observed = vector_to_grid(config, demodulate(config, r, chirps))
+        observed = vector_to_grid(config, demodulate(config, r))
         worst = max(worst, float(np.abs(predicted - observed).max()))
     yield (
         f"io_check_{preset_name}_all.csv",

@@ -14,7 +14,9 @@ received row against its own trial's transmit row (at full pilot overhead,
 one data-free row shared by every trial). ``trial_metrics`` reduces its
 maps per trial and SNR point, and ``sensing_maps`` returns them at one SNR
 point, from the same inputs: config, pilot overhead, ``PathTap`` paths,
-SNR, algorithms and one generator per trial. The LMMSE link,
+SNR, algorithms and one generator per trial. Each call builds its pilot,
+``subcarrier(config, 0)``, once; the modulator's chirp pair is the config's
+own ``chirp_phasors``. The LMMSE link,
 ``lmmse_ber_compare``, takes the same paths. No scenario enters this module.
 """
 
@@ -37,7 +39,7 @@ from .channel import (
     _normal_pairs,
     noise_variance,
 )
-from .params import AfdmConfig, _is_real
+from .params import AfdmConfig, _is_integer, _is_real
 from .ddgrid import vector_to_grid
 from .sensing import (  # noqa: F401 -- ddmf is re-exported
     cfar_mask_batch,
@@ -46,7 +48,7 @@ from .sensing import (  # noqa: F401 -- ddmf is re-exported
     dechirp_batch,
     tfmf_batch,
 )
-from .waveform import _chirps, demodulate, modulate, subcarrier
+from .waveform import demodulate, modulate, subcarrier
 
 ALGORITHMS = ("tfmf", "dechirp", "ddmf")
 
@@ -153,11 +155,6 @@ def _check_reference(tfmf_reference) -> None:
         raise ValueError("tfmf_reference must be 'transmit' or 'pilot'")
 
 
-def pilot_reference(config: AfdmConfig):
-    """Unit-amplitude deterministic pilot waveform (base chirp subcarrier)."""
-    return subcarrier(config, 0)
-
-
 # ---------------------------------------------------------------------------
 # Map metrics
 # ---------------------------------------------------------------------------
@@ -258,13 +255,13 @@ def _sweep(config, po, paths, scales, algorithms, rngs, tfmf_reference):
     ``algorithms``: one call filters the group's flat (g B, n_c) stack,
     received row i against transmit row i mod R, R = B or the shared 1.
     Consuming it before asking for the next group keeps one group's stacks
-    alive at a time. The pilot, the chirp pair and the channel's Doppler
-    taps are built once per call and shared by every block; nothing
-    outlives the call. ``tfmf_reference`` other than "transmit" or
-    "pilot", an algorithm not in ``ALGORITHMS``, an empty ``algorithms``
-    or a ``po`` that ``_pilot_slots`` rejects is a ValueError, raised
-    before any draw; an empty ``rngs`` is one too, raised when the first
-    block finds no trial.
+    alive at a time. The pilot and the channel's Doppler taps are built
+    once per call and shared by every block, and nothing but the config's
+    own ``chirp_phasors`` outlives the call. ``tfmf_reference`` other
+    than "transmit" or "pilot", an algorithm not in ``ALGORITHMS``, an
+    empty ``algorithms`` or a ``po`` that ``_pilot_slots`` rejects is a
+    ValueError, raised before any draw; an empty ``rngs`` is one too,
+    raised when the first block finds no trial.
     """
     _check_reference(tfmf_reference)
     if not algorithms:
@@ -272,7 +269,7 @@ def _sweep(config, po, paths, scales, algorithms, rngs, tfmf_reference):
     unknown = [algorithm for algorithm in algorithms if algorithm not in ALGORITHMS]
     if unknown:
         raise ValueError(f"unknown algorithms {unknown}; expected some of {list(ALGORITHMS)}")
-    pilot, chirps = pilot_reference(config), _chirps(config)
+    pilot = subcarrier(config, 0)
     taps = _doppler_taps(paths, config.n_c)
     noisy = any(scale is not None for scale in scales)
 
@@ -285,7 +282,7 @@ def _sweep(config, po, paths, scales, algorithms, rngs, tfmf_reference):
             elif algorithm == "dechirp":
                 maps = dechirp_batch(config, r, pilot)
             else:
-                y_grids = vector_to_grid(config, demodulate(config, r, chirps))
+                y_grids = vector_to_grid(config, demodulate(config, r))
                 maps = ddmf_batch(config, y_grids, x_grids)
             yield maps.reshape(-1, n, config.n_p, config.k_chirps)
 
@@ -303,7 +300,7 @@ def _sweep(config, po, paths, scales, algorithms, rngs, tfmf_reference):
             # a frame without data slots is the same symbol in every trial:
             # the first trial's row serves every block of the call
             x = np.stack(x[:1] if shared else x)
-            s = modulate(config, x, chirps)
+            s = modulate(config, x)
             r0 = _delay_doppler(s, taps)
             x_grids = vector_to_grid(config, x) if "ddmf" in algorithms else None
         n = len(block)
@@ -527,12 +524,20 @@ def lmmse_ber_compare(
     gains, then its bits (symbols, n_c, 2), then its noise (n_c, symbols),
     real part first, from ``trial_rng(seed, i)``; each block makes one
     ``_lmmse_solve`` sweep over every (realization, SNR), on Grams scattered
-    straight into block form. The chirps, the Doppler phasors and the Gram's
-    scatter index are built once per call; only the gains change between
-    realizations. Returns {(config_name, snr_db): (bit_errors, bits)}.
+    straight into block form. The Doppler phasors and the Gram's scatter
+    index are built once per call; only the gains change between
+    realizations. ``realizations`` and ``symbols_per_realization`` are
+    integers >= 1 and ``seed`` an integer >= 0. Returns
+    {(config_name, snr_db): (bit_errors, bits)}.
     """
+    for name, value in (("realizations", realizations),
+                        ("symbols_per_realization", symbols_per_realization), ("seed", seed)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
     if realizations < 1 or symbols_per_realization < 1:
         raise ValueError("realizations and symbols_per_realization must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not configs:
         raise ValueError("configs needs at least one waveform config")
     n_c = next(iter(configs.values())).n_c
@@ -551,7 +556,6 @@ def lmmse_ber_compare(
     b = _block_size(unit_taps, n_c)
     index = _gram_block_index([s for _, s, _ in unit_taps], n_c, b)
     per_block = max(1, TRIAL_BLOCK * _MIN_BLOCK // b)
-    chirps = [_chirps(config) for config in configs.values()]
     scale = np.sqrt(sigma2)[:, None, None]
 
     def block_errors(reals):
@@ -575,10 +579,10 @@ def lmmse_ber_compare(
         # is unitary
         x, w = qam4_modulate(bits), np.swapaxes(w, 1, 2)
         y = np.empty((len(reals), len(sigma2), n_c, len(configs) * per_real), dtype=np.complex128)
-        for c, (config, pair) in enumerate(zip(configs.values(), chirps)):
+        for c, config in enumerate(configs.values()):
             cols = y[..., c * per_real:(c + 1) * per_real]
-            np.multiply(scale, modulate(config, w, pair).swapaxes(1, 2)[:, None], out=cols)
-            cols += _delay_doppler(modulate(config, x, pair), taps).swapaxes(1, 2)[:, None]
+            np.multiply(scale, modulate(config, w).swapaxes(1, 2)[:, None], out=cols)
+            cols += _delay_doppler(modulate(config, x), taps).swapaxes(1, 2)[:, None]
         # holding x and w through the solve raised a fig4 call's allocation
         # peak from 5.84 to 7.09 MiB
         del x, w
@@ -588,9 +592,9 @@ def lmmse_ber_compare(
         )
         return np.array([
             np.count_nonzero(
-                qam4_demodulate(demodulate(config, s_hat[:, :, c], pair)) != bits, axis=(1, 2, 3, 4)
+                qam4_demodulate(demodulate(config, s_hat[:, :, c])) != bits, axis=(1, 2, 3, 4)
             )
-            for c, (config, pair) in enumerate(zip(configs.values(), chirps))
+            for c, config in enumerate(configs.values())
         ])
 
     errors = sum(

@@ -23,8 +23,13 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Union
+
+import numpy as np
+
+from ._phase import chirp_phasor
 
 ChirpRate = Union[Fraction, float]
 
@@ -71,7 +76,10 @@ class AfdmConfig:
         n_p: samples per chirp period, the property n_c / k_chirps.
         c1: time-domain chirp rate, exact rational.
         c2: symbol-index chirp rate; Fraction when exact, float otherwise.
-        l_cpp: chirp-cyclic-prefix length in samples.
+        l_cpp: chirp-cyclic-prefix length in samples; n_c, k_chirps and
+            l_cpp are stored as ``int``.
+        chirp_phasors: the modulator's chirp pair, built on first use and
+            kept on this instance; equality and hashing read the fields only.
     """
 
     n_c: int
@@ -88,11 +96,22 @@ class AfdmConfig:
             raise ValueError("l_cpp must be non-negative")
         if not isinstance(self.c1, Fraction):
             raise TypeError("c1 must be an exact Fraction")
+        for name in ("n_c", "k_chirps", "l_cpp"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     @property
     def n_p(self) -> int:
         """Samples per chirp period: n_c / k_chirps."""
         return self.n_c // self.k_chirps
+
+    @cached_property
+    def chirp_phasors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only exp(j2pi c2 m^2) over m and exp(j2pi c1 n^2) over n."""
+        index = np.arange(self.n_c, dtype=np.int64)
+        pair = chirp_phasor(self.c2, index), chirp_phasor(self.c1, index)
+        for phasor in pair:
+            phasor.flags.writeable = False
+        return pair
 
     @property
     def fmcw_equivalent(self) -> bool:
@@ -125,8 +144,8 @@ def preset(
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
     _check_geometry(n_c, k_chirps)  # before a rate divides by n_c or n_p
     n_p = n_c // k_chirps
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    if not _is_integer(k_max) or k_max < 0:
+        raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
     if name == "proposed" and n_p % 2 != 0:
         raise ValueError(f"n_p must be even, got {n_p}")
     c1, c2 = _RATES[name](n_c, n_p, k_max)
@@ -147,7 +166,10 @@ def classic_params(
 
 @dataclass(frozen=True)
 class PathTap:
-    """One scatterer: finite complex gain, integer delay tap >= 0, signed integer Doppler tap."""
+    """One scatterer: finite complex gain, integer delay tap >= 0, signed integer Doppler tap.
+
+    The gain is stored as ``complex`` and the taps as ``int``, whatever number types they came as.
+    """
 
     gain: complex
     delay_tap: int
@@ -162,6 +184,9 @@ class PathTap:
             raise ValueError(f"target gain {self.gain} must be finite")
         if self.delay_tap < 0:
             raise ValueError("delay_tap must be non-negative")
+        object.__setattr__(self, "gain", complex(self.gain))
+        for name in ("delay_tap", "doppler_tap"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +255,10 @@ class ScenarioConfig:
             if not isinstance(target, PathTap):
                 raise ValueError(f"targets must be PathTap paths, got {target!r}")
             _check_target(target.delay_tap, target.doppler_tap, self.l_max, self.k_max)
+        for name in ("n_c", "k_chirps", "l_max", "k_max", "rng_seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("snr_db", "pilot_overhead"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     n_p = AfdmConfig.n_p
 

@@ -40,7 +40,7 @@ import numpy as np
 from ._phase import unit_phasor
 from .ddgrid import grid_to_vector
 from .params import AfdmConfig
-from .waveform import _as_samples, _chirps, modulate
+from .waveform import _as_samples, modulate
 
 
 def _slow_time_maps(chirps: np.ndarray, lead: tuple, scale: float) -> np.ndarray:
@@ -210,9 +210,8 @@ def ddmf_batch(config: AfdmConfig, y_grids: np.ndarray, x_grids: np.ndarray) -> 
         maps *= weights
         return maps
     n_c, K = config.n_c, config.k_chirps
-    chirps = _chirps(config)
-    V = np.fft.fft(np.conj(modulate(config, grid_to_vector(config, Y), chirps)))
-    T = np.fft.ifft(modulate(config, grid_to_vector(config, X), chirps)) * n_c
+    V = np.fft.fft(np.conj(modulate(config, grid_to_vector(config, Y))))
+    T = np.fft.ifft(modulate(config, grid_to_vector(config, X))) * n_c
     # shift[col, f] = (f + k) mod n_c: the bins of V that column col's Doppler reads
     shift = np.mod(np.arange(n_c) + signed_doppler(np.arange(K), K)[:, None], n_c)
     maps = np.empty_like(Y)

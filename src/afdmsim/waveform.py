@@ -7,7 +7,8 @@ Conventions used throughout the package:
 * demodulate:        Y[m] = (1/sqrt(n_c)) * sum_n r[n] * conj(psi_m[n])
 
 so the transform pair is unitary. The fast path is pre-chirp multiply,
-inverse FFT, post-chirp multiply (and its adjoint), O(n_c log n_c).
+inverse FFT, post-chirp multiply (and its adjoint), O(n_c log n_c). The
+two chirps are the config's ``chirp_phasors``, built once per config object.
 
 Under the FMCW-equivalent parameter set the linear subcarrier index m and a
 delay-Doppler pair (l, k) are in bijection through
@@ -41,15 +42,6 @@ def _as_samples(signal, config: AfdmConfig, *, stacked: bool = False, cpp: bool 
     return arr
 
 
-def _chirps(config: AfdmConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only exp(j2pi c2 m^2) over m and exp(j2pi c1 n^2) over n, for reuse across calls."""
-    index = np.arange(config.n_c, dtype=np.int64)
-    pair = chirp_phasor(config.c2, index), chirp_phasor(config.c1, index)
-    for phasor in pair:
-        phasor.flags.writeable = False
-    return pair
-
-
 def subcarrier(config: AfdmConfig, m: int) -> np.ndarray:
     """The m-th unit-modulus basis chirp, n = 0..n_c-1."""
     if not 0 <= m < config.n_c:
@@ -58,27 +50,24 @@ def subcarrier(config: AfdmConfig, m: int) -> np.ndarray:
     return chirp_phasor(config.c1, n) * unit_phasor(m * n, config.n_c) * chirp_phasor(config.c2, m)
 
 
-def modulate(config: AfdmConfig, x, chirps=None) -> np.ndarray:
+def modulate(config: AfdmConfig, x) -> np.ndarray:
     """(..., n_c) DAFT-domain symbol stack -> (..., n_c) time samples.
 
     Three-step fast path: chirp-filter the symbols by exp(j2pi c2 m^2),
-    inverse FFT, then chirp-window by exp(j2pi c1 n^2). ``chirps`` is
-    ``_chirps(config)`` built by the caller, or None to build it here.
+    inverse FFT, then chirp-window by exp(j2pi c1 n^2), the config's
+    ``chirp_phasors``.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.shape[-1:] != (config.n_c,):
         raise ValueError(f"expected {config.n_c} symbols, got shape {x.shape}")
-    c2_chirp, c1_chirp = _chirps(config) if chirps is None else chirps
+    c2_chirp, c1_chirp = config.chirp_phasors
     return np.fft.ifft(x * c2_chirp) * np.sqrt(config.n_c) * c1_chirp
 
 
-def demodulate(config: AfdmConfig, r, chirps=None) -> np.ndarray:
-    """Project a CPP-free received signal (or a (..., n_c) stack) onto the subcarrier basis.
-
-    ``chirps`` is ``_chirps(config)`` built by the caller, or None to build it here.
-    """
+def demodulate(config: AfdmConfig, r) -> np.ndarray:
+    """Project a CPP-free received signal (or a (..., n_c) stack) onto the subcarrier basis."""
     samples = _as_samples(r, config, stacked=True)
-    c2_chirp, c1_chirp = _chirps(config) if chirps is None else chirps
+    c2_chirp, c1_chirp = config.chirp_phasors
     return np.fft.fft(samples * np.conj(c1_chirp)) / np.sqrt(config.n_c) * np.conj(c2_chirp)
 
 

@@ -6,9 +6,19 @@ import math
 
 import numpy as np
 
+from afdmsim._phase import chirp_phasor
 from afdmsim.channel import _gram_diagonals
 from afdmsim.metrics import qam4_modulate, trial_metrics, trial_rng
 from afdmsim.waveform import _as_samples
+
+
+def chirp_pair(config) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only exp(j2pi c2 m^2) over m and exp(j2pi c1 n^2) over n, built afresh."""
+    index = np.arange(config.n_c, dtype=np.int64)
+    pair = chirp_phasor(config.c2, index), chirp_phasor(config.c1, index)
+    for phasor in pair:
+        phasor.flags.writeable = False
+    return pair
 
 
 def delay_doppler_gram(taps, n_c: int) -> np.ndarray:

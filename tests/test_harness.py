@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 import json
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from afdmsim.experiments import (
     builtin_scenarios,
     run,
 )
-from afdmsim.params import PRESET_NAMES, PathTap
+from afdmsim.params import PRESET_NAMES, PathTap, ScenarioConfig
 
 
 def read_ddm_csv(path):
@@ -104,6 +107,19 @@ class TestIoCheck:
         fields = text[1].split(",")
         assert float(fields[2]) < 1e-9
         assert fields[4] == "true"
+
+    def test_numpy_integers_run_as_plain_ones(self, tmp_path):
+        # trials, seed and sizes used to be rejected: "trials must be int, got int64"
+        desk = builtin_scenarios()["desk"]
+        for name, trials, seed, sizes in (
+            ("typed", np.int64(3), np.int64(5), (np.int64(256), np.int32(512))),
+            ("plain", 3, 5, (256, 512)),
+        ):
+            run(ExperimentSpec("io_check", desk, tmp_path / name, trials=trials, seed=seed,
+                               sizes=sizes))
+        for name in ("io_check_proposed_all.csv", "manifest.json"):
+            typed, plain = (tmp_path / side / name for side in ("typed", "plain"))
+            assert typed.read_bytes() == plain.read_bytes()
 
     def test_runs_on_the_scenario_grid(self, tmp_path):
         spec = ExperimentSpec(kind="io_check", scenario=builtin_scenarios()["fig4"],
@@ -215,6 +231,36 @@ class TestManifestOutputs:
         assert sorted(outputs) == sorted(p.name for p in written[:-1])
         for name, header in outputs.items():
             assert (tmp_path / name).read_text().splitlines()[0] == ",".join(header)
+
+    @staticmethod
+    def _ddm_manifest(out_dir, changes):
+        """The manifest of a desk ``ddm`` run with ``changes`` to its scenario or spec."""
+        scenario_fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+        scenario = replace(builtin_scenarios()["desk"],
+                           **{k: v for k, v in changes.items() if k in scenario_fields})
+        spec = {k: v for k, v in changes.items() if k not in scenario_fields}
+        run(ExperimentSpec("ddm", scenario, out_dir, **spec))
+        return (out_dir / "manifest.json").read_text()
+
+    @pytest.mark.parametrize("changes, plain", [
+        ({"pilot_overhead": Fraction(1, 2)}, {"pilot_overhead": 0.5}),
+        ({"snr_db": 12}, {"snr_db": 12.0}),
+        ({"snr_db": np.float32(12)}, {"snr_db": 12.0}),
+        ({"rng_seed": np.int64(7)}, {"rng_seed": 7}),
+        ({"l_max": np.int64(2)}, {"l_max": 2}),
+        ({"n_c": np.int64(32)}, {"n_c": 32}),
+        ({"targets": (PathTap(1.0, np.int64(1), np.int64(1)),)},
+         {"targets": (PathTap(1.0, 1, 1),)}),
+        ({"targets": (PathTap(np.complex64(1), 1, 1),)}, {"targets": (PathTap(1.0, 1, 1),)}),
+        ({"snr_db_list": (np.float32(5),)}, {"snr_db_list": (5.0,)}),
+        ({"snr_db_list": (5, 10)}, {"snr_db_list": (5.0, 10.0)}),
+    ], ids=["fraction-po", "int-snr", "float32-snr", "int64-seed", "int64-l_max", "int64-n_c",
+            "int64-taps", "complex64-gain", "float32-snr-list", "int-snr-list"])
+    def test_any_number_type_records_the_plain_manifest(self, tmp_path, changes, plain):
+        # each used to record an int where a scenario file gives a float, or
+        # to fail in json.dumps once the run's maps were written
+        assert (self._ddm_manifest(tmp_path / "typed", changes)
+                == self._ddm_manifest(tmp_path / "plain", plain))
 
 
 class TestCli:
@@ -422,7 +468,7 @@ class TestCli:
         ["snr-sweep", "--trials", "2", "--snr", "10"],
         ["ddm", "--algorithm", "dechirp"],
     ])
-    def test_pilot_reference_without_tfmf_rejected(self, tmp_path, capsys, argv):
+    def test_pilot_only_reference_without_tfmf_rejected(self, tmp_path, capsys, argv):
         # it used to run the other algorithms and record a pilot reference nothing read
         code = main([*argv, "--scenario", "fig5", "--algorithm", "ddmf",
                      "--pilot-only-reference", "--out", str(tmp_path)])

@@ -23,7 +23,6 @@ from afdmsim.metrics import (
     build_frame,
     image_snr,
     lmmse_detect,
-    pilot_reference,
     pslr,
     qam4_demodulate,
     qam4_modulate,
@@ -34,7 +33,7 @@ from afdmsim.metrics import (
 )
 from afdmsim.params import ScenarioConfig, classic_params, proposed_params
 from afdmsim.sensing import cfar_mask_batch, ddmf, dechirp, tfmf
-from afdmsim.waveform import demodulate, modulate
+from afdmsim.waveform import demodulate, modulate, subcarrier
 
 from oracles import mask_near, scenario_metrics
 
@@ -184,7 +183,7 @@ def one_trial_maps(config, po, paths, snr_db, rng, tfmf_reference):
     x = build_frame(config, po, rng)
     s = modulate(config, x)
     r = add_awgn(apply_channel(config, s, paths), snr_db, rng)
-    pilot = pilot_reference(config)
+    pilot = subcarrier(config, 0)
     maps = {
         "tfmf": tfmf(config, r, s if tfmf_reference == "transmit" else pilot),
         "dechirp": dechirp(config, r, pilot),
@@ -735,6 +734,18 @@ class TestTimeDomainLink:
         with pytest.raises(ValueError, match="realizations and symbols_per_realization must be"):
             metrics.lmmse_ber_compare(configs, [PathTap(1.0, 1, 1)], (0.0,), realizations,
                                       per_real, 1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("realizations", 2.5), ("realizations", True), ("symbols_per_realization", 2.5),
+        ("seed", 1.5), ("seed", -1),
+    ])
+    def test_non_integer_count_or_seed_rejected(self, name, value):
+        # each used to raise a raw TypeError or numpy's seed error, and
+        # realizations=True ran one realization
+        args = {"realizations": 2, "symbols_per_realization": 2, "seed": 1, name: value}
+        configs = {"proposed": self.DESK.waveform("proposed")}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            metrics.lmmse_ber_compare(configs, [PathTap(1.0, 1, 1)], (0.0,), **args)
 
     @pytest.mark.parametrize("snrs", [(), [], np.array([])])
     def test_empty_snr_list_rejected(self, snrs):

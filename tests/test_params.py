@@ -66,6 +66,17 @@ class TestPreset:
         with pytest.raises(ValueError, match="unknown preset"):
             preset("zak", 512)
 
+    @pytest.mark.parametrize("k_max", [1.5, True, -1])
+    def test_non_integer_or_negative_k_max_rejected(self, k_max):
+        # 1.5 used to fail inside Fraction with a raw TypeError; True built k_max = 1
+        with pytest.raises(ValueError, match="k_max must be an integer >= 0, got"):
+            preset("classic", 512, 8, k_max)
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = preset("ocdm", np.int64(32), np.int32(4), l_cpp=np.int64(3))
+        assert [type(v) for v in (cfg.n_c, cfg.k_chirps, cfg.l_cpp)] == [int] * 3
+        assert cfg == preset("ocdm", 32, 4, l_cpp=3)
+
 
 class TestPeriodicityInvariants:
     def test_parity_rule_enforced(self):
@@ -143,6 +154,9 @@ class TestPathTap:
     def test_numpy_integer_taps_accepted(self):
         path = PathTap(np.float64(0.5), np.int64(3), np.int32(-2))
         assert (path.delay_tap, path.doppler_tap) == (3, -2)
+        assert [type(v) for v in (path.gain, path.delay_tap, path.doppler_tap)] == [
+            complex, int, int
+        ]
 
     def test_channel_and_package_export_the_same_type(self):
         import afdmsim

@@ -1,5 +1,6 @@
 """Property tests of the paper's channel identities over random valid geometries."""
 
+import dataclasses
 import math
 import tempfile
 from fractions import Fraction
@@ -29,7 +30,6 @@ from afdmsim.metrics import (
     _pilot_slots,
     build_effective_channel,
     build_frame,
-    pilot_reference,
 )
 from afdmsim.params import (
     PRESET_NAMES,
@@ -56,7 +56,6 @@ from afdmsim.sensing import (
     tfmf_batch,
 )
 from afdmsim.waveform import (
-    _chirps,
     daft_index_to_dd,
     dd_to_daft_index,
     demodulate,
@@ -67,6 +66,7 @@ from afdmsim.waveform import (
 )
 
 from oracles import (
+    chirp_pair,
     dechirp_strided,
     delay_doppler_gram,
     mask_near,
@@ -468,11 +468,31 @@ def test_benchmark_stacks_equal_rolled_copies(shape, near):
 
 
 @settings(deadline=None, max_examples=60)
+@given(config=geometries(), l_cpp=st.integers(0, 4))
+@example(config=preset("proposed", 8, 1), l_cpp=1)  # K = 1
+@example(config=preset("classic", 30, 3, 1), l_cpp=2)  # odd K, the float c2
+def test_chirp_phasors_are_built_once_per_config(config, l_cpp):
+    twin = dataclasses.replace(config)
+    assert twin == config and hash(twin) == hash(config)
+    pair = config.chirp_phasors
+    assert config.chirp_phasors is pair
+    assert twin == config and hash(twin) == hash(config)  # one built, the other not
+    want = chirp_pair(config)
+    for phasor, expected in zip(pair, want):
+        assert np.array_equal(phasor, expected) and not phasor.flags.writeable
+    other = dataclasses.replace(config, l_cpp=l_cpp)
+    assert other.chirp_phasors is not pair
+    assert np.array_equal(other.chirp_phasors, want)
+
+
+@settings(deadline=None, max_examples=60)
 @given(config=geometries(), batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_demodulate_with_built_chirps_equals_building_them(config, batch, seed):
     rng = np.random.default_rng(seed)
     r = rng.standard_normal((batch, config.n_c)) + 1j * rng.standard_normal((batch, config.n_c))
-    assert np.array_equal(demodulate(config, r, _chirps(config)), demodulate(config, r))
+    c2_chirp, c1_chirp = chirp_pair(config)
+    want = np.fft.fft(r * np.conj(c1_chirp)) / np.sqrt(config.n_c) * np.conj(c2_chirp)
+    assert np.array_equal(demodulate(config, r), want)
 
 
 def _delay_doppler_per_path(samples, paths):
@@ -722,7 +742,7 @@ def test_c07_tfmf_equals_dechirp_at_full_overhead(n_p, k_chirps, delay, doppler,
     s = modulate(config, x)
     r = apply_channel(config, s, [PathTap(gain, delay, doppler)])
     zt = np.abs(tfmf(config, r, s))
-    zd = np.abs(dechirp(config, r, pilot_reference(config)))
+    zd = np.abs(dechirp(config, r, subcarrier(config, 0)))
     assert np.abs(zt / np.linalg.norm(zt) - zd / np.linalg.norm(zd)).max() < 1e-9
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from afdmsim.channel import PathTap, apply_channel
 from afdmsim.ddgrid import vector_to_grid
-from afdmsim.metrics import build_frame, pilot_reference, sensing_maps
+from afdmsim.metrics import build_frame, sensing_maps
 from afdmsim.params import proposed_params
 from afdmsim.sensing import (
     cfar_mask_batch,
@@ -78,16 +78,16 @@ class TestDechirp:
         r = apply_channel(CFG, s, [PathTap(0.8, 2, 1), PathTap(0.4, 5, -1)])
         noisy = r + 0.05 * (rng.standard_normal(32) + 1j * rng.standard_normal(32))
         zt = tfmf(CFG, noisy, s)
-        zd = dechirp(CFG, noisy, pilot_reference(CFG))
+        zd = dechirp(CFG, noisy, subcarrier(CFG, 0))
         assert np.abs(np.abs(zt) - np.abs(zd)).max() < 1e-9
 
     def test_identity_channel_peak_at_origin(self):
-        p = pilot_reference(CFG)
+        p = subcarrier(CFG, 0)
         z = dechirp(CFG, p, p)
         assert peak(z)[:2] == (0, 0)
 
     def test_zero_input(self):
-        z = dechirp(CFG, np.zeros(32, dtype=complex), pilot_reference(CFG))
+        z = dechirp(CFG, np.zeros(32, dtype=complex), subcarrier(CFG, 0))
         assert np.all(z == 0)
 
 
