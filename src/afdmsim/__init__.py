@@ -9,7 +9,6 @@ Signals are plain complex arrays: n_c samples per symbol, (..., n_c) stacks.
 
 from .ambiguity import (
     aaf_psi0_closed,
-    aaf_psi0_surface,
     aaf_shifted_closed,
     caf_closed,
     dpaf_brute,
@@ -18,9 +17,7 @@ from .ambiguity import (
 from .channel import (
     PathTap,
     PhysicalPath,
-    add_awgn,
     apply_channel,
-    apply_channel_linear,
     quantize_path,
 )
 from .ddgrid import (
@@ -33,11 +30,8 @@ from .ddgrid import (
     vector_to_grid,
 )
 from .metrics import (
-    ber,
-    build_effective_channel,
     build_frame,
     image_snr,
-    lmmse_detect,
     pslr,
     qam4_demodulate,
     qam4_modulate,

@@ -77,9 +77,14 @@ def caf_closed(
     Nonzero only when k + k_b - k_a = 0 (mod K) and
     l + l_b - l_a = -floor((k + k_b - k_a)/K) (mod n_p); the value is n_c
     times two unit phases (a shift-rotation term and the base quadratic
-    term evaluated at the offset delay).
+    term evaluated at the offset delay). Every index is an integer or an
+    integer array; anything else (a bool included) is a ValueError.
     """
     config.require_fmcw("caf_closed")
+    for name, values in (("sub_a", sub_a), ("sub_b", sub_b), ("l", [l]), ("k", [k])):
+        for v in values:
+            if np.asarray(v).dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integers or integer arrays, got {v!r}")
     l_a, k_a = sub_a
     l_b, k_b = sub_b
     l = np.asarray(l, dtype=np.int64)
@@ -104,10 +109,3 @@ def caf_closed(
     value = n_c * unit_phasor(numer, 2 * n_c)
     out = np.where(on_support, value, 0.0 + 0.0j)
     return complex(out) if out.ndim == 0 else out
-
-
-def aaf_psi0_surface(config: AfdmConfig) -> np.ndarray:
-    """Full-plane base auto-ambiguity via the closed form (FMCW set only)."""
-    l = np.arange(config.n_c, dtype=np.int64)[:, None]
-    k = np.arange(config.n_c, dtype=np.int64)[None, :]
-    return aaf_psi0_closed(config, l, k)

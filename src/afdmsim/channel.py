@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._phase import unit_phasor
-from .params import AfdmConfig, PathTap, noise_variance
+from .params import AfdmConfig, PathTap, _check_paths, noise_variance
 from .waveform import _as_samples
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -58,7 +58,11 @@ def quantize_path(
 
 
 def _doppler_taps(paths, n_c: int) -> list[tuple[complex, int, np.ndarray]]:
-    """(gain, cyclic shift, Doppler phasor exp(-j2pi k n/n_c)) of each path on n_c samples."""
+    """(gain, cyclic shift, Doppler phasor exp(-j2pi k n/n_c)) of each path on n_c samples.
+
+    A path that is not a ``PathTap`` is a ValueError.
+    """
+    _check_paths(paths)
     n = np.arange(n_c, dtype=np.int64)
     return [
         (complex(p.gain), p.delay_tap % n_c, unit_phasor(-p.doppler_tap * n, n_c))
@@ -147,28 +151,6 @@ def apply_channel(config: AfdmConfig, s, paths) -> np.ndarray:
     return _delay_doppler(_as_samples(s, config, stacked=True), _doppler_taps(paths, config.n_c))
 
 
-def apply_channel_linear(config: AfdmConfig, s, paths) -> np.ndarray:
-    """Physical non-cyclic channel over a CPP-extended block of n_c + l_cpp samples.
-
-    Delayed samples that precede the block are dropped (no energy wraps), and
-    the Doppler phase is referenced to the post-CPP sample index so that
-    removing the CPP afterwards reproduces :func:`apply_channel` exactly for
-    every delay tap not exceeding l_cpp.
-    """
-    s = _as_samples(s, config, cpp=True)
-    total = len(s)
-    n_post = np.arange(total, dtype=np.int64) - config.l_cpp
-    out = np.zeros(total, dtype=np.complex128)
-    for p in paths:
-        li = p.delay_tap
-        if li >= total:
-            continue
-        shifted = np.zeros(total, dtype=np.complex128)
-        shifted[li:] = s[: total - li]
-        out += complex(p.gain) * shifted * unit_phasor(-p.doppler_tap * n_post, config.n_c)
-    return out
-
-
 def _noise_scale(snr_db: float) -> float | None:
     """sqrt(sigma^2 / 2), the scale of each real noise part at ``snr_db``; None at +inf SNR."""
     if snr_db == math.inf:
@@ -179,18 +161,3 @@ def _noise_scale(snr_db: float) -> float | None:
 def _normal_pairs(n: int, rng: np.random.Generator) -> np.ndarray:
     """re + 1j*im of ``n`` standard normal pairs, the real parts drawn first."""
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def add_awgn(r, snr_db: float, rng: np.random.Generator) -> np.ndarray:
-    """Add circularly-symmetric complex Gaussian noise to a signal or stack of any shape.
-
-    The variance convention is relative to unit mean transmit-sample power
-    (frames are built with total energy n_c, so E|s[n]|^2 = 1); +inf
-    ``snr_db`` returns the signal unchanged and draws nothing. The real
-    parts of every sample, in C order, are drawn before the imaginary parts.
-    """
-    r = np.asarray(r, dtype=np.complex128)
-    scale = _noise_scale(snr_db)
-    if scale is None:
-        return r
-    return r + scale * _normal_pairs(r.size, rng).reshape(r.shape)

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._phase import unit_phasor
 from .ambiguity import caf_closed
-from .params import AfdmConfig
+from .params import AfdmConfig, _check_paths
 from .waveform import dd_index_table
 
 
@@ -55,9 +55,10 @@ def grid_to_vector(config: AfdmConfig, g) -> np.ndarray:
 
 
 def io_predict(config: AfdmConfig, x_grid, paths) -> np.ndarray:
-    """Compact noise-free channel action on a transmitted grid."""
+    """Compact noise-free channel action on a transmitted grid; ``paths`` are ``PathTap`` paths."""
     config.require_fmcw("io_predict")
     X = _check_grid(config, x_grid)
+    _check_paths(paths)
     n_p, K, n_c = config.n_p, config.k_chirps, config.n_c
     L = np.arange(n_p, dtype=np.int64)[:, None]
     Kg = np.arange(K, dtype=np.int64)[None, :]

@@ -17,7 +17,10 @@ point, from the same inputs: config, pilot overhead, ``PathTap`` paths,
 SNR, algorithms and one generator per trial. Each call builds its pilot,
 ``subcarrier(config, 0)``, once; the modulator's chirp pair is the config's
 own ``chirp_phasors``. The LMMSE link,
-``lmmse_ber_compare``, takes the same paths. No scenario enters this module.
+``lmmse_ber_compare``, takes the same paths and solves in the time domain,
+where the channel is waveform-independent; its dense DAFT-domain reference
+(effective channel, LMMSE detector, BER) is a test oracle in
+``tests/oracles.py``. No scenario enters this module.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from itertools import islice
 import numpy as np
 
 from .channel import (
-    PathTap,
     _delay_doppler,
     _delay_doppler_adjoint,
     _delay_doppler_gram_blocks,
@@ -39,7 +41,7 @@ from .channel import (
     _normal_pairs,
     noise_variance,
 )
-from .params import AfdmConfig, _is_integer, _is_real
+from .params import AfdmConfig, _check_index, _check_paths, _is_integer, _is_real
 from .ddgrid import vector_to_grid
 from .sensing import (  # noqa: F401 -- ddmf is re-exported
     cfar_mask_batch,
@@ -87,7 +89,11 @@ _SCALE = 1.0 / math.sqrt(2.0)
 
 
 def qam4_modulate(bits: np.ndarray) -> np.ndarray:
-    """(..., 2) bit pairs -> unit-power 4QAM symbols."""
+    """(..., 2) bit pairs -> unit-power 4QAM symbols.
+
+    The bits must be 0 or 1 and are taken unchecked, since this runs once per
+    trial frame: any other value maps off the 4QAM alphabet.
+    """
     b = np.asarray(bits)
     return ((1 - 2 * b[..., 0]) + 1j * (1 - 2 * b[..., 1])) * _SCALE
 
@@ -96,13 +102,6 @@ def qam4_demodulate(symbols: np.ndarray) -> np.ndarray:
     """Hard decisions back to (..., 2) bit pairs."""
     s = np.asarray(symbols)
     return np.stack([(s.real < 0).astype(np.int8), (s.imag < 0).astype(np.int8)], axis=-1)
-
-
-def ber(x_hat: np.ndarray, x_true: np.ndarray) -> float:
-    """Bit error fraction between two 4QAM symbol arrays."""
-    b_hat = qam4_demodulate(x_hat)
-    b_true = qam4_demodulate(x_true)
-    return float(np.mean(b_hat != b_true))
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +170,22 @@ def _db(scale: float, num, den):
     return values[0] if np.ndim(num) == 0 else np.array(values).reshape(np.shape(num))
 
 
+def _check_target(target, shape) -> tuple[int, int]:
+    """The (l, k) ``target`` cell, which must lie on an (n_p, K) map of ``shape``."""
+    l, k = target
+    _check_index("target delay index", l, shape[-2])
+    _check_index("target Doppler index", k, shape[-1])
+    return l, k
+
+
 def pslr(cells, target: tuple[int, int]):
     """Peak-to-maximum-sidelobe ratio in dB, peak taken at the target cell.
 
-    A (..., n_p, K) stack of maps gives an array with one ratio per map.
+    A (..., n_p, K) stack of maps gives an array with one ratio per map. A
+    target that is not an integer cell of the maps is a ValueError.
     """
     mag = np.abs(cells)
-    l, k = target
+    l, k = _check_target(target, mag.shape)
     flat = mag.reshape(*mag.shape[:-2], -1)
     rest = np.delete(flat, l * mag.shape[-1] + k, axis=-1)
     side = rest.max(axis=-1) if rest.shape[-1] else np.zeros(flat.shape[:-1])
@@ -187,11 +195,12 @@ def pslr(cells, target: tuple[int, int]):
 def image_snr(cells, target: tuple[int, int]):
     """Peak power over mean background power (one-cell guard ring excluded), dB.
 
-    A (..., n_p, K) stack of maps gives an array with one ratio per map.
+    A (..., n_p, K) stack of maps gives an array with one ratio per map. A
+    target that is not an integer cell of the maps is a ValueError.
     """
     power = np.abs(cells) ** 2
     n_p, K = power.shape[-2:]
-    l, k = target
+    l, k = _check_target(target, power.shape)
     mask = np.ones((n_p, K), dtype=bool)
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
@@ -343,6 +352,8 @@ def trial_metrics(
     """
     if not paths:
         raise ValueError("paths needs at least one path to score")
+    # _sweep checks them only at its first block, after paths[0] is read below
+    _check_paths(paths)
     scales = [_noise_scale(point) for point in ([snr_db] if np.ndim(snr_db) == 0 else snr_db)]
     if not scales:
         raise ValueError("snr_db needs at least one value")
@@ -373,34 +384,8 @@ def trial_metrics(
 
 
 # ---------------------------------------------------------------------------
-# Effective channel, LMMSE detection, BER
+# The LMMSE link: banded time-domain solve, BER counts
 # ---------------------------------------------------------------------------
-
-def build_effective_channel(config: AfdmConfig, paths) -> np.ndarray:
-    """Dense n_c x n_c DAFT-domain channel matrix H = A^H H_t A.
-
-    Column m equals demodulate(apply_channel(modulate(e_m))); A is the
-    unitary DAFT and H_t the waveform-independent time-domain channel.
-    """
-    eye = np.eye(config.n_c, dtype=np.complex128)
-    # row m of each stack is the image of the basis vector e_m
-    taps = _doppler_taps(paths, config.n_c)
-    return demodulate(config, _delay_doppler(modulate(config, eye), taps)).T
-
-
-def lmmse_detect(H: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
-    """LMMSE equalizer: x_hat = H^H (H H^H + noise_var I)^(-1) y.
-
-    ``y`` may be a vector or a matrix of column observations. Raises
-    ``numpy.linalg.LinAlgError`` when the regularized system is singular
-    (rank-deficient H at noise_var = 0).
-    """
-    if not noise_var >= 0:  # NaN included
-        raise ValueError("noise_var must be non-negative")
-    H_h = H.conj().T
-    z = np.linalg.solve(H @ H_h + noise_var * np.eye(H.shape[0]), y)
-    return H_h @ z
-
 
 #: smallest block of the banded LMMSE solve: at n_c = 512, blocks of 4 took
 #: about 1.4x as long as blocks of 8, the steps' overhead outweighing the
@@ -550,11 +535,11 @@ def lmmse_ber_compare(
         raise ValueError(f"snr_db_list repeats the value {repeated!r}")
     per_real = symbols_per_realization
     sigma2 = np.array([noise_variance(float(snr)) for snr in snr_db_list])
-    powers = [abs(p.gain) ** 2 for p in paths]
-    # unit-gain taps: each block scales them by its realizations' gains
-    unit_taps = _doppler_taps([PathTap(1.0, p.delay_tap, p.doppler_tap) for p in paths], n_c)
-    b = _block_size(unit_taps, n_c)
-    index = _gram_block_index([s for _, s, _ in unit_taps], n_c, b)
+    # each block replaces the paths' gains by its realizations' Rayleigh gains
+    path_taps = _doppler_taps(paths, n_c)
+    powers = [abs(gain) ** 2 for gain, _, _ in path_taps]
+    b = _block_size(path_taps, n_c)
+    index = _gram_block_index([s for _, s, _ in path_taps], n_c, b)
     per_block = max(1, TRIAL_BLOCK * _MIN_BLOCK // b)
     scale = np.sqrt(sigma2)[:, None, None]
 
@@ -569,7 +554,7 @@ def lmmse_ber_compare(
         bits, w = np.stack(bits), np.stack(w)
         taps = [
             (gain[:, None, None], shift, phasor)
-            for gain, (_, shift, phasor) in zip(np.stack(gains).T, unit_taps)
+            for gain, (_, shift, phasor) in zip(np.stack(gains).T, path_taps)
         ]
         # H = A^H H_t A with A unitary: detect in the time domain, where the
         # channel and its Gram are the same for every config. y holds the

@@ -49,6 +49,14 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_index(name: str, value, stop: int) -> None:
+    """Reject an index that is no integer (a bool included) or lies outside [0, ``stop``)."""
+    if not (_is_integer(value) and 0 <= value < stop):
+        raise ValueError(
+            f"{name} must be an integer in [0, {stop}), got {type(value).__name__} {value!r}"
+        )
+
+
 def _is_real(value) -> bool:
     """True for a real number that is not a bool."""
     # exact float and int skip the ABC check: about 0.5 us that every
@@ -168,7 +176,8 @@ def classic_params(
 class PathTap:
     """One scatterer: finite complex gain, integer delay tap >= 0, signed integer Doppler tap.
 
-    The gain is stored as ``complex`` and the taps as ``int``, whatever number types they came as.
+    The gain is stored as ``complex`` and the taps as ``int``, whatever number types they came
+    as; a bool is none of them.
     """
 
     gain: complex
@@ -180,6 +189,10 @@ class PathTap:
             tap = getattr(self, name)
             if not _is_integer(tap):
                 raise ValueError(f"{name} must be an integer, got {type(tap).__name__} {tap!r}")
+        if isinstance(self.gain, bool) or not isinstance(self.gain, numbers.Complex):
+            raise ValueError(
+                f"gain must be a complex number, got {type(self.gain).__name__} {self.gain!r}"
+            )
         if not cmath.isfinite(self.gain):
             raise ValueError(f"target gain {self.gain} must be finite")
         if self.delay_tap < 0:
@@ -187,6 +200,13 @@ class PathTap:
         object.__setattr__(self, "gain", complex(self.gain))
         for name in ("delay_tap", "doppler_tap"):
             object.__setattr__(self, name, int(getattr(self, name)))
+
+
+def _check_paths(paths) -> None:
+    """Reject a path that is not a ``PathTap`` with a ValueError naming ``paths``."""
+    for p in paths:
+        if not isinstance(p, PathTap):
+            raise ValueError(f"paths must hold PathTap paths, got {type(p).__name__} {p!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ import numpy as np
 
 from ._phase import unit_phasor
 from .ddgrid import grid_to_vector
-from .params import AfdmConfig
+from .params import AfdmConfig, _is_integer
 from .waveform import _as_samples, modulate
 
 
@@ -245,6 +245,9 @@ def _training_windows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check the CFAR arguments for (..., n_p, K) maps; return (windows, ring, cells).
 
+    ``train`` >= 1 and ``guard`` >= 0 are integers (a bool is not), and
+    ``pfa`` lies in (0, 1); anything else is a ValueError.
+
     ``cells`` are the tested cells, (..., r, c): every cell with ``near``
     None, or with ``near`` = (l, k) the 3 x 3 window of rows l-1, l, l+1
     mod n_p and columns k-1, k, k+1 mod K. Those cells and a cyclic margin
@@ -255,8 +258,8 @@ def _training_windows(
     (2w + 1, 2w + 1) mask of the training offsets, Chebyshev radius in
     (guard, w]; C order over its axes runs di outer and dj inner.
     """
-    if train < 1 or guard < 0:
-        raise ValueError("need train >= 1 and guard >= 0")
+    if not (_is_integer(train) and _is_integer(guard) and train >= 1 and guard >= 0):
+        raise ValueError(f"need integers train >= 1 and guard >= 0, got {train!r} and {guard!r}")
     if not 0.0 < pfa < 1.0:
         raise ValueError("pfa must lie in (0, 1)")
     n_p, K = power.shape[-2:]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._phase import chirp_phasor, unit_phasor
-from .params import AfdmConfig, proposed_params
+from .params import AfdmConfig, _check_index, proposed_params
 
 
 def _as_samples(signal, config: AfdmConfig, *, stacked: bool = False, cpp: bool = False):
@@ -44,8 +44,7 @@ def _as_samples(signal, config: AfdmConfig, *, stacked: bool = False, cpp: bool 
 
 def subcarrier(config: AfdmConfig, m: int) -> np.ndarray:
     """The m-th unit-modulus basis chirp, n = 0..n_c-1."""
-    if not 0 <= m < config.n_c:
-        raise ValueError(f"subcarrier index {m} outside [0, {config.n_c})")
+    _check_index("subcarrier index m", m, config.n_c)
     n = np.arange(config.n_c, dtype=np.int64)
     return chirp_phasor(config.c1, n) * unit_phasor(m * n, config.n_c) * chirp_phasor(config.c2, m)
 
@@ -112,17 +111,14 @@ def fmcw_signal(n_p: int, k_chirps: int) -> np.ndarray:
 
 def dd_to_daft_index(config: AfdmConfig, l: int, k: int) -> int:
     """m = (n_c - K*l - k) mod n_c with (0, 0) -> 0."""
-    if not 0 <= l < config.n_p:
-        raise ValueError(f"delay index {l} outside [0, {config.n_p})")
-    if not 0 <= k < config.k_chirps:
-        raise ValueError(f"Doppler index {k} outside [0, {config.k_chirps})")
+    _check_index("delay index l", l, config.n_p)
+    _check_index("Doppler index k", k, config.k_chirps)
     return (config.n_c - config.k_chirps * l - k) % config.n_c
 
 
 def daft_index_to_dd(config: AfdmConfig, m: int) -> tuple[int, int]:
     """Inverse of :func:`dd_to_daft_index`."""
-    if not 0 <= m < config.n_c:
-        raise ValueError(f"subcarrier index {m} outside [0, {config.n_c})")
+    _check_index("subcarrier index m", m, config.n_c)
     j = (config.n_c - m) % config.n_c
     return j // config.k_chirps, j % config.k_chirps
 
@@ -141,10 +137,8 @@ def echo_form_subcarrier(config: AfdmConfig, l: int, k: int) -> np.ndarray:
     which equals ``subcarrier(config, dd_to_daft_index(config, l, k))``.
     """
     config.require_fmcw("echo_form_subcarrier")
-    if not 0 <= l < config.n_p:
-        raise ValueError(f"delay index {l} outside [0, {config.n_p})")
-    if not 0 <= k < config.k_chirps:
-        raise ValueError(f"Doppler index {k} outside [0, {config.k_chirps})")
+    _check_index("delay index l", l, config.n_p)
+    _check_index("Doppler index k", k, config.k_chirps)
     n = np.arange(config.n_c, dtype=np.int64)
     return (
         np.roll(subcarrier(config, 0), l)

@@ -6,10 +6,18 @@ import math
 
 import numpy as np
 
-from afdmsim._phase import chirp_phasor
-from afdmsim.channel import _gram_diagonals
-from afdmsim.metrics import qam4_modulate, trial_metrics, trial_rng
-from afdmsim.waveform import _as_samples
+from afdmsim._phase import chirp_phasor, unit_phasor
+from afdmsim.ambiguity import aaf_psi0_closed
+from afdmsim.channel import (
+    _delay_doppler,
+    _doppler_taps,
+    _gram_diagonals,
+    _noise_scale,
+    _normal_pairs,
+)
+from afdmsim.metrics import qam4_demodulate, qam4_modulate, trial_metrics, trial_rng
+from afdmsim.params import AfdmConfig
+from afdmsim.waveform import _as_samples, demodulate, modulate
 
 
 def chirp_pair(config) -> tuple[np.ndarray, np.ndarray]:
@@ -125,3 +133,80 @@ def dechirp_strided(config, r_stack, pilot) -> np.ndarray:
     d_range = np.fft.ifft(rm * np.conj(pm), axis=-2) * np.sqrt(n_p)
     return np.fft.ifft(d_range, axis=-1) * np.sqrt(K)
 
+
+
+def apply_channel_linear(config: AfdmConfig, s, paths) -> np.ndarray:
+    """Physical non-cyclic channel over a CPP-extended block of n_c + l_cpp samples.
+
+    Delayed samples that precede the block are dropped (no energy wraps), and
+    the Doppler phase is referenced to the post-CPP sample index so that
+    removing the CPP afterwards reproduces :func:`apply_channel` exactly for
+    every delay tap not exceeding l_cpp.
+    """
+    s = _as_samples(s, config, cpp=True)
+    total = len(s)
+    n_post = np.arange(total, dtype=np.int64) - config.l_cpp
+    out = np.zeros(total, dtype=np.complex128)
+    for p in paths:
+        li = p.delay_tap
+        if li >= total:
+            continue
+        shifted = np.zeros(total, dtype=np.complex128)
+        shifted[li:] = s[: total - li]
+        out += complex(p.gain) * shifted * unit_phasor(-p.doppler_tap * n_post, config.n_c)
+    return out
+
+
+def add_awgn(r, snr_db: float, rng: np.random.Generator) -> np.ndarray:
+    """Add circularly-symmetric complex Gaussian noise to a signal or stack of any shape.
+
+    The variance convention is relative to unit mean transmit-sample power
+    (frames are built with total energy n_c, so E|s[n]|^2 = 1); +inf
+    ``snr_db`` returns the signal unchanged and draws nothing. The real
+    parts of every sample, in C order, are drawn before the imaginary parts.
+    """
+    r = np.asarray(r, dtype=np.complex128)
+    scale = _noise_scale(snr_db)
+    if scale is None:
+        return r
+    return r + scale * _normal_pairs(r.size, rng).reshape(r.shape)
+
+
+def aaf_psi0_surface(config: AfdmConfig) -> np.ndarray:
+    """Full-plane base auto-ambiguity via the closed form (FMCW set only)."""
+    l = np.arange(config.n_c, dtype=np.int64)[:, None]
+    k = np.arange(config.n_c, dtype=np.int64)[None, :]
+    return aaf_psi0_closed(config, l, k)
+
+
+def ber(x_hat: np.ndarray, x_true: np.ndarray) -> float:
+    """Bit error fraction between two 4QAM symbol arrays."""
+    b_hat = qam4_demodulate(x_hat)
+    b_true = qam4_demodulate(x_true)
+    return float(np.mean(b_hat != b_true))
+
+
+def build_effective_channel(config: AfdmConfig, paths) -> np.ndarray:
+    """Dense n_c x n_c DAFT-domain channel matrix H = A^H H_t A.
+
+    Column m equals demodulate(apply_channel(modulate(e_m))); A is the
+    unitary DAFT and H_t the waveform-independent time-domain channel.
+    """
+    eye = np.eye(config.n_c, dtype=np.complex128)
+    # row m of each stack is the image of the basis vector e_m
+    taps = _doppler_taps(paths, config.n_c)
+    return demodulate(config, _delay_doppler(modulate(config, eye), taps)).T
+
+
+def lmmse_detect(H: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
+    """LMMSE equalizer: x_hat = H^H (H H^H + noise_var I)^(-1) y.
+
+    ``y`` may be a vector or a matrix of column observations. Raises
+    ``numpy.linalg.LinAlgError`` when the regularized system is singular
+    (rank-deficient H at noise_var = 0).
+    """
+    if not noise_var >= 0:  # NaN included
+        raise ValueError("noise_var must be non-negative")
+    H_h = H.conj().T
+    z = np.linalg.solve(H @ H_h + noise_var * np.eye(H.shape[0]), y)
+    return H_h @ z

@@ -6,7 +6,6 @@ import pytest
 
 from afdmsim.ambiguity import (
     aaf_psi0_closed,
-    aaf_psi0_surface,
     aaf_shifted_closed,
     caf_closed,
     dpaf_brute,
@@ -16,6 +15,8 @@ from afdmsim._phase import unit_phasor
 from afdmsim.experiments import ExperimentSpec, builtin_scenarios, run
 from afdmsim.params import PRESET_NAMES, classic_params, proposed_params
 from afdmsim.waveform import echo_form_subcarrier, subcarrier
+
+from oracles import aaf_psi0_surface
 
 CFG = proposed_params(8, 4)  # n_c = 32
 PSI0 = subcarrier(CFG, 0)

@@ -6,14 +6,14 @@ import pytest
 from afdmsim.channel import (
     PathTap,
     PhysicalPath,
-    add_awgn,
     apply_channel,
-    apply_channel_linear,
     noise_variance,
     quantize_path,
 )
 from afdmsim.params import classic_params, preset, proposed_params
 from afdmsim.waveform import add_cpp, modulate, remove_cpp
+
+from oracles import add_awgn, apply_channel_linear
 
 
 class TestQuantizePath:

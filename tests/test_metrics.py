@@ -9,7 +9,6 @@ import afdmsim.metrics as metrics
 from afdmsim.channel import (
     PathTap,
     _doppler_taps,
-    add_awgn,
     apply_channel,
     noise_variance,
 )
@@ -18,11 +17,8 @@ from afdmsim.experiments import builtin_scenarios
 from afdmsim.metrics import (
     ALGORITHMS,
     _pilot_slots,
-    ber,
-    build_effective_channel,
     build_frame,
     image_snr,
-    lmmse_detect,
     pslr,
     qam4_demodulate,
     qam4_modulate,
@@ -35,7 +31,14 @@ from afdmsim.params import ScenarioConfig, classic_params, proposed_params
 from afdmsim.sensing import cfar_mask_batch, ddmf, dechirp, tfmf
 from afdmsim.waveform import demodulate, modulate, subcarrier
 
-from oracles import mask_near, scenario_metrics
+from oracles import (
+    add_awgn,
+    ber,
+    build_effective_channel,
+    lmmse_detect,
+    mask_near,
+    scenario_metrics,
+)
 
 CFG = proposed_params(8, 4)
 

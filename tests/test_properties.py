@@ -28,7 +28,6 @@ from afdmsim.metrics import (
     _block_size,
     _lmmse_solve,
     _pilot_slots,
-    build_effective_channel,
     build_frame,
 )
 from afdmsim.params import (
@@ -66,6 +65,7 @@ from afdmsim.waveform import (
 )
 
 from oracles import (
+    build_effective_channel,
     chirp_pair,
     dechirp_strided,
     delay_doppler_gram,

@@ -6,7 +6,7 @@ import pytest
 
 from afdmsim._phase import chirp_phasor, unit_phasor
 from afdmsim.ambiguity import dpaf_brute, dpaf_surface
-from afdmsim.channel import PathTap, apply_channel, apply_channel_linear
+from afdmsim.channel import PathTap, apply_channel
 from afdmsim.params import classic_params, preset, proposed_params
 from afdmsim.sensing import dechirp, dechirp_batch, tfmf, tfmf_batch
 from afdmsim.waveform import (
@@ -22,7 +22,7 @@ from afdmsim.waveform import (
     subcarrier,
 )
 
-from oracles import chirp_pair
+from oracles import apply_channel_linear, chirp_pair
 
 
 def direct_subcarrier(config, m, n):
