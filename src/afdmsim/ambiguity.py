@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._phase import unit_phasor
-from .params import AfdmConfig
+from .params import AfdmConfig, _check_index, _check_integer, _check_integer_arrays
 
 
 def _signal_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -28,7 +28,9 @@ def _signal_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dpaf_brute(a, b, l: int, k: int) -> complex:
-    """Direct-sum cyclic cross-ambiguity at a single (l, k) point."""
+    """Direct-sum cyclic cross-ambiguity at a single (l, k) point; l and k are integers."""
+    _check_integer("l", l)
+    _check_integer("k", k)
     av, bv = _signal_pair(a, b)
     n_c = len(av)
     n = np.arange(n_c, dtype=np.int64)
@@ -46,9 +48,9 @@ def dpaf_surface(a, b, n_delays: int | None = None) -> np.ndarray:
     """
     av, bv = _signal_pair(a, b)
     n_c = len(av)
-    n_delays = n_c if n_delays is None else n_delays
-    if not 0 <= n_delays <= n_c:
-        raise ValueError(f"n_delays must lie in [0, {n_c}], got {n_delays}")
+    if n_delays is None:
+        n_delays = n_c
+    _check_index("n_delays", n_delays, n_c + 1)
     n = np.arange(n_c)
     shifted = bv[(n - np.arange(n_delays)[:, None]) % n_c]
     return np.fft.ifft(av * np.conj(shifted), axis=-1) * n_c
@@ -66,6 +68,7 @@ def aaf_psi0_closed(config: AfdmConfig, l, k) -> complex | np.ndarray:
 
 def aaf_shifted_closed(config: AfdmConfig, sub: tuple[int, int], l, k):
     """Auto-ambiguity of the (l_p, k_p) basis chirp: :func:`caf_closed` of it with itself."""
+    _check_integer_arrays(sub=sub)
     return caf_closed(config, sub, sub, l, k)
 
 
@@ -81,10 +84,7 @@ def caf_closed(
     integer array; anything else (a bool included) is a ValueError.
     """
     config.require_fmcw("caf_closed")
-    for name, values in (("sub_a", sub_a), ("sub_b", sub_b), ("l", [l]), ("k", [k])):
-        for v in values:
-            if np.asarray(v).dtype.kind not in "iu":
-                raise ValueError(f"{name} must hold integers or integer arrays, got {v!r}")
+    _check_integer_arrays(sub_a=sub_a, sub_b=sub_b, l=[l], k=[k])
     l_a, k_a = sub_a
     l_b, k_b = sub_b
     l = np.asarray(l, dtype=np.int64)

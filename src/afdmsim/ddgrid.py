@@ -22,7 +22,7 @@ import numpy as np
 
 from ._phase import unit_phasor
 from .ambiguity import caf_closed
-from .params import AfdmConfig, _check_paths
+from .params import AfdmConfig, _check_integer_arrays, _check_paths
 from .waveform import dd_index_table
 
 
@@ -81,9 +81,13 @@ def kernel_hw(config: AfdmConfig, paths, l, k, l_in, k_in):
     Each path contributes exp(j*phi_i) on the single input cell it maps onto
     the output cell (l, k), with
     phi_i = 2*pi*(l_i*k'/n_c + l'*l_i/n_p + l_i^2/(2*n_p)).
-    Accepts integer arrays in any argument (broadcast together).
+    Accepts integer arrays in any argument (broadcast together); ``paths``
+    are ``PathTap`` paths. Any other index (a bool included) or path is a
+    ValueError.
     """
     config.require_fmcw("kernel_hw")
+    _check_paths(paths)
+    _check_integer_arrays(l=[l], k=[k], l_in=[l_in], k_in=[k_in])
     n_p, K, n_c = config.n_p, config.k_chirps, config.n_c
     l = np.asarray(l, dtype=np.int64)
     k = np.asarray(k, dtype=np.int64)
@@ -104,7 +108,10 @@ def kernel_hw(config: AfdmConfig, paths, l, k, l_in, k_in):
 
 
 def io_convolve(config: AfdmConfig, x_grid, paths) -> np.ndarray:
-    """Evaluate the 2D-convolution form: full kernel sum per output cell."""
+    """Evaluate the 2D-convolution form: full kernel sum per output cell.
+
+    ``paths`` are ``PathTap`` paths; any other path is a ValueError.
+    """
     config.require_fmcw("io_convolve")
     X = _check_grid(config, x_grid)
     n_p, K = config.n_p, config.k_chirps
@@ -127,17 +134,23 @@ def interaction_coeff(
     """Coupling coefficient between input and output grid cells for one tap.
 
     Equals conj(CAF of the output-cell chirp against the input-cell chirp,
-    evaluated at the tap) / n_c. Accepts arrays inside ``sub_in``.
+    evaluated at the tap) / n_c. Accepts arrays inside ``sub_in``; any index
+    that is no integer or integer array (a bool included) is a ValueError.
     """
     config.require_fmcw("interaction_coeff")
+    _check_integer_arrays(sub_in=sub_in, sub_out=sub_out, l_i=[l_i], k_i=[k_i])
     caf = caf_closed(config, sub_out, sub_in, l_i, k_i)
     return np.conj(caf) / config.n_c
 
 
 def io_general(config: AfdmConfig, x_grid, paths) -> np.ndarray:
-    """General double-sum channel action via interaction coefficients."""
+    """General double-sum channel action via interaction coefficients.
+
+    ``paths`` are ``PathTap`` paths; any other path is a ValueError.
+    """
     config.require_fmcw("io_general")
     X = _check_grid(config, x_grid)
+    _check_paths(paths)
     n_p, K = config.n_p, config.k_chirps
     Lp = np.arange(n_p, dtype=np.int64)[:, None]
     Kp = np.arange(K, dtype=np.int64)[None, :]

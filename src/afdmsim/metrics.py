@@ -11,9 +11,14 @@ one-cell guard ring). Every sensing Monte Carlo runs through one trial
 engine, ``_sweep``, which simulates each trial once for all SNR points of a
 sweep and filters each group of points with one call per algorithm, every
 received row against its own trial's transmit row (at full pilot overhead,
-one data-free row shared by every trial). ``trial_metrics`` reduces its
-maps per trial and SNR point, and ``sensing_maps`` returns them at one SNR
-point, from the same inputs: config, pilot overhead, ``PathTap`` paths,
+one data-free row shared by every trial). The filters are linear
+(``ddmf`` conjugate-linear) and the noise scales real, so at full pilot
+overhead a sweep of two or more points, one of them finite, filters the
+shared noise-free echo once per call and each trial's unit noise once, and
+sums the two per point: fewer rows than filtering every point's received
+row, which one-point calls and data frames still do. ``trial_metrics``
+reduces its maps per trial and SNR point, and ``sensing_maps`` returns them
+at one SNR point, from the same inputs: config, pilot overhead, ``PathTap`` paths,
 SNR, algorithms and one generator per trial. Each call builds its pilot,
 ``subcarrier(config, 0)``, once; the modulator's chirp pair is the config's
 own ``chirp_phasors``. The LMMSE link,
@@ -41,7 +46,7 @@ from .channel import (
     _normal_pairs,
     noise_variance,
 )
-from .params import AfdmConfig, _check_index, _check_paths, _is_integer, _is_real
+from .params import AfdmConfig, _check_index, _check_integer, _check_paths, _is_real
 from .ddgrid import vector_to_grid
 from .sensing import (  # noqa: F401 -- ddmf is re-exported
     cfar_mask_batch,
@@ -252,18 +257,31 @@ def _sweep(config, po, paths, scales, algorithms, rngs, tfmf_reference):
     ``rngs`` holds one generator per trial. Trials run ``TRIAL_BLOCK`` at a
     time: each draws the bits of its frame at pilot overhead ``po``, then
     its real and then its imaginary noise normals, once for all SNR points;
-    it draws no normals when every point is +inf (every ``scales`` entry, ``_noise_scale``, is None). The
-    symbol, transmit and noise-free received (B, n_c) stacks are built once
-    per block, and point i receives r0 + scales[i] * (re + 1j im), or r0
-    alone at +inf. A frame without data slots (PO = 1) draws no bits and is
-    the same symbol in every trial, so its (1, n_c) symbol, transmit and
-    noise-free received rows are built once per call, from the first
-    trial's frame, and serve every block; ``build_frame`` still runs once
-    per trial. For each group of up to ``SNR_GROUP`` points, ``maps``
-    yields one (g, B, n_p, K) stack per algorithm, in the order of
-    ``algorithms``: one call filters the group's flat (g B, n_c) stack,
-    received row i against transmit row i mod R, R = B or the shared 1.
-    Consuming it before asking for the next group keeps one group's stacks
+    it draws no normals when every point is +inf (every ``scales`` entry,
+    ``_noise_scale``, is None). The symbol, transmit and noise-free
+    received (B, n_c) stacks are built once per block, and point i receives
+    r0 + scales[i] * w, w = re + 1j im, or r0 alone at +inf. A frame
+    without data slots (PO = 1) draws no bits and is the same symbol in
+    every trial, so its (1, n_c) symbol, transmit and noise-free received
+    rows are built once per call, from the first trial's frame, and serve
+    every block; ``build_frame`` still runs once per trial. For each group
+    of up to ``SNR_GROUP`` points, ``maps`` yields one (g, B, n_p, K) stack
+    per algorithm, in the order of ``algorithms``: one call filters the
+    group's flat (g B, n_c) stack, received row i against transmit row
+    i mod R, R = B or the shared 1.
+    The engine splits the sum only where that filters fewer rows: with the
+    shared row, two or more points and one of them finite, each filter runs
+    on r0 once per call (at the first block) and on the block's (B, n_c)
+    unit noise w once per block, and point i's maps are scales[i] * map(w)
+    + map(r0), or map(r0) alone at +inf. They are written into one
+    (SNR_GROUP, TRIAL_BLOCK, n_p, K) stack per algorithm, allocated once
+    per call, which the next group overwrites: a caller copies what it
+    keeps. The identity is exact in real arithmetic, since the filters are
+    linear (``ddmf`` conjugate-linear) and each scale is real, so the maps
+    equal the direct sum's to rounding. That is B rows per block and one
+    per call against S B per block. A one-point call (B + 1 against B) and
+    data frames (r0 differs per trial: 2 B) keep the direct sum. Consuming
+    ``maps`` before asking for the next group keeps one group's stacks
     alive at a time. The pilot and the channel's Doppler taps are built
     once per call and shared by every block, and nothing but the config's
     own ``chirp_phasors`` outlives the call. ``tfmf_reference`` other
@@ -283,17 +301,37 @@ def _sweep(config, po, paths, scales, algorithms, rngs, tfmf_reference):
     noisy = any(scale is not None for scale in scales)
 
     shared = _pilot_slots(config.n_c, po) == config.n_c
+    # split only where it filters fewer rows: B per block and 1 per call, against S B per block
+    split = shared and noisy and len(scales) > 1
 
-    def filtered(r, n, s, x_grids):
+    def filtered(r, s, x_grids):
+        """Each algorithm's (rows, n_p, K) maps of the received (rows, n_c) stack, in turn."""
         for algorithm in algorithms:
             if algorithm == "tfmf":
-                maps = tfmf_batch(config, r, s if tfmf_reference == "transmit" else pilot)
+                yield tfmf_batch(config, r, s if tfmf_reference == "transmit" else pilot)
             elif algorithm == "dechirp":
-                maps = dechirp_batch(config, r, pilot)
+                yield dechirp_batch(config, r, pilot)
             else:
                 y_grids = vector_to_grid(config, demodulate(config, r))
-                maps = ddmf_batch(config, y_grids, x_grids)
-            yield maps.reshape(-1, n, config.n_p, config.k_chirps)
+                yield ddmf_batch(config, y_grids, x_grids)
+
+    if split:
+        # one (SNR_GROUP, TRIAL_BLOCK) stack per algorithm serves every group:
+        # a fresh one per group page-faulted about 4x as often (fig4 sweep)
+        stacks = np.empty((len(algorithms), SNR_GROUP, TRIAL_BLOCK, config.n_p,
+                           config.k_chirps), dtype=np.complex128)
+
+    def combined(group, zero, unit):
+        """Each algorithm's (g, B, n_p, K) maps of ``group``, scale * unit + zero, in its stack."""
+        for stack, m0, mw in zip(stacks, zero, unit):
+            maps = stack[:len(group), :len(mw)]
+            for out, scale in zip(maps, group):
+                if scale is None:
+                    out[...] = m0
+                else:
+                    np.multiply(mw, scale, out=out)
+                    out += m0
+            yield maps
 
     rngs, trials, s = iter(rngs), slice(0, 0), None
     while block := list(islice(rngs, TRIAL_BLOCK)):
@@ -312,15 +350,24 @@ def _sweep(config, po, paths, scales, algorithms, rngs, tfmf_reference):
             s = modulate(config, x)
             r0 = _delay_doppler(s, taps)
             x_grids = vector_to_grid(config, x) if "ddmf" in algorithms else None
+            zero = list(filtered(r0, s, x_grids)) if split else None
         n = len(block)
         trials = slice(trials.stop, trials.stop + n)
+        unit = list(filtered(w, s, x_grids)) if split else None
         for start in range(0, len(scales), SNR_GROUP):
             group = scales[start:start + SNR_GROUP]
-            r = np.concatenate([
-                np.broadcast_to(r0, (n, config.n_c)) if scale is None else r0 + scale * w
-                for scale in group
-            ])
-            yield trials, slice(start, start + len(group)), filtered(r, n, s, x_grids)
+            if split:
+                maps = combined(group, zero, unit)
+            else:
+                r = np.concatenate([
+                    np.broadcast_to(r0, (n, config.n_c)) if scale is None else r0 + scale * w
+                    for scale in group
+                ])
+                maps = (
+                    m.reshape(-1, n, config.n_p, config.k_chirps)
+                    for m in filtered(r, s, x_grids)
+                )
+            yield trials, slice(start, start + len(group)), maps
     if not trials.stop:
         raise ValueError("rngs needs at least one generator, one per trial")
 
@@ -517,8 +564,7 @@ def lmmse_ber_compare(
     """
     for name, value in (("realizations", realizations),
                         ("symbols_per_realization", symbols_per_realization), ("seed", seed)):
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+        _check_integer(name, value)
     if realizations < 1 or symbols_per_realization < 1:
         raise ValueError("realizations and symbols_per_realization must be >= 1")
     if seed < 0:

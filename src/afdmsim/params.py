@@ -49,6 +49,23 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a value that is no integer (a bool included) with a ValueError naming it."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+
+
+def _check_integer_arrays(**named) -> None:
+    """Reject, naming its argument, a value that is no integer or integer array (a bool included).
+
+    Each keyword holds the values of one argument.
+    """
+    for name, values in named.items():
+        for v in values:
+            if np.asarray(v).dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integers or integer arrays, got {v!r}")
+
+
 def _check_index(name: str, value, stop: int) -> None:
     """Reject an index that is no integer (a bool included) or lies outside [0, ``stop``)."""
     if not (_is_integer(value) and 0 <= value < stop):
@@ -162,6 +179,8 @@ def preset(
 
 def proposed_params(n_p: int, k_chirps: int, l_cpp: int = 0) -> AfdmConfig:
     """The FMCW-equivalent set c1 = 1/(2*n_p), c2 = 0 on K periods of even ``n_p``."""
+    if not (_is_integer(n_p) and n_p > 0):
+        raise ValueError(f"n_p must be a positive integer, got {type(n_p).__name__} {n_p!r}")
     return preset("proposed", n_p * k_chirps, k_chirps, l_cpp=l_cpp)
 
 
@@ -186,9 +205,7 @@ class PathTap:
 
     def __post_init__(self) -> None:
         for name in ("delay_tap", "doppler_tap"):
-            tap = getattr(self, name)
-            if not _is_integer(tap):
-                raise ValueError(f"{name} must be an integer, got {type(tap).__name__} {tap!r}")
+            _check_integer(name, getattr(self, name))
         if isinstance(self.gain, bool) or not isinstance(self.gain, numbers.Complex):
             raise ValueError(
                 f"gain must be a complex number, got {type(self.gain).__name__} {self.gain!r}"

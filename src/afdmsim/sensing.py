@@ -245,8 +245,9 @@ def _training_windows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check the CFAR arguments for (..., n_p, K) maps; return (windows, ring, cells).
 
-    ``train`` >= 1 and ``guard`` >= 0 are integers (a bool is not), and
-    ``pfa`` lies in (0, 1); anything else is a ValueError.
+    ``train`` >= 1 and ``guard`` >= 0 are integers (a bool is not),
+    ``pfa`` lies in (0, 1) and ``near`` is None or a pair of integers, any
+    integers (the engine passes signed taps); anything else is a ValueError.
 
     ``cells`` are the tested cells, (..., r, c): every cell with ``near``
     None, or with ``near`` = (l, k) the 3 x 3 window of rows l-1, l, l+1
@@ -262,6 +263,10 @@ def _training_windows(
         raise ValueError(f"need integers train >= 1 and guard >= 0, got {train!r} and {guard!r}")
     if not 0.0 < pfa < 1.0:
         raise ValueError("pfa must lie in (0, 1)")
+    if near is not None and not (
+        isinstance(near, (tuple, list)) and len(near) == 2 and all(map(_is_integer, near))
+    ):
+        raise ValueError(f"near must be a pair of integers (l, k), got {near!r}")
     n_p, K = power.shape[-2:]
     w = train + guard
     if 2 * w + 1 > n_p or 2 * w + 1 > K:

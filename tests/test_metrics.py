@@ -273,7 +273,10 @@ class TestTrialEngine:
     def test_partial_block_equals_one_trial_at_a_time(self, po, monkeypatch):
         # TRIAL_BLOCK + 3 trials are a full block and a partial block of 3;
         # 3 SNR points are a group of 2 and a partial group of 1. At PO = 1
-        # one data-free row serves both blocks
+        # one data-free row serves both blocks, and the sweep forms point i's
+        # maps as scale_i * map(w) + map(r0): equal to the one-point maps to
+        # rounding, so its hits are equal and its PSLR and image SNR within
+        # 1e-12 relative. Data frames filter each point's rows: bit for bit
         trials = metrics.TRIAL_BLOCK + 3
         blocked = scenario_metrics(
             EDGE, ALGORITHMS, trials, seed=3, snr_db=SWEEP_SNRS, pilot_overhead=po
@@ -287,8 +290,12 @@ class TestTrialEngine:
             for j, got in enumerate(blocked[alg]):
                 assert got.shape == (3, trials)
                 for i, at_one_snr in enumerate(single):
-                    assert at_one_snr[alg][j].shape == (trials,)
-                    assert np.array_equal(got[i], at_one_snr[alg][j])
+                    want = at_one_snr[alg][j]
+                    assert want.shape == (trials,)
+                    if po < 1.0 or got.dtype == bool:
+                        assert np.array_equal(got[i], want)
+                    else:
+                        np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("reference", ["transmit", "pilot"])
     @pytest.mark.parametrize("preset_name", ["proposed", "classic", "ofdm", "ocdm"])
@@ -322,6 +329,24 @@ class TestTrialEngine:
                     assert (p, isnr) == (pslr(cells, cell), image_snr(cells, cell))
                     mask, _ = cfar_mask_batch(np.abs(cells) ** 2, 2, 1, 1e-4)
                     assert hit == mask_near(mask, l, k)
+
+    @pytest.mark.parametrize("name", ["fig4", "fig5"])
+    def test_split_sweep_flips_no_hit(self, name):
+        # at PO = 1 a multi-point sweep sums each point's maps from the
+        # noise-free echo's and the unit noise's: 0 of the 3 algorithms x 5
+        # points x 300 trials CA-CFAR decisions may differ from one-point calls
+        scenario = builtin_scenarios()[name]
+        assert scenario.pilot_overhead == 1.0
+        snrs = (-21.0, -18.0, -15.0, -12.0, -9.0)
+        sweep = scenario_metrics(scenario, ALGORITHMS, 300, snr_db=snrs, quality=False)
+        hits = np.array([sweep[alg][2] for alg in ALGORITHMS])
+        one = np.array([
+            [scenario_metrics(scenario, ALGORITHMS, 300, snr_db=snr, quality=False)[alg][2]
+             for snr in snrs]
+            for alg in ALGORITHMS
+        ])
+        assert 0 < hits.sum() < hits.size  # both outcomes are compared
+        assert np.count_nonzero(hits != one) == 0
 
     @pytest.mark.parametrize("po, passes", [(0.5, 3), (1.0, 1)])
     def test_data_free_frame_is_simulated_once_per_call(self, po, passes, monkeypatch):

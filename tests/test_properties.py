@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import afdmsim.metrics as metrics
 import afdmsim.sensing as sensing
 from afdmsim.ambiguity import caf_closed, dpaf_brute, dpaf_surface
 from afdmsim._phase import unit_phasor
@@ -25,10 +26,14 @@ from afdmsim.channel import (
 )
 from afdmsim.ddgrid import grid_to_vector, io_predict, vector_to_grid
 from afdmsim.metrics import (
+    ALGORITHMS,
     _block_size,
     _lmmse_solve,
     _pilot_slots,
     build_frame,
+    sensing_maps,
+    trial_metrics,
+    trial_rng,
 )
 from afdmsim.params import (
     PRESET_NAMES,
@@ -270,6 +275,67 @@ def test_batch_filters_pair_row_i_with_reference_i_mod_r(config, refs, rows, see
         want = [kernel(config, received[i:i + 1], sent[i % refs:i % refs + 1])[0]
                 for i in range(rows)]
         assert np.array_equal(kernel(config, received, sent), np.stack(want))
+
+
+@st.composite
+def split_sweeps(draw):
+    """A multi-point sweep at full pilot overhead that the engine splits.
+
+    (config, paths, SNR points, trials): any preset on an odd K of 7 or 9
+    and an even n_p in [8, 12], so the CA-CFAR window fits; 1-3 paths on
+    the grid; 2-5 SNR points, at least one finite, +inf among them at
+    will; a trial count that is no multiple of TRIAL_BLOCK.
+    """
+    k_chirps = draw(st.sampled_from([7, 9]))
+    n_p = 2 * draw(st.integers(4, 6))
+    config = preset(draw(st.sampled_from(PRESET_NAMES)), n_p * k_chirps, k_chirps,
+                    draw(st.integers(0, 3)))
+    gain = st.complex_numbers(min_magnitude=0.3, max_magnitude=1.5, allow_nan=False,
+                              allow_infinity=False)
+    paths = [
+        PathTap(draw(gain), draw(st.integers(0, n_p - 1)),
+                draw(st.integers(-(k_chirps // 2), k_chirps // 2)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    finite = st.floats(-25.0, 15.0)
+    snrs = draw(st.lists(st.one_of(finite, st.just(math.inf)), min_size=1, max_size=4))
+    snrs.insert(draw(st.integers(0, len(snrs))), draw(finite))
+    block = metrics.TRIAL_BLOCK
+    trials = draw(st.integers(1, 3 * block).filter(lambda t: t % block))
+    return config, paths, snrs, trials
+
+
+@settings(deadline=None, max_examples=40)
+@given(sweep=split_sweeps(), reference=st.sampled_from(["transmit", "pilot"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_split_sweep_equals_one_point_calls(sweep, reference, seed):
+    # at PO = 1 a sweep of two or more points filters the noise-free echo
+    # once and each trial's unit noise once, and forms point i's maps as
+    # scale_i * map(w) + map(r0); a one-point call filters r0 + scale * w.
+    # The filters are (conjugate-)linear and the scales real, so the maps
+    # agree to rounding and the CA-CFAR hits exactly
+    config, paths, snrs, trials = sweep
+    algorithms = ALGORITHMS if config.fmcw_equivalent else ("tfmf", "dechirp")
+    n_p, K = config.n_p, config.k_chirps
+    scales = [metrics._noise_scale(snr) for snr in snrs]
+    split = np.full((len(algorithms), len(snrs), trials, n_p, K), np.nan, dtype=complex)
+    rngs = [trial_rng(seed, t) for t in range(trials)]
+    for t, points, group in metrics._sweep(config, 1.0, paths, scales, algorithms, rngs,
+                                           reference):
+        for a, cells in enumerate(group):
+            split[a, points, t] = cells
+    hits = trial_metrics(config, 1.0, paths, snrs, algorithms,
+                         (trial_rng(seed, t) for t in range(trials)), reference, quality=False)
+    for i, snr in enumerate(snrs):
+        rngs = [trial_rng(seed, t) for t in range(trials)]
+        blocks = list(sensing_maps(config, 1.0, paths, snr, algorithms, rngs, reference))
+        one = trial_metrics(config, 1.0, paths, snr, algorithms,
+                            (trial_rng(seed, t) for t in range(trials)), reference, quality=False)
+        for a, alg in enumerate(algorithms):
+            want = np.concatenate([block[alg] for block in blocks])
+            error = np.abs(split[a, i] - want).max(axis=(-2, -1))
+            assert np.all(error <= 1e-12 * np.abs(want).max(axis=(-2, -1))), (alg, snr)
+            assert np.array_equal(hits[alg][2][i], one[alg][2]), (alg, snr)
 
 
 @settings(deadline=None, max_examples=60)
