@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._phase import unit_phasor
-from .params import AfdmConfig, PathTap, _check_paths, noise_variance
+from .params import AfdmConfig, PathTap, _check_finite_real, _check_paths, noise_variance
 from .waveform import _as_samples
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -36,8 +36,7 @@ class PhysicalPath:
 
     def __post_init__(self) -> None:
         for name in ("range_m", "radial_velocity_mps"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            _check_finite_real(name, getattr(self, name))
         if self.range_m < 0:
             raise ValueError("range_m must be non-negative")
 
@@ -45,7 +44,14 @@ class PhysicalPath:
 def quantize_path(
     path: PhysicalPath, bandwidth_hz: float, duration_s: float, carrier_hz: float
 ) -> PathTap:
-    """Round-trip delay/Doppler quantized to taps: l = round(B*tau), k = round(T*nu)."""
+    """Round-trip delay/Doppler quantized to taps: l = round(B*tau), k = round(T*nu).
+
+    The bandwidth, duration and carrier are finite real numbers, the first two positive.
+    """
+    for name, value in (
+        ("bandwidth_hz", bandwidth_hz), ("duration_s", duration_s), ("carrier_hz", carrier_hz)
+    ):
+        _check_finite_real(name, value)
     if bandwidth_hz <= 0 or duration_s <= 0:
         raise ValueError("bandwidth and duration must be positive")
     tau = 2.0 * path.range_m / SPEED_OF_LIGHT

@@ -176,7 +176,12 @@ def _db(scale: float, num, den):
 
 
 def _check_target(target, shape) -> tuple[int, int]:
-    """The (l, k) ``target`` cell, which must lie on an (n_p, K) map of ``shape``."""
+    """The (l, k) ``target`` cell, which must lie on an (n_p, K) map of ``shape``.
+
+    ``shape`` is that of one map or of a stack of maps; fewer than two axes is a ValueError.
+    """
+    if len(shape) < 2:
+        raise ValueError(f"cells must be an (n_p, K) map or a stack of them, got shape {shape}")
     l, k = target
     _check_index("target delay index", l, shape[-2])
     _check_index("target Doppler index", k, shape[-1])
@@ -204,8 +209,8 @@ def image_snr(cells, target: tuple[int, int]):
     target that is not an integer cell of the maps is a ValueError.
     """
     power = np.abs(cells) ** 2
-    n_p, K = power.shape[-2:]
     l, k = _check_target(target, power.shape)
+    n_p, K = power.shape[-2:]
     mask = np.ones((n_p, K), dtype=bool)
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
@@ -576,11 +581,11 @@ def lmmse_ber_compare(
         raise ValueError("all configs must share n_c")
     if not len(snr_db_list):
         raise ValueError("snr_db_list needs at least one value")
+    sigma2 = np.array([noise_variance(snr) for snr in snr_db_list])
     repeated = _first_repeat([float(snr) for snr in snr_db_list])
     if repeated is not None:
         raise ValueError(f"snr_db_list repeats the value {repeated!r}")
     per_real = symbols_per_realization
-    sigma2 = np.array([noise_variance(float(snr)) for snr in snr_db_list])
     # each block replaces the paths' gains by its realizations' Rayleigh gains
     path_taps = _doppler_taps(paths, n_c)
     powers = [abs(gain) ** 2 for gain, _, _ in path_taps]

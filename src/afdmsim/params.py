@@ -83,6 +83,18 @@ def _is_real(value) -> bool:
     )
 
 
+def _check_finite_real(name: str, value) -> None:
+    """Reject a value that is no real number (a bool included) or is not finite, naming it."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a real number, got {type(value).__name__} {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _check_geometry(n_c: int, k_chirps: int) -> None:
     """Raise ValueError unless n_c and k_chirps are positive integers and k_chirps divides n_c."""
     if not all(_is_integer(v) and v > 0 for v in (n_c, k_chirps)):
@@ -121,6 +133,8 @@ class AfdmConfig:
             raise ValueError("l_cpp must be non-negative")
         if not isinstance(self.c1, Fraction):
             raise TypeError("c1 must be an exact Fraction")
+        if not isinstance(self.c2, Fraction):
+            _check_finite_real("c2", self.c2)
         for name in ("n_c", "k_chirps", "l_cpp"):
             object.__setattr__(self, name, int(getattr(self, name)))
 
@@ -318,8 +332,10 @@ def noise_variance(snr_db: float) -> float:
 
     +inf dB gives 0 (no noise), and so does a finite SNR whose power
     overflows a float; NaN, -inf and an SNR so low that the variance
-    overflows are a ``ValueError``.
+    overflows are a ``ValueError``; so is a value that is no real number (a bool included).
     """
+    if not _is_real(snr_db):
+        raise ValueError(f"snr_db must be a real number, got {type(snr_db).__name__} {snr_db!r}")
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
     try:
@@ -333,7 +349,7 @@ def noise_variance(snr_db: float) -> float:
 
 def _check_field(key: str, value) -> None:
     """Raise ValueError if the value of one ``ScenarioConfig`` field is invalid on its own."""
-    if key in ("snr_db", "pilot_overhead") and not _is_real(value):
+    if key == "pilot_overhead" and not _is_real(value):
         raise ValueError(f"{key} must be a real number, got {type(value).__name__} {value!r}")
     if key in ("l_max", "k_max", "seed", "rng_seed") and not _is_integer(value):
         raise ValueError(f"{key} must be an integer, got {value!r}")

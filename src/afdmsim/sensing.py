@@ -370,6 +370,8 @@ def os_cfar_mask_batch(
 def peak(cells) -> tuple[int, int, float]:
     """(l, k, |cell|) at the argmax of an (n_p, K) map; ties go to the smallest l, then k."""
     mag = np.abs(cells)
+    if mag.ndim != 2:
+        raise ValueError(f"cells must be one (n_p, K) map, got shape {mag.shape}")
     if mag.size == 0:
         raise ValueError("empty map")
     flat = int(np.argmax(mag))

@@ -1,6 +1,8 @@
 """The package's public names, and the argument checks at its entry points."""
 
+import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,11 +20,18 @@ from afdmsim.ambiguity import (
     dpaf_brute,
     dpaf_surface,
 )
-from afdmsim.channel import PathTap, apply_channel
+from afdmsim.channel import PathTap, PhysicalPath, apply_channel, quantize_path
 from afdmsim.ddgrid import interaction_coeff, io_convolve, io_general, io_predict, kernel_hw
-from afdmsim.metrics import image_snr, lmmse_ber_compare, pslr, trial_metrics, trial_rng
-from afdmsim.params import ScenarioConfig, classic_params, preset, proposed_params
-from afdmsim.sensing import cfar_mask_batch, os_cfar_mask_batch
+from afdmsim.metrics import (
+    image_snr,
+    lmmse_ber_compare,
+    pslr,
+    sensing_maps,
+    trial_metrics,
+    trial_rng,
+)
+from afdmsim.params import AfdmConfig, ScenarioConfig, classic_params, preset, proposed_params
+from afdmsim.sensing import cfar_mask_batch, os_cfar_mask_batch, peak
 from afdmsim.waveform import (
     daft_index_to_dd,
     dd_to_daft_index,
@@ -102,6 +111,32 @@ POWER = np.ones((8, 8))
     (cfar_mask_batch, (POWER, 1, 0, 1e-3, (0, 0, 0)), "near must be a pair of integers (l, k)"),
     (pslr, (np.ones((8, 4)), (9, 0)), "target delay index must be an integer in [0, 8)"),
     (image_snr, (np.ones((8, 4)), (0, 4)), "target Doppler index must be an integer in [0, 4)"),
+    (AfdmConfig, (32, 4, Fraction(1, 16), math.nan), "c2 must be finite, got nan"),
+    (AfdmConfig, (32, 4, Fraction(1, 16), math.inf), "c2 must be finite, got inf"),
+    (AfdmConfig, (32, 4, Fraction(1, 16), 10**400), "c2 must be finite, got 1000"),
+    (AfdmConfig, (32, 4, Fraction(1, 16), False), "c2 must be a real number, got bool False"),
+    (AfdmConfig, (32, 4, Fraction(1, 16), "x"), "c2 must be a real number, got str 'x'"),
+    (AfdmConfig, (32, 4, Fraction(1, 16), 1j), "c2 must be a real number, got complex 1j"),
+    (trial_metrics, (CFG, 1.0, [PathTap(1.0, 1, 0)], True, ["tfmf"], [trial_rng(1, 0)]),
+     "snr_db must be a real number, got bool True"),
+    (trial_metrics, (CFG, 1.0, [PathTap(1.0, 1, 0)], "5", ["tfmf"], [trial_rng(1, 0)]),
+     "snr_db must be a real number, got str '5'"),
+    (sensing_maps, (CFG, 1.0, [PathTap(1.0, 1, 0)], True, ["tfmf"], [trial_rng(1, 0)]),
+     "snr_db must be a real number, got bool True"),
+    (lmmse_ber_compare, ({"proposed": CFG}, [PathTap(1.0, 1, 0)], ["5"], 1, 1, 1),
+     "snr_db must be a real number, got str '5'"),
+    (lmmse_ber_compare, ({"proposed": CFG}, [PathTap(1.0, 1, 0)], [True], 1, 1, 1),
+     "snr_db must be a real number, got bool True"),
+    (PhysicalPath, (True, 0.0), "range_m must be a real number, got bool True"),
+    (PhysicalPath, ("a", 0.0), "range_m must be a real number, got str 'a'"),
+    (quantize_path, (PhysicalPath(1.0, 0.0), math.inf, 1.0, 79e9),
+     "bandwidth_hz must be finite, got inf"),
+    (quantize_path, (PhysicalPath(1.0, 0.0), 1.0, math.inf, 79e9),
+     "duration_s must be finite, got inf"),
+    (pslr, (np.ones(8), (0, 0)), "cells must be an (n_p, K) map or a stack of them"),
+    (image_snr, (np.ones(8), (0, 0)), "cells must be an (n_p, K) map or a stack of them"),
+    (peak, (np.ones(8),), "cells must be one (n_p, K) map, got shape (8,)"),
+    (peak, (np.ones((2, 2, 2)),), "cells must be one (n_p, K) map, got shape (2, 2, 2)"),
 ], ids=[
     "pathtap-bool-gain", "apply_channel-tuple", "io_predict-tuple", "io_convolve-tuple",
     "io_general-tuple", "kernel_hw-tuple", "kernel_hw-float-l", "kernel_hw-bool-k_in",
@@ -110,7 +145,10 @@ POWER = np.ones((8, 8))
     "caf-float-sub", "caf-bool-l", "dpaf_brute-float-l", "dpaf_brute-bool-k",
     "dpaf_surface-float", "dpaf_surface-outside", "cfar-float-train", "os-cfar-bool-train",
     "cfar-float-near", "cfar-bool-near", "cfar-triple-near", "pslr-cell-outside",
-    "image_snr-cell-outside",
+    "image_snr-cell-outside", "c2-nan", "c2-inf", "c2-huge-int", "c2-bool", "c2-str", "c2-complex",
+    "trial_metrics-bool-snr", "trial_metrics-str-snr", "sensing_maps-bool-snr", "link-str-snr",
+    "link-bool-snr", "physical-bool-range", "physical-str-range", "quantize-inf-bandwidth",
+    "quantize-inf-duration", "pslr-1d", "image_snr-1d", "peak-1d", "peak-3d",
 ])
 def test_entry_point_rejects_argument(call, args, message):
     with pytest.raises(ValueError) as info:

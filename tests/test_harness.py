@@ -703,30 +703,6 @@ class TestCli:
             kind.replace("_", "-"): _kind_flags(kind) for kind in EXPERIMENT_KINDS
         }
 
-    def test_snr_sweep_at_full_pilot_overhead_writes_the_pinned_csv(self, tmp_path, capsys):
-        # CI's "snr-sweep at full pilot overhead" step, run in process: the
-        # same command and the same literal CSV, so a change that moves a
-        # cell fails here before it fails in CI. fig5 runs at PO = 1, and 11
-        # trials are a full block of 8 and a partial block of 3
-        argv = ["snr-sweep", "--scenario", "fig5", "--trials", "11", "--snr", "-22", "-19"]
-        assert main(argv + ["--out", str(tmp_path)]) == 0
-        want = "".join(line + "\n" for line in (
-            "snr_db,po,algorithm,preset,pslr_db,image_snr_db,pd,ber,trials",
-            "-22.0,1.0,tfmf,proposed,-5.344323520348397,3.2085844174656244,"
-            "0.09090909090909091,nan,11",
-            "-22.0,1.0,dechirp,proposed,-5.344323520348397,3.2085844174656235,"
-            "0.09090909090909091,nan,11",
-            "-22.0,1.0,ddmf,proposed,-3.380131564583527,5.0341063067179554,"
-            "0.09090909090909091,nan,11",
-            "-19.0,1.0,tfmf,proposed,-2.682858674024026,5.9084758939613815,"
-            "0.18181818181818182,nan,11",
-            "-19.0,1.0,dechirp,proposed,-2.682858674024026,5.9084758939613815,"
-            "0.18181818181818182,nan,11",
-            "-19.0,1.0,ddmf,proposed,-0.3822514625764825,8.031986408724999,"
-            "0.18181818181818182,nan,11",
-        ))
-        assert (tmp_path / "snr_sweep_proposed_all.csv").read_bytes() == want.encode()
-
 
 class TestExitCodes:
     def test_numerical_check_failure_is_exit_2(self, tmp_path, monkeypatch, capsys):
