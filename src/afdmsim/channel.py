@@ -46,7 +46,8 @@ def quantize_path(
 ) -> PathTap:
     """Round-trip delay/Doppler quantized to taps: l = round(B*tau), k = round(T*nu).
 
-    The bandwidth, duration and carrier are finite real numbers, the first two positive.
+    The bandwidth, duration and carrier are finite real numbers, the first two
+    positive, and B*tau and T*nu must be finite too.
     """
     for name, value in (
         ("bandwidth_hz", bandwidth_hz), ("duration_s", duration_s), ("carrier_hz", carrier_hz)
@@ -56,11 +57,10 @@ def quantize_path(
         raise ValueError("bandwidth and duration must be positive")
     tau = 2.0 * path.range_m / SPEED_OF_LIGHT
     nu = 2.0 * path.radial_velocity_mps * carrier_hz / SPEED_OF_LIGHT
-    return PathTap(
-        gain=path.gain,
-        delay_tap=round(bandwidth_hz * tau),
-        doppler_tap=round(duration_s * nu),
-    )
+    delay, doppler = bandwidth_hz * tau, duration_s * nu
+    _check_finite_real("delay tap B*tau", delay)
+    _check_finite_real("Doppler tap T*nu", doppler)
+    return PathTap(gain=path.gain, delay_tap=round(delay), doppler_tap=round(doppler))
 
 
 def _doppler_taps(paths, n_c: int) -> list[tuple[complex, int, np.ndarray]]:

@@ -178,11 +178,15 @@ def _db(scale: float, num, den):
 def _check_target(target, shape) -> tuple[int, int]:
     """The (l, k) ``target`` cell, which must lie on an (n_p, K) map of ``shape``.
 
-    ``shape`` is that of one map or of a stack of maps; fewer than two axes is a ValueError.
+    ``shape`` is that of one map or of a stack of maps; fewer than two axes, or a
+    ``target`` that is not a pair, is a ValueError.
     """
     if len(shape) < 2:
         raise ValueError(f"cells must be an (n_p, K) map or a stack of them, got shape {shape}")
-    l, k = target
+    try:
+        l, k = target
+    except (TypeError, ValueError):
+        raise ValueError(f"target must be a pair of integers (l, k), got {target!r}") from None
     _check_index("target delay index", l, shape[-2])
     _check_index("target Doppler index", k, shape[-1])
     return l, k

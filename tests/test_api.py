@@ -133,6 +133,13 @@ POWER = np.ones((8, 8))
      "bandwidth_hz must be finite, got inf"),
     (quantize_path, (PhysicalPath(1.0, 0.0), 1.0, math.inf, 79e9),
      "duration_s must be finite, got inf"),
+    (quantize_path, (PhysicalPath(1e300, 0.0), 1e20, 1.0, 79e9),
+     "delay tap B*tau must be finite, got inf"),
+    (quantize_path, (PhysicalPath(0.0, 1e300), 1.0, 1e20, 79e9),
+     "Doppler tap T*nu must be finite, got inf"),
+    (pslr, (np.ones((8, 4)), (0, 0, 0)), "target must be a pair of integers (l, k), got (0, 0, 0)"),
+    (pslr, (np.ones((8, 4)), 3), "target must be a pair of integers (l, k), got 3"),
+    (image_snr, (np.ones((8, 4)), None), "target must be a pair of integers (l, k), got None"),
     (pslr, (np.ones(8), (0, 0)), "cells must be an (n_p, K) map or a stack of them"),
     (image_snr, (np.ones(8), (0, 0)), "cells must be an (n_p, K) map or a stack of them"),
     (peak, (np.ones(8),), "cells must be one (n_p, K) map, got shape (8,)"),
@@ -148,7 +155,9 @@ POWER = np.ones((8, 8))
     "image_snr-cell-outside", "c2-nan", "c2-inf", "c2-huge-int", "c2-bool", "c2-str", "c2-complex",
     "trial_metrics-bool-snr", "trial_metrics-str-snr", "sensing_maps-bool-snr", "link-str-snr",
     "link-bool-snr", "physical-bool-range", "physical-str-range", "quantize-inf-bandwidth",
-    "quantize-inf-duration", "pslr-1d", "image_snr-1d", "peak-1d", "peak-3d",
+    "quantize-inf-duration", "quantize-delay-overflow", "quantize-doppler-overflow",
+    "pslr-triple-target", "pslr-int-target", "image_snr-none-target", "pslr-1d", "image_snr-1d",
+    "peak-1d", "peak-3d",
 ])
 def test_entry_point_rejects_argument(call, args, message):
     with pytest.raises(ValueError) as info:
