@@ -5,7 +5,8 @@ experiment kind for each requested (preset, algorithm) combination.
 ``EXPERIMENT_KINDS`` maps each kind to its runner and to the spec fields it
 reads. Only runners turn a scenario into engine inputs (waveform, pilot
 overhead, ``PathTap`` targets, ``trial_rng(spec.resolved_seed, t)``
-streams). A runner yields ``(file name, header, columns)`` tables;
+streams, which the sweeps take from one ``trial_rngs`` iterator per engine
+call). A runner yields ``(file name, header, columns)`` tables;
 :func:`run` alone writes them as ``<kind>_<preset>_<algorithm>.csv`` plus
 ``manifest.json`` recording the fully resolved configuration, and removes
 its outputs and any manifest on failure. Fixed seeds give byte-identical CSVs, except for
@@ -40,6 +41,7 @@ from .metrics import (
     sensing_maps,
     trial_metrics,
     trial_rng,
+    trial_rngs,
 )
 from .params import (
     CARRIER_HZ,
@@ -103,11 +105,21 @@ def builtin_scenarios() -> dict[str, ScenarioConfig]:
 
 
 def resolve_scenario(ref: str | Path | ScenarioConfig) -> ScenarioConfig:
+    """A scenario itself, the built-in of that name, or the scenario file at that path.
+
+    A bare name (no directory part, no suffix) that is neither a built-in
+    nor an existing file is a ValueError naming the built-ins, so that a
+    misspelt one does not read as a missing file.
+    """
     if isinstance(ref, ScenarioConfig):
         return ref
     builtins = builtin_scenarios()
     if isinstance(ref, str) and ref in builtins:
         return builtins[ref]
+    path = Path(ref)
+    if str(ref) == path.name and not path.suffix and not path.exists():
+        raise ValueError(f"unknown scenario {str(ref)!r}: no file of that name and no built-in "
+                         f"({', '.join(sorted(builtins))})")
     return load_scenario(ref)
 
 
@@ -351,6 +363,11 @@ def _run_af_surface(spec):
 
 
 def _sweep_rows(spec, preset_name, snr_values, po_values):
+    """Metric rows of one preset, one engine call per PO, trial t on ``trial_rng(seed, t)``'s stream.
+
+    Each call reads its trials' generators from one ``trial_rngs`` iterator,
+    which seeds them a chunk at a time.
+    """
     rows = []
     config = spec.scenario.waveform(preset_name)
     algorithms = _algorithms_for(preset_name, spec.algorithms)
@@ -358,7 +375,7 @@ def _sweep_rows(spec, preset_name, snr_values, po_values):
         # one engine call simulates each trial once for every SNR point
         samples = trial_metrics(
             config, po, spec.scenario.targets, snr_values, algorithms,
-            (trial_rng(spec.resolved_seed, t) for t in range(spec.trials)),
+            trial_rngs(spec.resolved_seed, range(spec.trials)),
             spec.tfmf_reference, quality=spec.kind != "pd_curve",
         )
         for i, snr in enumerate(snr_values):

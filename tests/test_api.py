@@ -29,6 +29,7 @@ from afdmsim.metrics import (
     sensing_maps,
     trial_metrics,
     trial_rng,
+    trial_rngs,
 )
 from afdmsim.params import AfdmConfig, ScenarioConfig, classic_params, preset, proposed_params
 from afdmsim.sensing import cfar_mask_batch, os_cfar_mask_batch, peak
@@ -144,6 +145,14 @@ POWER = np.ones((8, 8))
     (image_snr, (np.ones(8), (0, 0)), "cells must be an (n_p, K) map or a stack of them"),
     (peak, (np.ones(8),), "cells must be one (n_p, K) map, got shape (8,)"),
     (peak, (np.ones((2, 2, 2)),), "cells must be one (n_p, K) map, got shape (2, 2, 2)"),
+    (trial_rng, (True, 0), "seed must be an integer, got bool True"),
+    (trial_rng, ("1", 0), "seed must be an integer, got str '1'"),
+    (trial_rng, (1.5, 0), "seed must be an integer, got float 1.5"),
+    (trial_rng, (-1, 0), "seed must be >= 0, got -1"),
+    (trial_rng, (1, True), "trial must be an integer, got bool True"),
+    (trial_rng, (1, -2), "trial must be >= 0, got -2"),
+    (trial_rngs, (True, range(1)), "seed must be an integer, got bool True"),
+    (trial_rngs, (1.5, range(1)), "seed must be an integer, got float 1.5"),
 ], ids=[
     "pathtap-bool-gain", "apply_channel-tuple", "io_predict-tuple", "io_convolve-tuple",
     "io_general-tuple", "kernel_hw-tuple", "kernel_hw-float-l", "kernel_hw-bool-k_in",
@@ -157,7 +166,9 @@ POWER = np.ones((8, 8))
     "link-bool-snr", "physical-bool-range", "physical-str-range", "quantize-inf-bandwidth",
     "quantize-inf-duration", "quantize-delay-overflow", "quantize-doppler-overflow",
     "pslr-triple-target", "pslr-int-target", "image_snr-none-target", "pslr-1d", "image_snr-1d",
-    "peak-1d", "peak-3d",
+    "peak-1d", "peak-3d", "trial_rng-bool-seed", "trial_rng-str-seed", "trial_rng-float-seed",
+    "trial_rng-negative-seed", "trial_rng-bool-trial", "trial_rng-negative-trial",
+    "trial_rngs-bool-seed", "trial_rngs-float-seed",
 ])
 def test_entry_point_rejects_argument(call, args, message):
     with pytest.raises(ValueError) as info:
@@ -217,6 +228,10 @@ INTEGER_ARGUMENTS = [
     ("k_max", lambda v: ScenarioConfig(name="s", n_c=32, k_chirps=4, k_max=v), (0, None)),
     ("rng_seed", lambda v: ScenarioConfig(name="s", n_c=32, k_chirps=4, rng_seed=v), (0, None)),
     ("n_p", lambda v: fmcw_signal(v, 4), (1, None)),
+    ("seed", lambda v: trial_rng(v, 0), (0, None)),
+    ("trial", lambda v: trial_rng(0, v), (0, None)),
+    ("seed", lambda v: trial_rngs(v, range(1)), (0, None)),
+    ("trial", lambda v: next(trial_rngs(0, [v])), (0, None)),
 ]
 
 

@@ -319,6 +319,11 @@ REJECTIONS = [
       ]),
     Rejection("unknown-scenario-path", ("ddm", "--scenario", "nope.txt"), None,
               "error: [Errno 2] No such file or directory: 'nope.txt'"),
+    Rejection("unknown-builtin", ("ddm", "--scenario", "fig44"), None,
+              "error: unknown scenario 'fig44': no file of that name and no built-in "
+              "(desk, fig4, fig5, table1)"),
+    Rejection("unknown-scenario-subdir", ("ddm", "--scenario", "sub/fig4"), None,
+              "error: [Errno 2] No such file or directory: 'sub/fig4'"),
     # a value out of its range, in a file or on the command line
     *(Rejection(f"scenario-snr-{value}", ("ddm", *SCEN), ("scen.txt", (
         *GRID, "k_max = 1", "l_max = 2", f"snr_db = {value}", "[path]", "gain_re = 1.0", "l = 1",

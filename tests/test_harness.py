@@ -413,6 +413,33 @@ class TestSweepKinds:
         pd_values = [float(ln.split(",")[6]) for ln in lines[1:]]
         assert all(0.0 <= v <= 1.0 for v in pd_values)
 
+    def test_sweeps_seed_one_trial_iterator_per_call(self, tmp_path, monkeypatch):
+        # every (preset, PO) engine call takes one trial_rngs iterator of all
+        # its trials; no sweep seeds a trial through trial_rng
+        import afdmsim.experiments as experiments
+
+        calls = []
+
+        def counted(seed, trials):
+            calls.append((seed, trials))
+            return metrics.trial_rngs(seed, trials)
+
+        def unused(*args):
+            raise AssertionError("a sweep trial was seeded one at a time")
+
+        monkeypatch.setattr(experiments, "trial_rngs", counted)
+        monkeypatch.setattr(experiments, "trial_rng", unused)
+        monkeypatch.setattr(metrics, "trial_rng", unused)
+        scenario = ScenarioConfig(name="s", n_c=64, k_chirps=8, l_max=1, k_max=1,
+                                  targets=(PathTap(1.0, 1, 1),))
+        for kind, presets, n_calls in (("snr_sweep", ("proposed", "classic"), 2),
+                                       ("pd_curve", ("proposed", "ocdm"), 2),
+                                       ("po_sweep", ("proposed",), 3)):
+            calls.clear()
+            run(self._spec(kind, tmp_path / kind, scenario=scenario, presets=presets,
+                           algorithms=("tfmf",), trials=100, po_list=(0.0, 0.5, 1.0)))
+            assert calls == [(21, range(100))] * n_calls, kind
+
     def test_pd_curve_measures_no_map_quality(self, tmp_path, monkeypatch):
         def unused(*args):
             raise AssertionError("pd_curve reports no PSLR or image SNR")

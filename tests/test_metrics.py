@@ -566,6 +566,82 @@ class TestTrialEngine:
             assert list(got) == [fn(c, (3, 2)) for c in cells]
 
 
+def assert_trial_streams(seed, trials, rngs):
+    """Each of ``rngs`` is ``trial_rng(seed, t)`` for its t in ``trials``: state, then draws."""
+    rngs = list(rngs)
+    assert len(rngs) == len(trials)
+    for t, rng in zip(trials, rngs):
+        want = trial_rng(seed, t)
+        assert rng.bit_generator.state == want.bit_generator.state, (seed, t)
+        assert rng.standard_normal() == want.standard_normal(), (seed, t)
+        assert rng.integers(0, 2**62) == want.integers(0, 2**62), (seed, t)
+
+
+class TestTrialRngs:
+    SEEDS = [0, 1, 2, 7, 1212, 2**31, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 2**96 + 1,
+             2**128 + 77]
+    TRIALS = [*range(50), 2**31, 2**32 - 1, 2**32, 2**32 + 5, 2**64, 2**100 + 3]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_equal_seed_sequence(self, seed):
+        # one chunk mixes trials of one, two, three and four uint32 words
+        states = metrics._seed_states(metrics._uint32_words(seed), self.TRIALS)
+        want = [np.random.SeedSequence([seed, t]).generate_state(4, np.uint64)
+                for t in self.TRIALS]
+        assert states.dtype == np.uint64 and np.array_equal(states, want)
+        assert_trial_streams(seed, self.TRIALS, metrics.trial_rngs(seed, self.TRIALS))
+
+    def test_random_seeds_draw_trial_rng_streams(self):
+        for seed in np.random.default_rng(40).integers(0, 2**62, size=20):
+            assert_trial_streams(seed, range(50), metrics.trial_rngs(seed, range(50)))
+
+    def test_chunks_join_at_their_boundary(self, monkeypatch):
+        n = metrics.TRIAL_CHUNK
+        trials = range(n - 3, n + 4)
+        assert_trial_streams(5, trials, metrics.trial_rngs(5, trials))
+        # chunks of 4 over a range that crosses 2**32, read from a generator
+        monkeypatch.setattr(metrics, "TRIAL_CHUNK", 4)
+        trials = range(2**32 - 6, 2**32 + 5)
+        assert_trial_streams(5, trials, metrics.trial_rngs(5, (t for t in trials)))
+
+    def test_first_generator_hashes_one_chunk_only(self):
+        def first_peak(trials):
+            tracemalloc.start()
+            try:
+                next(metrics.trial_rngs(3, trials))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def first_chunk_only():
+            # fails fast, rather than filling memory, if more than a chunk is read
+            for t in range(10**9):
+                assert t < metrics.TRIAL_CHUNK, "trial_rngs read past its first chunk"
+                yield t
+
+        one_chunk = first_peak(range(metrics.TRIAL_CHUNK))
+        assert first_peak(first_chunk_only()) < 1.25 * one_chunk
+        assert first_peak(range(10**9)) < 1.25 * one_chunk < 256 * 1024
+
+    def test_numpy_integers_are_taken(self):
+        trials = np.arange(3, 6, dtype=np.uint64)
+        assert_trial_streams(9, range(3, 6), metrics.trial_rngs(np.int32(9), trials))
+        assert_trial_streams(9, [4], [trial_rng(np.int64(9), np.uint8(4))])
+
+    @pytest.mark.parametrize("trial, message", [
+        (True, "trial must be an integer, got bool True"),
+        (2.0, "trial must be an integer, got float 2.0"),
+        (-1, "trial must be >= 0, got -1"),
+    ])
+    def test_bad_trial_rejected_before_its_chunk(self, trial, message):
+        rngs = metrics.trial_rngs(1, [0, trial])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            next(rngs)
+
+    def test_empty_trials_give_no_generator(self):
+        assert list(metrics.trial_rngs(1, range(0))) == []
+
+
 class TestEffectiveChannel:
     def test_identity_path_gives_identity(self):
         H = build_effective_channel(CFG, [PathTap(1.0, 0, 0)])

@@ -198,6 +198,37 @@ def test_one_cell_gather_equals_the_direct_form(n_p, k_chirps, batch, row, col, 
     assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * peaks)
 
 
+@st.composite
+def trial_ranges(draw):
+    """Trials for ``trial_rngs``: a random run, with 2**32 - 1 and 2**32 among them or not."""
+    start = draw(st.one_of(st.integers(0, 2**40), st.integers(2**32 - 20, 2**32 + 20),
+                           st.integers(0, 2**70)))
+    trials = list(range(start, start + draw(st.integers(0, 12))))
+    if draw(st.booleans()):
+        trials += [2**32 - 1, 2**32]
+    return draw(st.permutations(trials))
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**130 - 1), trials=trial_ranges(), chunk=st.integers(1, 9))
+@example(seed=2**130 - 1, trials=[0, 2**32 - 1, 2**32], chunk=2)
+def test_trial_rngs_equal_trial_rng(seed, trials, chunk):
+    # the vectorized SeedSequence hash gives numpy's states for every seed
+    # and trial width, and the generators draw trial_rng's streams
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "TRIAL_CHUNK", chunk)
+        rngs = list(metrics.trial_rngs(seed, trials))
+    if trials:
+        states = metrics._seed_states(metrics._uint32_words(seed), trials)
+        want = [np.random.SeedSequence([seed, t]).generate_state(4, np.uint64) for t in trials]
+        assert np.array_equal(states, want)
+    assert len(rngs) == len(trials)
+    for t, rng in zip(trials, rngs):
+        want = trial_rng(seed, t)
+        assert rng.standard_normal() == want.standard_normal()
+        assert rng.integers(0, 2**62) == want.integers(0, 2**62)
+
+
 def test_only_one_shared_one_cell_grid_takes_the_gather(monkeypatch):
     # a two-cell grid, an all-zero grid and R = N one-cell grids keep the
     # FFT path; one shared one-cell grid skips it
